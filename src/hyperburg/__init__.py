@@ -41,7 +41,6 @@ from .solver import (
     default_blowup_threshold,
     estimate_blowup_time,
     integrate,
-    rhs,
     sample_trajectory,
     stable_dt,
     step_rk4,
@@ -90,7 +89,7 @@ __all__ = [
     "ProfileSpec", "bump_profile", "bump_max_abs", "amplitude_for_sup_norm",
     "calibrate", "calibrated_profile", "sample_initial_state",
     # solver
-    "Grid", "GridState", "RunStatus", "RunOutcome", "stable_dt", "rhs",
+    "Grid", "GridState", "RunStatus", "RunOutcome", "stable_dt",
     "step_rk4", "integrate", "sample_trajectory", "estimate_blowup_time",
     "check_domain_margin", "default_blowup_threshold",
     # diagnostics

@@ -3,8 +3,11 @@
 Everything here is computed with the solver's own stencils and the
 trapezoidal rule on the simulation grid, so bounds that hold exactly for
 the semi-discrete system show up as gaps at roundoff rather than at
-quadrature-error level.  Higher time derivatives (v_tt, v_ttt) are
-reconstructed from the equation instead of stored.
+quadrature-error level.  Integrals of squares and the moments share one
+trapezoid helper, :func:`~hyperburg.operators.trapezoid_dot`.  Higher time
+derivatives (v_tt, v_ttt) are reconstructed from the equation instead of
+stored; during a run the solver passes in v_tt, the slope its next step
+starts from.
 
 Monitored quantities:
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
-from .operators import d1_central, d2_central, pde_rhs, trapezoid
+from .operators import d1_central, d2_central, pde_rhs, trapezoid_dot
 from .solver import GridState
 
 __all__ = [
@@ -96,19 +99,28 @@ class ConeSpec:
 
 def moment_F(state: GridState) -> float:
     """First moment int x v dx (trapezoidal), the expansion measure."""
-    return float(trapezoid(state.grid.nodes() * state.v, dx=state.grid.dx))
+    return trapezoid_dot(state.grid.nodes(), state.v, state.grid.dx)
 
 
 def moment_Fprime(state: GridState) -> float:
     """First moment of the time derivative, int x w dx."""
-    return float(trapezoid(state.grid.nodes() * state.w, dx=state.grid.dx))
+    return trapezoid_dot(state.grid.nodes(), state.w, state.grid.dx)
 
 
-def _time_derivatives(state: GridState, params: ModelParams):
-    """(v_tt, v_ttt) reconstructed from the semi-discrete equation."""
+def _time_derivatives(
+    state: GridState,
+    params: ModelParams,
+    v_tt: Optional[np.ndarray] = None,
+):
+    """(v_tt, v_ttt) reconstructed from the semi-discrete equation.
+
+    ``v_tt``, when given, is dw/dt from ``pde_rhs`` at this state; it is
+    read, never written.
+    """
     dx = state.grid.dx
     mu, nu = params.mu, params.nu
-    _, v_tt = pde_rhs(state.v, state.w, dx, mu, nu)
+    if v_tt is None:
+        _, v_tt = pde_rhs(state.v, state.w, dx, mu, nu)
     # d/dt of the w-equation: flux v^2/2 differentiates to v*w.
     v_ttt = (nu * d2_central(state.w, dx) - d1_central(state.v * state.w, dx) - v_tt) / mu
     v_ttt[0] = v_ttt[-1] = 0.0
@@ -127,15 +139,17 @@ def energy(state: GridState, params: ModelParams, order: int) -> float:
     dx = state.grid.dx
     c2 = params.c * params.c
     if order == 1:
-        integrand = state.w**2 + c2 * d1_central(state.v, dx) ** 2
+        time_part, space_part = state.w, d1_central(state.v, dx)
     elif order == 2:
-        v_tt, _ = _time_derivatives(state, params)
-        integrand = v_tt**2 + c2 * c2 * d2_central(state.v, dx) ** 2
+        time_part, _ = _time_derivatives(state, params)
+        space_part = d2_central(state.v, dx)
     else:
-        _, v_ttt = _time_derivatives(state, params)
-        v_xxx = d1_central(d2_central(state.v, dx), dx)
-        integrand = v_ttt**2 + c2 * c2 * c2 * v_xxx**2
-    return 0.5 * float(trapezoid(integrand, dx=dx))
+        _, time_part = _time_derivatives(state, params)
+        space_part = d1_central(d2_central(state.v, dx), dx)
+    return 0.5 * (
+        trapezoid_dot(time_part, time_part, dx)
+        + c2**order * trapezoid_dot(space_part, space_part, dx)
+    )
 
 
 def sup_norm(state: GridState) -> float:
@@ -167,7 +181,7 @@ def schwartz_gap(state: GridState, params: ModelParams) -> float:
     to x across the whole interval.
     """
     radius = params.L + params.c * state.t
-    int_v2 = float(trapezoid(state.v**2, dx=state.grid.dx))
+    int_v2 = trapezoid_dot(state.v, state.v, state.grid.dx)
     f = moment_F(state)
     return (2.0 / 3.0) * radius**3 * int_v2 - f * f
 
@@ -310,11 +324,15 @@ def compute_record(
     state: GridState,
     params: ModelParams,
     prev: Optional[DiagnosticsRecord] = None,
+    v_tt: Optional[np.ndarray] = None,
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one state.
 
     ``prev`` supplies the Sobolev accumulators and the time gap; pass the
     previous record during a run, or None for a standalone/initial record.
+    ``v_tt`` is dw/dt from ``pde_rhs`` at this state when the caller has it
+    (the solver's stage-1 slope); it is only read.  Without it the record
+    computes it, with the same function and the same result.
     """
     dx = state.grid.dx
     c2 = params.c * params.c
@@ -323,17 +341,23 @@ def compute_record(
         v_xx = d2_central(state.v, dx)
         w_x = d1_central(state.w, dx)
         w_xx = d2_central(state.w, dx)
-        v_tt, v_ttt = _time_derivatives(state, params)
+        v_tt, v_ttt = _time_derivatives(state, params, v_tt)
         v_xxx = d1_central(v_xx, dx)
         v_xtt = d1_central(v_tt, dx)
 
-        e1 = 0.5 * float(trapezoid(state.w**2 + c2 * v_x**2, dx=dx))
-        e2 = 0.5 * float(trapezoid(v_tt**2 + c2 * c2 * v_xx**2, dx=dx))
-        e3 = 0.5 * float(trapezoid(v_ttt**2 + c2 * c2 * c2 * v_xxx**2, dx=dx))
-        int_vxt2 = float(trapezoid(w_x**2, dx=dx))
-        int_vxtt2 = float(trapezoid(v_xtt**2, dx=dx))
-        int_vxxt2 = float(trapezoid(w_xx**2, dx=dx))
-        half_v2 = 0.5 * float(trapezoid(state.v**2, dx=dx))
+        e1 = 0.5 * (
+            trapezoid_dot(state.w, state.w, dx) + c2 * trapezoid_dot(v_x, v_x, dx)
+        )
+        e2 = 0.5 * (
+            trapezoid_dot(v_tt, v_tt, dx) + c2**2 * trapezoid_dot(v_xx, v_xx, dx)
+        )
+        e3 = 0.5 * (
+            trapezoid_dot(v_ttt, v_ttt, dx) + c2**3 * trapezoid_dot(v_xxx, v_xxx, dx)
+        )
+        int_vxt2 = trapezoid_dot(w_x, w_x, dx)
+        int_vxtt2 = trapezoid_dot(v_xtt, v_xtt, dx)
+        int_vxxt2 = trapezoid_dot(w_xx, w_xx, dx)
+        half_v2 = 0.5 * trapezoid_dot(state.v, state.v, dx)
 
         sup = sup_norm(state)
         left, right = support_interval(

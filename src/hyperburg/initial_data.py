@@ -11,8 +11,8 @@ positive moment targets reachable.  Both fields share this shape:
 
     v(x, 0) = a * psi(x),      dv/dt(x, 0) = b * psi(x),
 
-and calibration picks (a, b) so the discrete moments hit their targets
-exactly under the same trapezoidal rule the runtime diagnostics use.
+and calibration picks (a, b) so the discrete moments hit their targets,
+to a few ulps, under the trapezoidal rule the runtime diagnostics use.
 """
 
 from __future__ import annotations
@@ -100,10 +100,12 @@ def calibrate(
 ) -> tuple[float, float]:
     """Amplitudes (a, b) whose discrete moments equal the targets.
 
-    The first moment m1 = trapz(x * psi) is evaluated on the run grid (the
-    same rule the diagnostics use), so int x*(a*psi) dx reproduces
-    ``F0_target`` up to a few ulps, with no discretization offset between
-    the calibrated data and the recorded moment series.
+    The first moment m1 = trapz(x * psi) is evaluated on the run grid with
+    ``numpy.trapezoid``.  The diagnostics apply the same rule as a dot
+    product (:func:`~hyperburg.operators.trapezoid_dot`), which sums in
+    another order, so int x*(a*psi) dx reproduces ``F0_target`` up to a few
+    ulps, with no discretization offset between the calibrated data and the
+    recorded moment series.
 
     Raises:
         CalibrationError: if the grid resolves no interior support nodes

@@ -166,6 +166,14 @@ class TestExecuteConfig:
         assert loaded["certificate"]["T_star_tightest"] <= loaded["certificate"]["T_star"]
         assert math.isfinite(loaded["worst"]["comparison_margin_rel"])
 
+    def test_certificate_verdicts_are_python_types(self, tmp_path):
+        doc = blowup_doc(str(tmp_path / "t"))
+        doc["output"] = {"directory": "unused", "emit_csv": False, "emit_report": False}
+        report = execute_config(config_from_dict(doc))
+        assert type(report.certificate["thresholds_met"]) is bool
+        assert type(report.certificate["F0"]) is float
+        json.dumps(report.certificate)
+
     def test_no_output_written_for_invalid_config(self, tmp_path):
         out = tmp_path / "never"
         doc = base_doc(str(out))

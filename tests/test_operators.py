@@ -72,3 +72,49 @@ def test_boundary_always_pinned():
     dv, dw = pde_rhs(v, w, 0.5, 1.0, 1.0)
     assert dv[0] == dv[-1] == 0.0
     assert dw[0] == dw[-1] == 0.0
+
+
+def _fields(rows=3, n=97, seed=11):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, n)), rng.standard_normal((rows, n))
+
+
+def test_out_buffers_match_allocating_calls_bitwise():
+    v, w = _fields(rows=1)
+    v, w = v[0], w[0]
+    for stencil in (d1_central, d2_central):
+        out = np.full_like(v, np.nan)  # dirty buffer: every entry is written
+        got = stencil(v, 0.3, out=out)
+        assert got is out
+        assert np.array_equal(out, stencil(v, 0.3))
+    dv_out, dw_out = np.full_like(v, np.nan), np.full_like(v, np.nan)
+    dv, dw = pde_rhs(v, w, 0.3, 0.7, 1.3, out=(dv_out, dw_out))
+    assert dv is dv_out and dw is dw_out
+    ref_dv, ref_dw = pde_rhs(v, w, 0.3, 0.7, 1.3)
+    assert np.array_equal(dv, ref_dv) and np.array_equal(dw, ref_dw)
+
+
+def test_stacked_rows_match_single_rows_bitwise():
+    v, w = _fields(rows=3)
+    for stencil in (d1_central, d2_central):
+        stacked = stencil(v, 0.3)
+        for i in range(3):
+            assert np.array_equal(stacked[i], stencil(v[i], 0.3))
+    dv, dw = pde_rhs(v, w, 0.3, 0.7, 1.3)
+    for i in range(3):
+        row_dv, row_dw = pde_rhs(v[i], w[i], 0.3, 0.7, 1.3)
+        assert np.array_equal(dv[i], row_dv) and np.array_equal(dw[i], row_dw)
+
+
+def test_pde_rhs_matches_unfused_form():
+    # The fused interior (a - b d) s - 2a v - w/mu reorders the arithmetic
+    # of (nu v_xx - d/dx(v^2/2) - w) / mu; on O(1) data the two agree to a
+    # few ulps of the largest term, a/dx^2-scaled.
+    v, w = _fields(rows=1)
+    v, w = v[0], w[0]
+    dx, mu, nu = 0.3, 0.7, 1.3
+    _, dw = pde_rhs(v, w, dx, mu, nu)
+    unfused = (nu * d2_central(v, dx) - flux_divergence(v, dx) - w) / mu
+    unfused[0] = unfused[-1] = 0.0
+    scale = nu / (mu * dx * dx) * np.max(np.abs(v))
+    assert np.max(np.abs(dw - unfused)) <= 1e-14 * scale

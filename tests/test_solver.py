@@ -15,7 +15,16 @@ from hyperburg import (
     validate_params,
 )
 from hyperburg.initial_data import ProfileSpec
-from hyperburg.solver import Grid, GridState, RunOutcome, check_domain_margin
+from hyperburg import solver
+from hyperburg.diagnostics import compute_record
+from hyperburg.solver import (
+    Grid,
+    GridState,
+    RunOutcome,
+    StepWorkspace,
+    check_domain_margin,
+    sample_trajectory,
+)
 from hyperburg.suite import BLOWUP_TSTAR_EPS
 from hyperburg import certificate as cert
 
@@ -90,6 +99,59 @@ class TestStepRK4:
         assert 3.5 <= slope <= 4.5
 
 
+class TestStepWorkspace:
+    def test_reused_workspace_matches_fresh_bitwise(self):
+        # One workspace across ten steps, with the slope loaded (as a record
+        # would) before some of them and a foreign state's slope left in the
+        # buffers before others: every step equals a fresh-workspace step.
+        params, state = small_state()
+        dt = stable_dt(state.grid, params, 0.4)
+        work = StepWorkspace(state.v.shape)
+        other = GridState(grid=state.grid, t=state.t, v=2.0 * state.v, w=state.w + 1.0)
+        reused = fresh = state
+        for i in range(10):
+            if i % 3 == 0:
+                work.load_slope(reused, params)
+            elif i % 3 == 1:
+                work.load_slope(other, params)
+            reused = step_rk4(reused, params, dt, work)
+            fresh = step_rk4(fresh, params, dt, StepWorkspace(fresh.v.shape))
+            assert np.array_equal(reused.v, fresh.v)
+            assert np.array_equal(reused.w, fresh.w)
+        # The stages overwrite the loaded slope: a second step from the same
+        # state must not take the leftovers for its stage 1.
+        work.load_slope(state, params)
+        first = step_rk4(state, params, dt, work)
+        again = step_rk4(state, params, dt, work)
+        assert np.array_equal(first.v, again.v) and np.array_equal(first.w, again.w)
+
+    def test_stacked_states_step_row_by_row(self):
+        params, state = small_state()
+        dt = stable_dt(state.grid, params, 0.4)
+        scales = (0.5, 1.0, 3.0)
+        stack = GridState(
+            grid=state.grid, t=0.0,
+            v=np.stack([k * state.v for k in scales]),
+            w=np.stack([k * state.v for k in scales]),
+        )
+        stepped = step_rk4(stack, params, dt)
+        for i, k in enumerate(scales):
+            row = step_rk4(
+                GridState(grid=state.grid, t=0.0, v=k * state.v, w=k * state.v), params, dt
+            )
+            assert np.array_equal(stepped.v[i], row.v)
+            assert np.array_equal(stepped.w[i], row.w)
+
+
+def test_grid_nodes_computed_once_and_read_only():
+    grid = Grid(-2.0, 2.0, 64)
+    x = grid.nodes()
+    assert x is grid.nodes() and x is Grid(-2.0, 2.0, 64).nodes()
+    assert np.array_equal(x, np.linspace(-2.0, 2.0, 64))
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+
+
 class TestIntegrate:
     def test_zero_data_completes_with_zero_records(self):
         params = validate_params(1, 1, 1)
@@ -141,6 +203,61 @@ class TestIntegrate:
         # records only cover the healthy prefix
         for rec in out.records:
             assert np.isfinite(rec.sup_norm)
+
+    @pytest.mark.parametrize("field, bad", [("w", np.nan), ("v", np.inf)])
+    def test_nonfinite_field_is_numerical_failure(self, monkeypatch, field, bad):
+        # A step that leaves one non-finite entry in one field, the other
+        # finite: inf in v must not read as a threshold crossing.
+        params, state0 = small_state()
+        real_step = solver.step_rk4
+
+        def broken_step(state, *args):
+            nxt = real_step(state, *args)
+            getattr(nxt, field)[40] = bad
+            return nxt
+
+        monkeypatch.setattr(solver, "step_rk4", broken_step)
+        out = integrate(state0, params, t_end=0.5, blowup_threshold=1e3)
+        assert out.status is RunStatus.NUMERICAL_FAILURE
+        assert len(out.records) == 1
+
+    @pytest.mark.parametrize("stride", [1, 16])
+    def test_one_slope_per_step_plus_one(self, monkeypatch, stride):
+        # The record's slope is the next step's stage 1: 4 * steps + 1
+        # pde_rhs calls in all, whatever the record stride.
+        params, state0 = small_state()
+        counts = {"pde_rhs": 0, "step_rk4": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        pde = counting("pde_rhs", solver.pde_rhs)
+        monkeypatch.setattr(solver, "pde_rhs", pde)
+        monkeypatch.setattr("hyperburg.diagnostics.pde_rhs", pde)
+        monkeypatch.setattr(solver, "step_rk4", counting("step_rk4", solver.step_rk4))
+        out = integrate(state0, params, t_end=0.5, record_stride=stride)
+        assert out.status is RunStatus.COMPLETED
+        assert counts["step_rk4"] > 2 * stride
+        assert counts["pde_rhs"] == 4 * counts["step_rk4"] + 1
+
+    @pytest.mark.parametrize("sup", [0.1, 20.0])
+    def test_records_match_standalone_records(self, sup):
+        # Records built from the reused stage-1 slope agree with records
+        # computed from scratch on the same states.
+        params, state0 = small_state(sup=sup)
+        out = integrate(state0, params, t_end=0.3, record_stride=1)
+        states = sample_trajectory(state0, params, t_end=out.t_final)
+        assert len(states) == len(out.records)
+        assert np.array_equal(states[-1].v, out.final_state.v)
+        prev = None
+        for state, rec in zip(states, out.records):
+            alone = compute_record(state, params, prev=prev)
+            for name, value in vars(alone).items():
+                assert getattr(rec, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+            prev = rec
 
     def test_smalldata_decay(self, smalldata_report):
         recs = smalldata_report.outcome.records
