@@ -18,8 +18,6 @@ from .errors import (
 )
 from .model import (
     ModelParams,
-    WaveSpeed,
-    derive_wave_speed,
     moment_thresholds,
     validate_params,
 )
@@ -49,14 +47,10 @@ from .diagnostics import (
     ConeSpec,
     DiagnosticsRecord,
     cone_max,
-    energy,
     gronwall_check_E1,
     identity_residual,
     moment_F,
     moment_Fprime,
-    schwartz_gap,
-    sobolev_norms,
-    sup_norm,
     support_interval,
 )
 from .certificate import (
@@ -83,8 +77,7 @@ __all__ = [
     "HyperburgError", "ParameterError", "ConfigError", "CalibrationError",
     "DomainError", "EstimatorError",
     # model
-    "ModelParams", "WaveSpeed", "validate_params", "derive_wave_speed",
-    "moment_thresholds",
+    "ModelParams", "validate_params", "moment_thresholds",
     # initial data
     "ProfileSpec", "bump_profile", "bump_max_abs", "amplitude_for_sup_norm",
     "calibrate", "calibrated_profile", "sample_initial_state",
@@ -93,9 +86,8 @@ __all__ = [
     "step_rk4", "integrate", "sample_trajectory", "estimate_blowup_time",
     "check_domain_margin", "default_blowup_threshold",
     # diagnostics
-    "DiagnosticsRecord", "ConeSpec", "moment_F", "moment_Fprime", "energy",
-    "sup_norm", "support_interval", "schwartz_gap", "identity_residual",
-    "gronwall_check_E1", "sobolev_norms", "cone_max",
+    "DiagnosticsRecord", "ConeSpec", "moment_F", "moment_Fprime",
+    "support_interval", "identity_residual", "gronwall_check_E1", "cone_max",
     # certificate
     "Certificate", "OracleResult", "check_moment_thresholds",
     "epsilon_conditions_hold", "epsilon_interval", "g_closed_form", "t_star",

@@ -103,19 +103,20 @@ def check_moment_thresholds(params: ModelParams, F0: float, F1: float) -> bool:
 
 
 def epsilon_conditions_hold(
-    eps: float,
+    eps: float | np.ndarray,
     params: ModelParams,
     G0: float,
     F1: float,
-) -> bool:
-    """Direct evaluation of the three certificate conditions at one eps."""
-    if eps <= 0.0:
-        return False
+) -> bool | np.ndarray:
+    """The three conditions at eps: elementwise for an array, a bool for a scalar."""
+    eps = np.asarray(eps, dtype=float)
     c, L, mu = params.c, params.L, params.mu
-    minorant_blows_up = G0 > 16.0 * c * c * L**4 / (eps * eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        minorant_blows_up = G0 > 16.0 * c * c * L**4 / (eps * eps)
     quadratic_ok = eps / math.sqrt(G0) + 1.5 * (mu / L**3) * eps * eps <= 0.75
     slope_ok = eps * G0**1.5 / L**3 < F1
-    return minorant_blows_up and quadratic_ok and slope_ok
+    held = (eps > 0.0) & minorant_blows_up & quadratic_ok & slope_ok
+    return bool(held) if held.ndim == 0 else held
 
 
 def epsilon_interval(

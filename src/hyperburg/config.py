@@ -98,6 +98,8 @@ def _number(block: dict, key: str, where: str) -> float:
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -134,8 +136,8 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"grid: {exc}") from exc
 
     t_end = _number(doc, "t_end", "config")
-    if not (t_end > 0.0) or math.isinf(t_end):
-        raise ConfigError(f"t_end must be positive and finite, got {t_end}")
+    if not (t_end > 0.0):
+        raise ConfigError(f"t_end must be positive, got {t_end}")
 
     cfl = _number(doc, "cfl", "config") if "cfl" in doc else 0.4
     if not (0.0 < cfl <= 1.0):

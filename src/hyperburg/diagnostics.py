@@ -9,7 +9,8 @@ derivatives (v_tt, v_ttt) are reconstructed from the equation instead of
 stored; during a run the solver passes in v_tt, the slope its next step
 starts from.
 
-Monitored quantities:
+Monitored quantities (all but the cone maximum are fields of the record
+that :func:`compute_record` assembles):
 
 * the moments F = int x v dx and F' = int x w dx, whose growth identity
   mu F'' + F' = 1/2 int v^2 dx drives the blow-up argument;
@@ -25,28 +26,26 @@ Monitored quantities:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams
 from .operators import d1_central, d2_central, pde_rhs, trapezoid_dot
-from .solver import GridState
+
+if TYPE_CHECKING:  # solver imports diagnostics at runtime
+    from .solver import GridState
 
 __all__ = [
     "DiagnosticsRecord",
     "ConeSpec",
     "moment_F",
     "moment_Fprime",
-    "energy",
-    "sup_norm",
     "support_interval",
-    "schwartz_gap",
     "identity_residual",
     "gronwall_check_E1",
-    "sobolev_norms",
     "cone_max",
     "compute_record",
     "SUPPORT_REL_THRESHOLD",
@@ -61,8 +60,10 @@ class DiagnosticsRecord:
     """One time sample of every monitored functional.
 
     ``sobolev_H2_accum`` / ``sobolev_H3_accum`` are running rectangle-rule
-    time integrals of the weighted instantaneous space integrals (see
-    :func:`sobolev_norms`); the norm over [0, t] is their square root.
+    time integrals of the weighted instantaneous space integrals
+    mu^4 int (v_tt^2 + c^2 v_xt^2 + c^4 v_xx^2) + mu^2 int (v_t^2 + c^2 v_x^2)
+    + int v^2 and, for H3, that plus mu^6 int (v_ttt^2 + c^2 v_xtt^2
+    + c^4 v_xxt^2 + c^6 v_xxx^2); the norm over [0, t] is their square root.
     The cross-derivative integrals (``int_vxt2`` and friends) carry the
     pieces of those space integrals that the energies alone do not.
     """
@@ -107,56 +108,6 @@ def moment_Fprime(state: GridState) -> float:
     return trapezoid_dot(state.grid.nodes(), state.w, state.grid.dx)
 
 
-def _time_derivatives(
-    state: GridState,
-    params: ModelParams,
-    v_tt: Optional[np.ndarray] = None,
-):
-    """(v_tt, v_ttt) reconstructed from the semi-discrete equation.
-
-    ``v_tt``, when given, is dw/dt from ``pde_rhs`` at this state; it is
-    read, never written.
-    """
-    dx = state.grid.dx
-    mu, nu = params.mu, params.nu
-    if v_tt is None:
-        _, v_tt = pde_rhs(state.v, state.w, dx, mu, nu)
-    # d/dt of the w-equation: flux v^2/2 differentiates to v*w.
-    v_ttt = (nu * d2_central(state.w, dx) - d1_central(state.v * state.w, dx) - v_tt) / mu
-    v_ttt[0] = v_ttt[-1] = 0.0
-    return v_tt, v_ttt
-
-
-def energy(state: GridState, params: ModelParams, order: int) -> float:
-    """Energy functional of the requested derivative order.
-
-    order 1: 1/2 int (v_t^2 + c^2 v_x^2),
-    order 2: 1/2 int (v_tt^2 + c^4 v_xx^2),
-    order 3: 1/2 int (v_ttt^2 + c^6 v_xxx^2).
-    """
-    if order not in (1, 2, 3):
-        raise ParameterError(f"energy order must be 1, 2 or 3, got {order}")
-    dx = state.grid.dx
-    c2 = params.c * params.c
-    if order == 1:
-        time_part, space_part = state.w, d1_central(state.v, dx)
-    elif order == 2:
-        time_part, _ = _time_derivatives(state, params)
-        space_part = d2_central(state.v, dx)
-    else:
-        _, time_part = _time_derivatives(state, params)
-        space_part = d1_central(d2_central(state.v, dx), dx)
-    return 0.5 * (
-        trapezoid_dot(time_part, time_part, dx)
-        + c2**order * trapezoid_dot(space_part, space_part, dx)
-    )
-
-
-def sup_norm(state: GridState) -> float:
-    """Maximum absolute nodal value of v."""
-    return float(np.max(np.abs(state.v)))
-
-
 def support_interval(state: GridState, threshold: float) -> tuple[float, float]:
     """Outermost nodes where |v| or |w| exceeds the threshold.
 
@@ -173,28 +124,15 @@ def support_interval(state: GridState, threshold: float) -> tuple[float, float]:
     return float(x[idx[0]]), float(x[idx[-1]])
 
 
-def schwartz_gap(state: GridState, params: ModelParams) -> float:
-    """Cauchy-Schwarz slack (2/3)(L + c t)^3 int v^2 - F^2.
-
-    Nonnegative (up to roundoff and support tails) for any state whose
-    support sits inside {|x| <= L + c t}; equality needs v proportional
-    to x across the whole interval.
-    """
-    radius = params.L + params.c * state.t
-    int_v2 = trapezoid_dot(state.v, state.v, state.grid.dx)
-    f = moment_F(state)
-    return (2.0 / 3.0) * radius**3 * int_v2 - f * f
-
-
 def identity_residual(
     records: Sequence[DiagnosticsRecord],
     params: ModelParams,
-) -> float:
+) -> Optional[float]:
     """Max defect of the discrete moment identity mu F'' + F' = 1/2 int v^2.
 
     F'' and F' are centered differences of the recorded F samples; only
     uniformly spaced consecutive triples are used (a terminal record may
-    sit off the stride).
+    sit off the stride).  None when no triple is uniform: nothing checked.
 
     Raises:
         ParameterError: with fewer than 3 records.
@@ -206,6 +144,7 @@ def identity_residual(
     rhs_half_v2 = np.array([r.half_int_v2 for r in records])
     dt = t[1] - t[0]
     worst = 0.0
+    checked = False
     for i in range(1, len(records) - 1):
         if abs((t[i] - t[i - 1]) - dt) > 1e-9 * dt:
             continue
@@ -214,7 +153,8 @@ def identity_residual(
         f_tt = (f[i + 1] - 2.0 * f[i] + f[i - 1]) / (dt * dt)
         f_t = (f[i + 1] - f[i - 1]) / (2.0 * dt)
         worst = max(worst, abs(params.mu * f_tt + f_t - rhs_half_v2[i]))
-    return worst
+        checked = True
+    return worst if checked else None
 
 
 def gronwall_check_E1(
@@ -240,48 +180,6 @@ def gronwall_check_E1(
             bound = math.exp(min(running_max * scale * rec.t, 709.0)) * e1_0
             worst = min(worst, bound - rec.E1)
     return worst
-
-
-def _sobolev_space_integrals(rec: DiagnosticsRecord, params: ModelParams):
-    """Weighted instantaneous space integrals (second- and third-order)."""
-    c2 = params.c * params.c
-    mu2 = params.mu * params.mu
-    # int (v_tt^2 + c^2 v_xt^2 + c^4 v_xx^2) = 2 E2 + c^2 int v_xt^2, etc.
-    second = 2.0 * rec.E2 + c2 * rec.int_vxt2
-    first = 2.0 * rec.E1
-    zeroth = 2.0 * rec.half_int_v2
-    s2 = mu2 * mu2 * second + mu2 * first + zeroth
-    third = 2.0 * rec.E3 + c2 * rec.int_vxtt2 + c2 * c2 * rec.int_vxxt2
-    s3 = s2 + mu2 * mu2 * mu2 * third
-    return s2, s3
-
-
-def sobolev_norms(
-    records: Sequence[DiagnosticsRecord],
-    params: ModelParams,
-    dt_record: float,
-) -> tuple[float, float]:
-    """Space-time Sobolev-type norms accumulated over the record series.
-
-    H2_value = sqrt( sum_records dt * [ mu^4 int (v_tt^2 + c^2 v_xt^2
-    + c^4 v_xx^2) + mu^2 int (v_t^2 + c^2 v_x^2) + int v^2 ] ).
-
-    The H3 companion adds the third-order block mu^6 int (v_ttt^2
-    + c^2 v_xtt^2 + c^4 v_xxt^2 + c^6 v_xxx^2), extending the mu-power
-    pattern by one order.
-
-    Raises:
-        ParameterError: on an empty record sequence.
-    """
-    if not records:
-        raise ParameterError("need at least one record")
-    total2 = 0.0
-    total3 = 0.0
-    for rec in records:
-        s2, s3 = _sobolev_space_integrals(rec, params)
-        total2 += dt_record * s2
-        total3 += dt_record * s3
-    return math.sqrt(total2), math.sqrt(total3)
 
 
 def cone_max(
@@ -341,7 +239,11 @@ def compute_record(
         v_xx = d2_central(state.v, dx)
         w_x = d1_central(state.w, dx)
         w_xx = d2_central(state.w, dx)
-        v_tt, v_ttt = _time_derivatives(state, params, v_tt)
+        if v_tt is None:
+            _, v_tt = pde_rhs(state.v, state.w, dx, params.mu, params.nu)
+        # d/dt of the w-equation: flux v^2/2 differentiates to v*w.
+        v_ttt = (params.nu * w_xx - d1_central(state.v * state.w, dx) - v_tt) / params.mu
+        v_ttt[0] = v_ttt[-1] = 0.0
         v_xxx = d1_central(v_xx, dx)
         v_xtt = d1_central(v_tt, dx)
 
@@ -359,7 +261,7 @@ def compute_record(
         int_vxxt2 = trapezoid_dot(w_xx, w_xx, dx)
         half_v2 = 0.5 * trapezoid_dot(state.v, state.v, dx)
 
-        sup = sup_norm(state)
+        sup = state.sup_norm()
         left, right = support_interval(
             state, SUPPORT_REL_THRESHOLD * (1.0 + sup)
         )
@@ -368,7 +270,20 @@ def compute_record(
         radius = params.L + params.c * state.t
         gap = (2.0 / 3.0) * radius**3 * (2.0 * half_v2) - f * f
 
-        rec = DiagnosticsRecord(
+        h2 = h3 = 0.0
+        if prev is not None:
+            mu2 = params.mu * params.mu
+            # int (v_tt^2 + c^2 v_xt^2 + c^4 v_xx^2) = 2 E2 + c^2 int v_xt^2, etc.
+            second = 2.0 * e2 + c2 * int_vxt2
+            first = 2.0 * e1
+            zeroth = 2.0 * half_v2
+            s2 = mu2 * mu2 * second + mu2 * first + zeroth
+            third = 2.0 * e3 + c2 * int_vxtt2 + c2 * c2 * int_vxxt2
+            s3 = s2 + mu2 * mu2 * mu2 * third
+            gap_dt = state.t - prev.t
+            h2 = prev.sobolev_H2_accum + gap_dt * s2
+            h3 = prev.sobolev_H3_accum + gap_dt * s3
+        return DiagnosticsRecord(
             t=state.t,
             F=f,
             Fprime=fp,
@@ -383,15 +298,6 @@ def compute_record(
             int_vxt2=int_vxt2,
             int_vxtt2=int_vxtt2,
             int_vxxt2=int_vxxt2,
-            sobolev_H2_accum=0.0,
-            sobolev_H3_accum=0.0,
+            sobolev_H2_accum=h2,
+            sobolev_H3_accum=h3,
         )
-        if prev is not None:
-            gap_dt = state.t - prev.t
-            s2, s3 = _sobolev_space_integrals(rec, params)
-            rec = replace(
-                rec,
-                sobolev_H2_accum=prev.sobolev_H2_accum + gap_dt * s2,
-                sobolev_H3_accum=prev.sobolev_H3_accum + gap_dt * s3,
-            )
-    return rec

@@ -19,9 +19,7 @@ from .errors import ParameterError
 
 __all__ = [
     "ModelParams",
-    "WaveSpeed",
     "validate_params",
-    "derive_wave_speed",
     "moment_thresholds",
 ]
 
@@ -46,13 +44,6 @@ class ModelParams:
         return math.sqrt(self.nu / self.mu)
 
 
-@dataclass(frozen=True)
-class WaveSpeed:
-    """Propagation speed of disturbances, c = sqrt(nu / mu) > 0."""
-
-    c: float
-
-
 def validate_params(mu: float, nu: float, L: float) -> ModelParams:
     """Validate raw numbers into :class:`ModelParams`.
 
@@ -72,11 +63,6 @@ def validate_params(mu: float, nu: float, L: float) -> ModelParams:
         if value <= 0.0:
             raise ParameterError(f"{name} must be positive, got {value!r}")
     return ModelParams(mu=float(mu), nu=float(nu), L=float(L))
-
-
-def derive_wave_speed(params: ModelParams) -> WaveSpeed:
-    """Wave speed of the validated parameter set."""
-    return WaveSpeed(c=params.c)
 
 
 def moment_thresholds(params: ModelParams) -> tuple[float, float]:

@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import diagnostics
-from .certificate import Certificate, build_certificate, comparison_check, g_closed_form, t_star
+from .certificate import (Certificate, build_certificate, check_moment_thresholds,
+                          comparison_check, g_closed_form, t_star)
 from .config import RunConfig, resolve_output_dir
 from .errors import HyperburgError
 from .initial_data import ProfileSpec, calibrated_profile, sample_initial_state
@@ -249,7 +250,7 @@ def threshold_summary(params: ModelParams, F0: float, F1: float) -> dict:
         "F1_min": f1_min,
         "F0": F0,
         "F1": F1,
-        "thresholds_met": F0 > f0_min and F1 > f1_min,
+        "thresholds_met": check_moment_thresholds(params, F0, F1),
     }
 
 

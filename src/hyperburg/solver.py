@@ -28,16 +28,14 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
+from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import ConfigError, EstimatorError, ParameterError
 from .model import ModelParams
 from .operators import pde_rhs
-
-if TYPE_CHECKING:  # diagnostics imports solver; keep the cycle type-only
-    from .diagnostics import DiagnosticsRecord
 
 __all__ = [
     "Grid",
@@ -97,9 +95,6 @@ class GridState:
     v: np.ndarray
     w: np.ndarray
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.v).all() and np.isfinite(self.w).all())
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.v)))
 
@@ -121,7 +116,7 @@ class RunOutcome:
 
     status: RunStatus
     t_final: float
-    records: list["DiagnosticsRecord"] = field(default_factory=list)
+    records: list[DiagnosticsRecord] = field(default_factory=list)
     final_state: Optional[GridState] = None
 
     @property
@@ -265,8 +260,6 @@ def integrate(
     docstring).  Pure function of its arguments: identical inputs give
     bit-identical outcomes and records.
     """
-    from .diagnostics import compute_record  # runtime import; module cycle
-
     if record_stride < 1:
         raise ConfigError(f"record_stride must be >= 1, got {record_stride}")
     check_domain_margin(state0.grid, params, t_end)

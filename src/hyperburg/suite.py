@@ -21,7 +21,6 @@ Tolerances are pinned here, once, for the whole package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -162,8 +161,8 @@ def preset_configs(name: str, out_root: Optional[Path] = None) -> list[RunConfig
         return [cone_preset_config(sub("cone"))]
     if name == "identity":
         return [identity_preset_config(n, sub(f"identity-n{n}")) for n in IDENTITY_LEVELS]
-    if name in ("blowup", "convergence"):
-        return [blowup_preset_config(n, sub(f"{name}-n{n}")) for n in BLOWUP_LEVELS]
+    if name == "blowup":
+        return [blowup_preset_config(n, sub(f"blowup-n{n}")) for n in BLOWUP_LEVELS]
     if name == "smalldata":
         return [smalldata_preset_config(sub("smalldata"))]
     if name == "certificate-oracle":
@@ -359,15 +358,12 @@ def epsilon_scan_oracle(params, G0: float, F1: float) -> Optional[tuple[float, f
     """Brute-force feasibility: dense eps scan of the three conditions.
 
     Evaluates eps in (0, 10] on a 1e-4 grid directly against the
-    conditions (no interval algebra) and returns the (min, max) feasible
-    grid values, or None.
+    conditions (:func:`~hyperburg.certificate.epsilon_conditions_hold`, no
+    interval algebra) and returns the (min, max) feasible grid values, or
+    None.
     """
     eps = np.arange(1, int(10.0 / SCAN_STEP) + 1) * SCAN_STEP
-    c, L, mu = params.c, params.L, params.mu
-    minorant_blows_up = G0 > 16.0 * c * c * L**4 / (eps * eps)
-    quadratic_ok = eps / math.sqrt(G0) + 1.5 * (mu / L**3) * eps * eps <= 0.75
-    slope_ok = eps * G0**1.5 / L**3 < F1
-    feasible = eps[minorant_blows_up & quadratic_ok & slope_ok]
+    feasible = eps[cert_mod.epsilon_conditions_hold(eps, params, G0, F1)]
     if feasible.size == 0:
         return None
     return float(feasible[0]), float(feasible[-1])
@@ -441,33 +437,6 @@ def _run_certificate_oracle(out_root: Optional[Path]) -> list[SuiteCheck]:
     return checks
 
 
-def _run_convergence(out_root: Optional[Path]) -> list[SuiteCheck]:
-    configs = preset_configs("convergence", out_root)
-    reports = [execute_config(c) for c in configs]
-    all_detected = all(
-        r.status == RunStatus.BLOWUP_DETECTED.value for r in reports
-    )
-    checks = [
-        SuiteCheck(
-            "convergence: blow-up detected at every level",
-            all_detected,
-            ", ".join(
-                f"n={c.grid.n}: t={r.t_final:.5f}" for c, r in zip(configs, reports)
-            ),
-        )
-    ]
-    if all_detected:
-        estimate, converged = estimate_blowup_time([r.outcome for r in reports])
-        checks.append(
-            SuiteCheck(
-                "convergence: detection times converge (<5% gap)",
-                converged,
-                f"estimate {estimate:.5f}",
-            )
-        )
-    return checks
-
-
 _RUNNERS = {
     "propagation": _run_propagation,
     "cone": _run_cone,
@@ -475,7 +444,6 @@ _RUNNERS = {
     "blowup": _run_blowup,
     "smalldata": _run_smalldata,
     "certificate-oracle": _run_certificate_oracle,
-    "convergence": _run_convergence,
 }
 
 PRESET_NAMES = tuple(_RUNNERS)

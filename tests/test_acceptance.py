@@ -9,6 +9,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hyperburg import (
     aux_ode_oracle,
@@ -25,6 +26,7 @@ from hyperburg.solver import RunStatus, estimate_blowup_time
 from hyperburg.suite import (
     BLOWUP_TSTAR_EPS,
     CONE_APEX,
+    PRESET_NAMES,
     SCAN_INSTANCES,
     SCAN_SEED,
     blowup_preset_config,
@@ -32,6 +34,7 @@ from hyperburg.suite import (
     epsilon_scan_oracle,
     identity_preset_config,
     propagation_preset_config,
+    run_suite,
     smalldata_preset_config,
 )
 
@@ -234,3 +237,9 @@ def test_criterion_10_determinism(tmp_path):
     check(10, "re-running every preset family reproduces bit-identical CSV",
           ok, f"checked {', '.join(cheapest)}"
               + (f"; mismatches: {failures}" if failures else ""))
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_every_suite_preset_passes(preset):
+    failed = [f"{c.name}: {c.detail}" for c in run_suite(preset) if not c.passed]
+    assert not failed, failed

@@ -66,6 +66,20 @@ class TestEpsilonInterval:
         assert epsilon_conditions_hold(hi - pad, UNIT, 40.0, 200.0)
         assert not epsilon_conditions_hold(hi + pad, UNIT, 40.0, 200.0)
 
+    def test_array_form_matches_scalar_calls(self):
+        # Includes eps <= 0, both interval ends and the infeasible region.
+        lo, hi = epsilon_interval(UNIT, 40.0, 200.0)
+        eps = np.concatenate([[-1.0, -0.0, 0.0, 1e-300, lo, hi],
+                              np.linspace(-0.5, 2.0, 251)])
+        for g0, f1 in ((40.0, 200.0), (100.0, 200.0), (7.0, 900.0)):
+            held = epsilon_conditions_hold(eps, UNIT, g0, f1)
+            assert held.dtype == bool and held.shape == eps.shape
+            scalar = [epsilon_conditions_hold(float(e), UNIT, g0, f1) for e in eps]
+            assert all(type(s) is bool for s in scalar)
+            assert held.tolist() == scalar
+            assert not held[eps <= 0.0].any()
+        assert epsilon_conditions_hold(eps, UNIT, 40.0, 200.0).any()
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1.0, 400.0), st.floats(1.0, 1000.0))
     def test_midpoint_feasible_whenever_nonempty(self, g0, f1):

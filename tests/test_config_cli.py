@@ -86,6 +86,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("mutate,where", [
+        (lambda d: d["ic"].update(b=math.nan), "ic.b"),
+        (lambda d: d.update(blowup_threshold=math.inf), "config.blowup_threshold"),
+        (lambda d: d.update(ic={"family": "odd_bump", "F0_target": math.nan,
+                                "F1_target": 200.0}), "ic.F0_target"),
+        (lambda d: d["ic"].update(a=math.inf), "ic.a"),
+        (lambda d: d["grid"].update(xmin=-math.inf, xmax=math.inf), "grid.xmin"),
+    ], ids=["ic.b", "blowup_threshold", "ic.F0_target", "ic.a", "grid"])
+    def test_nonfinite_numbers_rejected(self, tmp_path, mutate, where):
+        # json.load accepts NaN and Infinity; they must fail before stepping.
+        doc = base_doc()
+        mutate(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"{where} must be finite, got"):
+            load_config(path)
+
     def test_margin_violation_rejected(self):
         doc = base_doc()
         doc["t_end"] = 10.0  # support would reach the boundary
@@ -134,6 +151,17 @@ class TestExecuteConfig:
         lines = Path(report.files["csv"]).read_text().splitlines()
         g_col = CSV_COLUMNS.index("G_lower_bound")
         assert all(line.split(",")[g_col] == "" for line in lines[1:])
+
+    def test_identity_unchecked_without_uniform_triple(self, tmp_path):
+        # Blow-up after 18 steps at stride 10: records at steps 0, 10, 18,
+        # so no uniform triple exists and the residual is reported as null.
+        doc = blowup_doc(str(tmp_path / "short"))
+        doc["record_stride"] = 10
+        report = execute_config(config_from_dict(doc))
+        assert report.n_records == 3
+        assert report.worst["identity_residual_max"] is None
+        loaded = json.loads(Path(report.files["report"]).read_text())
+        assert loaded["worst"]["identity_residual_max"] is None
 
     def test_csv_schema_and_precision(self, tmp_path):
         doc = blowup_doc(str(tmp_path / "b"))

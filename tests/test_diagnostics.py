@@ -11,7 +11,6 @@ from hyperburg import (
     amplitude_for_sup_norm,
     calibrated_profile,
     cone_max,
-    energy,
     gronwall_check_E1,
     identity_residual,
     integrate,
@@ -19,9 +18,6 @@ from hyperburg import (
     moment_Fprime,
     sample_initial_state,
     sample_trajectory,
-    schwartz_gap,
-    sobolev_norms,
-    sup_norm,
     support_interval,
     validate_params,
 )
@@ -81,20 +77,16 @@ class TestMoments:
 
 class TestEnergy:
     def test_zero_state_all_orders(self):
-        for k in (1, 2, 3):
-            assert energy(zero_state(), PARAMS, k) == 0.0
-
-    def test_invalid_order(self):
-        with pytest.raises(ParameterError):
-            energy(zero_state(), PARAMS, 4)
+        rec = compute_record(zero_state(), PARAMS)
+        assert (rec.E1, rec.E2, rec.E3) == (0.0, 0.0, 0.0)
 
     def test_e1_quadratic_scaling(self):
         grid = Grid(-2.0, 2.0, 512)
         x = grid.nodes()
         v = bump_profile(x, 1.0)
         w = 0.5 * v
-        base = energy(state_on(grid, v, w), PARAMS, 1)
-        scaled = energy(state_on(grid, 3.0 * v, 3.0 * w), PARAMS, 1)
+        base = compute_record(state_on(grid, v, w), PARAMS).E1
+        scaled = compute_record(state_on(grid, 3.0 * v, 3.0 * w), PARAMS).E1
         assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
     def test_e1_against_quadrature_oracle(self):
@@ -115,26 +107,26 @@ class TestEnergy:
         expected = 0.5 * 2.0 * exact
         grid = Grid(-1.25, 1.25, 16385)
         st = sample_initial_state(params, grid, ProfileSpec("odd_bump", a, 0.0, 1.0))
-        assert energy(st, params, 1) == pytest.approx(expected, rel=1e-6)
+        assert compute_record(st, params).E1 == pytest.approx(expected, rel=1e-6)
 
 
 class TestSupNormAndSupport:
     def test_zero(self):
-        assert sup_norm(zero_state()) == 0.0
+        assert zero_state().sup_norm() == 0.0
         assert support_interval(zero_state(), 1e-12) == (0.0, 0.0)
 
     def test_single_negative_node(self):
         grid = Grid(-2.0, 2.0, 64)
         v = np.zeros(64)
         v[10] = -3.0
-        assert sup_norm(state_on(grid, v)) == 3.0
+        assert state_on(grid, v).sup_norm() == 3.0
 
     def test_calibrated_state_peak_and_support(self):
         grid = Grid(-2.0, 2.0, 2048)
         a = amplitude_for_sup_norm(0.1, 1.0)
         st = sample_initial_state(PARAMS, grid, ProfileSpec("odd_bump", a, 0.0, 1.0))
         x = grid.nodes()
-        assert sup_norm(st) == pytest.approx(
+        assert st.sup_norm() == pytest.approx(
             a * np.max(np.abs(bump_profile(x, 1.0))), rel=1e-15
         )
         left, right = support_interval(st, 1e-12)
@@ -147,13 +139,13 @@ class TestSupNormAndSupport:
 
 class TestSchwartzGap:
     def test_zero_state(self):
-        assert schwartz_gap(zero_state(), PARAMS) == 0.0
+        assert compute_record(zero_state(), PARAMS).schwartz_gap == 0.0
 
     def test_equality_case_linear_ramp(self):
         # v proportional to x saturates the moment bound; the sampled gap
         # is quadrature-level small.
         st = linear_ramp_state()
-        assert abs(schwartz_gap(st, PARAMS)) <= 1e-6
+        assert abs(compute_record(st, PARAMS).schwartz_gap) <= 1e-6
 
     def test_nonnegative_on_preset_records(self, all_preset_reports):
         for tag, report in all_preset_reports.items():
@@ -176,6 +168,15 @@ class TestIdentityResidual:
             for i, r in enumerate(recs)
         ]
         assert identity_residual(recs, PARAMS) == 0.0
+
+    def test_no_uniform_triple_checks_nothing(self):
+        # Three records, the last off the stride: no uniform triple, so
+        # the residual is None (unchecked), not a vacuous 0.0.
+        base = compute_record(zero_state(), PARAMS, prev=None)
+        recs = [
+            DiagnosticsRecord(**{**base.__dict__, "t": t}) for t in (0.0, 0.1, 0.15)
+        ]
+        assert identity_residual(recs, PARAMS) is None
 
     def test_refinement_shrinks_residual(self, identity_reports):
         residuals = [r.worst["identity_residual_max"] for r in identity_reports]
@@ -212,30 +213,32 @@ def report_params(report):
 
 class TestSobolevNorms:
     def test_zero_run(self):
-        recs = [compute_record(zero_state(), PARAMS, prev=None)] * 3
-        assert sobolev_norms(recs, PARAMS, 0.1) == (0.0, 0.0)
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ParameterError):
-            sobolev_norms([], PARAMS, 0.1)
+        rec = compute_record(zero_state(), PARAMS, prev=None)
+        for t in (0.1, 0.2):
+            rec = compute_record(state_on(zero_state().grid, np.zeros(64), t=t),
+                                 PARAMS, prev=rec)
+        assert (rec.sobolev_H2_accum, rec.sobolev_H3_accum) == (0.0, 0.0)
 
     def test_single_record_closed_form(self):
-        # one record: H2 = sqrt(dt * S2) with S2 assembled by hand
-        rec = DiagnosticsRecord(
-            t=0.0, F=0.0, Fprime=0.0, E1=2.0, E2=3.0, E3=4.0,
-            sup_norm=1.0, support_left=0.0, support_right=0.0,
-            schwartz_gap=0.0, half_int_v2=5.0, int_vxt2=7.0,
-            int_vxtt2=11.0, int_vxxt2=13.0,
-            sobolev_H2_accum=0.0, sobolev_H3_accum=0.0,
-        )
+        # one time gap dt: each accumulator grows by dt * S with S assembled
+        # by hand from the new record's own fields
         mu, c = 2.0, 3.0
         params = validate_params(mu, mu * c * c, 1.0)
-        s2 = mu**4 * (2 * 3.0 + c * c * 7.0) + mu**2 * (2 * 2.0) + 2 * 5.0
-        s3 = s2 + mu**6 * (2 * 4.0 + c * c * 11.0 + c**4 * 13.0)
+        grid = Grid(-2.0, 2.0, 512)
+        v = bump_profile(grid.nodes(), 1.0)
+        prev = compute_record(state_on(grid, v, 0.5 * v), params)
+        prev = DiagnosticsRecord(
+            **{**prev.__dict__, "sobolev_H2_accum": 1.5, "sobolev_H3_accum": 2.5}
+        )
         dt = 0.25
-        h2, h3 = sobolev_norms([rec], params, dt)
-        assert h2 == pytest.approx(math.sqrt(dt * s2), rel=1e-12)
-        assert h3 == pytest.approx(math.sqrt(dt * s3), rel=1e-12)
+        rec = compute_record(state_on(grid, 0.9 * v, -0.3 * v, t=dt), params, prev=prev)
+        assert min(rec.E1, rec.E2, rec.E3, rec.int_vxt2, rec.int_vxtt2,
+                   rec.int_vxxt2, rec.half_int_v2) > 0.0
+        s2 = (mu**4 * (2 * rec.E2 + c * c * rec.int_vxt2)
+              + mu**2 * (2 * rec.E1) + 2 * rec.half_int_v2)
+        s3 = s2 + mu**6 * (2 * rec.E3 + c * c * rec.int_vxtt2 + c**4 * rec.int_vxxt2)
+        assert rec.sobolev_H2_accum == pytest.approx(1.5 + dt * s2, rel=1e-12)
+        assert rec.sobolev_H3_accum == pytest.approx(2.5 + dt * s3, rel=1e-12)
 
     def test_accumulators_monotone_and_bounded_growth(self, smalldata_report):
         recs = smalldata_report.outcome.records

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from hyperburg import (
     ParameterError,
-    derive_wave_speed,
     moment_thresholds,
     validate_params,
 )
@@ -38,7 +37,7 @@ class TestValidateParams:
 class TestWaveSpeed:
     @pytest.mark.parametrize("mu,nu,c", [(1, 1, 1.0), (1, 4, 2.0), (4, 1, 0.5)])
     def test_examples(self, mu, nu, c):
-        assert derive_wave_speed(validate_params(mu, nu, 1)).c == c
+        assert validate_params(mu, nu, 1).c == c
 
     @given(
         st.floats(1e-3, 1e3),

@@ -199,7 +199,8 @@ class TestIntegrate:
         out = integrate(state0, params, t_end=1.0, blowup_threshold=1e307)
         assert out.status is RunStatus.NUMERICAL_FAILURE
         assert out.final_state is not None
-        assert not out.final_state.is_finite()
+        final = out.final_state
+        assert not (np.isfinite(final.v).all() and np.isfinite(final.w).all())
         # records only cover the healthy prefix
         for rec in out.records:
             assert np.isfinite(rec.sup_norm)
