@@ -39,14 +39,12 @@ from .solver import (
     default_blowup_threshold,
     estimate_blowup_time,
     integrate,
-    sample_trajectory,
     stable_dt,
     step_rk4,
 )
 from .diagnostics import (
-    ConeSpec,
+    ConeMax,
     DiagnosticsRecord,
-    cone_max,
     gronwall_check_E1,
     identity_residual,
     moment_F,
@@ -83,11 +81,11 @@ __all__ = [
     "calibrate", "calibrated_profile", "sample_initial_state",
     # solver
     "Grid", "GridState", "RunStatus", "RunOutcome", "stable_dt",
-    "step_rk4", "integrate", "sample_trajectory", "estimate_blowup_time",
+    "step_rk4", "integrate", "estimate_blowup_time",
     "check_domain_margin", "default_blowup_threshold",
     # diagnostics
-    "DiagnosticsRecord", "ConeSpec", "moment_F", "moment_Fprime",
-    "support_interval", "identity_residual", "gronwall_check_E1", "cone_max",
+    "DiagnosticsRecord", "ConeMax", "moment_F", "moment_Fprime",
+    "support_interval", "identity_residual", "gronwall_check_E1",
     # certificate
     "Certificate", "OracleResult", "check_moment_thresholds",
     "epsilon_conditions_hold", "epsilon_interval", "g_closed_form", "t_star",

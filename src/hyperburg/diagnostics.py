@@ -10,7 +10,8 @@ stored; during a run the solver passes in v_tt, the slope its next step
 starts from.
 
 Monitored quantities (all but the cone maximum are fields of the record
-that :func:`compute_record` assembles):
+that :func:`compute_record` assembles; the cone maximum is a streaming
+observer, :class:`ConeMax`, that the solver calls with each state):
 
 * the moments F = int x v dx and F' = int x w dx, whose growth identity
   mu F'' + F' = 1/2 int v^2 dx drives the blow-up argument;
@@ -40,13 +41,12 @@ if TYPE_CHECKING:  # solver imports diagnostics at runtime
 
 __all__ = [
     "DiagnosticsRecord",
-    "ConeSpec",
+    "ConeMax",
     "moment_F",
     "moment_Fprime",
     "support_interval",
     "identity_residual",
     "gronwall_check_E1",
-    "cone_max",
     "compute_record",
     "SUPPORT_REL_THRESHOLD",
 ]
@@ -84,18 +84,6 @@ class DiagnosticsRecord:
     int_vxxt2: float
     sobolev_H2_accum: float
     sobolev_H3_accum: float
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """Backward cone with apex (x_c, t_c): {|x - x_c| <= c (t_c - t)}."""
-
-    x_c: float
-    t_c: float
-
-    def __post_init__(self):
-        if not (self.t_c > 0.0):
-            raise ParameterError(f"cone apex time must be positive, got {self.t_c}")
 
 
 def moment_F(state: GridState) -> float:
@@ -182,40 +170,53 @@ def gronwall_check_E1(
     return worst
 
 
-def cone_max(
-    trajectory_states: Sequence[GridState],
-    cone: ConeSpec,
-    params: ModelParams,
-) -> float:
-    """Max |v| over the backward cone across the sampled states.
+class ConeMax:
+    """Max |v| over the backward cone {|x - x_c| <= c (t_c - t)}, streamed.
 
-    Only states with t <= t_c contribute; at each such time the cone
-    section is {|x - x_c| <= c (t_c - t)}.
+    Pass an instance as the ``observe`` callback of
+    :func:`~hyperburg.solver.integrate`; it keeps the running maximum, not
+    the states.  Only states with t <= t_c contribute.
 
     Raises:
-        DomainError: when the cone base at t = 0 pokes outside the grid.
+        ParameterError: when the apex time t_c is not positive.
     """
-    base_left = cone.x_c - params.c * cone.t_c
-    base_right = cone.x_c + params.c * cone.t_c
-    worst = 0.0
-    seen = False
-    for state in trajectory_states:
-        if state.t > cone.t_c:
-            continue
+
+    def __init__(self, x_c: float, t_c: float, params: ModelParams):
+        if not (t_c > 0.0):
+            raise ParameterError(f"cone apex time must be positive, got {t_c}")
+        self.x_c, self.t_c, self.c = x_c, t_c, params.c
+        self._worst: Optional[float] = None
+
+    def __call__(self, state: GridState) -> None:
+        """Fold one state into the maximum.
+
+        Raises:
+            DomainError: when the cone base at t = 0 pokes outside the grid.
+        """
+        if state.t > self.t_c:
+            return
+        base_left = self.x_c - self.c * self.t_c
+        base_right = self.x_c + self.c * self.t_c
         if not (state.grid.xmin <= base_left and base_right <= state.grid.xmax):
             raise DomainError(
                 f"cone base [{base_left:.6g}, {base_right:.6g}] outside grid "
                 f"[{state.grid.xmin}, {state.grid.xmax}]"
             )
-        seen = True
-        radius = params.c * (cone.t_c - state.t)
-        x = state.grid.nodes()
-        mask = np.abs(x - cone.x_c) <= radius
-        if mask.any():
-            worst = max(worst, float(np.max(np.abs(state.v[mask]))))
-    if not seen:
-        raise DomainError("no trajectory states at times <= the cone apex time")
-    return worst
+        radius = self.c * (self.t_c - state.t)
+        mask = np.abs(state.grid.nodes() - self.x_c) <= radius
+        peak = float(np.max(np.abs(state.v[mask]))) if mask.any() else 0.0
+        self._worst = peak if self._worst is None else max(self._worst, peak)
+
+    @property
+    def value(self) -> float:
+        """The maximum over every state seen at t <= t_c.
+
+        Raises:
+            DomainError: when no such state was seen (nothing was checked).
+        """
+        if self._worst is None:
+            raise DomainError("no trajectory states at times <= the cone apex time")
+        return self._worst
 
 
 def compute_record(

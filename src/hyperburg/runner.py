@@ -20,16 +20,15 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import diagnostics
 from .certificate import (Certificate, build_certificate, check_moment_thresholds,
                           comparison_check, g_closed_form, t_star)
 from .config import RunConfig, resolve_output_dir
-from .errors import HyperburgError
 from .initial_data import ProfileSpec, calibrated_profile, sample_initial_state
 from .model import ModelParams, moment_thresholds
-from .solver import RunOutcome, integrate
+from .solver import GridState, RunOutcome, integrate
 
 __all__ = ["RunReport", "execute_config", "write_csv", "CSV_COLUMNS"]
 
@@ -175,11 +174,13 @@ def _worst_case(outcome: RunOutcome, cert: Certificate, params: ModelParams) -> 
 def execute_config(
     config: RunConfig,
     out_dir: Optional[str | Path] = None,
+    observe: Optional[Callable[[GridState], None]] = None,
 ) -> RunReport:
     """Build initial data, certify, integrate, aggregate, and persist.
 
     ``out_dir`` overrides the configured output directory (the
     HYPERBURG_OUT environment variable roots relative paths either way).
+    ``observe`` is handed to :func:`~hyperburg.solver.integrate`.
     Validation problems raise before any file is written.
     """
     params = config.params
@@ -206,6 +207,7 @@ def execute_config(
         blowup_threshold=config.blowup_threshold,
         record_stride=config.record_stride,
         cfl=config.cfl,
+        observe=observe,
     )
 
     last = outcome.records[-1]
@@ -258,17 +260,3 @@ def certificate_summary(params: ModelParams, F0: float, F1: float) -> dict:
     """Full certificate for given moments, for CLI output."""
     cert = build_certificate(params, F0, F1)
     return _certificate_dict(cert, params)
-
-
-def rerun_matches(report: RunReport, out_dir: str | Path) -> bool:
-    """Re-execute a report's config echo and compare CSV bytes (True=match)."""
-    from .config import config_from_dict
-
-    echoed = config_from_dict(report.config)
-    fresh = execute_config(echoed, out_dir=out_dir)
-    if report.files["csv"] is None or fresh.files["csv"] is None:
-        raise HyperburgError("both runs must emit CSV to compare")
-    return (
-        Path(report.files["csv"]).read_bytes()
-        == Path(fresh.files["csv"]).read_bytes()
-    )

@@ -6,16 +6,18 @@ with dt = min(cfl * dx / c, mu).  The domain is sized so the exact support
 {|x| <= L + c t} never reaches the boundary; the two boundary nodes are
 pinned to zero, which substitutes for boundary conditions entirely.
 
-Stepping kernel: :func:`integrate` and :func:`sample_trajectory` build one
+Stepping kernel: :func:`integrate` is the one stepping loop.  It builds one
 :class:`StepWorkspace` per run (stage slope, accumulator, stage input and
-scratch, each shaped like ``v``) and pass it to :func:`step_rk4`, whose
+scratch, each shaped like ``v``) and passes it to :func:`step_rk4`, whose
 stages call :func:`~hyperburg.operators.pde_rhs` with ``out=`` buffers; a
 step allocates only the two arrays of the new state.  The arrays act on the
 last axis, so a ``(B, n)`` state steps B fields at once.  When a record is
 due, the slope of the new state is computed once into the workspace: the
 record takes its dw/dt as v_tt, and the next step reuses it as its stage-1
 slope, so a run makes exactly 4 * steps + 1 ``pde_rhs`` calls whatever the
-record stride.
+record stride.  A check that needs fields rather than records (the cone
+maximum, say) passes an ``observe`` callback, which sees the initial state
+and then every finite state the run reaches, in order, with no state kept.
 
 Blow-up is reported as the first time the sup norm crosses a threshold, not
 as an extrapolated singularity time: the model supplies no blow-up rate to
@@ -28,7 +30,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,7 +48,6 @@ __all__ = [
     "StepWorkspace",
     "step_rk4",
     "integrate",
-    "sample_trajectory",
     "estimate_blowup_time",
     "check_domain_margin",
     "default_blowup_threshold",
@@ -242,6 +243,7 @@ def integrate(
     blowup_threshold: Optional[float] = None,
     record_stride: int = 1,
     cfl: float = 0.4,
+    observe: Optional[Callable[[GridState], None]] = None,
 ) -> RunOutcome:
     """Step from state0 until completion, blow-up detection, or failure.
 
@@ -256,6 +258,10 @@ def integrate(
     serves the threshold and, since NaN propagates through the max and inf
     stays inf, the finiteness of ``v``; ``w`` is checked with isfinite.
 
+    ``observe``, when given, is called with state0 before stepping and then
+    with every finite state, in order; never with a non-finite state.  It
+    must not change the arrays of the states it is given.
+
     Each record reuses the slope the next step starts from (see the module
     docstring).  Pure function of its arguments: identical inputs give
     bit-identical outcomes and records.
@@ -265,6 +271,8 @@ def integrate(
     check_domain_margin(state0.grid, params, t_end)
     if blowup_threshold is None:
         blowup_threshold = default_blowup_threshold(state0)
+    if observe is not None:
+        observe(state0)
 
     dt = stable_dt(state0.grid, params, cfl)
     work = StepWorkspace(state0.v.shape)
@@ -289,6 +297,8 @@ def integrate(
                     records=records,
                     final_state=state,
                 )
+            if observe is not None:
+                observe(state)
 
             blown = sup >= blowup_threshold
             terminal = blown or state.t >= t_end
@@ -305,34 +315,6 @@ def integrate(
                     records=records,
                     final_state=state,
                 )
-
-
-def sample_trajectory(
-    state0: GridState,
-    params: ModelParams,
-    t_end: float,
-    sample_stride: int = 1,
-    cfl: float = 0.4,
-) -> list[GridState]:
-    """Integrate and keep full states (initial, every stride-th, final).
-
-    Raw-state companion to :func:`integrate` for checks that need fields
-    rather than records (cone vanishing, temporal self-convergence).
-    """
-    if sample_stride < 1:
-        raise ConfigError(f"sample_stride must be >= 1, got {sample_stride}")
-    check_domain_margin(state0.grid, params, t_end)
-    dt = stable_dt(state0.grid, params, cfl)
-    work = StepWorkspace(state0.v.shape)
-    states = [state0]
-    state = state0
-    steps = 0
-    while state.t < t_end:
-        state = step_rk4(state, params, dt, work)
-        steps += 1
-        if steps % sample_stride == 0 or state.t >= t_end:
-            states.append(state)
-    return states
 
 
 def estimate_blowup_time(

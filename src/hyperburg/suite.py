@@ -10,7 +10,7 @@ Tolerances are pinned here, once, for the whole package:
 * moment-identity residual: halving (dx, dt) shrinks it by >= 3x, and at
   the finest level it stays below 1e-4 max(1/2 int v^2);
 * support speed: within [-(L+ct)-5dx, (L+ct)+5dx] at relative level 1e-12;
-* cone vanishing: cone_max <= 1e-10 (1 + sup);
+* cone vanishing: max |v| on the cone <= 1e-10 (1 + sup);
 * moment comparison F >= G: relative margin >= -1e-6 before detection;
 * blow-up: detection at every resolution, <5% refinement gap, detection
   time <= 1.1 T*(eps=0.65) for the certified preset;
@@ -31,10 +31,10 @@ from . import certificate as cert_mod
 from . import diagnostics
 from .config import ICConfig, OutputConfig, RunConfig
 from .errors import ConfigError
-from .initial_data import ProfileSpec, amplitude_for_sup_norm, sample_initial_state
+from .initial_data import amplitude_for_sup_norm
 from .model import validate_params
 from .runner import RunReport, execute_config
-from .solver import Grid, RunStatus, estimate_blowup_time, sample_trajectory
+from .solver import Grid, RunStatus, estimate_blowup_time
 
 __all__ = [
     "SuiteCheck",
@@ -224,19 +224,10 @@ def _run_propagation(out_root: Optional[Path]) -> list[SuiteCheck]:
 
 def _run_cone(out_root: Optional[Path]) -> list[SuiteCheck]:
     config = preset_configs("cone", out_root)[0]
-    report = execute_config(config)
-
-    state0 = sample_initial_state(
-        config.params,
-        config.grid,
-        ProfileSpec("odd_bump", config.ic.a, config.ic.b, config.params.L),
-    )
-    states = sample_trajectory(
-        state0, config.params, t_end=config.t_end, sample_stride=8, cfl=config.cfl
-    )
-    cone = diagnostics.ConeSpec(x_c=CONE_APEX[0], t_c=CONE_APEX[1])
-    cm = diagnostics.cone_max(states, cone, config.params)
-    gsup = max(s.sup_norm() for s in states)
+    cone = diagnostics.ConeMax(*CONE_APEX, config.params)
+    report = execute_config(config, observe=cone)
+    cm = cone.value
+    gsup = max(rec.sup_norm for rec in report.outcome.records)
     bound = CONE_REL_TOL * (1.0 + gsup)
     checks = [
         SuiteCheck(

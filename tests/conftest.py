@@ -3,11 +3,11 @@
 import pytest
 
 from hyperburg import validate_params
-from hyperburg.initial_data import ProfileSpec, sample_initial_state
+from hyperburg.diagnostics import ConeMax
 from hyperburg.runner import execute_config
-from hyperburg.solver import sample_trajectory
 from hyperburg.suite import (
     BLOWUP_LEVELS,
+    CONE_APEX,
     IDENTITY_LEVELS,
     blowup_preset_config,
     cone_preset_config,
@@ -29,18 +29,11 @@ def propagation_report():
 
 @pytest.fixture(scope="session")
 def cone_bundle():
-    """(config, report, sampled trajectory states) of the cone preset."""
+    """(config, report, cone maximum observed during the run) of the cone preset."""
     config = cone_preset_config()
-    report = execute_config(config)
-    state0 = sample_initial_state(
-        config.params,
-        config.grid,
-        ProfileSpec("odd_bump", config.ic.a, config.ic.b, config.params.L),
-    )
-    states = sample_trajectory(
-        state0, config.params, t_end=config.t_end, sample_stride=8, cfl=config.cfl
-    )
-    return config, report, states
+    cone = ConeMax(*CONE_APEX, config.params)
+    report = execute_config(config, observe=cone)
+    return config, report, cone
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,9 @@ from hyperburg import (
     validate_params,
 )
 from hyperburg import certificate as cert_mod
+from hyperburg import solver
 from hyperburg.config import config_from_dict
-from hyperburg.diagnostics import ConeSpec, cone_max, gronwall_check_E1
+from hyperburg.diagnostics import gronwall_check_E1
 from hyperburg.runner import execute_config
 from hyperburg.solver import RunStatus, estimate_blowup_time
 from hyperburg.suite import (
@@ -131,14 +132,15 @@ def test_criterion_06_finite_propagation_speed(propagation_report, cone_bundle):
         and excess is not None
         and excess <= 0.0
     )
-    config, _, states = cone_bundle
-    cm = cone_max(states, ConeSpec(*CONE_APEX), config.params)
-    gsup = max(s.sup_norm() for s in states)
+    _, cone_report, cone = cone_bundle
+    assert (cone.x_c, cone.t_c) == CONE_APEX
+    cm = cone.value
+    gsup = max(rec.sup_norm for rec in cone_report.outcome.records)
     cone_ok = cm <= 1e-10 * (1.0 + gsup)
     check(6, "support stays inside [-(L+ct)-5dx, (L+ct)+5dx] to t=2 and "
-             "cone_max <= 1e-10 (1+sup) on a data-free cone",
+             "max |v| <= 1e-10 (1+sup) on a data-free cone",
           support_ok and cone_ok,
-          f"worst support excess {excess:.3e}, cone_max {cm:.3e}")
+          f"worst support excess {excess:.3e}, cone max {cm:.3e}")
 
 
 def test_criterion_07_blowup_reproduction(blowup_reports):
@@ -243,3 +245,18 @@ def test_criterion_10_determinism(tmp_path):
 def test_every_suite_preset_passes(preset):
     failed = [f"{c.name}: {c.detail}" for c in run_suite(preset) if not c.passed]
     assert not failed, failed
+
+
+def test_cone_preset_simulates_once(monkeypatch):
+    # The cone maximum is observed during the preset's one run: 640 steps
+    # to t=2 at n=2048, cfl 0.4, not a second pass over the same trajectory.
+    calls = []
+    real_step = solver.step_rk4
+
+    def counting_step(*args, **kwargs):
+        calls.append(None)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step_rk4", counting_step)
+    run_suite("cone")
+    assert len(calls) == 640

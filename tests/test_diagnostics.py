@@ -5,19 +5,17 @@ import pytest
 from scipy.integrate import quad
 
 from hyperburg import (
-    ConeSpec,
+    ConeMax,
     DomainError,
     ParameterError,
     amplitude_for_sup_norm,
     calibrated_profile,
-    cone_max,
     gronwall_check_E1,
     identity_residual,
     integrate,
     moment_F,
     moment_Fprime,
     sample_initial_state,
-    sample_trajectory,
     support_interval,
     validate_params,
 )
@@ -257,24 +255,36 @@ class TestSobolevNorms:
 class TestConeMax:
     def test_zero_data_everywhere(self):
         params = validate_params(1, 1, 1)
-        states = [zero_state(n=256, dom=8.0)]
-        assert cone_max(states, ConeSpec(0.0, 1.0), params) == 0.0
+        cone = ConeMax(0.0, 1.0, params)
+        cone(zero_state(n=256, dom=8.0))
+        assert cone.value == 0.0
 
     def test_base_outside_grid_rejected(self):
         params = validate_params(1, 1, 1)
-        states = [zero_state(n=64, dom=2.0)]
+        cone = ConeMax(0.0, 10.0, params)
         with pytest.raises(DomainError):
-            cone_max(states, ConeSpec(0.0, 10.0), params)
+            cone(zero_state(n=64, dom=2.0))
 
     def test_apex_time_positive(self):
         with pytest.raises(ParameterError):
-            ConeSpec(0.0, 0.0)
+            ConeMax(0.0, 0.0, validate_params(1, 1, 1))
+
+    def test_nothing_checked_is_an_error(self):
+        # A cone maximum over no state at t <= t_c checked nothing; it must
+        # not read as a vanishing cone.
+        params = validate_params(1, 1, 1)
+        cone = ConeMax(0.0, 1.0, params)
+        with pytest.raises(DomainError, match="cone apex time"):
+            cone.value
+        cone(state_on(Grid(-8.0, 8.0, 256), np.zeros(256), t=1.5))
+        with pytest.raises(DomainError, match="cone apex time"):
+            cone.value
 
     def test_vanishes_on_data_free_cone(self, cone_bundle):
-        config, _, states = cone_bundle
-        cm = cone_max(states, ConeSpec(5.0, 2.0), config.params)
-        gsup = max(s.sup_norm() for s in states)
-        assert cm <= 1e-10 * (1.0 + gsup)
+        _, report, cone = cone_bundle
+        assert (cone.x_c, cone.t_c) == (5.0, 2.0)
+        gsup = max(rec.sup_norm for rec in report.outcome.records)
+        assert cone.value <= 1e-10 * (1.0 + gsup)
 
     def test_cone_containing_support_sees_global_sup(self):
         # base [-4, 4] contains the whole causal region for t <= 1, so the
@@ -283,6 +293,6 @@ class TestConeMax:
         grid = Grid(-8.0, 8.0, 1024)
         a = amplitude_for_sup_norm(0.1, 1.0)
         st0 = sample_initial_state(params, grid, ProfileSpec("odd_bump", a, 0.0, 1.0))
-        states = sample_trajectory(st0, params, t_end=1.0, sample_stride=16)
-        cm = cone_max(states, ConeSpec(0.0, 4.0), params)
-        assert cm == max(s.sup_norm() for s in states)
+        cone = ConeMax(0.0, 4.0, params)
+        out = integrate(st0, params, t_end=1.0, record_stride=1, observe=cone)
+        assert cone.value == max(rec.sup_norm for rec in out.records)

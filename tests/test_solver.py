@@ -23,7 +23,6 @@ from hyperburg.solver import (
     RunOutcome,
     StepWorkspace,
     check_domain_margin,
-    sample_trajectory,
 )
 from hyperburg.suite import BLOWUP_TSTAR_EPS
 from hyperburg import certificate as cert
@@ -196,14 +195,19 @@ class TestIntegrate:
         state0 = sample_initial_state(
             params, grid, ProfileSpec("odd_bump", 1e9, 0.0, 1.0)
         )
-        out = integrate(state0, params, t_end=1.0, blowup_threshold=1e307)
+        seen = []
+        out = integrate(state0, params, t_end=1.0, blowup_threshold=1e307,
+                        observe=seen.append)
         assert out.status is RunStatus.NUMERICAL_FAILURE
         assert out.final_state is not None
         final = out.final_state
         assert not (np.isfinite(final.v).all() and np.isfinite(final.w).all())
-        # records only cover the healthy prefix
+        # records and observed states only cover the healthy prefix
         for rec in out.records:
             assert np.isfinite(rec.sup_norm)
+        assert len(seen) > 1 and all(s is not final for s in seen)
+        for s in seen:
+            assert np.isfinite(s.v).all() and np.isfinite(s.w).all()
 
     @pytest.mark.parametrize("field, bad", [("w", np.nan), ("v", np.inf)])
     def test_nonfinite_field_is_numerical_failure(self, monkeypatch, field, bad):
@@ -218,15 +222,25 @@ class TestIntegrate:
             return nxt
 
         monkeypatch.setattr(solver, "step_rk4", broken_step)
-        out = integrate(state0, params, t_end=0.5, blowup_threshold=1e3)
+        seen = []
+        out = integrate(state0, params, t_end=0.5, blowup_threshold=1e3,
+                        observe=seen.append)
         assert out.status is RunStatus.NUMERICAL_FAILURE
         assert len(out.records) == 1
+        # the broken state is never observed
+        assert len(seen) == 1 and seen[0] is state0
 
-    @pytest.mark.parametrize("stride", [1, 16])
-    def test_one_slope_per_step_plus_one(self, monkeypatch, stride):
+    @pytest.mark.parametrize(
+        "stride, observed",
+        [(1, False), (16, False), (1, True), (16, True)],
+        ids=["1", "16", "1-observed", "16-observed"],
+    )
+    def test_one_slope_per_step_plus_one(self, monkeypatch, stride, observed):
         # The record's slope is the next step's stage 1: 4 * steps + 1
-        # pde_rhs calls in all, whatever the record stride.
+        # pde_rhs calls in all, whatever the record stride, with or
+        # without an observer.
         params, state0 = small_state()
+        seen = []
         counts = {"pde_rhs": 0, "step_rk4": 0}
 
         def counting(name, fn):
@@ -239,18 +253,26 @@ class TestIntegrate:
         monkeypatch.setattr(solver, "pde_rhs", pde)
         monkeypatch.setattr("hyperburg.diagnostics.pde_rhs", pde)
         monkeypatch.setattr(solver, "step_rk4", counting("step_rk4", solver.step_rk4))
-        out = integrate(state0, params, t_end=0.5, record_stride=stride)
+        out = integrate(state0, params, t_end=0.5, record_stride=stride,
+                        observe=seen.append if observed else None)
         assert out.status is RunStatus.COMPLETED
         assert counts["step_rk4"] > 2 * stride
         assert counts["pde_rhs"] == 4 * counts["step_rk4"] + 1
+        if observed:
+            # state0 first, then one state per step in increasing t,
+            # ending at the final state
+            assert len(seen) == counts["step_rk4"] + 1
+            assert seen[0] is state0 and seen[-1] is out.final_state
+            assert all(a.t < b.t for a, b in zip(seen, seen[1:]))
 
     @pytest.mark.parametrize("sup", [0.1, 20.0])
     def test_records_match_standalone_records(self, sup):
         # Records built from the reused stage-1 slope agree with records
         # computed from scratch on the same states.
         params, state0 = small_state(sup=sup)
-        out = integrate(state0, params, t_end=0.3, record_stride=1)
-        states = sample_trajectory(state0, params, t_end=out.t_final)
+        states = []
+        out = integrate(state0, params, t_end=0.3, record_stride=1,
+                        observe=states.append)
         assert len(states) == len(out.records)
         assert np.array_equal(states[-1].v, out.final_state.v)
         prev = None
