@@ -26,7 +26,6 @@ from .initial_data import (
     amplitude_for_sup_norm,
     bump_max_abs,
     bump_profile,
-    calibrate,
     calibrated_profile,
     sample_initial_state,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "ModelParams", "validate_params", "moment_thresholds",
     # initial data
     "ProfileSpec", "bump_profile", "bump_max_abs", "amplitude_for_sup_norm",
-    "calibrate", "calibrated_profile", "sample_initial_state",
+    "calibrated_profile", "sample_initial_state",
     # solver
     "Grid", "GridState", "RunStatus", "RunOutcome", "stable_dt",
     "step_rk4", "integrate", "estimate_blowup_time",

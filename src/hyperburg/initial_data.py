@@ -11,8 +11,9 @@ positive moment targets reachable.  Both fields share this shape:
 
     v(x, 0) = a * psi(x),      dv/dt(x, 0) = b * psi(x),
 
-and calibration picks (a, b) so the discrete moments hit their targets,
-to a few ulps, under the trapezoidal rule the runtime diagnostics use.
+and ``calibrated_profile`` picks (a, b) so the discrete moments hit their
+targets, to a few ulps, under the trapezoidal rule the runtime diagnostics
+use.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "bump_profile",
     "bump_max_abs",
     "amplitude_for_sup_norm",
-    "calibrate",
     "calibrated_profile",
     "sample_initial_state",
 ]
@@ -92,13 +92,14 @@ def amplitude_for_sup_norm(sup: float, L: float) -> float:
     return sup / bump_max_abs(L)
 
 
-def calibrate(
-    profile: ProfileSpec,
+def calibrated_profile(
+    family: str,
+    L: float,
     grid: Grid,
     F0_target: float,
     F1_target: float,
-) -> tuple[float, float]:
-    """Amplitudes (a, b) whose discrete moments equal the targets.
+) -> ProfileSpec:
+    """Profile whose sampled moments hit the targets: a = F0/m1, b = F1/m1.
 
     The first moment m1 = trapz(x * psi) is evaluated on the run grid with
     ``numpy.trapezoid``.  The diagnostics apply the same rule as a dot
@@ -108,31 +109,19 @@ def calibrate(
     recorded moment series.
 
     Raises:
+        ParameterError: for an unknown family or a bad L (checked first).
         CalibrationError: if the grid resolves no interior support nodes
             (m1 == 0) so the targets are unreachable.
     """
+    spec = ProfileSpec(family=family, a=0.0, b=0.0, L=L)
     x = grid.nodes()
-    psi = bump_profile(x, profile.L)
-    m1 = float(trapezoid(x * psi, dx=grid.dx))
+    m1 = float(trapezoid(x * bump_profile(x, L), dx=grid.dx))
     if not math.isfinite(m1) or m1 <= 0.0:
         raise CalibrationError(
             f"first moment of the profile is {m1!r} on this grid "
-            f"(n={grid.n}, dx={grid.dx:.3g}); grid too coarse for L={profile.L}"
+            f"(n={grid.n}, dx={grid.dx:.3g}); grid too coarse for L={L}"
         )
-    return F0_target / m1, F1_target / m1
-
-
-def calibrated_profile(
-    family: str,
-    L: float,
-    grid: Grid,
-    F0_target: float,
-    F1_target: float,
-) -> ProfileSpec:
-    """Build a ProfileSpec whose sampled moments hit the given targets."""
-    base = ProfileSpec(family=family, a=0.0, b=0.0, L=L)
-    a, b = calibrate(base, grid, F0_target, F1_target)
-    return replace(base, a=a, b=b)
+    return replace(spec, a=F0_target / m1, b=F1_target / m1)
 
 
 def sample_initial_state(

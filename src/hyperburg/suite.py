@@ -1,9 +1,12 @@
 """Named experiment presets and the assertions they are checked against.
 
-Each preset is a concrete configuration (or family of configurations) of
-one verification experiment; ``run_suite`` executes it and evaluates the
-corresponding acceptance checks, returning one result per assertion.
-Tolerances are pinned here, once, for the whole package:
+Each preset is a family of run configurations, declared once in
+``preset_configs``.  Running a preset and checking it are separate steps:
+``execute_preset`` runs every member once and returns a ``PresetRun``, and
+``check_preset`` evaluates the preset's acceptance assertions from that
+run's reports alone, stepping nothing.  ``run_suite`` does both, returning
+one result per assertion.  Tolerances are pinned here, once, for the whole
+package:
 
 * Cauchy-Schwarz slack: schwartz_gap >= -1e-10 (1 + F^2) at every record;
 * exponential energy bound: margin >= -1e-8 E1(0) on non-blow-up runs;
@@ -38,17 +41,13 @@ from .solver import Grid, RunStatus, estimate_blowup_time
 
 __all__ = [
     "SuiteCheck",
-    "run_suite",
+    "PresetRun",
     "PRESET_NAMES",
     "preset_configs",
-    "propagation_preset_config",
-    "cone_preset_config",
-    "identity_preset_config",
-    "blowup_preset_config",
-    "smalldata_preset_config",
+    "execute_preset",
+    "check_preset",
+    "run_suite",
     "epsilon_scan_oracle",
-    "IDENTITY_LEVELS",
-    "BLOWUP_LEVELS",
 ]
 
 SCHWARTZ_REL_TOL = -1e-10
@@ -64,6 +63,10 @@ SCAN_SEED = 20240817
 IDENTITY_LEVELS = (512, 1024, 2048)
 BLOWUP_LEVELS = (1024, 2048, 4096)
 
+# Apex of the data-free cone observed by the cone preset: its base [3, 7]
+# at t = 0 is disjoint from the initial support [-1, 1].
+CONE_APEX = (5.0, 2.0)
+
 
 @dataclass
 class SuiteCheck:
@@ -72,99 +75,70 @@ class SuiteCheck:
     detail: str
 
 
-def _output(subdir: Optional[str]) -> OutputConfig:
-    if subdir is None:
-        return OutputConfig(directory="unused", emit_csv=False, emit_report=False)
-    return OutputConfig(directory=subdir, emit_csv=True, emit_report=True)
+@dataclass
+class PresetRun:
+    """One execution of a preset: its member configs and their reports.
+
+    ``cone`` is the :class:`~hyperburg.diagnostics.ConeMax` that observed
+    the ``cone`` preset's run at ``CONE_APEX``; None for every other preset.
+    """
+
+    name: str
+    configs: list[RunConfig]
+    reports: list[RunReport]
+    cone: Optional[diagnostics.ConeMax] = None
 
 
-def propagation_preset_config(out: Optional[str] = None) -> RunConfig:
-    # L = 6 at n = 4096 keeps the mollifier shoulder resolved; a steeper
-    # front (L = 1) smears ~20 nodes past the cone at the 1e-12 level.
-    a = amplitude_for_sup_norm(0.1, 6.0)
+def _member(
+    out_root: Optional[str | Path], tag: str, half_width: float, n: int,
+    t_end: float, stride: int, ic: ICConfig, L: float = 1.0,
+) -> RunConfig:
+    """One preset run: mu = nu = 1, cfl 0.4, files (if any) in out_root/tag."""
+    files = out_root is not None
+    output = OutputConfig(str(Path(out_root, tag)) if files else "unused", files, files)
     return RunConfig(
-        params=validate_params(1.0, 1.0, 6.0),
-        grid=Grid(-9.5, 9.5, 4096),
-        t_end=2.0,
-        ic=ICConfig(family="odd_bump", a=a, b=0.0),
-        output=_output(out),
+        params=validate_params(1.0, 1.0, L),
+        grid=Grid(-half_width, half_width, n),
+        t_end=t_end,
+        ic=ic,
+        output=output,
         cfl=0.4,
-        record_stride=4,
+        record_stride=stride,
     )
 
 
-def cone_preset_config(out: Optional[str] = None) -> RunConfig:
-    a = amplitude_for_sup_norm(0.1, 1.0)
-    return RunConfig(
-        params=validate_params(1.0, 1.0, 1.0),
-        grid=Grid(-8.0, 8.0, 2048),
-        t_end=2.0,
-        ic=ICConfig(family="odd_bump", a=a, b=0.0),
-        output=_output(out),
-        cfl=0.4,
-        record_stride=4,
-    )
-
-
-# Apex of the data-free cone used by the cone preset: its base [3, 7] at
-# t = 0 is disjoint from the initial support [-1, 1].
-CONE_APEX = (5.0, 2.0)
-
-
-def identity_preset_config(n: int, out: Optional[str] = None) -> RunConfig:
-    a = amplitude_for_sup_norm(0.1, 1.0)
-    return RunConfig(
-        params=validate_params(1.0, 1.0, 1.0),
-        grid=Grid(-2.5, 2.5, n),
-        t_end=1.0,
-        ic=ICConfig(family="odd_bump", a=a, b=0.0),
-        output=_output(out),
-        cfl=0.4,
-        record_stride=4,
-    )
-
-
-def blowup_preset_config(n: int, out: Optional[str] = None) -> RunConfig:
-    return RunConfig(
-        params=validate_params(1.0, 1.0, 1.0),
-        grid=Grid(-8.0, 8.0, n),
-        t_end=6.5,
-        ic=ICConfig(family="odd_bump", F0_target=40.0, F1_target=200.0),
-        output=_output(out),
-        cfl=0.4,
-        record_stride=8,
-    )
-
-
-def smalldata_preset_config(out: Optional[str] = None) -> RunConfig:
-    a = amplitude_for_sup_norm(0.05, 1.0)
-    return RunConfig(
-        params=validate_params(1.0, 1.0, 1.0),
-        grid=Grid(-52.0, 52.0, 2048),
-        t_end=50.0,
-        ic=ICConfig(family="odd_bump", a=a, b=0.0),
-        output=_output(out),
-        cfl=0.4,
-        record_stride=16,
-    )
+def _small(sup: float, L: float = 1.0) -> ICConfig:
+    return ICConfig(family="odd_bump", a=amplitude_for_sup_norm(sup, L), b=0.0)
 
 
 def preset_configs(name: str, out_root: Optional[Path] = None) -> list[RunConfig]:
-    """Member configurations of a preset (empty for pure-math presets)."""
+    """Member configurations of a preset (empty for pure-math presets).
 
-    def sub(tag: str) -> Optional[str]:
-        return str(out_root / tag) if out_root is not None else None
+    This is the one place each preset's runs are declared.  With
+    ``out_root`` every member writes its CSV and report to
+    ``out_root/<tag>``; without it, nothing is written.
 
+    Raises:
+        ConfigError: for an unknown preset name (the message lists the
+            valid ones).
+    """
     if name == "propagation":
-        return [propagation_preset_config(sub("propagation"))]
+        # L = 6 at n = 4096 keeps the mollifier shoulder resolved; a steeper
+        # front (L = 1) smears ~20 nodes past the cone at the 1e-12 level.
+        ic = _small(0.1, L=6.0)
+        return [_member(out_root, "propagation", 9.5, 4096, 2.0, 4, ic, L=6.0)]
     if name == "cone":
-        return [cone_preset_config(sub("cone"))]
+        return [_member(out_root, "cone", 8.0, 2048, 2.0, 4, _small(0.1))]
     if name == "identity":
-        return [identity_preset_config(n, sub(f"identity-n{n}")) for n in IDENTITY_LEVELS]
+        return [
+            _member(out_root, f"identity-n{n}", 2.5, n, 1.0, 4, _small(0.1))
+            for n in IDENTITY_LEVELS
+        ]
     if name == "blowup":
-        return [blowup_preset_config(n, sub(f"blowup-n{n}")) for n in BLOWUP_LEVELS]
+        ic = ICConfig(family="odd_bump", F0_target=40.0, F1_target=200.0)
+        return [_member(out_root, f"blowup-n{n}", 8.0, n, 6.5, 8, ic) for n in BLOWUP_LEVELS]
     if name == "smalldata":
-        return [smalldata_preset_config(sub("smalldata"))]
+        return [_member(out_root, "smalldata", 52.0, 2048, 50.0, 16, _small(0.05))]
     if name == "certificate-oracle":
         return []
     raise ConfigError(
@@ -172,38 +146,41 @@ def preset_configs(name: str, out_root: Optional[Path] = None) -> list[RunConfig
     )
 
 
-def _schwartz_check(checks: list[SuiteCheck], reports: list[RunReport], tag: str) -> None:
+def execute_preset(name: str, out_root: Optional[str | Path] = None) -> PresetRun:
+    """Run every member of a preset once (nothing for pure-math presets).
+
+    Raises:
+        ConfigError: for an unknown preset name.
+    """
+    configs = preset_configs(name, out_root)
+    cone = diagnostics.ConeMax(*CONE_APEX, configs[0].params) if name == "cone" else None
+    reports = [execute_config(c, observe=cone) for c in configs]
+    return PresetRun(name, configs, reports, cone)
+
+
+def _schwartz_check(reports: list[RunReport], tag: str) -> SuiteCheck:
     worst = min(r.worst["schwartz_gap_rel"] for r in reports)
-    checks.append(
-        SuiteCheck(
-            name=f"{tag}: schwartz_gap >= -1e-10 (1+F^2) at every record",
-            passed=worst >= SCHWARTZ_REL_TOL,
-            detail=f"worst relative gap {worst:.3e}",
-        )
+    return SuiteCheck(
+        name=f"{tag}: schwartz_gap >= -1e-10 (1+F^2) at every record",
+        passed=worst >= SCHWARTZ_REL_TOL,
+        detail=f"worst relative gap {worst:.3e}",
     )
 
 
-def _gronwall_check(checks: list[SuiteCheck], reports: list[RunReport], tag: str) -> None:
-    rels = [
-        r.worst["gronwall_margin_rel"]
-        for r in reports
-        if r.worst["gronwall_margin_rel"] is not None
-    ]
-    worst = min(rels) if rels else 0.0
-    checks.append(
-        SuiteCheck(
-            name=f"{tag}: exp energy bound margin >= -1e-8 E1(0)",
-            passed=worst >= GRONWALL_REL_TOL,
-            detail=f"worst margin / E1(0) = {worst:.3e}",
-        )
+def _gronwall_check(reports: list[RunReport], tag: str) -> SuiteCheck:
+    rels = [r.worst["gronwall_margin_rel"] for r in reports]
+    worst = min((rel for rel in rels if rel is not None), default=0.0)
+    return SuiteCheck(
+        name=f"{tag}: exp energy bound margin >= -1e-8 E1(0)",
+        passed=worst >= GRONWALL_REL_TOL,
+        detail=f"worst margin / E1(0) = {worst:.3e}",
     )
 
 
-def _run_propagation(out_root: Optional[Path]) -> list[SuiteCheck]:
-    config = preset_configs("propagation", out_root)[0]
-    report = execute_config(config)
+def _check_propagation(run: PresetRun) -> list[SuiteCheck]:
+    config, report = run.configs[0], run.reports[0]
     excess = report.worst["support_excess"]
-    checks = [
+    return [
         SuiteCheck(
             "propagation: run completes",
             report.status == RunStatus.COMPLETED.value,
@@ -217,19 +194,14 @@ def _run_propagation(out_root: Optional[Path]) -> list[SuiteCheck]:
             else "support never detected",
         ),
     ]
-    _schwartz_check(checks, [report], "propagation")
-    _gronwall_check(checks, [report], "propagation")
-    return checks
 
 
-def _run_cone(out_root: Optional[Path]) -> list[SuiteCheck]:
-    config = preset_configs("cone", out_root)[0]
-    cone = diagnostics.ConeMax(*CONE_APEX, config.params)
-    report = execute_config(config, observe=cone)
-    cm = cone.value
+def _check_cone(run: PresetRun) -> list[SuiteCheck]:
+    report = run.reports[0]
+    cm = run.cone.value
     gsup = max(rec.sup_norm for rec in report.outcome.records)
     bound = CONE_REL_TOL * (1.0 + gsup)
-    checks = [
+    return [
         SuiteCheck(
             "cone: run completes",
             report.status == RunStatus.COMPLETED.value,
@@ -241,14 +213,10 @@ def _run_cone(out_root: Optional[Path]) -> list[SuiteCheck]:
             f"cone_max {cm:.3e} vs bound {bound:.3e}",
         ),
     ]
-    _schwartz_check(checks, [report], "cone")
-    _gronwall_check(checks, [report], "cone")
-    return checks
 
 
-def _run_identity(out_root: Optional[Path]) -> list[SuiteCheck]:
-    configs = preset_configs("identity", out_root)
-    reports = [execute_config(c) for c in configs]
+def _check_identity(run: PresetRun) -> list[SuiteCheck]:
+    configs, reports = run.configs, run.reports
     residuals = [r.worst["identity_residual_max"] for r in reports]
     checks = [
         SuiteCheck(
@@ -267,23 +235,18 @@ def _run_identity(out_root: Optional[Path]) -> list[SuiteCheck]:
                 f"{residuals[i - 1]:.3e} -> {residuals[i]:.3e}, ratio {ratio:.2f}",
             )
         )
-    fine = reports[-1]
-    rhs_scale = max(rec.half_int_v2 for rec in fine.outcome.records)
-    checks.append(
+    rhs_scale = max(rec.half_int_v2 for rec in reports[-1].outcome.records)
+    return checks + [
         SuiteCheck(
             "identity: finest residual < 1e-4 max(1/2 int v^2)",
             residuals[-1] < 1e-4 * rhs_scale,
             f"residual {residuals[-1]:.3e} vs bound {1e-4 * rhs_scale:.3e}",
         )
-    )
-    _schwartz_check(checks, reports, "identity")
-    _gronwall_check(checks, reports, "identity")
-    return checks
+    ]
 
 
-def _run_blowup(out_root: Optional[Path]) -> list[SuiteCheck]:
-    configs = preset_configs("blowup", out_root)
-    reports = [execute_config(c) for c in configs]
+def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
+    configs, reports = run.configs, run.reports
     checks = [
         SuiteCheck(
             "blowup: detected at every resolution",
@@ -296,39 +259,35 @@ def _run_blowup(out_root: Optional[Path]) -> list[SuiteCheck]:
     ]
     if checks[0].passed:
         estimate, converged = estimate_blowup_time([r.outcome for r in reports])
-        t_star_ref = cert_mod.t_star(BLOWUP_TSTAR_EPS, 40.0, configs[0].params)
-        checks.append(
+        t_star_ref = cert_mod.t_star(
+            BLOWUP_TSTAR_EPS, configs[0].ic.F0_target, configs[0].params
+        )
+        worst_cmp = min(r.worst["comparison_margin_rel"] for r in reports)
+        checks += [
             SuiteCheck(
                 "blowup: refinement-converged detection time (<5% gap)",
                 converged,
                 f"estimate {estimate:.5f}, previous {reports[-2].t_final:.5f}",
-            )
-        )
-        checks.append(
+            ),
             SuiteCheck(
                 f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})",
                 estimate <= 1.1 * t_star_ref,
                 f"t_detect {estimate:.5f} vs 1.1 T* = {1.1 * t_star_ref:.5f}",
-            )
-        )
-        worst_cmp = min(r.worst["comparison_margin_rel"] for r in reports)
-        checks.append(
+            ),
             SuiteCheck(
                 "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
                 worst_cmp >= COMPARISON_REL_TOL,
                 f"worst relative margin {worst_cmp:.3e}",
-            )
-        )
-    _schwartz_check(checks, reports, "blowup")
+            ),
+        ]
     return checks
 
 
-def _run_smalldata(out_root: Optional[Path]) -> list[SuiteCheck]:
-    config = preset_configs("smalldata", out_root)[0]
-    report = execute_config(config)
+def _check_smalldata(run: PresetRun) -> list[SuiteCheck]:
+    report = run.reports[0]
     recs = report.outcome.records
     sup0, supT = recs[0].sup_norm, recs[-1].sup_norm
-    checks = [
+    return [
         SuiteCheck(
             "smalldata: run completes to t=50",
             report.status == RunStatus.COMPLETED.value,
@@ -340,9 +299,6 @@ def _run_smalldata(out_root: Optional[Path]) -> list[SuiteCheck]:
             f"sup(50) = {supT:.3e} vs sup(0) = {sup0:.3e}",
         ),
     ]
-    _schwartz_check(checks, [report], "smalldata")
-    _gronwall_check(checks, [report], "smalldata")
-    return checks
 
 
 def epsilon_scan_oracle(params, G0: float, F1: float) -> Optional[tuple[float, float]]:
@@ -360,7 +316,7 @@ def epsilon_scan_oracle(params, G0: float, F1: float) -> Optional[tuple[float, f
     return float(feasible[0]), float(feasible[-1])
 
 
-def _run_certificate_oracle(out_root: Optional[Path]) -> list[SuiteCheck]:
+def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
     params = validate_params(1.0, 1.0, 1.0)
     rng = np.random.default_rng(SCAN_SEED)
     mismatches = []
@@ -382,74 +338,73 @@ def _run_certificate_oracle(out_root: Optional[Path]) -> list[SuiteCheck]:
         hi_err = abs(scanned[1] - interval[1])
         if lo_err > SCAN_STEP + 1e-9 or hi_err > SCAN_STEP + 1e-9:
             mismatches.append((g0, f1, f"endpoint errors {lo_err:.2e}/{hi_err:.2e}"))
-    checks = [
+    doc_interval = cert_mod.epsilon_interval(params, 100.0, 200.0)
+    doc_thresholds = cert_mod.check_moment_thresholds(params, 100.0, 200.0)
+    t_star = cert_mod.t_star(1.0, 64.0, params)
+    oracle = cert_mod.aux_ode_oracle(1.0, 64.0, params, 0.9 * t_star)
+    closed = np.array([cert_mod.g_closed_form(t, 1.0, 64.0, params) for t in oracle.t])
+    rel = float(np.max(np.abs(oracle.G - closed) / closed))
+    past = cert_mod.aux_ode_oracle(1.0, 64.0, params, 1.2 * t_star)
+    return [
         SuiteCheck(
             f"certificate-oracle: interval matches dense scan on "
             f"{SCAN_INSTANCES} instances (endpoints within 1e-4)",
             not mismatches,
             f"{nonempty} feasible instances, {len(mismatches)} mismatches"
             + (f"; first: {mismatches[0]}" if mismatches else ""),
-        )
-    ]
-
-    doc_interval = cert_mod.epsilon_interval(params, 100.0, 200.0)
-    doc_thresholds = cert_mod.check_moment_thresholds(params, 100.0, 200.0)
-    checks.append(
+        ),
         SuiteCheck(
             "certificate-oracle: documented case (G0=100, F1=200) is "
             "threshold-passing yet infeasible",
             doc_interval is None and doc_thresholds,
             f"interval={doc_interval}, thresholds_met={doc_thresholds}",
-        )
-    )
-
-    t_star = cert_mod.t_star(1.0, 64.0, params)
-    oracle = cert_mod.aux_ode_oracle(1.0, 64.0, params, 0.9 * t_star)
-    closed = np.array(
-        [cert_mod.g_closed_form(t, 1.0, 64.0, params) for t in oracle.t]
-    )
-    rel = float(np.max(np.abs(oracle.G - closed) / closed))
-    checks.append(
+        ),
         SuiteCheck(
             "certificate-oracle: closed form vs adaptive integration "
             "(1e-8 relative on [0, 0.9 T*])",
             (not oracle.diverged) and rel <= 1e-8,
             f"max relative deviation {rel:.3e}",
-        )
-    )
-    past = cert_mod.aux_ode_oracle(1.0, 64.0, params, 1.2 * t_star)
-    checks.append(
+        ),
         SuiteCheck(
             "certificate-oracle: integration past T* reports divergence",
             past.diverged,
             f"diverged={past.diverged}, reached t={past.t[-1]:.6f} of T*={t_star:.6f}",
-        )
-    )
+        ),
+    ]
+
+
+_CHECKS = {
+    "propagation": _check_propagation,
+    "cone": _check_cone,
+    "identity": _check_identity,
+    "blowup": _check_blowup,
+    "smalldata": _check_smalldata,
+    "certificate-oracle": _check_certificate_oracle,
+}
+
+PRESET_NAMES = tuple(_CHECKS)
+
+
+def check_preset(run: PresetRun) -> list[SuiteCheck]:
+    """Evaluate a preset's acceptance assertions from an executed run.
+
+    Reads ``run``'s configs, reports and cone observer only; steps nothing.
+    Every simulating preset also gets the Cauchy-Schwarz check over all its
+    records, and every one but ``blowup`` the exponential energy bound.
+    """
+    checks = _CHECKS[run.name](run)
+    if run.reports:
+        checks.append(_schwartz_check(run.reports, run.name))
+        if run.name != "blowup":
+            checks.append(_gronwall_check(run.reports, run.name))
     return checks
 
 
-_RUNNERS = {
-    "propagation": _run_propagation,
-    "cone": _run_cone,
-    "identity": _run_identity,
-    "blowup": _run_blowup,
-    "smalldata": _run_smalldata,
-    "certificate-oracle": _run_certificate_oracle,
-}
-
-PRESET_NAMES = tuple(_RUNNERS)
-
-
 def run_suite(preset_name: str, out_root: Optional[str | Path] = None) -> list[SuiteCheck]:
-    """Execute a named preset and evaluate its acceptance assertions.
+    """Execute a named preset once and evaluate its acceptance assertions.
 
     Raises:
         ConfigError: for an unknown preset name (the message lists the
             valid ones).
     """
-    if preset_name not in _RUNNERS:
-        raise ConfigError(
-            f"unknown preset {preset_name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-        )
-    root = Path(out_root) if out_root is not None else None
-    return _RUNNERS[preset_name](root)
+    return check_preset(execute_preset(preset_name, out_root))

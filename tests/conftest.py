@@ -1,20 +1,11 @@
 """Shared fixtures: the suite preset runs, executed once per session."""
 
+import functools
+
 import pytest
 
 from hyperburg import validate_params
-from hyperburg.diagnostics import ConeMax
-from hyperburg.runner import execute_config
-from hyperburg.suite import (
-    BLOWUP_LEVELS,
-    CONE_APEX,
-    IDENTITY_LEVELS,
-    blowup_preset_config,
-    cone_preset_config,
-    identity_preset_config,
-    propagation_preset_config,
-    smalldata_preset_config,
-)
+from hyperburg.suite import execute_preset
 
 
 @pytest.fixture(scope="session")
@@ -23,46 +14,48 @@ def params_unit():
 
 
 @pytest.fixture(scope="session")
-def propagation_report():
-    return execute_config(propagation_preset_config())
+def preset_run():
+    """``preset_run(name)`` is ``execute_preset(name)``, run once per session."""
+    return functools.cache(execute_preset)
 
 
 @pytest.fixture(scope="session")
-def cone_bundle():
+def propagation_report(preset_run):
+    return preset_run("propagation").reports[0]
+
+
+@pytest.fixture(scope="session")
+def cone_bundle(preset_run):
     """(config, report, cone maximum observed during the run) of the cone preset."""
-    config = cone_preset_config()
-    cone = ConeMax(*CONE_APEX, config.params)
-    report = execute_config(config, observe=cone)
-    return config, report, cone
+    run = preset_run("cone")
+    return run.configs[0], run.reports[0], run.cone
 
 
 @pytest.fixture(scope="session")
-def identity_reports():
-    return [execute_config(identity_preset_config(n)) for n in IDENTITY_LEVELS]
+def identity_reports(preset_run):
+    return preset_run("identity").reports
 
 
 @pytest.fixture(scope="session")
-def blowup_reports():
-    return [execute_config(blowup_preset_config(n)) for n in BLOWUP_LEVELS]
+def blowup_reports(preset_run):
+    return preset_run("blowup").reports
 
 
 @pytest.fixture(scope="session")
-def smalldata_report():
-    return execute_config(smalldata_preset_config())
+def smalldata_report(preset_run):
+    return preset_run("smalldata").reports[0]
 
 
 @pytest.fixture(scope="session")
-def all_preset_reports(
-    propagation_report, cone_bundle, identity_reports, blowup_reports, smalldata_report
-):
+def all_preset_reports(preset_run):
     """Every executed suite-preset report, keyed by a readable tag."""
     reports = {
-        "propagation": propagation_report,
-        "cone": cone_bundle[1],
-        "smalldata": smalldata_report,
+        "propagation": preset_run("propagation").reports[0],
+        "cone": preset_run("cone").reports[0],
+        "smalldata": preset_run("smalldata").reports[0],
     }
-    for n, rep in zip(IDENTITY_LEVELS, identity_reports):
-        reports[f"identity-n{n}"] = rep
-    for n, rep in zip(BLOWUP_LEVELS, blowup_reports):
-        reports[f"blowup-n{n}"] = rep
+    for name in ("identity", "blowup"):
+        run = preset_run(name)
+        for config, report in zip(run.configs, run.reports):
+            reports[f"{name}-n{config.grid.n}"] = report
     return reports

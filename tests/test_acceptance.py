@@ -6,6 +6,7 @@ simulation fixtures live in conftest.py and are shared across the suite.
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from hyperburg import certificate as cert_mod
 from hyperburg import solver
 from hyperburg.config import config_from_dict
 from hyperburg.diagnostics import gronwall_check_E1
+from hyperburg.errors import ConfigError
 from hyperburg.runner import execute_config
 from hyperburg.solver import RunStatus, estimate_blowup_time
 from hyperburg.suite import (
@@ -30,16 +32,15 @@ from hyperburg.suite import (
     PRESET_NAMES,
     SCAN_INSTANCES,
     SCAN_SEED,
-    blowup_preset_config,
-    cone_preset_config,
+    check_preset,
     epsilon_scan_oracle,
-    identity_preset_config,
-    propagation_preset_config,
+    preset_configs,
     run_suite,
-    smalldata_preset_config,
 )
 
 UNIT = validate_params(1.0, 1.0, 1.0)
+# Presets that simulate; certificate-oracle checks pure mathematics.
+RUN_PRESETS = [name for name in PRESET_NAMES if preset_configs(name)]
 
 
 def check(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -216,16 +217,10 @@ def test_criterion_09_gronwall_energy_bound(
 
 
 def test_criterion_10_determinism(tmp_path):
-    cheapest = {
-        "propagation": propagation_preset_config,
-        "cone": cone_preset_config,
-        "identity": lambda out=None: identity_preset_config(512, out),
-        "blowup": lambda out=None: blowup_preset_config(1024, out),
-        "smalldata": smalldata_preset_config,
-    }
+    # The first member of each preset is its cheapest (coarsest) run.
     failures = []
-    for tag, factory in cheapest.items():
-        doc = factory().to_dict()
+    for tag in RUN_PRESETS:
+        doc = preset_configs(tag)[0].to_dict()
         doc["output"] = {"directory": str(tmp_path / tag / "a"),
                          "emit_csv": True, "emit_report": True}
         first = execute_config(config_from_dict(doc))
@@ -237,14 +232,53 @@ def test_criterion_10_determinism(tmp_path):
             failures.append(tag)
     ok = not failures
     check(10, "re-running every preset family reproduces bit-identical CSV",
-          ok, f"checked {', '.join(cheapest)}"
+          ok, f"checked {', '.join(RUN_PRESETS)}"
               + (f"; mismatches: {failures}" if failures else ""))
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
-def test_every_suite_preset_passes(preset):
-    failed = [f"{c.name}: {c.detail}" for c in run_suite(preset) if not c.passed]
+def test_every_suite_preset_passes(preset, preset_run):
+    failed = [f"{c.name}: {c.detail}" for c in check_preset(preset_run(preset)) if not c.passed]
     assert not failed, failed
+
+
+@pytest.mark.parametrize("preset", RUN_PRESETS)
+def test_check_preset_never_steps(preset, preset_run, monkeypatch):
+    # Checking reads the session run's reports; it must not simulate again.
+    run = preset_run(preset)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("check_preset stepped the solver")
+
+    monkeypatch.setattr(solver, "step_rk4", no_step)
+    checks = check_preset(run)
+    assert checks
+    failed = [f"{c.name}: {c.detail}" for c in checks if not c.passed]
+    assert not failed, failed
+
+
+def test_preset_table_steps_nothing(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("building the preset table stepped the solver")
+
+    monkeypatch.setattr(solver, "step_rk4", no_step)
+    for out_root in (None, Path("R")):
+        for name in PRESET_NAMES:
+            for config in preset_configs(name, out_root):
+                assert config_from_dict(config.to_dict()) == config
+                files = out_root is not None
+                assert config.output.emit_csv is files and config.output.emit_report is files
+    dirs = [c.output.directory for p in PRESET_NAMES for c in preset_configs(p, Path("R"))]
+    tags = ["propagation", "cone", "identity-n512", "identity-n1024", "identity-n2048",
+            "blowup-n1024", "blowup-n2048", "blowup-n4096", "smalldata"]
+    assert dirs == [str(Path("R", tag)) for tag in tags]
+    assert preset_configs("certificate-oracle") == []
+
+
+def test_unknown_preset_lists_valid_ones():
+    valid = "valid presets: " + ", ".join(PRESET_NAMES)
+    with pytest.raises(ConfigError, match=re.escape(valid)):
+        preset_configs("convergence")
 
 
 def test_cone_preset_simulates_once(monkeypatch):

@@ -12,7 +12,6 @@ from hyperburg import (
     amplitude_for_sup_norm,
     bump_max_abs,
     bump_profile,
-    calibrate,
     calibrated_profile,
     sample_initial_state,
     validate_params,
@@ -52,15 +51,17 @@ class TestBumpProfile:
 class TestCalibrate:
     def setup_method(self):
         self.grid = Grid(-2.0, 2.0, 2048)
-        self.profile = ProfileSpec("odd_bump", 0.0, 0.0, 1.0)
+
+    def calibrated(self, F0, F1, grid=None):
+        return calibrated_profile("odd_bump", 1.0, grid or self.grid, F0, F1)
 
     def test_zero_target_gives_zero_amplitude(self):
-        a, b = calibrate(self.profile, self.grid, 0.0, 0.0)
-        assert a == 0.0 and b == 0.0
+        prof = self.calibrated(0.0, 0.0)
+        assert prof.a == 0.0 and prof.b == 0.0
 
     def test_linearity_in_target(self):
-        a1, _ = calibrate(self.profile, self.grid, 20.0, 0.0)
-        a2, _ = calibrate(self.profile, self.grid, 40.0, 0.0)
+        a1 = self.calibrated(20.0, 0.0).a
+        a2 = self.calibrated(40.0, 0.0).a
         assert a2 == 2.0 * a1
 
     def test_first_moment_against_quadrature_oracle(self):
@@ -74,13 +75,22 @@ class TestCalibrate:
         )
         assert err < 1e-8  # oracle itself far below the 1e-6 comparison level
         assert m1_trapz == pytest.approx(m1_quad, rel=1e-6)
-        a, _ = calibrate(self.profile, self.grid, 40.0, 0.0)
-        assert a == 40.0 / m1_trapz
+        assert self.calibrated(40.0, 0.0).a == 40.0 / m1_trapz
 
     def test_coarse_grid_raises(self):
         # No interior node falls inside [-1, 1]: the first moment is 0.
         with pytest.raises(CalibrationError):
-            calibrate(self.profile, Grid(-50.0, 50.0, 8), 40.0, 200.0)
+            self.calibrated(40.0, 200.0, Grid(-50.0, 50.0, 8))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "family, L", [("gaussian", 1.0), ("odd_bump", 0.0), ("odd_bump", float("nan"))]
+    )
+    def test_bad_profile_rejected_before_calibration(self, family, L):
+        # On a grid too coarse to calibrate, a bad family or L is still the
+        # reported fault, and no moment is computed from it.
+        with pytest.raises(ParameterError):
+            calibrated_profile(family, L, Grid(-50.0, 50.0, 8), 40.0, 200.0)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ParameterError, match="family"):
