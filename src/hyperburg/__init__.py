@@ -12,7 +12,6 @@ from .errors import (
     CalibrationError,
     ConfigError,
     DomainError,
-    EstimatorError,
     HyperburgError,
     ParameterError,
 )
@@ -32,11 +31,12 @@ from .initial_data import (
 from .solver import (
     Grid,
     GridState,
+    Refinement,
     RunOutcome,
     RunStatus,
     check_domain_margin,
     default_blowup_threshold,
-    estimate_blowup_time,
+    estimate_blowup_time,  # not in __all__: an alias of Refinement for old callers
     integrate,
     stable_dt,
     step_rk4,
@@ -62,7 +62,8 @@ from .certificate import (
     g_closed_form,
     t_star,
 )
-from .config import ICConfig, OutputConfig, RunConfig, config_from_dict, load_config
+from .config import (ICConfig, OutputConfig, RunConfig, config_from_dict, load_config,
+                     refinement_ladder)
 from .runner import RunReport, execute_config
 from .suite import PRESET_NAMES, SuiteCheck, run_suite
 
@@ -72,7 +73,7 @@ __all__ = [
     "__version__",
     # errors
     "HyperburgError", "ParameterError", "ConfigError", "CalibrationError",
-    "DomainError", "EstimatorError",
+    "DomainError",
     # model
     "ModelParams", "validate_params", "moment_thresholds",
     # initial data
@@ -80,7 +81,7 @@ __all__ = [
     "calibrated_profile", "sample_initial_state",
     # solver
     "Grid", "GridState", "RunStatus", "RunOutcome", "stable_dt",
-    "step_rk4", "integrate", "estimate_blowup_time",
+    "step_rk4", "integrate", "Refinement",
     "check_domain_margin", "default_blowup_threshold",
     # diagnostics
     "DiagnosticsRecord", "ConeMax", "moment_F", "moment_Fprime",
@@ -91,5 +92,6 @@ __all__ = [
     "aux_ode_oracle", "comparison_check", "build_certificate",
     # config / runner / suite
     "ICConfig", "OutputConfig", "RunConfig", "config_from_dict", "load_config",
+    "refinement_ladder",
     "RunReport", "execute_config", "PRESET_NAMES", "SuiteCheck", "run_suite",
 ]

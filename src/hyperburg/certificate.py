@@ -275,28 +275,14 @@ def build_certificate(params: ModelParams, F0: float, F1: float) -> Certificate:
     F'(0) > 0).  G(0) = F0 by construction, so the t = 0 comparison
     margin is exactly zero.
     """
-    thresholds_met = check_moment_thresholds(params, F0, F1)
-    interval = None
-    if F0 > 0.0 and F1 > 0.0:
-        interval = epsilon_interval(params, F0, F1)
-    if interval is None:
-        return Certificate(
-            F0=F0,
-            F1=F1,
-            thresholds_met=thresholds_met,
-            eps_interval=None,
-            eps_chosen=None,
-            G0=F0,
-            T_star=None,
-        )
-    lower, upper = interval
-    eps_chosen = lower + 0.5 * (upper - lower)
+    interval = epsilon_interval(params, F0, F1) if F0 > 0.0 and F1 > 0.0 else None
+    eps_chosen = None if interval is None else interval[0] + 0.5 * (interval[1] - interval[0])
     return Certificate(
         F0=F0,
         F1=F1,
-        thresholds_met=thresholds_met,
+        thresholds_met=check_moment_thresholds(params, F0, F1),
         eps_interval=interval,
         eps_chosen=eps_chosen,
         G0=F0,
-        T_star=t_star(eps_chosen, F0, params),
+        T_star=None if eps_chosen is None else t_star(eps_chosen, F0, params),
     )

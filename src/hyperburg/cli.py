@@ -11,9 +11,10 @@ Subcommands:
   (eps interval, chosen eps, T*) as JSON.
 * ``suite PRESET [--out DIR]``: run a named verification preset; one
   PASS/FAIL line per assertion; exit 0 iff all pass.
-* ``convergence --config FILE --levels K [--out DIR]``: refinement study
-  of the blow-up detection time (doubling n per level); prints the time
-  sequence and the convergence flag as JSON.
+* ``convergence --config FILE --levels K [--out DIR]``: refinement study of
+  the blow-up detection time on the nested ladder n_k = (n0 - 1) 2^k + 1,
+  K >= 2; prints each level's time, the <5% convergence flag, the observed
+  order and the Richardson estimate t_inf +- t_inf_error (null below 3) as JSON.
 
 The HYPERBURG_OUT environment variable, when set, roots all relative
 output directories.  Numeric output is round-trip double precision.
@@ -22,16 +23,16 @@ output directories.  Numeric output is round-trip double precision.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Optional
 
-from .config import load_config
+from .certificate import build_certificate, check_moment_thresholds
+from .config import load_config, refinement_ladder
 from .errors import HyperburgError
-from .model import validate_params
-from .runner import certificate_summary, execute_config, threshold_summary
-from .solver import RunStatus, estimate_blowup_time
+from .model import moment_thresholds, validate_params
+from .runner import certificate_dict, execute_config
+from .solver import Refinement, RunStatus
 from .suite import PRESET_NAMES, run_suite
 
 __all__ = ["main", "entry"]
@@ -96,13 +97,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     params = validate_params(args.mu, args.nu, args.L)
-    _print_json(threshold_summary(params, args.F0, args.F1))
+    f0_min, f1_min = moment_thresholds(params)
+    met = check_moment_thresholds(params, args.F0, args.F1)
+    _print_json({"F0_min": f0_min, "F1_min": f1_min, "F0": args.F0, "F1": args.F1,
+                 "thresholds_met": met})
     return 0
 
 
 def _cmd_certificate(args) -> int:
     params = validate_params(args.mu, args.nu, args.L)
-    _print_json(certificate_summary(params, args.F0, args.F1))
+    _print_json(certificate_dict(build_certificate(params, args.F0, args.F1), params))
     return 0
 
 
@@ -116,35 +120,20 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    if args.levels < 2:
-        print("convergence study needs --levels >= 2", file=sys.stderr)
-        return 1
-    base = load_config(args.config)
-    levels = []
-    reports = []
-    for k in range(args.levels):
-        n = (base.grid.n - 1) * 2**k + 1  # doubles dx resolution exactly
-        config = dataclasses.replace(
-            base,
-            grid=dataclasses.replace(base.grid, n=n),
-            output=dataclasses.replace(
-                base.output, directory=f"{base.output.directory}-n{n}"
-            ),
-        )
-        report = execute_config(config, out_dir=None if args.out is None
-                                else f"{args.out}/level-n{n}")
-        reports.append(report)
-        levels.append({"n": n, "status": report.status, "t_detect": report.t_detect})
-    doc: dict = {"levels": levels}
-    if all(r.status == RunStatus.BLOWUP_DETECTED.value for r in reports):
-        estimate, converged = estimate_blowup_time([r.outcome for r in reports])
-        doc["t_m_estimate"] = estimate
-        doc["converged"] = converged
-        _print_json(doc)
-        return 0
-    doc["error"] = "not every level detected blow-up; no estimate"
+    ladder = refinement_ladder(load_config(args.config), args.levels)
+    reports = [execute_config(c, out_dir=args.out and f"{args.out}/level-n{c.grid.n}")
+               for c in ladder]
+    ref = Refinement(tuple(c.grid.n for c in ladder), tuple(r.t_detect for r in reports))
+    doc: dict = {"levels": [{"n": n, "status": r.status, "t_detect": r.t_detect}
+                            for n, r in zip(ref.n, reports)]}
+    missed = None in ref.t_detect
+    if missed:
+        doc["error"] = "not every level detected blow-up; no estimate"
+    else:
+        doc.update(t_m_estimate=ref.t_detect[-1], converged=ref.converged, order=ref.order,
+                   t_inf=ref.t_inf, t_inf_error=ref.t_inf_error)
     _print_json(doc)
-    return 1
+    return 1 if missed else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

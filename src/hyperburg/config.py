@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -20,7 +20,8 @@ from .initial_data import PROFILE_FAMILIES
 from .model import ModelParams, validate_params
 from .solver import Grid, check_domain_margin
 
-__all__ = ["ICConfig", "OutputConfig", "RunConfig", "load_config", "resolve_output_dir"]
+__all__ = ["ICConfig", "OutputConfig", "RunConfig", "load_config", "refinement_ladder",
+           "resolve_output_dir"]
 
 OUTPUT_ROOT_ENV = "HYPERBURG_OUT"
 
@@ -219,6 +220,21 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(doc)
+
+
+def refinement_ladder(base: RunConfig, levels: int) -> list[RunConfig]:
+    """Nested refinement of ``base``: level k has n_k = (n0 - 1) 2^k + 1 nodes.
+
+    Each level halves dx (and so the CFL dt) exactly and writes to
+    ``<base directory>-n<n_k>``; all else is ``base``'s.  Steps nothing.
+    Raises ConfigError for fewer than 2 levels.
+    """
+    if levels < 2:
+        raise ConfigError(f"a refinement ladder needs levels >= 2, got {levels}")
+    ns = [(base.grid.n - 1) * 2**k + 1 for k in range(levels)]
+    return [replace(base, grid=replace(base.grid, n=n),
+                    output=replace(base.output, directory=f"{base.output.directory}-n{n}"))
+            for n in ns]
 
 
 def resolve_output_dir(config: RunConfig, cli_out: Optional[str] = None) -> Path:

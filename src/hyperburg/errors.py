@@ -19,7 +19,3 @@ class CalibrationError(HyperburgError, ValueError):
 
 class DomainError(HyperburgError, ValueError):
     """A spatial domain does not contain the region an operation needs."""
-
-
-class EstimatorError(HyperburgError, ValueError):
-    """An estimator received outcomes it cannot work with."""

@@ -30,7 +30,6 @@ __all__ = [
     "trapezoid_dot",
     "d1_central",
     "d2_central",
-    "flux_divergence",
     "pde_rhs",
 ]
 
@@ -68,15 +67,6 @@ def d2_central(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.nd
     np.divide(inner, dx * dx, out=inner)
     out[..., 0] = out[..., -1] = 0.0
     return out
-
-
-def flux_divergence(v: np.ndarray, dx: float) -> np.ndarray:
-    """Conservative form of the advection term, d/dx (v^2 / 2).
-
-    Central difference of the flux v^2/2; equals v * v_x to second order but
-    behaves better while gradients steepen ahead of an amplitude blow-up.
-    """
-    return d1_central(0.5 * v * v, dx)
 
 
 def pde_rhs(

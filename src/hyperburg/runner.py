@@ -23,14 +23,14 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import diagnostics
-from .certificate import (Certificate, build_certificate, check_moment_thresholds,
-                          comparison_check, g_closed_form, t_star)
+from .certificate import (Certificate, build_certificate, comparison_check,
+                          g_closed_form, t_star)
 from .config import RunConfig, resolve_output_dir
 from .initial_data import ProfileSpec, calibrated_profile, sample_initial_state
-from .model import ModelParams, moment_thresholds
+from .model import ModelParams
 from .solver import GridState, RunOutcome, integrate
 
-__all__ = ["RunReport", "execute_config", "write_csv", "CSV_COLUMNS"]
+__all__ = ["RunReport", "execute_config", "write_csv", "certificate_dict", "CSV_COLUMNS"]
 
 CSV_COLUMNS = (
     "t",
@@ -112,7 +112,8 @@ def write_csv(path: Path, outcome: RunOutcome, certificate: Certificate,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _certificate_dict(cert: Certificate, params: ModelParams) -> dict:
+def certificate_dict(cert: Certificate, params: ModelParams) -> dict:
+    """The certificate as written to ``report.json`` and printed by the CLI."""
     tight = None
     if cert.feasible:
         tight = t_star(cert.eps_interval[1], cert.G0, params)
@@ -223,7 +224,7 @@ def execute_config(
         status=outcome.status.value,
         t_final=outcome.t_final,
         t_detect=outcome.t_detect,
-        certificate=_certificate_dict(cert, params),
+        certificate=certificate_dict(cert, params),
         worst=_worst_case(outcome, cert, params),
         sobolev=sobolev,
         n_records=len(outcome.records),
@@ -242,21 +243,3 @@ def execute_config(
         report_path.write_text(report.to_json() + "\n", encoding="utf-8")
         files["report"] = str(report_path)
     return report
-
-
-def threshold_summary(params: ModelParams, F0: float, F1: float) -> dict:
-    """Moment thresholds plus the strict verdict, for CLI output."""
-    f0_min, f1_min = moment_thresholds(params)
-    return {
-        "F0_min": f0_min,
-        "F1_min": f1_min,
-        "F0": F0,
-        "F1": F1,
-        "thresholds_met": check_moment_thresholds(params, F0, F1),
-    }
-
-
-def certificate_summary(params: ModelParams, F0: float, F1: float) -> dict:
-    """Full certificate for given moments, for CLI output."""
-    cert = build_certificate(params, F0, F1)
-    return _certificate_dict(cert, params)

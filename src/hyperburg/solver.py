@@ -21,7 +21,7 @@ and then every finite state the run reaches, in order, with no state kept.
 
 Blow-up is reported as the first time the sup norm crosses a threshold, not
 as an extrapolated singularity time: the model supplies no blow-up rate to
-extrapolate with.
+extrapolate with.  :class:`Refinement` extrapolates detection times in dx.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, compute_record
-from .errors import ConfigError, EstimatorError, ParameterError
+from .errors import ConfigError, ParameterError
 from .model import ModelParams
 from .operators import pde_rhs
 
@@ -48,6 +48,7 @@ __all__ = [
     "StepWorkspace",
     "step_rk4",
     "integrate",
+    "Refinement",
     "estimate_blowup_time",
     "check_domain_margin",
     "default_blowup_threshold",
@@ -317,25 +318,54 @@ def integrate(
                 )
 
 
-def estimate_blowup_time(
-    outcomes_by_resolution: list[RunOutcome],
-) -> tuple[float, bool]:
-    """Blow-up time estimate from a refinement sequence of outcomes.
+@dataclass(frozen=True)
+class Refinement:
+    """Blow-up detection times on a refinement ladder, coarse to fine.
 
-    Expects outcomes ordered coarse to fine, every one BLOWUP_DETECTED.
-    The estimate is the detection time at the finest resolution; it is
-    flagged converged when the last two detections differ by less than 5%
-    relative to the finest.
+    ``t_detect[k]`` is None where level ``n[k]`` missed blow-up.  ``order`` and
+    ``t_inf`` assume each level halves dx, as ``refinement_ladder`` builds them.
+    """
+
+    n: tuple[int, ...]
+    t_detect: tuple[Optional[float], ...]
+
+    @property
+    def converged(self) -> bool:
+        """At least 2 levels, all detected, the two finest within 5% of the finest."""
+        t = self.t_detect
+        return len(t) >= 2 and None not in t and abs(t[-2] - t[-1]) < 0.05 * abs(t[-1])
+
+    @property
+    def order(self) -> Optional[float]:
+        """Observed order p = log2(gap_{K-1} / gap_K) of the last three levels, or None."""
+        t = self.t_detect[-3:]
+        if len(t) < 3 or None in t or (t[0] - t[1]) * (t[1] - t[2]) <= 0.0:
+            return None
+        return math.log2((t[0] - t[1]) / (t[1] - t[2]))
+
+    @property
+    def t_inf(self) -> Optional[float]:
+        """Richardson t_inf = t_K + (t_K - t_{K-1}) / (2^p - 1); None unless p > 0."""
+        p, t = self.order, self.t_detect
+        return None if p is None or p <= 0.0 else t[-1] + (t[-1] - t[-2]) / (2.0**p - 1.0)
+
+    @property
+    def t_inf_error(self) -> Optional[float]:
+        """Error bar |t_inf - t_K| of the Richardson estimate."""
+        return None if self.t_inf is None else abs(self.t_inf - self.t_detect[-1])
+
+
+def estimate_blowup_time(outcomes_by_resolution: list[RunOutcome]) -> tuple[float, bool]:
+    """(finest detection time, converged) of the outcomes' :class:`Refinement`.
+
+    Kept for existing callers; raises ConfigError for fewer than 2 outcomes
+    or one that is not BLOWUP_DETECTED.
     """
     if len(outcomes_by_resolution) < 2:
-        raise EstimatorError("need at least 2 outcomes at increasing resolution")
-    times = []
+        raise ConfigError("need at least 2 outcomes at increasing resolution")
     for i, outcome in enumerate(outcomes_by_resolution):
         if outcome.status is not RunStatus.BLOWUP_DETECTED:
-            raise EstimatorError(
-                f"outcome {i} is {outcome.status.value}, not blowup_detected"
-            )
-        times.append(outcome.t_final)
-    estimate = times[-1]
-    converged = abs(times[-2] - times[-1]) < 0.05 * abs(times[-1])
-    return estimate, converged
+            raise ConfigError(f"outcome {i} is {outcome.status.value}, not blowup_detected")
+    refinement = Refinement(tuple(o.final_state.grid.n for o in outcomes_by_resolution),
+                            tuple(o.t_detect for o in outcomes_by_resolution))
+    return refinement.t_detect[-1], refinement.converged

@@ -10,13 +10,15 @@ package:
 
 * Cauchy-Schwarz slack: schwartz_gap >= -1e-10 (1 + F^2) at every record;
 * exponential energy bound: margin >= -1e-8 E1(0) on non-blow-up runs;
-* moment-identity residual: halving (dx, dt) shrinks it by >= 3x, and at
-  the finest level it stays below 1e-4 max(1/2 int v^2);
+* moment-identity residual: checked at every level of its ladder, halving
+  (dx, dt) shrinks it by >= 3x, and at the finest level it stays below 1e-4
+  max(1/2 int v^2);
 * support speed: within [-(L+ct)-5dx, (L+ct)+5dx] at relative level 1e-12;
 * cone vanishing: max |v| on the cone <= 1e-10 (1 + sup);
 * moment comparison F >= G: relative margin >= -1e-6 before detection;
-* blow-up: detection at every resolution, <5% refinement gap, detection
-  time <= 1.1 T*(eps=0.65) for the certified preset;
+* blow-up: detection at every level of its ladder, <5% refinement gap,
+  detection time <= 1.1 T*(eps=0.65) for the certified preset (the observed
+  order and the Richardson estimate are reported, not gated);
 * certificate vs brute force: interval endpoints within 1e-4 of a dense
   eps scan on 100 seeded random instances;
 * minorant closed form vs adaptive integration: 1e-8 relative.
@@ -32,12 +34,12 @@ import numpy as np
 
 from . import certificate as cert_mod
 from . import diagnostics
-from .config import ICConfig, OutputConfig, RunConfig
+from .config import ICConfig, OutputConfig, RunConfig, refinement_ladder
 from .errors import ConfigError
 from .initial_data import amplitude_for_sup_norm
 from .model import validate_params
 from .runner import RunReport, execute_config
-from .solver import Grid, RunStatus, estimate_blowup_time
+from .solver import Grid, Refinement, RunStatus
 
 __all__ = [
     "SuiteCheck",
@@ -59,9 +61,6 @@ BLOWUP_TSTAR_EPS = 0.65
 SCAN_STEP = 1e-4
 SCAN_INSTANCES = 100
 SCAN_SEED = 20240817
-
-IDENTITY_LEVELS = (512, 1024, 2048)
-BLOWUP_LEVELS = (1024, 2048, 4096)
 
 # Apex of the data-free cone observed by the cone preset: its base [3, 7]
 # at t = 0 is disjoint from the initial support [-1, 1].
@@ -130,13 +129,11 @@ def preset_configs(name: str, out_root: Optional[Path] = None) -> list[RunConfig
     if name == "cone":
         return [_member(out_root, "cone", 8.0, 2048, 2.0, 4, _small(0.1))]
     if name == "identity":
-        return [
-            _member(out_root, f"identity-n{n}", 2.5, n, 1.0, 4, _small(0.1))
-            for n in IDENTITY_LEVELS
-        ]
+        base = _member(out_root, "identity", 2.5, 513, 1.0, 4, _small(0.1))
+        return refinement_ladder(base, 3)
     if name == "blowup":
         ic = ICConfig(family="odd_bump", F0_target=40.0, F1_target=200.0)
-        return [_member(out_root, f"blowup-n{n}", 8.0, n, 6.5, 8, ic) for n in BLOWUP_LEVELS]
+        return refinement_ladder(_member(out_root, "blowup", 8.0, 1025, 6.5, 8, ic), 3)
     if name == "smalldata":
         return [_member(out_root, "smalldata", 52.0, 2048, 50.0, 16, _small(0.05))]
     if name == "certificate-oracle":
@@ -225,6 +222,10 @@ def _check_identity(run: PresetRun) -> list[SuiteCheck]:
             ", ".join(r.status for r in reports),
         )
     ]
+    unchecked = [c.grid.n for c, res in zip(configs, residuals) if res is None]
+    if unchecked:
+        return checks + [SuiteCheck("identity: residual checked at every level", False,
+                                    f"no uniformly spaced record triple at n={unchecked}")]
     for i in range(1, len(residuals)):
         ratio = residuals[i - 1] / residuals[i]
         checks.append(
@@ -258,7 +259,12 @@ def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
         )
     ]
     if checks[0].passed:
-        estimate, converged = estimate_blowup_time([r.outcome for r in reports])
+        ref = Refinement(tuple(c.grid.n for c in configs), tuple(r.t_detect for r in reports))
+        estimate = ref.t_detect[-1]
+        detail = f"estimate {estimate:.5f}, previous {ref.t_detect[-2]:.5f}"
+        if ref.t_inf is not None:
+            detail += (f", order p {ref.order:.3f}, "
+                       f"t_inf {ref.t_inf:.5f} +- {ref.t_inf_error:.5f}")
         t_star_ref = cert_mod.t_star(
             BLOWUP_TSTAR_EPS, configs[0].ic.F0_target, configs[0].params
         )
@@ -266,8 +272,8 @@ def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
         checks += [
             SuiteCheck(
                 "blowup: refinement-converged detection time (<5% gap)",
-                converged,
-                f"estimate {estimate:.5f}, previous {reports[-2].t_final:.5f}",
+                ref.converged,
+                detail,
             ),
             SuiteCheck(
                 f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})",

@@ -5,6 +5,7 @@ criterion.  Tolerances are pinned here exactly as stated; the expensive
 simulation fixtures live in conftest.py and are shared across the suite.
 """
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -24,12 +25,13 @@ from hyperburg import solver
 from hyperburg.config import config_from_dict
 from hyperburg.diagnostics import gronwall_check_E1
 from hyperburg.errors import ConfigError
-from hyperburg.runner import execute_config
-from hyperburg.solver import RunStatus, estimate_blowup_time
+from hyperburg.runner import execute_config, write_csv
+from hyperburg.solver import Refinement, RunStatus
 from hyperburg.suite import (
     BLOWUP_TSTAR_EPS,
     CONE_APEX,
     PRESET_NAMES,
+    PresetRun,
     SCAN_INSTANCES,
     SCAN_SEED,
     check_preset,
@@ -106,7 +108,7 @@ def test_criterion_04_moment_identity_convergence(identity_reports):
     ratios = [residuals[i - 1] / residuals[i] for i in range(1, len(residuals))]
     ok = all(r >= 3.0 for r in ratios)
     check(4, "discrete residual of mu F'' + F' = 1/2 int v^2 shrinks by "
-             ">= 3x per (dx, dt) halving over n in {512, 1024, 2048}", ok,
+             ">= 3x per (dx, dt) halving over n in {513, 1025, 2049}", ok,
           "residuals " + ", ".join(f"{r:.3e}" for r in residuals)
           + "; ratios " + ", ".join(f"{r:.2f}" for r in ratios))
 
@@ -148,9 +150,11 @@ def test_criterion_07_blowup_reproduction(blowup_reports):
     detected = all(
         r.status == RunStatus.BLOWUP_DETECTED.value for r in blowup_reports
     )
-    estimate, converged = estimate_blowup_time(
-        [r.outcome for r in blowup_reports]
+    refinement = Refinement(
+        tuple(r.outcome.final_state.grid.n for r in blowup_reports),
+        tuple(r.t_detect for r in blowup_reports),
     )
+    estimate, converged = refinement.t_detect[-1], refinement.converged
     ts_ref = t_star(BLOWUP_TSTAR_EPS, 40.0, UNIT)
     time_ok = estimate <= 1.1 * ts_ref
     interval = blowup_reports[-1].certificate["eps_interval"]
@@ -216,19 +220,23 @@ def test_criterion_09_gronwall_energy_bound(
              "non-blow-up presets", ok, f"worst {worst:.3e} in {worst_tag}")
 
 
-def test_criterion_10_determinism(tmp_path):
-    # The first member of each preset is its cheapest (coarsest) run.
+def test_criterion_10_determinism(tmp_path, preset_run):
+    # The session run of each preset's first member (its cheapest run) is
+    # written to CSV here; a fresh run of its echoed config must match it.
     failures = []
     for tag in RUN_PRESETS:
-        doc = preset_configs(tag)[0].to_dict()
-        doc["output"] = {"directory": str(tmp_path / tag / "a"),
+        run = preset_run(tag)
+        config, report = run.configs[0], run.reports[0]
+        cert = cert_mod.build_certificate(
+            config.params, report.certificate["F0"], report.certificate["F1"]
+        )
+        session_csv = tmp_path / f"{tag}-session.csv"
+        write_csv(session_csv, report.outcome, cert, config.params)
+        doc = config.to_dict()
+        doc["output"] = {"directory": str(tmp_path / tag),
                          "emit_csv": True, "emit_report": True}
-        first = execute_config(config_from_dict(doc))
-        second = execute_config(config_from_dict(doc),
-                                out_dir=tmp_path / tag / "b")
-        a = Path(first.files["csv"]).read_bytes()
-        b = Path(second.files["csv"]).read_bytes()
-        if a != b:
+        rerun = execute_config(config_from_dict(doc))
+        if Path(rerun.files["csv"]).read_bytes() != session_csv.read_bytes():
             failures.append(tag)
     ok = not failures
     check(10, "re-running every preset family reproduces bit-identical CSV",
@@ -269,10 +277,22 @@ def test_preset_table_steps_nothing(monkeypatch):
                 files = out_root is not None
                 assert config.output.emit_csv is files and config.output.emit_report is files
     dirs = [c.output.directory for p in PRESET_NAMES for c in preset_configs(p, Path("R"))]
-    tags = ["propagation", "cone", "identity-n512", "identity-n1024", "identity-n2048",
-            "blowup-n1024", "blowup-n2048", "blowup-n4096", "smalldata"]
+    tags = ["propagation", "cone", "identity-n513", "identity-n1025", "identity-n2049",
+            "blowup-n1025", "blowup-n2049", "blowup-n4097", "smalldata"]
     assert dirs == [str(Path("R", tag)) for tag in tags]
     assert preset_configs("certificate-oracle") == []
+
+
+def test_identity_check_fails_when_no_residual_was_checked():
+    # Cut to t_end = 0.005 the members end after 2, 2 and 3 records, none of
+    # which holds a uniform triple, so every identity residual is None.
+    configs = [dataclasses.replace(c, t_end=0.005) for c in preset_configs("identity")]
+    reports = [execute_config(c) for c in configs]
+    assert [r.n_records for r in reports] == [2, 2, 3]
+    assert all(r.worst["identity_residual_max"] is None for r in reports)
+    failed = [c for c in check_preset(PresetRun("identity", configs, reports)) if not c.passed]
+    assert [c.name for c in failed] == ["identity: residual checked at every level"]
+    assert "n=[513, 1025, 2049]" in failed[0].detail
 
 
 def test_unknown_preset_lists_valid_ones():

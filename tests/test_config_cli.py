@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,8 +9,10 @@ import pytest
 
 from hyperburg import ConfigError, RunStatus
 from hyperburg.cli import main
-from hyperburg.config import config_from_dict, load_config, resolve_output_dir
+from hyperburg.config import (config_from_dict, load_config, refinement_ladder,
+                              resolve_output_dir)
 from hyperburg.runner import CSV_COLUMNS, execute_config
+from hyperburg.solver import stable_dt
 
 
 def base_doc(outdir="out"):
@@ -117,6 +120,28 @@ class TestConfigParsing:
         bad.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(bad)
+
+
+class TestRefinementLadder:
+    @pytest.mark.parametrize("doc", [blowup_doc("runs/b", n=1025), base_doc("runs/a")],
+                             ids=["blowup", "small"])
+    def test_levels_halve_dx_and_keep_everything_else(self, doc):
+        base = config_from_dict(doc)
+        ladder = refinement_ladder(base, 4)
+        n0 = base.grid.n
+        assert [c.grid.n for c in ladder] == [(n0 - 1) * 2**k + 1 for k in range(4)]
+        for coarse, fine in zip(ladder, ladder[1:]):
+            assert coarse.grid.dx == 2.0 * fine.grid.dx
+            assert stable_dt(coarse.grid, base.params, base.cfl) == 2.0 * stable_dt(
+                fine.grid, base.params, base.cfl)
+        for config in ladder:
+            assert config.output.directory == f"{doc['output']['directory']}-n{config.grid.n}"
+            assert dataclasses.replace(config, grid=base.grid, output=base.output) == base
+            assert config_from_dict(config.to_dict()) == config
+
+    def test_needs_two_levels(self):
+        with pytest.raises(ConfigError, match="levels >= 2"):
+            refinement_ladder(config_from_dict(base_doc()), 1)
 
 
 class TestOutputResolution:
@@ -285,6 +310,20 @@ class TestCLI:
         assert [lvl["n"] for lvl in doc["levels"]] == [513, 1025]
         assert all(lvl["status"] == "blowup_detected" for lvl in doc["levels"])
         assert "converged" in doc and "t_m_estimate" in doc
+        assert doc["order"] is None and doc["t_inf"] is None and doc["t_inf_error"] is None
+
+    def test_convergence_study_three_levels(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(blowup_doc(str(tmp_path / "conv"), n=513)))
+        assert main(["convergence", "--config", str(cfg), "--levels", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [lvl["n"] for lvl in doc["levels"]] == [513, 1025, 2049]
+        t = [lvl["t_detect"] for lvl in doc["levels"]]
+        assert doc["t_m_estimate"] == t[-1]
+        assert doc["order"] == math.log2((t[0] - t[1]) / (t[1] - t[2]))
+        assert doc["t_inf"] == t[2] + (t[2] - t[1]) / (2.0 ** doc["order"] - 1.0)
+        assert doc["t_inf_error"] == abs(doc["t_inf"] - t[2])
+        assert (tmp_path / "conv-n2049" / "records.csv").exists()
 
     def test_convergence_needs_levels(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

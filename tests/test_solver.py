@@ -3,11 +3,10 @@ import pytest
 
 from hyperburg import (
     ConfigError,
-    EstimatorError,
     ParameterError,
+    Refinement,
     RunStatus,
     amplitude_for_sup_norm,
-    estimate_blowup_time,
     integrate,
     sample_initial_state,
     stable_dt,
@@ -19,6 +18,7 @@ from hyperburg import solver
 from hyperburg.diagnostics import compute_record
 from hyperburg.solver import (
     Grid,
+    estimate_blowup_time,
     GridState,
     RunOutcome,
     StepWorkspace,
@@ -301,26 +301,70 @@ class TestIntegrate:
             assert a.support_left - b.support_left <= c * dt_rec + 5 * config_grid_dx
 
 
+class TestRefinement:
+    def test_identical_times_converged(self):
+        ref = Refinement((513, 1025), (2.0, 2.0))
+        assert ref.t_detect[-1] == 2.0 and ref.converged
+
+    def test_large_gap_not_converged(self):
+        ref = Refinement((513, 1025), (5.0, 4.0))
+        assert ref.t_detect[-1] == 4.0 and not ref.converged
+
+    def test_missed_detection_not_converged(self):
+        ref = Refinement((513, 1025, 2049), (1.0, None, 1.0))
+        assert not ref.converged
+        assert ref.order is None and ref.t_inf is None and ref.t_inf_error is None
+
+    def test_single_level_not_converged(self):
+        assert not Refinement((513,), (1.0,)).converged
+
+    def test_richardson_recovers_second_order(self):
+        # Synthetic detection times t = t_inf + C h^2 on dx = 1/64, 1/128, 1/256.
+        t_inf, C = 0.17, 3.0
+        h = [1.0 / 64, 1.0 / 128, 1.0 / 256]
+        ref = Refinement((1025, 2049, 4097), tuple(t_inf + C * hk * hk for hk in h))
+        assert abs(ref.order - 2.0) <= 1e-12
+        assert abs(ref.t_inf - t_inf) <= 1e-12
+        assert ref.t_inf_error == abs(ref.t_inf - ref.t_detect[-1])
+
+    @pytest.mark.parametrize(
+        "times",
+        [(2.0, 1.0), (3.0, 2.0, 2.0), (2.0, 2.0, 1.0), (3.0, 2.0, 2.5)],
+        ids=["two-levels", "zero-fine-gap", "zero-coarse-gap", "sign-change"],
+    )
+    def test_no_order(self, times):
+        ref = Refinement(tuple(range(len(times))), times)
+        assert ref.order is None and ref.t_inf is None and ref.t_inf_error is None
+
+    def test_no_extrapolation_when_gaps_do_not_shrink(self):
+        ref = Refinement((513, 1025, 2049), (3.0, 2.0, 1.0))
+        assert ref.order == 0.0 and ref.t_inf is None and ref.t_inf_error is None
+
+    def test_blowup_preset_converges(self, blowup_reports):
+        ref = Refinement(
+            tuple(r.outcome.final_state.grid.n for r in blowup_reports),
+            tuple(r.t_detect for r in blowup_reports),
+        )
+        assert ref.n == (1025, 2049, 4097)
+        assert ref.converged
+        assert ref.t_detect[-1] == blowup_reports[-1].t_final
+        assert ref.order is not None and ref.t_inf < ref.t_detect[-1]
+
+
 class TestEstimateBlowupTime:
+    """The alias kept for existing callers of the refinement summary."""
+
     def _outcome(self, t, status=RunStatus.BLOWUP_DETECTED):
         return RunOutcome(status=status, t_final=t, records=[], final_state=None)
 
-    def test_identical_times_converged(self):
-        est, conv = estimate_blowup_time([self._outcome(2.0), self._outcome(2.0)])
-        assert est == 2.0 and conv
-
-    def test_large_gap_not_converged(self):
-        est, conv = estimate_blowup_time([self._outcome(5.0), self._outcome(4.0)])
-        assert est == 4.0 and not conv
-
     def test_requires_blowup_outcomes(self):
-        with pytest.raises(EstimatorError):
+        with pytest.raises(ConfigError, match="outcome 1 is completed, not blowup_detected"):
             estimate_blowup_time(
                 [self._outcome(1.0), self._outcome(1.0, RunStatus.COMPLETED)]
             )
 
     def test_requires_two_outcomes(self):
-        with pytest.raises(EstimatorError):
+        with pytest.raises(ConfigError, match="need at least 2 outcomes"):
             estimate_blowup_time([self._outcome(1.0)])
 
     def test_refinement_study_converges(self, blowup_reports):
