@@ -15,6 +15,7 @@ Subcommands:
   the blow-up detection time on the nested ladder n_k = (n0 - 1) 2^k + 1,
   K >= 2; prints each level's time, the <5% convergence flag, the observed
   order and the Richardson estimate t_inf +- t_inf_error (null below 3) as JSON.
+  Level k writes to ``<config directory>-n<n_k>``; --out DIR moves it under DIR.
 
 The HYPERBURG_OUT environment variable, when set, roots all relative
 output directories.  Numeric output is round-trip double precision.
@@ -25,6 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from pathlib import Path
 from typing import Optional
 
 from .certificate import build_certificate, check_moment_thresholds
@@ -120,9 +123,12 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    ladder = refinement_ladder(load_config(args.config), args.levels)
-    reports = [execute_config(c, out_dir=args.out and f"{args.out}/level-n{c.grid.n}")
-               for c in ladder]
+    base = load_config(args.config)
+    if args.out is not None:
+        directory = Path(args.out) / Path(base.output.directory).name
+        base = replace(base, output=replace(base.output, directory=str(directory)))
+    ladder = refinement_ladder(base, args.levels)
+    reports = [execute_config(c) for c in ladder]
     ref = Refinement(tuple(c.grid.n for c in ladder), tuple(r.t_detect for r in reports))
     doc: dict = {"levels": [{"n": n, "status": r.status, "t_detect": r.t_detect}
                             for n, r in zip(ref.n, reports)]}

@@ -7,7 +7,7 @@ quadrature-error level.  Integrals of squares and the moments share one
 trapezoid helper, :func:`~hyperburg.operators.trapezoid_dot`.  Higher time
 derivatives (v_tt, v_ttt) are reconstructed from the equation instead of
 stored; during a run the solver passes in v_tt, the slope its next step
-starts from.
+starts from, and a :class:`RecordWorkspace` for every array a record writes.
 
 Monitored quantities (all but the cone maximum are fields of the record
 that :func:`compute_record` assembles; the cone maximum is a streaming
@@ -47,6 +47,7 @@ __all__ = [
     "support_interval",
     "identity_residual",
     "gronwall_check_E1",
+    "RecordWorkspace",
     "compute_record",
     "SUPPORT_REL_THRESHOLD",
 ]
@@ -96,15 +97,19 @@ def moment_Fprime(state: GridState) -> float:
     return trapezoid_dot(state.grid.nodes(), state.w, state.grid.dx)
 
 
-def support_interval(state: GridState, threshold: float) -> tuple[float, float]:
+def support_interval(state: GridState, threshold: float,
+                     magnitude: Optional[np.ndarray] = None) -> tuple[float, float]:
     """Outermost nodes where |v| or |w| exceeds the threshold.
 
-    Returns (0.0, 0.0) as the empty-support marker when neither field
-    exceeds it anywhere.
+    ``magnitude`` is |(v, w)| as a ``(2, n)`` block, computed here unless
+    given.  Returns (0.0, 0.0) as the empty-support marker when neither
+    field exceeds the threshold anywhere.
     """
     if not (threshold > 0.0):
         raise ParameterError(f"support threshold must be positive, got {threshold}")
-    live = (np.abs(state.v) > threshold) | (np.abs(state.w) > threshold)
+    if magnitude is None:
+        magnitude = np.abs(state.block())
+    live = (magnitude > threshold).any(axis=0)
     idx = np.flatnonzero(live)
     if idx.size == 0:
         return (0.0, 0.0)
@@ -219,11 +224,23 @@ class ConeMax:
         return self._worst
 
 
+class RecordWorkspace:
+    """The arrays :func:`compute_record` writes, for v of this ``shape``: first
+    and second differences and magnitude of the (v, w) block, and scratch."""
+
+    __slots__ = ("d1", "d2", "magnitude", "ttt", "flux", "xtt")
+
+    def __init__(self, shape):
+        self.d1, self.d2, self.magnitude = (np.empty((2, *shape)) for _ in range(3))
+        self.ttt, self.flux, self.xtt = (np.empty(shape) for _ in range(3))
+
+
 def compute_record(
     state: GridState,
     params: ModelParams,
     prev: Optional[DiagnosticsRecord] = None,
     v_tt: Optional[np.ndarray] = None,
+    work: Optional[RecordWorkspace] = None,
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one state.
 
@@ -231,22 +248,30 @@ def compute_record(
     previous record during a run, or None for a standalone/initial record.
     ``v_tt`` is dw/dt from ``pde_rhs`` at this state when the caller has it
     (the solver's stage-1 slope); it is only read.  Without it the record
-    computes it, with the same function and the same result.
+    computes it, with the same function and the same result.  ``work``
+    holds the arrays the record writes; a fresh one gives the same bits.
     """
+    if work is None:
+        work = RecordWorkspace(state.v.shape)
     dx = state.grid.dx
     c2 = params.c * params.c
+    u = state.block()
     with np.errstate(over="ignore", invalid="ignore"):
-        v_x = d1_central(state.v, dx)
-        v_xx = d2_central(state.v, dx)
-        w_x = d1_central(state.w, dx)
-        w_xx = d2_central(state.w, dx)
+        v_x, w_x = d1_central(u, dx, out=work.d1)
+        v_xx, w_xx = d2_central(u, dx, out=work.d2)
         if v_tt is None:
             _, v_tt = pde_rhs(state.v, state.w, dx, params.mu, params.nu)
-        # d/dt of the w-equation: flux v^2/2 differentiates to v*w.
-        v_ttt = (params.nu * w_xx - d1_central(state.v * state.w, dx) - v_tt) / params.mu
-        v_ttt[0] = v_ttt[-1] = 0.0
-        v_xxx = d1_central(v_xx, dx)
-        v_xtt = d1_central(v_tt, dx)
+        # d/dt of the w-equation (flux v^2/2 differentiates to v*w), in place.
+        v_ttt, flux = work.ttt, work.flux
+        np.multiply(state.v, state.w, out=v_ttt)
+        d1_central(v_ttt, dx, out=flux)
+        np.multiply(w_xx, params.nu, out=v_ttt)
+        np.subtract(v_ttt, flux, out=v_ttt)
+        np.subtract(v_ttt, v_tt, out=v_ttt)
+        np.divide(v_ttt, params.mu, out=v_ttt)
+        v_ttt[..., 0] = v_ttt[..., -1] = 0.0
+        v_xxx = d1_central(v_xx, dx, out=flux)
+        v_xtt = d1_central(v_tt, dx, out=work.xtt)
 
         e1 = 0.5 * (
             trapezoid_dot(state.w, state.w, dx) + c2 * trapezoid_dot(v_x, v_x, dx)
@@ -262,9 +287,10 @@ def compute_record(
         int_vxxt2 = trapezoid_dot(w_xx, w_xx, dx)
         half_v2 = 0.5 * trapezoid_dot(state.v, state.v, dx)
 
-        sup = state.sup_norm()
+        magnitude = np.abs(u, out=work.magnitude)
+        sup = float(magnitude[0].max())  # GridState.sup_norm, from the same pass
         left, right = support_interval(
-            state, SUPPORT_REL_THRESHOLD * (1.0 + sup)
+            state, SUPPORT_REL_THRESHOLD * (1.0 + sup), magnitude
         )
         f = moment_F(state)
         fp = moment_Fprime(state)

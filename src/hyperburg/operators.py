@@ -13,7 +13,8 @@ like its input; with it the call allocates no array.  An ``out`` buffer must
 not overlap the inputs.
 
 :func:`pde_rhs` evaluates the interior of dw/dt in one fused sequence of
-in-place ufunc passes; see its docstring for the factored form.
+in-place ufunc passes (see its docstring), held once by :class:`RhsKernel`:
+the solver binds one kernel per run, :func:`pde_rhs` one per call.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "trapezoid_dot",
     "d1_central",
     "d2_central",
+    "stencil_views",
+    "RhsKernel",
     "pde_rhs",
 ]
 
@@ -69,6 +72,48 @@ def d2_central(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.nd
     return out
 
 
+def stencil_views(fields) -> tuple[np.ndarray, ...]:
+    """v[i+1], v[i-1], v[i], w[i] over the interior, from a (v, w) pair or block."""
+    v, w = fields[0], fields[1]
+    return v[..., 2:], v[..., :-2], v[..., 1:-1], w[..., 1:-1]
+
+
+class RhsKernel:
+    """The arithmetic of :func:`pde_rhs`, bound to one (dv, dw) pair or block ``out``.
+
+    Construction zeroes the boundary of ``out`` and keeps views of its
+    interiors; a call writes only those interiors and returns ``out``, so
+    the boundary stays zero while no one else writes to it.
+    """
+
+    __slots__ = ("out", "dv", "dw")
+
+    def __init__(self, out):
+        self.out = out
+        for f in out[0], out[1]:
+            f[..., 0] = f[..., -1] = 0.0
+        self.dv, self.dw = out[0][..., 1:-1], out[1][..., 1:-1]
+
+    def __call__(self, views: tuple[np.ndarray, ...], dx: float, mu: float, nu: float):
+        """Slope of the fields with these :func:`stencil_views`; the dv/dt
+        interior serves as scratch before w is copied into it."""
+        v_right, v_left, v_mid, w_mid = views
+        a = nu / (mu * dx * dx)
+        b = 1.0 / (4.0 * mu * dx)
+        s, scratch = self.dw, self.dv
+        np.subtract(v_right, v_left, out=scratch)
+        np.multiply(scratch, -b, out=scratch)
+        np.add(scratch, a, out=scratch)
+        np.add(v_right, v_left, out=s)
+        np.multiply(s, scratch, out=s)
+        np.multiply(v_mid, 2.0 * a, out=scratch)
+        np.subtract(s, scratch, out=s)
+        np.divide(w_mid, mu, out=scratch)
+        np.subtract(s, scratch, out=s)
+        np.copyto(scratch, w_mid)
+        return self.out
+
+
 def pde_rhs(
     v: np.ndarray,
     w: np.ndarray,
@@ -91,30 +136,11 @@ def pde_rhs(
         (a - b*d) * s - 2a * v[i] - w[i] / mu,
         a = nu / (mu dx^2),   b = 1 / (4 mu dx),
 
-    which is evaluated in place; the dv/dt buffer serves as scratch before
-    w is copied into it.  ``out=(dv, dw)`` supplies the two result buffers
-    (shaped like v, overlapping neither input); without it they are
-    allocated.  Boundary entries of both slopes are zero (pinned nodes).
+    which a :class:`RhsKernel` bound to the result buffers evaluates in
+    place.  ``out=(dv, dw)`` supplies the two result buffers (shaped like v,
+    overlapping neither input); without it they are allocated.  Boundary
+    entries of both slopes are zero (pinned nodes).
     """
     if out is None:
-        dv, dw = np.empty_like(w), np.empty_like(v)
-    else:
-        dv, dw = out
-    a = nu / (mu * dx * dx)
-    b = 1.0 / (4.0 * mu * dx)
-    v_right, v_left = v[..., 2:], v[..., :-2]
-    s = dw[..., 1:-1]
-    scratch = dv[..., 1:-1]
-    np.subtract(v_right, v_left, out=scratch)
-    np.multiply(scratch, -b, out=scratch)
-    np.add(scratch, a, out=scratch)
-    np.add(v_right, v_left, out=s)
-    np.multiply(s, scratch, out=s)
-    np.multiply(v[..., 1:-1], 2.0 * a, out=scratch)
-    np.subtract(s, scratch, out=s)
-    np.divide(w[..., 1:-1], mu, out=scratch)
-    np.subtract(s, scratch, out=s)
-    dw[..., 0] = dw[..., -1] = 0.0
-    np.copyto(dv, w)
-    dv[..., 0] = dv[..., -1] = 0.0
-    return dv, dw
+        out = (np.empty_like(w), np.empty_like(v))
+    return RhsKernel(out)(stencil_views((v, w)), dx, mu, nu)

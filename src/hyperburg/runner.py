@@ -6,20 +6,24 @@ Outputs per run:
   E3, support_left, support_right, schwartz_gap, G_lower_bound (empty when
   no certificate applies), half_int_v2 - everything an acceptance check
   needs is recomputable from this file alone;
-* ``report.json`` with the config echo, the certificate, the outcome, and
-  the worst-case value of every monitored inequality margin.
+* ``report.json`` with the config echo, the certificate, the outcome, the
+  worst-case value of every monitored inequality margin, and ``perf``
+  (steps, dt, and wall seconds for set-up, stepping, records and output).
 
 Numbers are serialized with round-trip precision (repr), so re-running the
-report's echoed config reproduces the CSV bit for bit.
+report's echoed config reproduces the CSV bit for bit; only the ``perf``
+timings of ``report.json`` vary between runs.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 from typing import Callable, Optional
 
 from . import diagnostics
@@ -65,14 +69,15 @@ class RunReport:
     sobolev: dict
     n_records: int
     files: dict
+    perf: dict = dataclasses.field(default_factory=dict, compare=False)
     outcome: Optional[RunOutcome] = dataclasses.field(
         default=None, repr=False, compare=False
     )
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc.pop("outcome")
-        return doc
+        """The serialised fields, copied; the outcome is never visited."""
+        return {f.name: copy.deepcopy(getattr(self, f.name))
+                for f in dataclasses.fields(self) if f.name != "outcome"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -184,6 +189,7 @@ def execute_config(
     ``observe`` is handed to :func:`~hyperburg.solver.integrate`.
     Validation problems raise before any file is written.
     """
+    t_setup = perf_counter()
     params = config.params
     grid = config.grid
     if config.ic.uses_targets:
@@ -201,6 +207,7 @@ def execute_config(
     f1 = diagnostics.moment_Fprime(state0)
     cert = build_certificate(params, f0, f1)
 
+    t_run = perf_counter()
     outcome = integrate(
         state0,
         params,
@@ -210,6 +217,7 @@ def execute_config(
         cfl=config.cfl,
         observe=observe,
     )
+    t_output = perf_counter()
 
     last = outcome.records[-1]
     sobolev = {
@@ -238,6 +246,10 @@ def execute_config(
         csv_path = target / "records.csv"
         write_csv(csv_path, outcome, cert, params)
         files["csv"] = str(csv_path)
+    # Set-up is initial data and certificate; output is margins and CSV.
+    report.perf = dict(n_steps=outcome.n_steps, dt=outcome.dt, setup_s=t_run - t_setup,
+                       stepping_s=t_output - t_run - outcome.record_s,
+                       records_s=outcome.record_s, output_s=perf_counter() - t_output)
     if config.output.emit_report:
         report_path = target / "report.json"
         report_path.write_text(report.to_json() + "\n", encoding="utf-8")

@@ -6,15 +6,15 @@ with dt = min(cfl * dx / c, mu).  The domain is sized so the exact support
 {|x| <= L + c t} never reaches the boundary; the two boundary nodes are
 pinned to zero, which substitutes for boundary conditions entirely.
 
-Stepping kernel: :func:`integrate` is the one stepping loop.  It builds one
-:class:`StepWorkspace` per run (stage slope, accumulator, stage input and
-scratch, each shaped like ``v``) and passes it to :func:`step_rk4`, whose
-stages call :func:`~hyperburg.operators.pde_rhs` with ``out=`` buffers; a
-step allocates only the two arrays of the new state.  The arrays act on the
-last axis, so a ``(B, n)`` state steps B fields at once.  When a record is
-due, the slope of the new state is computed once into the workspace: the
+Stepping kernel: :func:`integrate` is the one stepping loop.  A step works
+on (v, w) as one ``(2, ...)`` block (:meth:`GridState.block`): each stage
+input, accumulation, update and boundary pin is one array call.  A run binds
+one :class:`StepWorkspace` (buffers, slope kernel and stencil views, made
+once) and a step allocates only the new state's block.  The arrays act on
+the last axis, so a ``(B, n)`` state steps B fields at once.  When a record
+is due, the slope of the new state is computed once into the workspace: the
 record takes its dw/dt as v_tt, and the next step reuses it as its stage-1
-slope, so a run makes exactly 4 * steps + 1 ``pde_rhs`` calls whatever the
+slope, so a run makes exactly 4 * steps + 1 slope evaluations whatever the
 record stride.  A check that needs fields rather than records (the cone
 maximum, say) passes an ``observe`` callback, which sees the initial state
 and then every finite state the run reaches, in order, with no state kept.
@@ -30,14 +30,15 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, compute_record
+from .diagnostics import DiagnosticsRecord, RecordWorkspace, compute_record
 from .errors import ConfigError, ParameterError
 from .model import ModelParams
-from .operators import pde_rhs
+from .operators import RhsKernel, stencil_views
 
 __all__ = [
     "Grid",
@@ -100,6 +101,20 @@ class GridState:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.v)))
 
+    def block(self) -> np.ndarray:
+        """(v, w) as one ``(2, ...)`` array: for a state made by :func:`step_rk4`
+        the block whose rows v and w are; otherwise a stacked copy, not kept."""
+        packed = self.__dict__.get("_packed")
+        if packed is not None and packed[1] is self.v and packed[2] is self.w:
+            return packed[0]
+        return np.stack((self.v, self.w))
+
+    @classmethod
+    def _of_block(cls, grid: Grid, t: float, u: np.ndarray) -> GridState:
+        state = cls(grid=grid, t=t, v=u[0], w=u[1])
+        state._packed = (u, state.v, state.w)
+        return state
+
 
 class RunStatus(enum.Enum):
     COMPLETED = "completed"
@@ -114,12 +129,17 @@ class RunOutcome:
     ``t_final`` is the horizon actually reached: the detection time for
     BLOWUP_DETECTED, the time of the first non-finite state for
     NUMERICAL_FAILURE, and the first time >= t_end otherwise.
+    ``n_steps`` steps of ``dt`` were taken; ``record_s`` is the wall time
+    spent in :func:`~hyperburg.diagnostics.compute_record`.
     """
 
     status: RunStatus
     t_final: float
     records: list[DiagnosticsRecord] = field(default_factory=list)
     final_state: Optional[GridState] = None
+    n_steps: int = 0
+    dt: float = 0.0
+    record_s: float = field(default=0.0, compare=False)
 
     @property
     def t_detect(self) -> Optional[float]:
@@ -138,31 +158,31 @@ def stable_dt(grid: Grid, params: ModelParams, cfl: float) -> float:
 
 
 class StepWorkspace:
-    """Preallocated RK4 buffers for one run, each shaped like ``v``.
+    """Buffers and bound views for one run's steps and records.
 
-    ``kv, kw`` hold the stage slope, ``av, aw`` the accumulated weighted
-    slopes, ``sv, sw`` the stage input and ``scratch`` is free for the
-    caller.  ``slope_of`` is the state whose slope the slope buffers hold
-    (set by :meth:`load_slope`), or None; :func:`step_rk4` reuses that
-    slope as stage 1 of a step from the same state object and clears the
-    mark, since the stages overwrite the buffers.  A marked state's arrays
-    must not be changed in place.
+    ``s`` (stage input), ``k`` (stage slope) and ``acc`` (weighted slope
+    sum) are ``(2, *shape)`` blocks; ``rhs`` is the slope kernel bound to
+    ``k``, ``stage`` the stencil views of ``s``, ``record`` the records'
+    buffers.  ``slope_of`` is the state whose slope ``k`` holds (set by
+    :meth:`load_slope`), or None; :func:`step_rk4` reuses that slope as
+    stage 1 of a step from the same state object and clears the mark, since
+    the stages overwrite ``k``.  A marked state's arrays must not change.
     """
 
-    __slots__ = ("kv", "kw", "av", "aw", "sv", "sw", "scratch", "slope_of")
+    __slots__ = ("s", "k", "acc", "rhs", "stage", "record", "slope_of")
 
     def __init__(self, shape):
-        self.kv, self.kw, self.av, self.aw, self.sv, self.sw, self.scratch = (
-            np.empty(shape) for _ in range(7)
-        )
+        self.s, self.k, self.acc = (np.empty((2, *shape)) for _ in range(3))
+        self.rhs = RhsKernel(self.k)
+        self.stage = stencil_views(self.s)
+        self.record = RecordWorkspace(shape)
         self.slope_of: Optional[GridState] = None
 
     def load_slope(self, state: GridState, params: ModelParams) -> np.ndarray:
-        """Slope of ``state`` into (kv, kw), marked for reuse; returns kw = v_tt."""
-        pde_rhs(state.v, state.w, state.grid.dx, params.mu, params.nu,
-                out=(self.kv, self.kw))
+        """Slope of ``state`` into ``k``, marked for reuse; returns dw/dt = v_tt."""
+        self.rhs(stencil_views((state.v, state.w)), state.grid.dx, params.mu, params.nu)
         self.slope_of = state
-        return self.kw
+        return self.k[1]
 
 
 def step_rk4(
@@ -175,42 +195,37 @@ def step_rk4(
 
     ``work`` supplies the stage buffers (a fresh workspace when None); if it
     holds the slope of this very state (see :meth:`StepWorkspace.load_slope`)
-    that slope is stage 1 and the step makes three ``pde_rhs`` calls instead
-    of four.  Only the new state's two arrays are allocated.  The slopes are
-    combined as v + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order.
+    that slope is stage 1 and the step evaluates three slopes instead of
+    four.  Only the new state's (v, w) block is allocated.  The slopes are
+    combined as u + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order;
+    k4's weight of 1.0 is exact and so is not multiplied out.
     """
     if work is None:
         work = StepWorkspace(state.v.shape)
-    dx = state.grid.dx
-    mu, nu = params.mu, params.nu
-    v, w = state.v, state.w
-    kv, kw, av, aw, sv, sw = work.kv, work.kw, work.av, work.aw, work.sv, work.sw
+    dx, mu, nu = state.grid.dx, params.mu, params.nu
+    u = state.block()
+    s, k, acc, rhs = work.s, work.k, work.acc, work.rhs
 
     if work.slope_of is not state:
-        pde_rhs(v, w, dx, mu, nu, out=(kv, kw))
+        rhs(stencil_views(u), dx, mu, nu)
     work.slope_of = None
-    np.copyto(av, kv)
-    np.copyto(aw, kw)
+    np.copyto(acc, k)
     for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
-        np.multiply(kv, h, out=sv)
-        np.add(v, sv, out=sv)
-        np.multiply(kw, h, out=sw)
-        np.add(w, sw, out=sw)
-        pde_rhs(sv, sw, dx, mu, nu, out=(kv, kw))
-        # The stage input is spent, so it holds weight * k; k itself feeds
-        # the next stage input.
-        np.multiply(kv, weight, out=sv)
-        np.add(av, sv, out=av)
-        np.multiply(kw, weight, out=sw)
-        np.add(aw, sw, out=aw)
+        np.multiply(k, h, out=s)
+        np.add(u, s, out=s)
+        rhs(work.stage, dx, mu, nu)
+        if weight == 1.0:
+            np.add(acc, k, out=acc)
+        else:
+            # The stage input is spent, so it holds weight * k; k itself
+            # feeds the next stage input.
+            np.multiply(k, weight, out=s)
+            np.add(acc, s, out=acc)
 
-    np.multiply(av, dt / 6.0, out=av)
-    np.multiply(aw, dt / 6.0, out=aw)
-    v_new = v + av
-    w_new = w + aw
-    v_new[..., 0] = v_new[..., -1] = 0.0
-    w_new[..., 0] = w_new[..., -1] = 0.0
-    return GridState(grid=state.grid, t=state.t + dt, v=v_new, w=w_new)
+    np.multiply(acc, dt / 6.0, out=acc)
+    u_new = u + acc
+    u_new[..., 0] = u_new[..., -1] = 0.0
+    return GridState._of_block(state.grid, state.t + dt, u_new)
 
 
 def check_domain_margin(grid: Grid, params: ModelParams, t_end: float) -> None:
@@ -255,9 +270,9 @@ def integrate(
     first non-finite state (NUMERICAL_FAILURE; no record is emitted for a
     broken state), or at the first time >= t_end.
 
-    Run health is read from one pass over ``v`` per step: sup = max|v|
-    serves the threshold and, since NaN propagates through the max and inf
-    stays inf, the finiteness of ``v``; ``w`` is checked with isfinite.
+    Run health is one max and one min per row of the stepped (v, w) block:
+    NaN propagates through both and +-inf shows in one, so the extremes are
+    finite exactly when v and w are; sup|v| = max(max v, -min v).
 
     ``observe``, when given, is called with state0 before stepping and then
     with every finite state, in order; never with a non-finite state.  It
@@ -277,45 +292,40 @@ def integrate(
 
     dt = stable_dt(state0.grid, params, cfl)
     work = StepWorkspace(state0.v.shape)
-    v_tt = work.load_slope(state0, params)
-    records: list = [compute_record(state0, params, prev=None, v_tt=v_tt)]
-    state = state0
-    steps = 0
+    rows = tuple(range(1, state0.v.ndim + 1))  # reduce each block row whole
+    records: list[DiagnosticsRecord] = []
+    state, steps, status, record_s = state0, 0, None, 0.0
 
     # Overflow past the threshold is handled explicitly below; silence the
     # transient warnings the last pre-detection steps would otherwise spew.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
+            if steps % record_stride == 0 or status is not None:
+                v_tt = work.load_slope(state, params)
+                t0 = perf_counter()
+                records.append(compute_record(state, params, records[-1] if records else None,
+                                              v_tt, work.record))
+                record_s += perf_counter() - t0
+            if status is not None:
+                break
             state = step_rk4(state, params, dt, work)
             steps += 1
 
-            sup = float(np.abs(state.v, out=work.scratch).max())
-            if not (math.isfinite(sup) and np.isfinite(state.w).all()):
+            u = state.block()
+            hi_v, hi_w = u.max(axis=rows).tolist()
+            lo_v, lo_w = u.min(axis=rows).tolist()
+            if not all(map(math.isfinite, (hi_v, hi_w, lo_v, lo_w))):
                 # Keep the last healthy record; return the broken state as-is.
-                return RunOutcome(
-                    status=RunStatus.NUMERICAL_FAILURE,
-                    t_final=state.t,
-                    records=records,
-                    final_state=state,
-                )
+                status = RunStatus.NUMERICAL_FAILURE
+                break
             if observe is not None:
                 observe(state)
 
-            blown = sup >= blowup_threshold
-            terminal = blown or state.t >= t_end
-            if steps % record_stride == 0 or terminal:
-                v_tt = work.load_slope(state, params)
-                records.append(
-                    compute_record(state, params, prev=records[-1], v_tt=v_tt)
-                )
-            if terminal:
+            blown = max(hi_v, -lo_v) >= blowup_threshold
+            if blown or state.t >= t_end:
                 status = RunStatus.BLOWUP_DETECTED if blown else RunStatus.COMPLETED
-                return RunOutcome(
-                    status=status,
-                    t_final=state.t,
-                    records=records,
-                    final_state=state,
-                )
+    return RunOutcome(status=status, t_final=state.t, records=records, final_state=state,
+                      n_steps=steps, dt=dt, record_s=record_s)
 
 
 @dataclass(frozen=True)

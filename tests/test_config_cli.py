@@ -222,6 +222,38 @@ class TestExecuteConfig:
         assert loaded["certificate"]["T_star_tightest"] <= loaded["certificate"]["T_star"]
         assert math.isfinite(loaded["worst"]["comparison_margin_rel"])
 
+    @pytest.mark.parametrize("doc", [base_doc, blowup_doc], ids=["completed", "blowup"])
+    def test_report_perf_block(self, tmp_path, doc):
+        config = config_from_dict(doc(str(tmp_path / "p")))
+        report = execute_config(config)
+        loaded = json.loads(Path(report.files["report"]).read_text())
+        perf = loaded["perf"]
+        assert list(perf) == ["n_steps", "dt", "setup_s", "stepping_s", "records_s",
+                              "output_s"]
+        assert perf["n_steps"] == report.outcome.n_steps > 0
+        assert perf["dt"] == stable_dt(config.grid, config.params, config.cfl)
+        # n_steps steps of dt reach the final time
+        assert perf["n_steps"] * perf["dt"] == pytest.approx(loaded["t_final"], rel=1e-12)
+        if loaded["status"] == "completed":
+            assert loaded["t_final"] >= config.t_end
+        assert all(perf[k] >= 0.0 for k in ("setup_s", "stepping_s", "records_s", "output_s"))
+        assert perf["records_s"] == report.outcome.record_s > 0.0
+
+    def test_to_dict_never_visits_the_outcome(self, tmp_path):
+        doc = base_doc(str(tmp_path / "d"))
+        report = execute_config(config_from_dict(doc))
+        expected = report.to_dict()
+
+        class Uncopyable:
+            def __deepcopy__(self, memo):
+                raise AssertionError("outcome copied")
+
+        report.outcome = Uncopyable()
+        assert report.to_dict() == expected
+        assert "outcome" not in expected
+        expected["config"]["t_end"] = -1.0  # a copy: the report is untouched
+        assert report.config["t_end"] == 1.0
+
     def test_certificate_verdicts_are_python_types(self, tmp_path):
         doc = blowup_doc(str(tmp_path / "t"))
         doc["output"] = {"directory": "unused", "emit_csv": False, "emit_report": False}
@@ -324,6 +356,20 @@ class TestCLI:
         assert doc["t_inf"] == t[2] + (t[2] - t[1]) / (2.0 ** doc["order"] - 1.0)
         assert doc["t_inf_error"] == abs(doc["t_inf"] - t[2])
         assert (tmp_path / "conv-n2049" / "records.csv").exists()
+
+    def test_convergence_out_roots_the_ladder_names(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(blowup_doc(str(tmp_path / "runs" / "conv"), n=513)))
+        out = tmp_path / "O"
+        assert main(["convergence", "--config", str(cfg), "--levels", "2",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == ["conv-n1025", "conv-n513"]
+        for n in (513, 1025):
+            report = json.loads((out / f"conv-n{n}" / "report.json").read_text())
+            assert report["config"]["output"]["directory"] == str(out / f"conv-n{n}")
+            assert (out / f"conv-n{n}" / "records.csv").exists()
+        assert not (tmp_path / "runs").exists()
 
     def test_convergence_needs_levels(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -19,8 +19,9 @@ from hyperburg import (
     support_interval,
     validate_params,
 )
-from hyperburg.diagnostics import DiagnosticsRecord, compute_record
+from hyperburg.diagnostics import DiagnosticsRecord, RecordWorkspace, compute_record
 from hyperburg.initial_data import ProfileSpec, bump_profile
+from hyperburg.operators import d1_central, d2_central, pde_rhs, trapezoid_dot
 from hyperburg.solver import Grid, GridState
 
 
@@ -133,6 +134,71 @@ class TestSupNormAndSupport:
     def test_threshold_validation(self):
         with pytest.raises(ParameterError):
             support_interval(zero_state(), 0.0)
+
+
+class TestRecordWorkspace:
+    def test_workspace_record_equals_standalone_bitwise(self):
+        # One workspace, dirtied with NaN and then reused across a whole
+        # trajectory: every record is the standalone call's, bit for bit.
+        a = amplitude_for_sup_norm(5.0, 1.0)
+        grid = Grid(-3.0, 3.0, 512)
+        state0 = sample_initial_state(PARAMS, grid, ProfileSpec("odd_bump", a, 2.0, 1.0))
+        states = []
+        integrate(state0, PARAMS, t_end=0.2, record_stride=1, observe=states.append)
+        work = RecordWorkspace((grid.n,))
+        for buf in (work.d1, work.d2, work.magnitude, work.ttt, work.flux, work.xtt):
+            buf.fill(np.nan)
+        prev = None
+        for state in states:
+            alone = compute_record(state, PARAMS, prev=prev)
+            got = compute_record(state, PARAMS, prev=prev, work=work)
+            assert [float(x).hex() for x in vars(got).values()] == \
+                [float(x).hex() for x in vars(alone).values()]
+            prev = alone
+        assert len(states) > 10 and prev.sup_norm > 0.0
+
+    def test_record_equals_allocating_reference_bitwise(self):
+        # The buffers of one record are reused within it; each derivative
+        # must still be its own.  Reference: the allocating arithmetic,
+        # one stencil call per field.
+        a = amplitude_for_sup_norm(5.0, 1.0)
+        grid = Grid(-3.0, 3.0, 512)
+        st = sample_initial_state(PARAMS, grid, ProfileSpec("odd_bump", a, 2.0, 1.0))
+        v, w, dx, mu, nu = st.v, st.w, grid.dx, PARAMS.mu, PARAMS.nu
+        c2 = PARAMS.c ** 2
+        _, v_tt = pde_rhs(v, w, dx, mu, nu)
+        v_x, w_x = d1_central(v, dx), d1_central(w, dx)
+        v_xx, w_xx = d2_central(v, dx), d2_central(w, dx)
+        v_ttt = (nu * w_xx - d1_central(v * w, dx) - v_tt) / mu
+        v_ttt[0] = v_ttt[-1] = 0.0
+        v_xxx, v_xtt = d1_central(v_xx, dx), d1_central(v_tt, dx)
+        rec = compute_record(st, PARAMS)
+        assert rec.E1 == 0.5 * (trapezoid_dot(w, w, dx) + c2 * trapezoid_dot(v_x, v_x, dx))
+        assert rec.E2 == 0.5 * (trapezoid_dot(v_tt, v_tt, dx)
+                                + c2**2 * trapezoid_dot(v_xx, v_xx, dx))
+        assert rec.E3 == 0.5 * (trapezoid_dot(v_ttt, v_ttt, dx)
+                                + c2**3 * trapezoid_dot(v_xxx, v_xxx, dx))
+        assert rec.int_vxt2 == trapezoid_dot(w_x, w_x, dx)
+        assert rec.int_vxtt2 == trapezoid_dot(v_xtt, v_xtt, dx)
+        assert rec.int_vxxt2 == trapezoid_dot(w_xx, w_xx, dx)
+        assert rec.sup_norm == st.sup_norm()
+        thr = 1e-12 * (1.0 + st.sup_norm())
+        live = np.flatnonzero((np.abs(v) > thr) | (np.abs(w) > thr))
+        assert (rec.support_left, rec.support_right) == (grid.nodes()[live[0]],
+                                                         grid.nodes()[live[-1]])
+        assert rec.E3 > 0.0 and rec.int_vxtt2 > 0.0
+
+    def test_support_from_given_magnitude(self):
+        grid = Grid(-2.0, 2.0, 64)
+        v = np.zeros(64)
+        w = np.zeros(64)
+        v[10], w[50] = -3.0, 1e-3
+        st = state_on(grid, v, w)
+        x = grid.nodes()
+        assert support_interval(st, 1e-6) == (x[10], x[50])
+        magnitude = np.abs(np.stack((v, w)))
+        assert support_interval(st, 1e-6, magnitude) == (x[10], x[50])
+        assert support_interval(st, 1e-2, magnitude) == (x[10], x[10])
 
 
 class TestSchwartzGap:

@@ -15,7 +15,8 @@ from hyperburg import (
 )
 from hyperburg.initial_data import ProfileSpec
 from hyperburg import solver
-from hyperburg.diagnostics import compute_record
+from hyperburg.diagnostics import RecordWorkspace, compute_record
+from hyperburg.operators import RhsKernel
 from hyperburg.solver import (
     Grid,
     estimate_blowup_time,
@@ -124,6 +125,53 @@ class TestStepWorkspace:
         again = step_rk4(state, params, dt, work)
         assert np.array_equal(first.v, again.v) and np.array_equal(first.w, again.w)
 
+    def test_two_array_state_and_block_rows_step_alike(self):
+        # A state built from two arrays is stacked at its first step; one
+        # built from a block's rows steps from that block.  Same bits.
+        params, state = small_state(sup=0.5)
+        dt = stable_dt(state.grid, params, 0.4)
+        u = np.stack((state.v, state.v + 0.25))
+        apart = GridState(grid=state.grid, t=0.0, v=u[0].copy(), w=u[1].copy())
+        rows = GridState(grid=state.grid, t=0.0, v=u[0], w=u[1])
+        for _ in range(5):
+            apart = step_rk4(apart, params, dt)
+            rows = step_rk4(rows, params, dt)
+            assert np.array_equal(apart.v, rows.v) and np.array_equal(apart.w, rows.w)
+
+    def test_stepped_state_fields_are_rows_of_its_block(self):
+        params, state = small_state()
+        nxt = step_rk4(state, params, 0.001)
+        block = nxt.block()
+        assert block.shape == (2, state.grid.n) and nxt.block() is block
+        block[:, 40] = (7.0, -7.0)  # writing the block writes v and w
+        assert (nxt.v[40], nxt.w[40]) == (7.0, -7.0)
+        # A state from two arrays yields a stacked copy, never kept ...
+        assert not np.shares_memory(state.block(), state.v)
+        assert state.block() is not state.block()
+        # ... and so does a stepped state whose field was rebound.
+        nxt.v = nxt.v.copy()
+        assert not np.shares_memory(nxt.block(), nxt.v)
+        assert np.array_equal(nxt.block()[0], nxt.v)
+
+    def test_slope_boundaries_stay_zero(self):
+        # The bound kernel zeroes the slope boundary once and writes only
+        # interiors; fields that are nonzero at the boundary must not leak
+        # into it, over 50 steps with slopes loaded now and then.
+        params, state = small_state()
+        rng = np.random.default_rng(5)
+        state = GridState(grid=state.grid, t=0.0,
+                          v=state.v + 0.01 * rng.standard_normal(state.grid.n),
+                          w=0.01 * rng.standard_normal(state.grid.n))
+        assert state.v[0] != 0.0 and state.w[-1] != 0.0
+        dt = stable_dt(state.grid, params, 0.4)
+        work = StepWorkspace(state.v.shape)
+        for i in range(50):
+            if i % 7 == 0:
+                work.load_slope(state, params)
+            state = step_rk4(state, params, dt, work)
+            assert np.all(work.k[..., 0] == 0.0) and np.all(work.k[..., -1] == 0.0)
+        assert np.isfinite(state.block()).all()
+
     def test_stacked_states_step_row_by_row(self):
         params, state = small_state()
         dt = stable_dt(state.grid, params, 0.4)
@@ -140,6 +188,33 @@ class TestStepWorkspace:
             )
             assert np.array_equal(stepped.v[i], row.v)
             assert np.array_equal(stepped.w[i], row.w)
+
+    def test_stacked_run_rows_match_single_runs_and_records(self):
+        # A (3, n) stack stepped on one workspace equals three single runs
+        # on their own workspaces, and each row's record, computed with a
+        # shared record workspace, equals the single run's standalone record.
+        params, state = small_state(sup=0.5)
+        dt = stable_dt(state.grid, params, 0.4)
+        scales = (0.5, 1.0, 3.0)
+        stack = GridState(grid=state.grid, t=0.0,
+                          v=np.stack([k * state.v for k in scales]),
+                          w=np.stack([0.5 * k * state.v for k in scales]))
+        singles = [GridState(grid=state.grid, t=0.0, v=k * state.v, w=0.5 * k * state.v)
+                   for k in scales]
+        work = StepWorkspace(stack.v.shape)
+        single_works = [StepWorkspace(state.v.shape) for _ in scales]
+        for _ in range(6):
+            stack = step_rk4(stack, params, dt, work)
+            singles = [step_rk4(s, params, dt, w) for s, w in zip(singles, single_works)]
+        shared = RecordWorkspace(state.v.shape)
+        for i, single in enumerate(singles):
+            assert np.array_equal(stack.v[i], single.v)
+            assert np.array_equal(stack.w[i], single.w)
+            row = GridState(grid=state.grid, t=stack.t, v=stack.v[i], w=stack.w[i])
+            got = compute_record(row, params, work=shared)
+            alone = compute_record(single, params)
+            assert [float(x).hex() for x in vars(got).values()] == \
+                [float(x).hex() for x in vars(alone).values()]
 
 
 def test_grid_nodes_computed_once_and_read_only():
@@ -209,7 +284,8 @@ class TestIntegrate:
         for s in seen:
             assert np.isfinite(s.v).all() and np.isfinite(s.w).all()
 
-    @pytest.mark.parametrize("field, bad", [("w", np.nan), ("v", np.inf)])
+    @pytest.mark.parametrize(
+        "field, bad", [("w", np.nan), ("v", np.inf), ("v", np.nan), ("w", -np.inf)])
     def test_nonfinite_field_is_numerical_failure(self, monkeypatch, field, bad):
         # A step that leaves one non-finite entry in one field, the other
         # finite: inf in v must not read as a threshold crossing.
@@ -237,11 +313,12 @@ class TestIntegrate:
     )
     def test_one_slope_per_step_plus_one(self, monkeypatch, stride, observed):
         # The record's slope is the next step's stage 1: 4 * steps + 1
-        # pde_rhs calls in all, whatever the record stride, with or
-        # without an observer.
+        # slope evaluations in all, whatever the record stride, with or
+        # without an observer.  Every slope, bound or through pde_rhs, is
+        # one call of the bound kernel.
         params, state0 = small_state()
         seen = []
-        counts = {"pde_rhs": 0, "step_rk4": 0}
+        counts = {"slope": 0, "step_rk4": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -249,15 +326,13 @@ class TestIntegrate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        pde = counting("pde_rhs", solver.pde_rhs)
-        monkeypatch.setattr(solver, "pde_rhs", pde)
-        monkeypatch.setattr("hyperburg.diagnostics.pde_rhs", pde)
+        monkeypatch.setattr(RhsKernel, "__call__", counting("slope", RhsKernel.__call__))
         monkeypatch.setattr(solver, "step_rk4", counting("step_rk4", solver.step_rk4))
         out = integrate(state0, params, t_end=0.5, record_stride=stride,
                         observe=seen.append if observed else None)
         assert out.status is RunStatus.COMPLETED
         assert counts["step_rk4"] > 2 * stride
-        assert counts["pde_rhs"] == 4 * counts["step_rk4"] + 1
+        assert counts["slope"] == 4 * counts["step_rk4"] + 1
         if observed:
             # state0 first, then one state per step in increasing t,
             # ending at the final state
