@@ -8,6 +8,9 @@ trapezoid helper, :func:`~hyperburg.operators.trapezoid_dot`.  Higher time
 derivatives (v_tt, v_ttt) are reconstructed from the equation instead of
 stored; during a run the solver passes in v_tt, the slope its next step
 starts from, and a :class:`RecordWorkspace` for every array a record writes.
+A record writes its arrays on the solver's active window only (outside it
+the state is zero) and integrates over the whole grid, so the sums keep
+their whole-grid order.
 
 Monitored quantities (all but the cone maximum are fields of the record
 that :func:`compute_record` assembles; the cone maximum is a streaming
@@ -98,22 +101,24 @@ def moment_Fprime(state: GridState) -> float:
 
 
 def support_interval(state: GridState, threshold: float,
-                     magnitude: Optional[np.ndarray] = None) -> tuple[float, float]:
+                     magnitude: Optional[np.ndarray] = None,
+                     window: slice = slice(None)) -> tuple[float, float]:
     """Outermost nodes where |v| or |w| exceeds the threshold.
 
     ``magnitude`` is |(v, w)| as a ``(2, n)`` block, computed here unless
-    given.  Returns (0.0, 0.0) as the empty-support marker when neither
-    field exceeds the threshold anywhere.
+    given; only its columns ``window`` are scanned, so outside them it must
+    not exceed the threshold.  Returns (0.0, 0.0) as the empty-support
+    marker when neither field exceeds the threshold anywhere.
     """
     if not (threshold > 0.0):
         raise ParameterError(f"support threshold must be positive, got {threshold}")
     if magnitude is None:
         magnitude = np.abs(state.block())
-    live = (magnitude > threshold).any(axis=0)
+    live = (magnitude[..., window] > threshold).any(axis=0)
     idx = np.flatnonzero(live)
     if idx.size == 0:
         return (0.0, 0.0)
-    x = state.grid.nodes()
+    x = state.grid.nodes()[window]
     return float(x[idx[0]]), float(x[idx[-1]])
 
 
@@ -226,13 +231,15 @@ class ConeMax:
 
 class RecordWorkspace:
     """The arrays :func:`compute_record` writes, for v of this ``shape``: first
-    and second differences and magnitude of the (v, w) block, and scratch."""
+    and second differences and magnitude of the (v, w) block, scratch, and
+    the solver's v_tt.  All start zeroed and are written on ``window`` only."""
 
-    __slots__ = ("d1", "d2", "magnitude", "ttt", "flux", "xtt")
+    __slots__ = ("d1", "d2", "magnitude", "ttt", "flux", "xtt", "v_tt", "window")
 
     def __init__(self, shape):
-        self.d1, self.d2, self.magnitude = (np.empty((2, *shape)) for _ in range(3))
-        self.ttt, self.flux, self.xtt = (np.empty(shape) for _ in range(3))
+        self.d1, self.d2, self.magnitude = (np.zeros((2, *shape)) for _ in range(3))
+        self.ttt, self.flux, self.xtt, self.v_tt = (np.zeros(shape) for _ in range(4))
+        self.window = slice(0, shape[-1])
 
 
 def compute_record(
@@ -250,32 +257,37 @@ def compute_record(
     (the solver's stage-1 slope); it is only read.  Without it the record
     computes it, with the same function and the same result.  ``work``
     holds the arrays the record writes; a fresh one gives the same bits.
+    A fresh one's window is the whole grid; a narrower one needs the
+    solver's MARGIN zero columns of the state inside its edges.
     """
     if work is None:
         work = RecordWorkspace(state.v.shape)
     dx = state.grid.dx
     c2 = params.c * params.c
-    u = state.block()
+    u, win = state.block(), work.window
+    v, w = state.v, state.w
     with np.errstate(over="ignore", invalid="ignore"):
-        v_x, w_x = d1_central(u, dx, out=work.d1)
-        v_xx, w_xx = d2_central(u, dx, out=work.d2)
+        # Stencils, v_ttt and |u| on the window; the integrals span the grid.
+        d1_central(u[..., win], dx, out=work.d1[..., win])
+        d2_central(u[..., win], dx, out=work.d2[..., win])
+        (v_x, w_x), (v_xx, w_xx) = work.d1, work.d2
         if v_tt is None:
-            _, v_tt = pde_rhs(state.v, state.w, dx, params.mu, params.nu)
+            _, v_tt = pde_rhs(v, w, dx, params.mu, params.nu)
         # d/dt of the w-equation (flux v^2/2 differentiates to v*w), in place.
         v_ttt, flux = work.ttt, work.flux
-        np.multiply(state.v, state.w, out=v_ttt)
-        d1_central(v_ttt, dx, out=flux)
-        np.multiply(w_xx, params.nu, out=v_ttt)
-        np.subtract(v_ttt, flux, out=v_ttt)
-        np.subtract(v_ttt, v_tt, out=v_ttt)
-        np.divide(v_ttt, params.mu, out=v_ttt)
-        v_ttt[..., 0] = v_ttt[..., -1] = 0.0
-        v_xxx = d1_central(v_xx, dx, out=flux)
-        v_xtt = d1_central(v_tt, dx, out=work.xtt)
+        ttt, fl = v_ttt[..., win], flux[..., win]
+        np.multiply(v[..., win], w[..., win], out=ttt)
+        d1_central(ttt, dx, out=fl)
+        np.multiply(w_xx[..., win], params.nu, out=ttt)
+        np.subtract(ttt, fl, out=ttt)
+        np.subtract(ttt, v_tt[..., win], out=ttt)
+        np.divide(ttt, params.mu, out=ttt)
+        ttt[..., 0] = ttt[..., -1] = 0.0
+        d1_central(v_xx[..., win], dx, out=fl)
+        d1_central(v_tt[..., win], dx, out=work.xtt[..., win])
+        v_xxx, v_xtt = flux, work.xtt
 
-        e1 = 0.5 * (
-            trapezoid_dot(state.w, state.w, dx) + c2 * trapezoid_dot(v_x, v_x, dx)
-        )
+        e1 = 0.5 * (trapezoid_dot(w, w, dx) + c2 * trapezoid_dot(v_x, v_x, dx))
         e2 = 0.5 * (
             trapezoid_dot(v_tt, v_tt, dx) + c2**2 * trapezoid_dot(v_xx, v_xx, dx)
         )
@@ -285,12 +297,12 @@ def compute_record(
         int_vxt2 = trapezoid_dot(w_x, w_x, dx)
         int_vxtt2 = trapezoid_dot(v_xtt, v_xtt, dx)
         int_vxxt2 = trapezoid_dot(w_xx, w_xx, dx)
-        half_v2 = 0.5 * trapezoid_dot(state.v, state.v, dx)
+        half_v2 = 0.5 * trapezoid_dot(v, v, dx)
 
-        magnitude = np.abs(u, out=work.magnitude)
-        sup = float(magnitude[0].max())  # GridState.sup_norm, from the same pass
+        magnitude = work.magnitude
+        sup = float(np.abs(u[..., win], out=magnitude[..., win])[0].max())  # = sup_norm
         left, right = support_interval(
-            state, SUPPORT_REL_THRESHOLD * (1.0 + sup), magnitude
+            state, SUPPORT_REL_THRESHOLD * (1.0 + sup), magnitude, win
         )
         f = moment_F(state)
         fp = moment_Fprime(state)

@@ -7,8 +7,9 @@ Outputs per run:
   no certificate applies), half_int_v2 - everything an acceptance check
   needs is recomputable from this file alone;
 * ``report.json`` with the config echo, the certificate, the outcome, the
-  worst-case value of every monitored inequality margin, and ``perf``
-  (steps, dt, and wall seconds for set-up, stepping, records and output).
+  worst-case value of every monitored inequality margin, ``resolution``
+  (see :func:`_resolution`) and ``perf`` (steps, dt, the share of columns
+  stepped, and wall seconds for set-up, stepping, records and output).
 
 Numbers are serialized with round-trip precision (repr), so re-running the
 report's echoed config reproduces the CSV bit for bit; only the ``perf``
@@ -25,6 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Optional
+
+import numpy as np
 
 from . import diagnostics
 from .certificate import (Certificate, build_certificate, comparison_check,
@@ -69,6 +72,7 @@ class RunReport:
     sobolev: dict
     n_records: int
     files: dict
+    resolution: dict = dataclasses.field(default_factory=dict)
     perf: dict = dataclasses.field(default_factory=dict, compare=False)
     outcome: Optional[RunOutcome] = dataclasses.field(
         default=None, repr=False, compare=False
@@ -177,6 +181,20 @@ def _worst_case(outcome: RunOutcome, cert: Certificate, params: ModelParams) -> 
     return worst
 
 
+def _resolution(outcome: RunOutcome, params: ModelParams) -> dict:
+    """Largest recorded sup|v| / c and cell Peclet number sup|v| dx / nu, and
+    the final-state nodes with |v| > max|v| / 10 (None if not finite)."""
+    peak = max(r.sup_norm for r in outcome.records)
+    final = outcome.final_state
+    width = None
+    if np.isfinite(final.block()).all():
+        size = np.abs(final.v)
+        width = int(np.count_nonzero(size > 0.1 * size.max()))
+    return {"max_sup_over_c": peak / params.c,
+            "max_cell_peclet": peak * final.grid.dx / params.nu,
+            "spike_width_nodes": width}
+
+
 def execute_config(
     config: RunConfig,
     out_dir: Optional[str | Path] = None,
@@ -226,7 +244,9 @@ def execute_config(
     }
 
     target = resolve_output_dir(config, str(out_dir) if out_dir is not None else None)
-    files: dict[str, Optional[str]] = {"csv": None, "report": None}
+    report_path = target / "report.json" if config.output.emit_report else None
+    files: dict[str, Optional[str]] = {
+        "csv": None, "report": None if report_path is None else str(report_path)}
     report = RunReport(
         config=config.to_dict(),
         status=outcome.status.value,
@@ -237,6 +257,7 @@ def execute_config(
         sobolev=sobolev,
         n_records=len(outcome.records),
         files=files,
+        resolution=_resolution(outcome, params),
         outcome=outcome,
     )
 
@@ -247,11 +268,10 @@ def execute_config(
         write_csv(csv_path, outcome, cert, params)
         files["csv"] = str(csv_path)
     # Set-up is initial data and certificate; output is margins and CSV.
-    report.perf = dict(n_steps=outcome.n_steps, dt=outcome.dt, setup_s=t_run - t_setup,
+    report.perf = dict(n_steps=outcome.n_steps, dt=outcome.dt,
+                       stepped_frac=outcome.stepped_frac, setup_s=t_run - t_setup,
                        stepping_s=t_output - t_run - outcome.record_s,
                        records_s=outcome.record_s, output_s=perf_counter() - t_output)
-    if config.output.emit_report:
-        report_path = target / "report.json"
+    if report_path is not None:
         report_path.write_text(report.to_json() + "\n", encoding="utf-8")
-        files["report"] = str(report_path)
     return report

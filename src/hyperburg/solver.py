@@ -9,15 +9,21 @@ pinned to zero, which substitutes for boundary conditions entirely.
 Stepping kernel: :func:`integrate` is the one stepping loop.  A step works
 on (v, w) as one ``(2, ...)`` block (:meth:`GridState.block`): each stage
 input, accumulation, update and boundary pin is one array call.  A run binds
-one :class:`StepWorkspace` (buffers, slope kernel and stencil views, made
-once) and a step allocates only the new state's block.  The arrays act on
-the last axis, so a ``(B, n)`` state steps B fields at once.  When a record
-is due, the slope of the new state is computed once into the workspace: the
-record takes its dw/dt as v_tt, and the next step reuses it as its stage-1
-slope, so a run makes exactly 4 * steps + 1 slope evaluations whatever the
-record stride.  A check that needs fields rather than records (the cone
-maximum, say) passes an ``observe`` callback, which sees the initial state
-and then every finite state the run reaches, in order, with no state kept.
+one :class:`StepWorkspace` (buffers, slope kernel and stencil views, rebuilt
+only when its window grows) and a step allocates only the new state's block.
+The arrays act on the last axis, so a ``(B, n)`` state steps B fields at once.
+
+Active window: a run steps and records only on a column window [a, b)
+holding every nonzero of (v, w) with MARGIN zero columns on each side (see
+:class:`StepWorkspace`).  Outside it every field, stage and slope is exactly
+zero in the whole-grid computation too, so the bits are the same.
+
+When a record is due, the slope of the new state is computed once into the
+workspace: the record takes its dw/dt as v_tt, and the next step reuses it
+as its stage-1 slope, so a run makes exactly 4 * steps + 1 slope
+evaluations whatever the record stride.  A check that needs fields rather
+than records (the cone maximum, say) passes an ``observe`` callback, which
+sees the initial state and then every finite state the run reaches.
 
 Blow-up is reported as the first time the sup norm crosses a threshold, not
 as an extrapolated singularity time: the model supplies no blow-up rate to
@@ -57,6 +63,13 @@ __all__ = [
 
 # Nodes of slack the support of a healthy run may spill past L + c t.
 SUPPORT_SLACK_NODES = 10
+# A slope spreads v into dw/dt by one node and dv/dt = w spreads nothing, so
+# no RK4 stage (nor a record stencil) reaches past REACH nodes beyond the
+# nonzeros of its input; MARGIN adds the window edge the kernel pins to zero.
+REACH = 2
+MARGIN = REACH + 1
+# Steps between two measurements of the nonzero extent.
+REFIT_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -129,8 +142,9 @@ class RunOutcome:
     ``t_final`` is the horizon actually reached: the detection time for
     BLOWUP_DETECTED, the time of the first non-finite state for
     NUMERICAL_FAILURE, and the first time >= t_end otherwise.
-    ``n_steps`` steps of ``dt`` were taken; ``record_s`` is the wall time
-    spent in :func:`~hyperburg.diagnostics.compute_record`.
+    ``n_steps`` steps of ``dt`` were taken on ``stepped_frac`` of the
+    columns on average; ``record_s`` is the wall time spent in
+    :func:`~hyperburg.diagnostics.compute_record`.
     """
 
     status: RunStatus
@@ -139,6 +153,7 @@ class RunOutcome:
     final_state: Optional[GridState] = None
     n_steps: int = 0
     dt: float = 0.0
+    stepped_frac: float = 1.0
     record_s: float = field(default=0.0, compare=False)
 
     @property
@@ -160,29 +175,61 @@ def stable_dt(grid: Grid, params: ModelParams, cfl: float) -> float:
 class StepWorkspace:
     """Buffers and bound views for one run's steps and records.
 
-    ``s`` (stage input), ``k`` (stage slope) and ``acc`` (weighted slope
-    sum) are ``(2, *shape)`` blocks; ``rhs`` is the slope kernel bound to
-    ``k``, ``stage`` the stencil views of ``s``, ``record`` the records'
-    buffers.  ``slope_of`` is the state whose slope ``k`` holds (set by
-    :meth:`load_slope`), or None; :func:`step_rk4` reuses that slope as
-    stage 1 of a step from the same state object and clears the mark, since
-    the stages overwrite ``k``.  A marked state's arrays must not change.
+    ``window`` = (a, b) is the columns steps and records compute on: the
+    whole grid, or with ``state`` its padded nonzero extent (see :meth:`fit`).
+    ``s`` (stage input), ``k`` (stage slope) and ``acc`` (weighted slope sum)
+    are contiguous ``(2, ..., b - a)`` blocks; ``rhs`` is the slope kernel
+    bound to ``k``, ``stage`` the stencil views of ``s``, ``record`` the
+    records' full-width buffers.  ``slope_of`` is the state whose slope
+    ``k`` holds (set by :meth:`load_slope`), or None; :func:`step_rk4` reuses
+    that slope as stage 1 of a step from the same state object and clears
+    the mark, since the stages overwrite ``k``.  A marked state's arrays
+    must not change.
     """
 
-    __slots__ = ("s", "k", "acc", "rhs", "stage", "record", "slope_of")
+    __slots__ = ("shape", "window", "s", "k", "acc", "rhs", "stage", "record", "slope_of")
 
-    def __init__(self, shape):
-        self.s, self.k, self.acc = (np.empty((2, *shape)) for _ in range(3))
+    def __init__(self, shape, state: Optional[GridState] = None):
+        self.shape, self.record = tuple(shape), RecordWorkspace(shape)
+        self.window = (self.shape[-1], 0)  # empty until bound
+        if state is None:
+            self._bind(0, self.shape[-1])
+        else:
+            self.fit(state)
+
+    def _bind(self, a: int, b: int) -> None:
+        self.window = (a, b)
+        self.s, self.k, self.acc = (np.empty((2, *self.shape[:-1], b - a)) for _ in range(3))
         self.rhs = RhsKernel(self.k)
         self.stage = stencil_views(self.s)
-        self.record = RecordWorkspace(shape)
+        self.record.window = slice(a, b)
         self.slope_of: Optional[GridState] = None
 
+    def fit(self, state: GridState) -> None:
+        """Grow the window to the nonzeros of ``state`` (every row of a stack;
+        the whole grid if it has none), padded so the next REFIT_STEPS - 1 steps
+        keep MARGIN.  It never shrinks, so the record buffers stay zero outside."""
+        u, n = state.block(), self.shape[-1]
+        live = np.flatnonzero(u.any(axis=tuple(range(u.ndim - 1))))
+        if live.size == 0:
+            a, b = 0, n
+        else:
+            pad = MARGIN + REACH * (REFIT_STEPS - 1)
+            a, b = max(0, int(live[0]) - pad), min(n, int(live[-1]) + 1 + pad)
+        a, b = min(a, self.window[0]), max(b, self.window[1])
+        if (a, b) != self.window:
+            self._bind(a, b)
+
     def load_slope(self, state: GridState, params: ModelParams) -> np.ndarray:
-        """Slope of ``state`` into ``k``, marked for reuse; returns dw/dt = v_tt."""
-        self.rhs(stencil_views((state.v, state.w)), state.grid.dx, params.mu, params.nu)
+        """Slope of ``state`` into ``k``, marked for reuse; returns dw/dt = v_tt,
+        copied to a full-width buffer that is zero outside the window."""
+        a, b = self.window
+        self.rhs(stencil_views((state.v[..., a:b], state.w[..., a:b])),
+                 state.grid.dx, params.mu, params.nu)
         self.slope_of = state
-        return self.k[1]
+        v_tt = self.record.v_tt
+        np.copyto(v_tt[..., a:b], self.k[1])
+        return v_tt
 
 
 def step_rk4(
@@ -193,26 +240,30 @@ def step_rk4(
 ) -> GridState:
     """Advance one classical Runge-Kutta step; boundary nodes re-pinned.
 
-    ``work`` supplies the stage buffers (a fresh workspace when None); if it
-    holds the slope of this very state (see :meth:`StepWorkspace.load_slope`)
-    that slope is stage 1 and the step evaluates three slopes instead of
-    four.  Only the new state's (v, w) block is allocated.  The slopes are
-    combined as u + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order;
-    k4's weight of 1.0 is exact and so is not multiplied out.
+    ``work`` supplies the stage buffers and the window (a fresh whole-grid
+    workspace when None); inside each window edge that is not a grid edge
+    the state needs MARGIN zero columns.  If ``work`` holds the slope of this
+    very state (see :meth:`StepWorkspace.load_slope`) that slope is stage 1
+    and the step evaluates three slopes instead of four.  Only the new
+    state's (v, w) block is allocated.  The slopes are combined as
+    u + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order; k4's weight
+    of 1.0 is exact and so is not multiplied out.
     """
     if work is None:
         work = StepWorkspace(state.v.shape)
     dx, mu, nu = state.grid.dx, params.mu, params.nu
     u = state.block()
+    a, b = work.window
+    win = u[..., a:b]
     s, k, acc, rhs = work.s, work.k, work.acc, work.rhs
 
     if work.slope_of is not state:
-        rhs(stencil_views(u), dx, mu, nu)
+        rhs(stencil_views(win), dx, mu, nu)
     work.slope_of = None
     np.copyto(acc, k)
     for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
         np.multiply(k, h, out=s)
-        np.add(u, s, out=s)
+        np.add(win, s, out=s)
         rhs(work.stage, dx, mu, nu)
         if weight == 1.0:
             np.add(acc, k, out=acc)
@@ -223,7 +274,8 @@ def step_rk4(
             np.add(acc, s, out=acc)
 
     np.multiply(acc, dt / 6.0, out=acc)
-    u_new = u + acc
+    u_new = np.zeros(u.shape)
+    np.add(win, acc, out=u_new[..., a:b])
     u_new[..., 0] = u_new[..., -1] = 0.0
     return GridState._of_block(state.grid, state.t + dt, u_new)
 
@@ -270,7 +322,8 @@ def integrate(
     first non-finite state (NUMERICAL_FAILURE; no record is emitted for a
     broken state), or at the first time >= t_end.
 
-    Run health is one max and one min per row of the stepped (v, w) block:
+    Run health is one max and one min per row of the whole stepped (v, w)
+    block, not just the active window:
     NaN propagates through both and +-inf shows in one, so the extremes are
     finite exactly when v and w are; sup|v| = max(max v, -min v).
 
@@ -291,10 +344,10 @@ def integrate(
         observe(state0)
 
     dt = stable_dt(state0.grid, params, cfl)
-    work = StepWorkspace(state0.v.shape)
+    work = StepWorkspace(state0.v.shape, state0)
     rows = tuple(range(1, state0.v.ndim + 1))  # reduce each block row whole
     records: list[DiagnosticsRecord] = []
-    state, steps, status, record_s = state0, 0, None, 0.0
+    state, steps, stepped, status, record_s = state0, 0, 0, None, 0.0
 
     # Overflow past the threshold is handled explicitly below; silence the
     # transient warnings the last pre-detection steps would otherwise spew.
@@ -310,6 +363,7 @@ def integrate(
                 break
             state = step_rk4(state, params, dt, work)
             steps += 1
+            stepped += work.window[1] - work.window[0]
 
             u = state.block()
             hi_v, hi_w = u.max(axis=rows).tolist()
@@ -318,6 +372,8 @@ def integrate(
                 # Keep the last healthy record; return the broken state as-is.
                 status = RunStatus.NUMERICAL_FAILURE
                 break
+            if steps % REFIT_STEPS == 0:
+                work.fit(state)
             if observe is not None:
                 observe(state)
 
@@ -325,7 +381,8 @@ def integrate(
             if blown or state.t >= t_end:
                 status = RunStatus.BLOWUP_DETECTED if blown else RunStatus.COMPLETED
     return RunOutcome(status=status, t_final=state.t, records=records, final_state=state,
-                      n_steps=steps, dt=dt, record_s=record_s)
+                      n_steps=steps, dt=dt, stepped_frac=stepped / (steps * state0.v.shape[-1]),
+                      record_s=record_s)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hyperburg.config import (config_from_dict, load_config, refinement_ladder,
                               resolve_output_dir)
 from hyperburg.runner import CSV_COLUMNS, execute_config
 from hyperburg.solver import stable_dt
+from hyperburg.suite import preset_configs
 
 
 def base_doc(outdir="out"):
@@ -228,9 +229,10 @@ class TestExecuteConfig:
         report = execute_config(config)
         loaded = json.loads(Path(report.files["report"]).read_text())
         perf = loaded["perf"]
-        assert list(perf) == ["n_steps", "dt", "setup_s", "stepping_s", "records_s",
-                              "output_s"]
+        assert list(perf) == ["n_steps", "dt", "stepped_frac", "setup_s", "stepping_s",
+                              "records_s", "output_s"]
         assert perf["n_steps"] == report.outcome.n_steps > 0
+        assert 0.0 < perf["stepped_frac"] == report.outcome.stepped_frac <= 1.0
         assert perf["dt"] == stable_dt(config.grid, config.params, config.cfl)
         # n_steps steps of dt reach the final time
         assert perf["n_steps"] * perf["dt"] == pytest.approx(loaded["t_final"], rel=1e-12)
@@ -238,6 +240,24 @@ class TestExecuteConfig:
             assert loaded["t_final"] >= config.t_end
         assert all(perf[k] >= 0.0 for k in ("setup_s", "stepping_s", "records_s", "output_s"))
         assert perf["records_s"] == report.outcome.record_s > 0.0
+
+    def test_written_report_names_its_own_file(self, tmp_path):
+        report = execute_config(config_from_dict(base_doc(str(tmp_path / "f"))))
+        loaded = json.loads(Path(report.files["report"]).read_text())
+        assert loaded["files"] == report.to_dict()["files"]
+        assert loaded["files"]["report"] == str(tmp_path / "f" / "report.json")
+
+    def test_blowup_preset_finest_level_steps_under_half_the_grid(self, blowup_reports):
+        assert 0.0 < blowup_reports[-1].perf["stepped_frac"] < 0.5
+
+    def test_resolution_null_width_for_a_broken_final_state(self, tmp_path):
+        doc = base_doc(str(tmp_path / "nf"))
+        doc["ic"] = {"family": "odd_bump", "a": 1e9, "b": 0.0}
+        doc["blowup_threshold"] = 1e307
+        report = execute_config(config_from_dict(doc))
+        assert report.status == "numerical_failure"
+        assert report.resolution["spike_width_nodes"] is None
+        assert math.isfinite(report.resolution["max_sup_over_c"])
 
     def test_to_dict_never_visits_the_outcome(self, tmp_path):
         doc = base_doc(str(tmp_path / "d"))
@@ -294,6 +314,36 @@ class TestCLI:
         cfg.write_text(json.dumps(doc))
         assert main(["run", "--config", str(cfg)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("preset", ["blowup", "smalldata"])
+    def test_run_prints_resolution(self, tmp_path, capsys, preset):
+        config = preset_configs(preset, tmp_path)[0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config.to_dict()))
+        code = main(["run", "--config", str(cfg)])
+        printed = json.loads(capsys.readouterr().out)
+        assert code == (2 if preset == "blowup" else 0)
+        resolution = printed["resolution"]
+        assert list(resolution) == ["max_sup_over_c", "max_cell_peclet", "spike_width_nodes"]
+        assert json.loads(Path(printed["files"]["report"]).read_text())["resolution"] == resolution
+        rows = [line.split(",") for line in
+                Path(printed["files"]["csv"]).read_text().splitlines()[1:]]
+        peak = max(float(r[1]) for r in rows)
+        params = config.params
+        assert resolution["max_sup_over_c"] == peak / params.c
+        assert resolution["max_cell_peclet"] == peak * config.grid.dx / params.nu
+        width = resolution["spike_width_nodes"]
+        if preset == "blowup":
+            # detection at the default threshold, on a spike a few nodes wide
+            threshold = 1e6 * max(1.0, float(rows[0][1]))
+            assert resolution["max_sup_over_c"] >= threshold / params.c
+            assert 1 <= width < 64
+        else:
+            # small data never exceed their initial sup|v| ~ 0.05 c; the
+            # decayed profile is wide
+            assert resolution["max_sup_over_c"] == float(rows[0][1]) / params.c
+            assert 0.049 < resolution["max_sup_over_c"] <= 0.05
+            assert width > 64
 
     def test_out_option_overrides_directory(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -200,6 +200,18 @@ class TestRecordWorkspace:
         assert support_interval(st, 1e-6, magnitude) == (x[10], x[50])
         assert support_interval(st, 1e-2, magnitude) == (x[10], x[10])
 
+    def test_support_scans_only_the_window(self):
+        grid = Grid(-2.0, 2.0, 64)
+        v = np.zeros(64)
+        w = np.zeros(64)
+        v[10], w[50] = -3.0, 1e-3
+        st = state_on(grid, v, w)
+        x = grid.nodes()
+        magnitude = np.abs(np.stack((v, w)))
+        for window in (slice(10, 51), slice(5, 60), slice(None)):
+            assert support_interval(st, 1e-6, magnitude, window) == (x[10], x[50])
+        assert support_interval(st, 1e-6, None, slice(11, 50)) == (0.0, 0.0)
+
 
 class TestSchwartzGap:
     def test_zero_state(self):

@@ -217,6 +217,150 @@ class TestStepWorkspace:
                 [float(x).hex() for x in vars(alone).values()]
 
 
+def sharp_state(n=1024, dom=16.0, lo=500, width=20, seed=3, scale=1.0):
+    """Random (v, w) on nodes [lo, lo + width), zero elsewhere: the nonzeros
+    spread the full REACH nodes per step for a hundred steps before the
+    front underflows, so every window refit is tight."""
+    params = validate_params(1, 1, 1)
+    grid = Grid(-dom, dom, n)
+    rng = np.random.default_rng(seed)
+    v, w = np.zeros(n), np.zeros(n)
+    v[lo:lo + width] = scale * rng.standard_normal(width)
+    w[lo:lo + width] = scale * rng.standard_normal(width)
+    return params, GridState(grid=grid, t=0.0, v=v, w=w)
+
+
+def same_bits(a: GridState, b: GridState) -> bool:
+    return (a.t == b.t and a.v.tobytes() == b.v.tobytes()
+            and a.w.tobytes() == b.w.tobytes())
+
+
+def record_hex(rec):
+    return [float(x).hex() for x in vars(rec).values()]
+
+
+class TestActiveWindow:
+    """integrate steps and records on a column window; every state and
+    record equals the whole-grid computation bit for bit (zero signs too)."""
+
+    @staticmethod
+    def run_spied(monkeypatch, state0, params, t_end, **kwargs):
+        """integrate, returning (outcome, observed states, windows bound)."""
+        windows = []
+
+        class Spy(StepWorkspace):
+            __slots__ = ()
+
+            def _bind(self, a, b):
+                windows.append((a, b))
+                super()._bind(a, b)
+
+        monkeypatch.setattr(solver, "StepWorkspace", Spy)
+        seen = []
+        out = integrate(state0, params, t_end=t_end, observe=seen.append, **kwargs)
+        return out, seen, windows
+
+    @staticmethod
+    def full_grid_chain(state0, params, dt, steps):
+        states = [state0]
+        for _ in range(steps):
+            states.append(step_rk4(states[-1], params, dt))
+        return states
+
+    def test_states_and_records_equal_full_grid_over_window_growths(self, monkeypatch):
+        params, state0 = sharp_state()
+        out, seen, windows = self.run_spied(monkeypatch, state0, params, 0.85,
+                                            record_stride=1)
+        assert out.status is RunStatus.COMPLETED and out.n_steps >= 4 * solver.REFIT_STEPS
+        # the initial window and at least three growths, none the whole grid
+        assert len(windows) >= 4 and all(0 < a and b < state0.grid.n for a, b in windows)
+        assert all(a1 < a0 and b1 > b0 for (a0, b0), (a1, b1) in zip(windows, windows[1:]))
+        assert 0.0 < out.stepped_frac < 0.5
+        chain = self.full_grid_chain(state0, params, out.dt, out.n_steps)
+        assert len(seen) == len(chain) == len(out.records)
+        prev = None
+        for got, want, rec in zip(seen, chain, out.records):
+            assert same_bits(got, want)
+            prev = compute_record(want, params, prev)
+            assert record_hex(rec) == record_hex(prev)
+
+    @pytest.mark.parametrize("lo", [0, 1004], ids=["left", "right"])
+    def test_data_nonzero_at_the_boundary(self, monkeypatch, lo):
+        params, state0 = sharp_state(lo=lo)
+        out, seen, windows = self.run_spied(monkeypatch, state0, params, 0.5,
+                                            record_stride=3)
+        a, b = windows[0]
+        assert (a == 0) if lo == 0 else (b == state0.grid.n)
+        chain = self.full_grid_chain(state0, params, out.dt, out.n_steps)
+        assert all(same_bits(got, want) for got, want in zip(seen, chain))
+        assert out.final_state.v[0] == out.final_state.v[-1] == 0.0
+
+    def test_negative_amplitude_and_signed_zeros(self, monkeypatch):
+        # A negative odd bump samples v to -0.0 outside its support; the
+        # whole-grid step turns those to +0.0, and so must the window.
+        params = validate_params(1, 1, 1)
+        grid = Grid(-13.0, 13.0, 1024)
+        state0 = sample_initial_state(params, grid, ProfileSpec("odd_bump", -2.0, 0.5, 1.0))
+        assert np.signbit(state0.v[state0.v == 0.0]).any()
+        out, seen, _ = self.run_spied(monkeypatch, state0, params, 1.0, record_stride=5)
+        chain = self.full_grid_chain(state0, params, out.dt, out.n_steps)
+        assert all(same_bits(got, want) for got, want in zip(seen, chain))
+
+    def test_zero_data_steps_the_whole_grid(self, monkeypatch):
+        params = validate_params(1, 1, 1)
+        grid = Grid(-13.0, 13.0, 256)
+        state0 = GridState(grid=grid, t=0.0, v=np.zeros(256), w=np.zeros(256))
+        out, seen, windows = self.run_spied(monkeypatch, state0, params, 0.5)
+        assert windows == [(0, 256)] and out.stepped_frac == 1.0
+        assert all(not s.v.any() and not s.w.any() for s in seen)
+
+    def test_data_filling_the_grid_step_every_column(self):
+        params, state = small_state()
+        rng = np.random.default_rng(7)
+        state0 = GridState(grid=state.grid, t=0.0,
+                           v=state.v + 1e-3 * rng.standard_normal(state.grid.n),
+                           w=1e-3 * rng.standard_normal(state.grid.n))
+        assert integrate(state0, params, t_end=0.2).stepped_frac == 1.0
+
+    def test_stack_with_different_supports_matches_single_runs(self, monkeypatch):
+        # The stack's window is the union of its rows' extents.
+        params = validate_params(1, 1, 1)
+        rows = [sharp_state(lo=lo, width=wd, seed=i)[1]
+                for i, (lo, wd) in enumerate([(300, 10), (500, 30), (640, 4)])]
+        stack = GridState(grid=rows[0].grid, t=0.0, v=np.stack([r.v for r in rows]),
+                          w=np.stack([r.w for r in rows]))
+        work = StepWorkspace(stack.v.shape, stack)
+        singles = [self.run_spied(monkeypatch, r, params, 0.7, record_stride=8)
+                   for r in rows]
+        live = np.flatnonzero(stack.block().any(axis=(0, 1)))
+        pad = solver.MARGIN + solver.REACH * (solver.REFIT_STEPS - 1)
+        assert work.window == (live[0] - pad, live[-1] + 1 + pad)
+        for step in range(1, singles[0][0].n_steps + 1):
+            stack = step_rk4(stack, params, singles[0][0].dt, work)
+            if step % solver.REFIT_STEPS == 0:
+                work.fit(stack)
+            for i, (_, seen, _) in enumerate(singles):
+                assert stack.v[i].tobytes() == seen[step].v.tobytes()
+                assert stack.w[i].tobytes() == seen[step].w.tobytes()
+
+    def test_nan_inside_the_window_is_numerical_failure(self, monkeypatch):
+        params, state0 = sharp_state()
+        real_step = solver.step_rk4
+
+        def broken_step(state, *args):
+            nxt = real_step(state, *args)
+            if nxt.t > 0.2:
+                nxt.v[510] = np.nan
+            return nxt
+
+        monkeypatch.setattr(solver, "step_rk4", broken_step)
+        seen = []
+        out = integrate(state0, params, t_end=0.85, observe=seen.append)
+        assert out.status is RunStatus.NUMERICAL_FAILURE
+        assert np.isnan(out.final_state.v[510]) and 0.2 < out.t_final < 0.22
+        assert all(np.isfinite(s.v).all() for s in seen)
+
+
 def test_grid_nodes_computed_once_and_read_only():
     grid = Grid(-2.0, 2.0, 64)
     x = grid.nodes()
