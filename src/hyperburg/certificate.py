@@ -82,6 +82,17 @@ class Certificate:
     def feasible(self) -> bool:
         return self.eps_interval is not None
 
+    def minorant(self, t: float, params: ModelParams) -> Optional[float]:
+        """G(t) at ``eps_chosen``, or None where G does not exist: for an
+        infeasible certificate, and outside [0, T*), to rounding (the closed
+        form may already be past its blow-up a few ulps before ``T_star``)."""
+        if not self.feasible or (self.T_star is not None and t >= self.T_star):
+            return None
+        try:
+            return g_closed_form(t, self.eps_chosen, self.G0, params)
+        except DomainError:
+            return None
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -254,14 +265,11 @@ def comparison_check(
         raise ParameterError("certificate has an empty eps interval")
     if not records:
         raise ParameterError("need at least one record")
-    eps = certificate.eps_chosen
-    horizon = certificate.T_star
     worst = math.inf
     for rec in records:
-        if horizon is not None and rec.t >= horizon:
-            continue
-        g = g_closed_form(rec.t, eps, certificate.G0, params)
-        worst = min(worst, (rec.F - g) / (1.0 + g))
+        g = certificate.minorant(rec.t, params)
+        if g is not None:
+            worst = min(worst, (rec.F - g) / (1.0 + g))
     if math.isinf(worst):
         raise ParameterError("no records before the minorant blow-up time")
     return worst

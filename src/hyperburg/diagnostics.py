@@ -8,9 +8,10 @@ trapezoid helper, :func:`~hyperburg.operators.trapezoid_dot`.  Higher time
 derivatives (v_tt, v_ttt) are reconstructed from the equation instead of
 stored; during a run the solver passes in v_tt, the slope its next step
 starts from, and a :class:`RecordWorkspace` for every array a record writes.
-A record writes its arrays on the solver's active window only (outside it
-the state is zero) and integrates over the whole grid, so the sums keep
-their whole-grid order.
+A record differences the state's ``(2, n)`` block ``u`` (rows v and w) in one
+call per stencil, writes its arrays on the solver's active window only
+(outside it the state is zero) and integrates over the whole grid, so the
+sums keep their whole-grid order.
 
 Monitored quantities (all but the cone maximum are fields of the record
 that :func:`compute_record` assembles; the cone maximum is a streaming
@@ -113,7 +114,7 @@ def support_interval(state: GridState, threshold: float,
     if not (threshold > 0.0):
         raise ParameterError(f"support threshold must be positive, got {threshold}")
     if magnitude is None:
-        magnitude = np.abs(state.block())
+        magnitude = np.abs(state.u)
     live = (magnitude[..., window] > threshold).any(axis=0)
     idx = np.flatnonzero(live)
     if idx.size == 0:
@@ -253,7 +254,7 @@ def compute_record(
 
     ``prev`` supplies the Sobolev accumulators and the time gap; pass the
     previous record during a run, or None for a standalone/initial record.
-    ``v_tt`` is dw/dt from ``pde_rhs`` at this state when the caller has it
+    ``v_tt`` is dw/dt, row 1 of ``pde_rhs`` at this state, when the caller has it
     (the solver's stage-1 slope); it is only read.  Without it the record
     computes it, with the same function and the same result.  ``work``
     holds the arrays the record writes; a fresh one gives the same bits.
@@ -264,15 +265,15 @@ def compute_record(
         work = RecordWorkspace(state.v.shape)
     dx = state.grid.dx
     c2 = params.c * params.c
-    u, win = state.block(), work.window
-    v, w = state.v, state.w
+    u, win = state.u, work.window
+    v, w = u
     with np.errstate(over="ignore", invalid="ignore"):
         # Stencils, v_ttt and |u| on the window; the integrals span the grid.
         d1_central(u[..., win], dx, out=work.d1[..., win])
         d2_central(u[..., win], dx, out=work.d2[..., win])
         (v_x, w_x), (v_xx, w_xx) = work.d1, work.d2
         if v_tt is None:
-            _, v_tt = pde_rhs(v, w, dx, params.mu, params.nu)
+            v_tt = pde_rhs(v, w, dx, params.mu, params.nu)[1]
         # d/dt of the w-equation (flux v^2/2 differentiates to v*w), in place.
         v_ttt, flux = work.ttt, work.flux
         ttt, fl = v_ttt[..., win], flux[..., win]

@@ -141,4 +141,4 @@ def sample_initial_state(
         )
     x = grid.nodes()
     psi = bump_profile(x, profile.L)
-    return GridState(grid=grid, t=0.0, v=profile.a * psi, w=profile.b * psi)
+    return GridState(grid, 0.0, np.stack((profile.a * psi, profile.b * psi)))

@@ -8,13 +8,14 @@ zero, which is exact as long as the support never reaches them.
 
 Every stencil acts on the last axis (``f[..., 1:-1]``), so a ``(B, n)``
 stack of B fields is differenced row by row with the same arithmetic as a
-single field, bit for bit.  Each one takes an optional ``out=`` buffer shaped
-like its input; with it the call allocates no array.  An ``out`` buffer must
-not overlap the inputs.
+single field, bit for bit.  The two stencils take an optional ``out=``
+buffer shaped like their input; with it the call allocates no array.  An
+``out`` buffer must not overlap the inputs.
 
-:func:`pde_rhs` evaluates the interior of dw/dt in one fused sequence of
-in-place ufunc passes (see its docstring), held once by :class:`RhsKernel`:
-the solver binds one kernel per run, :func:`pde_rhs` one per call.
+:func:`pde_rhs` evaluates the slope of (v, w) as one ``(2, ...)`` block, like
+a solver state's ``u``, in one fused sequence of in-place ufunc passes, held
+once by :class:`RhsKernel`: the solver binds one kernel per run,
+:func:`pde_rhs` one per call.
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ def d2_central(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.nd
 
 
 def stencil_views(fields) -> tuple[np.ndarray, ...]:
-    """v[i+1], v[i-1], v[i], w[i] over the interior, from a (v, w) pair or block."""
+    """v[i+1], v[i-1], v[i], w[i] over the interior, from a (v, w) block or pair."""
     v, w = fields[0], fields[1]
     return v[..., 2:], v[..., :-2], v[..., 1:-1], w[..., 1:-1]
 
 
 class RhsKernel:
-    """The arithmetic of :func:`pde_rhs`, bound to one (dv, dw) pair or block ``out``.
+    """The arithmetic of :func:`pde_rhs`, bound to one ``(2, ..., n)`` slope block ``out``.
 
     Construction zeroes the boundary of ``out`` and keeps views of its
     interiors; a call writes only those interiors and returns ``out``, so
@@ -88,11 +89,10 @@ class RhsKernel:
 
     __slots__ = ("out", "dv", "dw")
 
-    def __init__(self, out):
+    def __init__(self, out: np.ndarray):
         self.out = out
-        for f in out[0], out[1]:
-            f[..., 0] = f[..., -1] = 0.0
-        self.dv, self.dw = out[0][..., 1:-1], out[1][..., 1:-1]
+        out[..., 0] = out[..., -1] = 0.0
+        self.dv, self.dw = out[0, ..., 1:-1], out[1, ..., 1:-1]
 
     def __call__(self, views: tuple[np.ndarray, ...], dx: float, mu: float, nu: float):
         """Slope of the fields with these :func:`stencil_views`; the dv/dt
@@ -114,14 +114,7 @@ class RhsKernel:
         return self.out
 
 
-def pde_rhs(
-    v: np.ndarray,
-    w: np.ndarray,
-    dx: float,
-    mu: float,
-    nu: float,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def pde_rhs(v: np.ndarray, w: np.ndarray, dx: float, mu: float, nu: float) -> np.ndarray:
     """Right-hand side of the first-order system for the hyperbolic model.
 
     The equation mu*v_tt + v_t + v*v_x = nu*v_xx is advanced as
@@ -136,11 +129,8 @@ def pde_rhs(
         (a - b*d) * s - 2a * v[i] - w[i] / mu,
         a = nu / (mu dx^2),   b = 1 / (4 mu dx),
 
-    which a :class:`RhsKernel` bound to the result buffers evaluates in
-    place.  ``out=(dv, dw)`` supplies the two result buffers (shaped like v,
-    overlapping neither input); without it they are allocated.  Boundary
-    entries of both slopes are zero (pinned nodes).
+    which a :class:`RhsKernel` bound to a fresh result block evaluates in
+    place.  Returns the ``(2, ...)`` block of dv/dt and dw/dt, rows shaped
+    like v; boundary entries of both are zero (pinned nodes).
     """
-    if out is None:
-        out = (np.empty_like(w), np.empty_like(v))
-    return RhsKernel(out)(stencil_views((v, w)), dx, mu, nu)
+    return RhsKernel(np.empty((2, *v.shape)))(stencil_views((v, w)), dx, mu, nu)

@@ -2,10 +2,9 @@
 
 Outputs per run:
 
-* ``records.csv`` with exactly the columns t, sup_norm, F, Fprime, E1, E2,
-  E3, support_left, support_right, schwartz_gap, G_lower_bound (empty when
-  no certificate applies), half_int_v2 - everything an acceptance check
-  needs is recomputable from this file alone;
+* ``records.csv`` with exactly the columns ``CSV_COLUMNS``: record fields
+  and G_lower_bound (empty where no minorant exists) - everything an
+  acceptance check needs is recomputable from this file alone;
 * ``report.json`` with the config echo, the certificate, the outcome, the
   worst-case value of every monitored inequality margin, ``resolution``
   (see :func:`_resolution`) and ``perf`` (steps, dt, the share of columns
@@ -30,8 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics
-from .certificate import (Certificate, build_certificate, comparison_check,
-                          g_closed_form, t_star)
+from .certificate import Certificate, build_certificate, comparison_check, t_star
 from .config import RunConfig, resolve_output_dir
 from .initial_data import ProfileSpec, calibrated_profile, sample_initial_state
 from .model import ModelParams
@@ -39,20 +37,9 @@ from .solver import GridState, RunOutcome, integrate
 
 __all__ = ["RunReport", "execute_config", "write_csv", "certificate_dict", "CSV_COLUMNS"]
 
-CSV_COLUMNS = (
-    "t",
-    "sup_norm",
-    "F",
-    "Fprime",
-    "E1",
-    "E2",
-    "E3",
-    "support_left",
-    "support_right",
-    "schwartz_gap",
-    "G_lower_bound",
-    "half_int_v2",
-)
+# Every column but G_lower_bound is the DiagnosticsRecord field of its name.
+CSV_COLUMNS = ("t", "sup_norm", "F", "Fprime", "E1", "E2", "E3", "support_left",
+               "support_right", "schwartz_gap", "G_lower_bound", "half_int_v2")
 
 
 @dataclass
@@ -94,30 +81,14 @@ def _fmt(x: float) -> str:
 
 def write_csv(path: Path, outcome: RunOutcome, certificate: Certificate,
               params: ModelParams) -> None:
-    """Write the record series in the fixed column order."""
+    """Write the record series in the column order of ``CSV_COLUMNS``;
+    ``G_lower_bound`` is the certificate's minorant, empty where G does not exist."""
     lines = [",".join(CSV_COLUMNS)]
-    horizon = certificate.T_star if certificate.feasible else None
     for rec in outcome.records:
-        if certificate.feasible and (horizon is None or rec.t < horizon):
-            g_cell = _fmt(g_closed_form(rec.t, certificate.eps_chosen,
-                                        certificate.G0, params))
-        else:
-            g_cell = ""
-        cells = [
-            _fmt(rec.t),
-            _fmt(rec.sup_norm),
-            _fmt(rec.F),
-            _fmt(rec.Fprime),
-            _fmt(rec.E1),
-            _fmt(rec.E2),
-            _fmt(rec.E3),
-            _fmt(rec.support_left),
-            _fmt(rec.support_right),
-            _fmt(rec.schwartz_gap),
-            g_cell,
-            _fmt(rec.half_int_v2),
-        ]
-        lines.append(",".join(cells))
+        g = certificate.minorant(rec.t, params)
+        g_cell = "" if g is None else _fmt(g)
+        lines.append(",".join(g_cell if col == "G_lower_bound" else _fmt(getattr(rec, col))
+                              for col in CSV_COLUMNS))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -187,7 +158,7 @@ def _resolution(outcome: RunOutcome, params: ModelParams) -> dict:
     peak = max(r.sup_norm for r in outcome.records)
     final = outcome.final_state
     width = None
-    if np.isfinite(final.block()).all():
+    if np.isfinite(final.u).all():
         size = np.abs(final.v)
         width = int(np.count_nonzero(size > 0.1 * size.max()))
     return {"max_sup_over_c": peak / params.c,

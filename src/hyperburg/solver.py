@@ -6,12 +6,12 @@ with dt = min(cfl * dx / c, mu).  The domain is sized so the exact support
 {|x| <= L + c t} never reaches the boundary; the two boundary nodes are
 pinned to zero, which substitutes for boundary conditions entirely.
 
-Stepping kernel: :func:`integrate` is the one stepping loop.  A step works
-on (v, w) as one ``(2, ...)`` block (:meth:`GridState.block`): each stage
+Stepping kernel: :func:`integrate` is the one stepping loop.  A state is one
+``(2, n)`` block ``u`` of rows v and w (:class:`GridState`), so each stage
 input, accumulation, update and boundary pin is one array call.  A run binds
 one :class:`StepWorkspace` (buffers, slope kernel and stencil views, rebuilt
 only when its window grows) and a step allocates only the new state's block.
-The arrays act on the last axis, so a ``(B, n)`` state steps B fields at once.
+The arrays act on the last axis: :func:`step_rk4` steps a ``(2, B, n)`` stack.
 
 Active window: a run steps and records only on a column window [a, b)
 holding every nonzero of (v, w) with MARGIN zero columns on each side (see
@@ -104,29 +104,23 @@ class Grid:
 
 @dataclass
 class GridState:
-    """Field pair (v, w = dv/dt) on a grid at one time instant."""
+    """Field pair (v, w = dv/dt) on a grid at one time instant, held as one
+    ``(2, ..., n)`` block ``u``; ``v`` and ``w`` are its rows, read-only."""
 
     grid: Grid
     t: float
-    v: np.ndarray
-    w: np.ndarray
+    u: np.ndarray
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.u[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.u[1]
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.v)))
-
-    def block(self) -> np.ndarray:
-        """(v, w) as one ``(2, ...)`` array: for a state made by :func:`step_rk4`
-        the block whose rows v and w are; otherwise a stacked copy, not kept."""
-        packed = self.__dict__.get("_packed")
-        if packed is not None and packed[1] is self.v and packed[2] is self.w:
-            return packed[0]
-        return np.stack((self.v, self.w))
-
-    @classmethod
-    def _of_block(cls, grid: Grid, t: float, u: np.ndarray) -> GridState:
-        state = cls(grid=grid, t=t, v=u[0], w=u[1])
-        state._packed = (u, state.v, state.w)
-        return state
 
 
 class RunStatus(enum.Enum):
@@ -209,7 +203,7 @@ class StepWorkspace:
         """Grow the window to the nonzeros of ``state`` (every row of a stack;
         the whole grid if it has none), padded so the next REFIT_STEPS - 1 steps
         keep MARGIN.  It never shrinks, so the record buffers stay zero outside."""
-        u, n = state.block(), self.shape[-1]
+        u, n = state.u, self.shape[-1]
         live = np.flatnonzero(u.any(axis=tuple(range(u.ndim - 1))))
         if live.size == 0:
             a, b = 0, n
@@ -224,8 +218,7 @@ class StepWorkspace:
         """Slope of ``state`` into ``k``, marked for reuse; returns dw/dt = v_tt,
         copied to a full-width buffer that is zero outside the window."""
         a, b = self.window
-        self.rhs(stencil_views((state.v[..., a:b], state.w[..., a:b])),
-                 state.grid.dx, params.mu, params.nu)
+        self.rhs(stencil_views(state.u[..., a:b]), state.grid.dx, params.mu, params.nu)
         self.slope_of = state
         v_tt = self.record.v_tt
         np.copyto(v_tt[..., a:b], self.k[1])
@@ -252,7 +245,7 @@ def step_rk4(
     if work is None:
         work = StepWorkspace(state.v.shape)
     dx, mu, nu = state.grid.dx, params.mu, params.nu
-    u = state.block()
+    u = state.u
     a, b = work.window
     win = u[..., a:b]
     s, k, acc, rhs = work.s, work.k, work.acc, work.rhs
@@ -277,7 +270,7 @@ def step_rk4(
     u_new = np.zeros(u.shape)
     np.add(win, acc, out=u_new[..., a:b])
     u_new[..., 0] = u_new[..., -1] = 0.0
-    return GridState._of_block(state.grid, state.t + dt, u_new)
+    return GridState(state.grid, state.t + dt, u_new)
 
 
 def check_domain_margin(grid: Grid, params: ModelParams, t_end: float) -> None:
@@ -323,7 +316,7 @@ def integrate(
     broken state), or at the first time >= t_end.
 
     Run health is one max and one min per row of the whole stepped (v, w)
-    block, not just the active window:
+    block ``u``, not just the active window:
     NaN propagates through both and +-inf shows in one, so the extremes are
     finite exactly when v and w are; sup|v| = max(max v, -min v).
 
@@ -334,18 +327,28 @@ def integrate(
     Each record reuses the slope the next step starts from (see the module
     docstring).  Pure function of its arguments: identical inputs give
     bit-identical outcomes and records.
+
+    Raises:
+        ParameterError: unless ``state0.u`` is one ``(2, n)`` pair, not a stack.
+        ConfigError: for a bad stride or grid margin, or a threshold at or
+            below sup|v0|, which would report blow-up at the first step.
     """
+    if state0.u.shape != (2, state0.grid.n):
+        raise ParameterError(f"integrate records one state, u of shape (2, {state0.grid.n}), got "
+                             f"{state0.u.shape}; step a stack with step_rk4 on one StepWorkspace")
     if record_stride < 1:
         raise ConfigError(f"record_stride must be >= 1, got {record_stride}")
     check_domain_margin(state0.grid, params, t_end)
     if blowup_threshold is None:
         blowup_threshold = default_blowup_threshold(state0)
+    elif not blowup_threshold > state0.sup_norm():
+        raise ConfigError(f"blowup_threshold {blowup_threshold!r} must exceed sup|v0| = "
+                          f"{state0.sup_norm()!r}; raise it, or set it null for the default")
     if observe is not None:
         observe(state0)
 
     dt = stable_dt(state0.grid, params, cfl)
     work = StepWorkspace(state0.v.shape, state0)
-    rows = tuple(range(1, state0.v.ndim + 1))  # reduce each block row whole
     records: list[DiagnosticsRecord] = []
     state, steps, stepped, status, record_s = state0, 0, 0, None, 0.0
 
@@ -365,9 +368,8 @@ def integrate(
             steps += 1
             stepped += work.window[1] - work.window[0]
 
-            u = state.block()
-            hi_v, hi_w = u.max(axis=rows).tolist()
-            lo_v, lo_w = u.min(axis=rows).tolist()
+            hi_v, hi_w = state.u.max(axis=1).tolist()
+            lo_v, lo_w = state.u.min(axis=1).tolist()
             if not all(map(math.isfinite, (hi_v, hi_w, lo_v, lo_w))):
                 # Keep the last healthy record; return the broken state as-is.
                 status = RunStatus.NUMERICAL_FAILURE
@@ -381,7 +383,7 @@ def integrate(
             if blown or state.t >= t_end:
                 status = RunStatus.BLOWUP_DETECTED if blown else RunStatus.COMPLETED
     return RunOutcome(status=status, t_final=state.t, records=records, final_state=state,
-                      n_steps=steps, dt=dt, stepped_frac=stepped / (steps * state0.v.shape[-1]),
+                      n_steps=steps, dt=dt, stepped_frac=stepped / (steps * state0.grid.n),
                       record_s=record_s)
 
 

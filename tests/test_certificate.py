@@ -203,6 +203,18 @@ class TestBuildCertificateAndComparison:
         cert = build_certificate(UNIT, -5.0, 0.0)
         assert not cert.feasible and not cert.thresholds_met
 
+    def test_minorant_exists_only_before_t_star(self):
+        cert = build_certificate(UNIT, 40.0, 200.0)
+        below = cert.T_star * (1.0 - 1e-9)
+        assert cert.minorant(0.0, UNIT) == cert.G0
+        assert cert.minorant(below, UNIT) == g_closed_form(below, cert.eps_chosen, 40.0, UNIT)
+        assert cert.minorant(below, UNIT) > 1e15 * cert.G0
+        assert cert.minorant(cert.T_star, UNIT) is None
+        assert cert.minorant(2.0 * cert.T_star, UNIT) is None
+        # the closed form blows up a few ulps before T*; G does not exist there
+        assert cert.minorant(math.nextafter(cert.T_star, 0.0), UNIT) is None
+        assert build_certificate(UNIT, 100.0, 200.0).minorant(0.0, UNIT) is None
+
     def test_comparison_requires_feasible_certificate(self, blowup_reports):
         records = blowup_reports[0].outcome.records
         empty = build_certificate(UNIT, 100.0, 200.0)

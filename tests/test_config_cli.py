@@ -306,6 +306,16 @@ class TestCLI:
         assert main(["run", "--config", str(cfg)]) == 1
         capsys.readouterr()
 
+    def test_run_rejects_threshold_below_initial_sup(self, tmp_path, capsys):
+        out = tmp_path / "bu"
+        doc = blowup_doc(str(out))
+        doc["blowup_threshold"] = 1.0  # the data start at sup|v0| = 75.2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "null" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_numerical_failure_exit_code(self, tmp_path, capsys):
         doc = base_doc(str(tmp_path / "nf"))
         doc["ic"] = {"family": "odd_bump", "a": 1e9, "b": 0.0}

@@ -28,7 +28,7 @@ from hyperburg.solver import Grid, GridState
 def state_on(grid, v, w=None, t=0.0):
     if w is None:
         w = np.zeros_like(v)
-    return GridState(grid=grid, t=t, v=v, w=w)
+    return GridState(grid, t, np.stack((v, w)))
 
 
 def zero_state(n=64, dom=2.0):
@@ -63,7 +63,7 @@ class TestMoments:
     def test_linear_ramp(self):
         st = linear_ramp_state()
         assert moment_F(st) == pytest.approx(2.0 / 3.0, abs=1e-6)
-        st_w = GridState(grid=st.grid, t=0.0, v=np.zeros_like(st.v), w=st.v.copy())
+        st_w = GridState(st.grid, 0.0, np.stack((np.zeros_like(st.v), st.v)))
         assert moment_Fprime(st_w) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_calibrated_state_moment_exact(self):

@@ -7,6 +7,7 @@ from hyperburg import (
     Refinement,
     RunStatus,
     amplitude_for_sup_norm,
+    calibrated_profile,
     integrate,
     sample_initial_state,
     stable_dt,
@@ -61,7 +62,7 @@ class TestStepRK4:
         params = validate_params(1, 1, 1)
         grid = Grid(-2.0, 2.0, 64)
         z = np.zeros(64)
-        state = GridState(grid=grid, t=0.0, v=z.copy(), w=z.copy())
+        state = GridState(grid, 0.0, np.stack((z, z)))
         nxt = step_rk4(state, params, 0.01)
         assert nxt.t == 0.01
         assert np.all(nxt.v == 0.0) and np.all(nxt.w == 0.0)
@@ -107,7 +108,7 @@ class TestStepWorkspace:
         params, state = small_state()
         dt = stable_dt(state.grid, params, 0.4)
         work = StepWorkspace(state.v.shape)
-        other = GridState(grid=state.grid, t=state.t, v=2.0 * state.v, w=state.w + 1.0)
+        other = GridState(state.grid, state.t, np.stack((2.0 * state.v, state.w + 1.0)))
         reused = fresh = state
         for i in range(10):
             if i % 3 == 0:
@@ -125,33 +126,14 @@ class TestStepWorkspace:
         again = step_rk4(state, params, dt, work)
         assert np.array_equal(first.v, again.v) and np.array_equal(first.w, again.w)
 
-    def test_two_array_state_and_block_rows_step_alike(self):
-        # A state built from two arrays is stacked at its first step; one
-        # built from a block's rows steps from that block.  Same bits.
-        params, state = small_state(sup=0.5)
-        dt = stable_dt(state.grid, params, 0.4)
-        u = np.stack((state.v, state.v + 0.25))
-        apart = GridState(grid=state.grid, t=0.0, v=u[0].copy(), w=u[1].copy())
-        rows = GridState(grid=state.grid, t=0.0, v=u[0], w=u[1])
-        for _ in range(5):
-            apart = step_rk4(apart, params, dt)
-            rows = step_rk4(rows, params, dt)
-            assert np.array_equal(apart.v, rows.v) and np.array_equal(apart.w, rows.w)
-
     def test_stepped_state_fields_are_rows_of_its_block(self):
         params, state = small_state()
         nxt = step_rk4(state, params, 0.001)
-        block = nxt.block()
-        assert block.shape == (2, state.grid.n) and nxt.block() is block
-        block[:, 40] = (7.0, -7.0)  # writing the block writes v and w
+        assert nxt.u.shape == (2, state.grid.n)
+        nxt.u[:, 40] = (7.0, -7.0)  # writing the block writes v and w
         assert (nxt.v[40], nxt.w[40]) == (7.0, -7.0)
-        # A state from two arrays yields a stacked copy, never kept ...
-        assert not np.shares_memory(state.block(), state.v)
-        assert state.block() is not state.block()
-        # ... and so does a stepped state whose field was rebound.
-        nxt.v = nxt.v.copy()
-        assert not np.shares_memory(nxt.block(), nxt.v)
-        assert np.array_equal(nxt.block()[0], nxt.v)
+        with pytest.raises(AttributeError):  # the fields are rows, not attributes
+            nxt.v = nxt.v.copy()
 
     def test_slope_boundaries_stay_zero(self):
         # The bound kernel zeroes the slope boundary once and writes only
@@ -159,9 +141,9 @@ class TestStepWorkspace:
         # into it, over 50 steps with slopes loaded now and then.
         params, state = small_state()
         rng = np.random.default_rng(5)
-        state = GridState(grid=state.grid, t=0.0,
-                          v=state.v + 0.01 * rng.standard_normal(state.grid.n),
-                          w=0.01 * rng.standard_normal(state.grid.n))
+        state = GridState(state.grid, 0.0,
+                          np.stack((state.v + 0.01 * rng.standard_normal(state.grid.n),
+                                    0.01 * rng.standard_normal(state.grid.n))))
         assert state.v[0] != 0.0 and state.w[-1] != 0.0
         dt = stable_dt(state.grid, params, 0.4)
         work = StepWorkspace(state.v.shape)
@@ -170,21 +152,20 @@ class TestStepWorkspace:
                 work.load_slope(state, params)
             state = step_rk4(state, params, dt, work)
             assert np.all(work.k[..., 0] == 0.0) and np.all(work.k[..., -1] == 0.0)
-        assert np.isfinite(state.block()).all()
+        assert np.isfinite(state.u).all()
 
     def test_stacked_states_step_row_by_row(self):
         params, state = small_state()
         dt = stable_dt(state.grid, params, 0.4)
         scales = (0.5, 1.0, 3.0)
-        stack = GridState(
-            grid=state.grid, t=0.0,
-            v=np.stack([k * state.v for k in scales]),
-            w=np.stack([k * state.v for k in scales]),
-        )
+        stack = GridState(state.grid, 0.0, np.stack((
+            np.stack([k * state.v for k in scales]),
+            np.stack([k * state.v for k in scales]),
+        )))
         stepped = step_rk4(stack, params, dt)
         for i, k in enumerate(scales):
             row = step_rk4(
-                GridState(grid=state.grid, t=0.0, v=k * state.v, w=k * state.v), params, dt
+                GridState(state.grid, 0.0, np.stack((k * state.v, k * state.v))), params, dt
             )
             assert np.array_equal(stepped.v[i], row.v)
             assert np.array_equal(stepped.w[i], row.w)
@@ -196,10 +177,10 @@ class TestStepWorkspace:
         params, state = small_state(sup=0.5)
         dt = stable_dt(state.grid, params, 0.4)
         scales = (0.5, 1.0, 3.0)
-        stack = GridState(grid=state.grid, t=0.0,
-                          v=np.stack([k * state.v for k in scales]),
-                          w=np.stack([0.5 * k * state.v for k in scales]))
-        singles = [GridState(grid=state.grid, t=0.0, v=k * state.v, w=0.5 * k * state.v)
+        stack = GridState(state.grid, 0.0,
+                          np.stack((np.stack([k * state.v for k in scales]),
+                                    np.stack([0.5 * k * state.v for k in scales]))))
+        singles = [GridState(state.grid, 0.0, np.stack((k * state.v, 0.5 * k * state.v)))
                    for k in scales]
         work = StepWorkspace(stack.v.shape)
         single_works = [StepWorkspace(state.v.shape) for _ in scales]
@@ -210,7 +191,7 @@ class TestStepWorkspace:
         for i, single in enumerate(singles):
             assert np.array_equal(stack.v[i], single.v)
             assert np.array_equal(stack.w[i], single.w)
-            row = GridState(grid=state.grid, t=stack.t, v=stack.v[i], w=stack.w[i])
+            row = GridState(state.grid, stack.t, stack.u[:, i])
             got = compute_record(row, params, work=shared)
             alone = compute_record(single, params)
             assert [float(x).hex() for x in vars(got).values()] == \
@@ -227,7 +208,7 @@ def sharp_state(n=1024, dom=16.0, lo=500, width=20, seed=3, scale=1.0):
     v, w = np.zeros(n), np.zeros(n)
     v[lo:lo + width] = scale * rng.standard_normal(width)
     w[lo:lo + width] = scale * rng.standard_normal(width)
-    return params, GridState(grid=grid, t=0.0, v=v, w=w)
+    return params, GridState(grid, 0.0, np.stack((v, w)))
 
 
 def same_bits(a: GridState, b: GridState) -> bool:
@@ -309,7 +290,7 @@ class TestActiveWindow:
     def test_zero_data_steps_the_whole_grid(self, monkeypatch):
         params = validate_params(1, 1, 1)
         grid = Grid(-13.0, 13.0, 256)
-        state0 = GridState(grid=grid, t=0.0, v=np.zeros(256), w=np.zeros(256))
+        state0 = GridState(grid, 0.0, np.zeros((2, 256)))
         out, seen, windows = self.run_spied(monkeypatch, state0, params, 0.5)
         assert windows == [(0, 256)] and out.stepped_frac == 1.0
         assert all(not s.v.any() and not s.w.any() for s in seen)
@@ -317,9 +298,9 @@ class TestActiveWindow:
     def test_data_filling_the_grid_step_every_column(self):
         params, state = small_state()
         rng = np.random.default_rng(7)
-        state0 = GridState(grid=state.grid, t=0.0,
-                           v=state.v + 1e-3 * rng.standard_normal(state.grid.n),
-                           w=1e-3 * rng.standard_normal(state.grid.n))
+        state0 = GridState(state.grid, 0.0,
+                           np.stack((state.v + 1e-3 * rng.standard_normal(state.grid.n),
+                                     1e-3 * rng.standard_normal(state.grid.n))))
         assert integrate(state0, params, t_end=0.2).stepped_frac == 1.0
 
     def test_stack_with_different_supports_matches_single_runs(self, monkeypatch):
@@ -327,12 +308,12 @@ class TestActiveWindow:
         params = validate_params(1, 1, 1)
         rows = [sharp_state(lo=lo, width=wd, seed=i)[1]
                 for i, (lo, wd) in enumerate([(300, 10), (500, 30), (640, 4)])]
-        stack = GridState(grid=rows[0].grid, t=0.0, v=np.stack([r.v for r in rows]),
-                          w=np.stack([r.w for r in rows]))
+        stack = GridState(rows[0].grid, 0.0, np.stack((np.stack([r.v for r in rows]),
+                                                       np.stack([r.w for r in rows]))))
         work = StepWorkspace(stack.v.shape, stack)
         singles = [self.run_spied(monkeypatch, r, params, 0.7, record_stride=8)
                    for r in rows]
-        live = np.flatnonzero(stack.block().any(axis=(0, 1)))
+        live = np.flatnonzero(stack.u.any(axis=(0, 1)))
         pad = solver.MARGIN + solver.REACH * (solver.REFIT_STEPS - 1)
         assert work.window == (live[0] - pad, live[-1] + 1 + pad)
         for step in range(1, singles[0][0].n_steps + 1):
@@ -396,6 +377,44 @@ class TestIntegrate:
         params, state0 = small_state(dom=2.5)
         with pytest.raises(ConfigError, match="grid"):
             integrate(state0, params, t_end=10.0)
+
+    def test_stack_rejected_before_stepping(self, monkeypatch):
+        # A stack of B states, u of shape (2, B, n), steps with step_rk4 on
+        # one StepWorkspace; integrate builds records of one state only.
+        params, state = small_state()
+        stack = GridState(state.grid, 0.0, np.stack((state.u, 2.0 * state.u), axis=1))
+        monkeypatch.setattr(solver, "step_rk4", None)  # any step would fail
+        with pytest.raises(ParameterError, match="step_rk4 on one StepWorkspace"):
+            integrate(stack, params, t_end=0.5)
+
+    @pytest.mark.parametrize("threshold", [1.0, "sup0"])
+    def test_threshold_at_or_below_initial_sup_rejected(self, monkeypatch, threshold):
+        # The certified data start at sup|v0| = 75.2: a threshold at or below
+        # it would report blow-up after one step.
+        params = validate_params(1, 1, 1)
+        grid = Grid(-8.0, 8.0, 1025)
+        state0 = sample_initial_state(
+            params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
+        sup0 = state0.sup_norm()
+        assert sup0 > 75.0
+        monkeypatch.setattr(solver, "step_rk4", None)
+        with pytest.raises(ConfigError, match=f"sup\\|v0\\| = {sup0!r}.*null"):
+            integrate(state0, params, t_end=6.5,
+                      blowup_threshold=sup0 if threshold == "sup0" else threshold)
+
+    def test_integrate_never_copies_a_state(self, monkeypatch):
+        # A state is its one (v, w) block: no step, record or observer call
+        # stacks the fields into a new one.
+        params, state0 = small_state()
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("numpy.stack called inside integrate")
+
+        monkeypatch.setattr(np, "stack", no_stack)
+        seen = []
+        out = integrate(state0, params, t_end=0.5, record_stride=1, observe=seen.append)
+        assert out.status is RunStatus.COMPLETED
+        assert len(out.records) == len(seen) == out.n_steps + 1
 
     def test_blowup_detection_on_certified_preset(self, blowup_reports):
         t_star_ref = cert.t_star(BLOWUP_TSTAR_EPS, 40.0, validate_params(1, 1, 1))
