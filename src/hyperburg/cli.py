@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``run --config FILE [--out DIR]``: execute one configured run.  Exit
+* ``run --config FILE [--out DIR]``: execute one configured run; --out DIR
+  replaces the configured output directory, and the report echoes DIR.  Exit
   status encodes the outcome: 0 completed, 2 blow-up detected, 3 numerical
   failure, 1 usage or validation error.
 * ``thresholds --mu --nu --L --F0 --F1``: print the certified-blow-up
@@ -93,7 +94,9 @@ def _print_json(doc: dict) -> None:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    report = execute_config(config, out_dir=args.out)
+    if args.out is not None:
+        config = replace(config, output=replace(config.output, directory=args.out))
+    report = execute_config(config)
     _print_json(report.to_dict())
     return _STATUS_EXIT[report.status]
 

@@ -237,13 +237,10 @@ def refinement_ladder(base: RunConfig, levels: int) -> list[RunConfig]:
             for n in ns]
 
 
-def resolve_output_dir(config: RunConfig, cli_out: Optional[str] = None) -> Path:
-    """Effective output directory.
-
-    ``cli_out`` overrides the configured directory; the HYPERBURG_OUT
-    environment variable, when set, roots any relative result.
-    """
-    chosen = Path(cli_out) if cli_out is not None else Path(config.output.directory)
+def resolve_output_dir(config: RunConfig) -> Path:
+    """Effective output directory: the configured one, rooted by the
+    HYPERBURG_OUT environment variable, when set, if it is relative."""
+    chosen = Path(config.output.directory)
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root and not chosen.is_absolute():
         return Path(root) / chosen

@@ -6,8 +6,9 @@ the semi-discrete system show up as gaps at roundoff rather than at
 quadrature-error level.  Integrals of squares and the moments share one
 trapezoid helper, :func:`~hyperburg.operators.trapezoid_dot`.  Higher time
 derivatives (v_tt, v_ttt) are reconstructed from the equation instead of
-stored; during a run the solver passes in v_tt, the slope its next step
-starts from, and a :class:`RecordWorkspace` for every array a record writes.
+stored; during a run the solver passes in v_tt, the stage-1 slope of its
+step from the recorded state, and a :class:`RecordWorkspace` for every
+array a record writes.
 A record differences the state's ``(2, n)`` block ``u`` (rows v and w) in one
 call per stencil, writes its arrays on the solver's active window only
 (outside it the state is zero) and integrates over the whole grid, so the
@@ -24,8 +25,10 @@ observer, :class:`ConeMax`, that the solver calls with each state):
 * the sup norm, the support interval, and the cone maximum for
   finite-propagation-speed checks;
 * the Cauchy-Schwarz gap (2/3)(L + c t)^3 int v^2 - F^2;
-* space-time Sobolev-type accumulators with mu^2/mu^4 (and, for the
-  third-order companion, mu^6) weights.
+* the cross-derivative integrals that complete the space integrals of the
+  space-time Sobolev-type norms with mu^2/mu^4 (and, for H3, mu^6) weights;
+  the norms themselves, like the identity residual and the Gronwall margin,
+  are functions of the record series (:func:`sobolev_norms`).
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ __all__ = [
     "support_interval",
     "identity_residual",
     "gronwall_check_E1",
+    "sobolev_norms",
     "RecordWorkspace",
     "compute_record",
     "SUPPORT_REL_THRESHOLD",
@@ -64,13 +68,9 @@ SUPPORT_REL_THRESHOLD = 1e-12
 class DiagnosticsRecord:
     """One time sample of every monitored functional.
 
-    ``sobolev_H2_accum`` / ``sobolev_H3_accum`` are running rectangle-rule
-    time integrals of the weighted instantaneous space integrals
-    mu^4 int (v_tt^2 + c^2 v_xt^2 + c^4 v_xx^2) + mu^2 int (v_t^2 + c^2 v_x^2)
-    + int v^2 and, for H3, that plus mu^6 int (v_ttt^2 + c^2 v_xtt^2
-    + c^4 v_xxt^2 + c^6 v_xxx^2); the norm over [0, t] is their square root.
     The cross-derivative integrals (``int_vxt2`` and friends) carry the
-    pieces of those space integrals that the energies alone do not.
+    pieces of the Sobolev space integrals (see :func:`sobolev_norms`) that
+    the energies alone do not.
     """
 
     t: float
@@ -87,8 +87,6 @@ class DiagnosticsRecord:
     int_vxt2: float
     int_vxtt2: float
     int_vxxt2: float
-    sobolev_H2_accum: float
-    sobolev_H3_accum: float
 
 
 def moment_F(state: GridState) -> float:
@@ -181,6 +179,28 @@ def gronwall_check_E1(
     return worst
 
 
+def sobolev_norms(records: Sequence[DiagnosticsRecord], params: ModelParams) -> tuple[float, float]:
+    """Space-time Sobolev-type norms (H2, H3) over [t_0, t_last] of the records.
+
+    Each is the square root of a right-endpoint rectangle rule over the
+    record times of a weighted space integral: for H2,
+    mu^4 int (v_tt^2 + c^2 v_xt^2 + c^4 v_xx^2) + mu^2 int (v_t^2 + c^2 v_x^2)
+    + int v^2, and for H3 that plus mu^6 int (v_ttt^2 + c^2 v_xtt^2
+    + c^4 v_xxt^2 + c^6 v_xxx^2).  The first record only opens the interval.
+    """
+    mu2, c2 = params.mu * params.mu, params.c * params.c
+    h2 = h3 = 0.0
+    for prev, rec in zip(records, records[1:]):
+        # int (v_tt^2 + c^2 v_xt^2 + c^4 v_xx^2) = 2 E2 + c^2 int v_xt^2, etc.
+        second = 2.0 * rec.E2 + c2 * rec.int_vxt2
+        third = 2.0 * rec.E3 + c2 * rec.int_vxtt2 + c2 * c2 * rec.int_vxxt2
+        s2 = mu2 * mu2 * second + mu2 * (2.0 * rec.E1) + 2.0 * rec.half_int_v2
+        s3 = s2 + mu2 * mu2 * mu2 * third
+        h2 += (rec.t - prev.t) * s2
+        h3 += (rec.t - prev.t) * s3
+    return math.sqrt(max(h2, 0.0)), math.sqrt(max(h3, 0.0))
+
+
 class ConeMax:
     """Max |v| over the backward cone {|x - x_c| <= c (t_c - t)}, streamed.
 
@@ -246,20 +266,17 @@ class RecordWorkspace:
 def compute_record(
     state: GridState,
     params: ModelParams,
-    prev: Optional[DiagnosticsRecord] = None,
     v_tt: Optional[np.ndarray] = None,
     work: Optional[RecordWorkspace] = None,
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one state.
 
-    ``prev`` supplies the Sobolev accumulators and the time gap; pass the
-    previous record during a run, or None for a standalone/initial record.
     ``v_tt`` is dw/dt, row 1 of ``pde_rhs`` at this state, when the caller has it
-    (the solver's stage-1 slope); it is only read.  Without it the record
-    computes it, with the same function and the same result.  ``work``
-    holds the arrays the record writes; a fresh one gives the same bits.
-    A fresh one's window is the whole grid; a narrower one needs the
-    solver's MARGIN zero columns of the state inside its edges.
+    (the stage-1 slope of the solver's step from this state); it is only
+    read.  Without it the record computes it, with the same function and the
+    same result.  ``work`` holds the arrays the record writes; a fresh one
+    gives the same bits.  A fresh one's window is the whole grid; a narrower
+    one needs the solver's MARGIN zero columns of the state inside its edges.
     """
     if work is None:
         work = RecordWorkspace(state.v.shape)
@@ -289,12 +306,8 @@ def compute_record(
         v_xxx, v_xtt = flux, work.xtt
 
         e1 = 0.5 * (trapezoid_dot(w, w, dx) + c2 * trapezoid_dot(v_x, v_x, dx))
-        e2 = 0.5 * (
-            trapezoid_dot(v_tt, v_tt, dx) + c2**2 * trapezoid_dot(v_xx, v_xx, dx)
-        )
-        e3 = 0.5 * (
-            trapezoid_dot(v_ttt, v_ttt, dx) + c2**3 * trapezoid_dot(v_xxx, v_xxx, dx)
-        )
+        e2 = 0.5 * (trapezoid_dot(v_tt, v_tt, dx) + c2**2 * trapezoid_dot(v_xx, v_xx, dx))
+        e3 = 0.5 * (trapezoid_dot(v_ttt, v_ttt, dx) + c2**3 * trapezoid_dot(v_xxx, v_xxx, dx))
         int_vxt2 = trapezoid_dot(w_x, w_x, dx)
         int_vxtt2 = trapezoid_dot(v_xtt, v_xtt, dx)
         int_vxxt2 = trapezoid_dot(w_xx, w_xx, dx)
@@ -310,19 +323,6 @@ def compute_record(
         radius = params.L + params.c * state.t
         gap = (2.0 / 3.0) * radius**3 * (2.0 * half_v2) - f * f
 
-        h2 = h3 = 0.0
-        if prev is not None:
-            mu2 = params.mu * params.mu
-            # int (v_tt^2 + c^2 v_xt^2 + c^4 v_xx^2) = 2 E2 + c^2 int v_xt^2, etc.
-            second = 2.0 * e2 + c2 * int_vxt2
-            first = 2.0 * e1
-            zeroth = 2.0 * half_v2
-            s2 = mu2 * mu2 * second + mu2 * first + zeroth
-            third = 2.0 * e3 + c2 * int_vxtt2 + c2 * c2 * int_vxxt2
-            s3 = s2 + mu2 * mu2 * mu2 * third
-            gap_dt = state.t - prev.t
-            h2 = prev.sobolev_H2_accum + gap_dt * s2
-            h3 = prev.sobolev_H3_accum + gap_dt * s3
         return DiagnosticsRecord(
             t=state.t,
             F=f,
@@ -338,6 +338,4 @@ def compute_record(
             int_vxt2=int_vxt2,
             int_vxtt2=int_vxtt2,
             int_vxxt2=int_vxxt2,
-            sobolev_H2_accum=h2,
-            sobolev_H3_accum=h3,
         )

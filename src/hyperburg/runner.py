@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -168,13 +167,11 @@ def _resolution(outcome: RunOutcome, params: ModelParams) -> dict:
 
 def execute_config(
     config: RunConfig,
-    out_dir: Optional[str | Path] = None,
     observe: Optional[Callable[[GridState], None]] = None,
 ) -> RunReport:
     """Build initial data, certify, integrate, aggregate, and persist.
 
-    ``out_dir`` overrides the configured output directory (the
-    HYPERBURG_OUT environment variable roots relative paths either way).
+    Files go to :func:`~hyperburg.config.resolve_output_dir` of ``config``.
     ``observe`` is handed to :func:`~hyperburg.solver.integrate`.
     Validation problems raise before any file is written.
     """
@@ -208,13 +205,7 @@ def execute_config(
     )
     t_output = perf_counter()
 
-    last = outcome.records[-1]
-    sobolev = {
-        "H2": math.sqrt(max(last.sobolev_H2_accum, 0.0)),
-        "H3": math.sqrt(max(last.sobolev_H3_accum, 0.0)),
-    }
-
-    target = resolve_output_dir(config, str(out_dir) if out_dir is not None else None)
+    target = resolve_output_dir(config)
     report_path = target / "report.json" if config.output.emit_report else None
     files: dict[str, Optional[str]] = {
         "csv": None, "report": None if report_path is None else str(report_path)}
@@ -225,7 +216,7 @@ def execute_config(
         t_detect=outcome.t_detect,
         certificate=certificate_dict(cert, params),
         worst=_worst_case(outcome, cert, params),
-        sobolev=sobolev,
+        sobolev=dict(zip(("H2", "H3"), diagnostics.sobolev_norms(outcome.records, params))),
         n_records=len(outcome.records),
         files=files,
         resolution=_resolution(outcome, params),

@@ -18,12 +18,13 @@ holding every nonzero of (v, w) with MARGIN zero columns on each side (see
 :class:`StepWorkspace`).  Outside it every field, stage and slope is exactly
 zero in the whole-grid computation too, so the bits are the same.
 
-When a record is due, the slope of the new state is computed once into the
-workspace: the record takes its dw/dt as v_tt, and the next step reuses it
-as its stage-1 slope, so a run makes exactly 4 * steps + 1 slope
-evaluations whatever the record stride.  A check that needs fields rather
-than records (the cone maximum, say) passes an ``observe`` callback, which
-sees the initial state and then every finite state the run reaches.
+A step leaves the stage-1 slope of the state it started from in the
+workspace, and a record due at that state takes its dw/dt as v_tt.  Only
+the terminal state's record evaluates its own slope, so a run makes exactly
+4 * steps + 1 slope evaluations whatever the record stride.  A check that
+needs fields rather than records (the cone maximum, say) passes an
+``observe`` callback, which sees the initial state and then every finite
+state the run reaches.
 
 Blow-up is reported as the first time the sup norm crosses a threshold, not
 as an extrapolated singularity time: the model supplies no blow-up rate to
@@ -119,6 +120,13 @@ class GridState:
     def w(self) -> np.ndarray:
         return self.u[1]
 
+    def __eq__(self, other) -> bool:
+        """Bitwise: same grid and t, and ``u``'s shape, dtype and bytes (signs of zero count)."""
+        if not isinstance(other, GridState):
+            return NotImplemented
+        return (self.grid, self.t, self.u.shape, self.u.dtype, self.u.tobytes()) == (
+            other.grid, other.t, other.u.shape, other.u.dtype, other.u.tobytes())
+
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.v)))
 
@@ -171,17 +179,14 @@ class StepWorkspace:
 
     ``window`` = (a, b) is the columns steps and records compute on: the
     whole grid, or with ``state`` its padded nonzero extent (see :meth:`fit`).
-    ``s`` (stage input), ``k`` (stage slope) and ``acc`` (weighted slope sum)
-    are contiguous ``(2, ..., b - a)`` blocks; ``rhs`` is the slope kernel
-    bound to ``k``, ``stage`` the stencil views of ``s``, ``record`` the
-    records' full-width buffers.  ``slope_of`` is the state whose slope
-    ``k`` holds (set by :meth:`load_slope`), or None; :func:`step_rk4` reuses
-    that slope as stage 1 of a step from the same state object and clears
-    the mark, since the stages overwrite ``k``.  A marked state's arrays
-    must not change.
+    ``s`` (stage input), ``k1`` (the last step's stage-1 slope), ``k``
+    (later stage slopes) and ``acc`` (weighted slope sum) are contiguous
+    ``(2, ..., b - a)`` blocks; ``rhs1`` and ``rhs`` are the slope kernels
+    bound to ``k1`` and ``k``, ``stage`` the stencil views of ``s``,
+    ``record`` the records' full-width buffers.
     """
 
-    __slots__ = ("shape", "window", "s", "k", "acc", "rhs", "stage", "record", "slope_of")
+    __slots__ = ("shape", "window", "s", "k1", "k", "acc", "rhs1", "rhs", "stage", "record")
 
     def __init__(self, shape, state: Optional[GridState] = None):
         self.shape, self.record = tuple(shape), RecordWorkspace(shape)
@@ -193,11 +198,11 @@ class StepWorkspace:
 
     def _bind(self, a: int, b: int) -> None:
         self.window = (a, b)
-        self.s, self.k, self.acc = (np.empty((2, *self.shape[:-1], b - a)) for _ in range(3))
-        self.rhs = RhsKernel(self.k)
+        block = (2, *self.shape[:-1], b - a)
+        self.s, self.k1, self.k, self.acc = (np.empty(block) for _ in range(4))
+        self.rhs1, self.rhs = RhsKernel(self.k1), RhsKernel(self.k)
         self.stage = stencil_views(self.s)
         self.record.window = slice(a, b)
-        self.slope_of: Optional[GridState] = None
 
     def fit(self, state: GridState) -> None:
         """Grow the window to the nonzeros of ``state`` (every row of a stack;
@@ -214,16 +219,6 @@ class StepWorkspace:
         if (a, b) != self.window:
             self._bind(a, b)
 
-    def load_slope(self, state: GridState, params: ModelParams) -> np.ndarray:
-        """Slope of ``state`` into ``k``, marked for reuse; returns dw/dt = v_tt,
-        copied to a full-width buffer that is zero outside the window."""
-        a, b = self.window
-        self.rhs(stencil_views(state.u[..., a:b]), state.grid.dx, params.mu, params.nu)
-        self.slope_of = state
-        v_tt = self.record.v_tt
-        np.copyto(v_tt[..., a:b], self.k[1])
-        return v_tt
-
 
 def step_rk4(
     state: GridState,
@@ -235,11 +230,10 @@ def step_rk4(
 
     ``work`` supplies the stage buffers and the window (a fresh whole-grid
     workspace when None); inside each window edge that is not a grid edge
-    the state needs MARGIN zero columns.  If ``work`` holds the slope of this
-    very state (see :meth:`StepWorkspace.load_slope`) that slope is stage 1
-    and the step evaluates three slopes instead of four.  Only the new
-    state's (v, w) block is allocated.  The slopes are combined as
-    u + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order; k4's weight
+    the state needs MARGIN zero columns.  The step evaluates four slopes and
+    leaves the first, the slope of ``state`` on the window, in ``work.k1``.
+    Only the new state's (v, w) block is allocated.  The slopes are combined
+    as u + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order; k4's weight
     of 1.0 is exact and so is not multiplied out.
     """
     if work is None:
@@ -250,21 +244,22 @@ def step_rk4(
     win = u[..., a:b]
     s, k, acc, rhs = work.s, work.k, work.acc, work.rhs
 
-    if work.slope_of is not state:
-        rhs(stencil_views(win), dx, mu, nu)
-    work.slope_of = None
-    np.copyto(acc, k)
+    work.rhs1(stencil_views(win), dx, mu, nu)
+    # The first weighted sum reads k1 and writes acc = k1 + 2 k2; later ones
+    # add into acc.  Each stage input is built from the slope before it.
+    slope, total = work.k1, work.k1
     for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
-        np.multiply(k, h, out=s)
+        np.multiply(slope, h, out=s)
         np.add(win, s, out=s)
         rhs(work.stage, dx, mu, nu)
         if weight == 1.0:
-            np.add(acc, k, out=acc)
+            np.add(total, k, out=acc)
         else:
             # The stage input is spent, so it holds weight * k; k itself
             # feeds the next stage input.
             np.multiply(k, weight, out=s)
-            np.add(acc, s, out=acc)
+            np.add(total, s, out=acc)
+        slope, total = k, acc
 
     np.multiply(acc, dt / 6.0, out=acc)
     u_new = np.zeros(u.shape)
@@ -324,9 +319,9 @@ def integrate(
     with every finite state, in order; never with a non-finite state.  It
     must not change the arrays of the states it is given.
 
-    Each record reuses the slope the next step starts from (see the module
-    docstring).  Pure function of its arguments: identical inputs give
-    bit-identical outcomes and records.
+    A record of a state the run steps from takes its slope from that step
+    (see the module docstring).  Pure function of its arguments: identical
+    inputs give bit-identical outcomes and records.
 
     Raises:
         ParameterError: unless ``state0.u`` is one ``(2, n)`` pair, not a stack.
@@ -349,24 +344,24 @@ def integrate(
 
     dt = stable_dt(state0.grid, params, cfl)
     work = StepWorkspace(state0.v.shape, state0)
+    v_tt = work.record.v_tt
     records: list[DiagnosticsRecord] = []
     state, steps, stepped, status, record_s = state0, 0, 0, None, 0.0
 
     # Overflow past the threshold is handled explicitly below; silence the
     # transient warnings the last pre-detection steps would otherwise spew.
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if steps % record_stride == 0 or status is not None:
-                v_tt = work.load_slope(state, params)
+        while status is None:
+            new_state = step_rk4(state, params, dt, work)
+            a, b = work.window
+            if steps % record_stride == 0:
+                np.copyto(v_tt[a:b], work.k1[1])
                 t0 = perf_counter()
-                records.append(compute_record(state, params, records[-1] if records else None,
-                                              v_tt, work.record))
+                records.append(compute_record(state, params, v_tt, work.record))
                 record_s += perf_counter() - t0
-            if status is not None:
-                break
-            state = step_rk4(state, params, dt, work)
+            state = new_state
             steps += 1
-            stepped += work.window[1] - work.window[0]
+            stepped += b - a
 
             hi_v, hi_w = state.u.max(axis=1).tolist()
             lo_v, lo_w = state.u.min(axis=1).tolist()
@@ -382,6 +377,10 @@ def integrate(
             blown = max(hi_v, -lo_v) >= blowup_threshold
             if blown or state.t >= t_end:
                 status = RunStatus.BLOWUP_DETECTED if blown else RunStatus.COMPLETED
+        if status is not RunStatus.NUMERICAL_FAILURE:
+            t0 = perf_counter()
+            records.append(compute_record(state, params, work=work.record))
+            record_s += perf_counter() - t0
     return RunOutcome(status=status, t_final=state.t, records=records, final_state=state,
                       n_steps=steps, dt=dt, stepped_frac=stepped / (steps * state0.grid.n),
                       record_s=record_s)

@@ -145,19 +145,25 @@ class TestRefinementLadder:
             refinement_ladder(config_from_dict(base_doc()), 1)
 
 
+def with_directory(config, directory):
+    return dataclasses.replace(
+        config, output=dataclasses.replace(config.output, directory=directory))
+
+
 class TestOutputResolution:
     def test_cli_override_wins(self, monkeypatch, tmp_path):
+        # An override is a config whose directory was replaced, as --out does.
         monkeypatch.delenv("HYPERBURG_OUT", raising=False)
         config = config_from_dict(base_doc("cfg-dir"))
         assert resolve_output_dir(config) == Path("cfg-dir")
-        assert resolve_output_dir(config, "cli-dir") == Path("cli-dir")
+        assert resolve_output_dir(with_directory(config, "cli-dir")) == Path("cli-dir")
 
     def test_env_roots_relative_paths(self, monkeypatch, tmp_path):
         monkeypatch.setenv("HYPERBURG_OUT", str(tmp_path / "root"))
         config = config_from_dict(base_doc("cfg-dir"))
         assert resolve_output_dir(config) == tmp_path / "root" / "cfg-dir"
         absolute = str(tmp_path / "abs")
-        assert resolve_output_dir(config, absolute) == Path(absolute)
+        assert resolve_output_dir(with_directory(config, absolute)) == Path(absolute)
 
 
 class TestExecuteConfig:
@@ -208,7 +214,8 @@ class TestExecuteConfig:
     def test_rerun_is_bit_identical(self, tmp_path):
         doc = blowup_doc(str(tmp_path / "a"))
         report = execute_config(config_from_dict(doc))
-        fresh = execute_config(config_from_dict(report.config), out_dir=tmp_path / "a2")
+        fresh = execute_config(with_directory(config_from_dict(report.config),
+                                              str(tmp_path / "a2")))
         assert fresh.files["csv"] != report.files["csv"]
         assert (Path(fresh.files["csv"]).read_bytes()
                 == Path(report.files["csv"]).read_bytes())
@@ -363,6 +370,17 @@ class TestCLI:
         assert (target / "records.csv").exists()
         assert not (tmp_path / "ignored").exists()
         capsys.readouterr()
+
+    def test_out_option_is_echoed(self, tmp_path, capsys, monkeypatch):
+        # The echo names the directory written, so re-running it writes there.
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(base_doc("from-config")))
+        assert main(["run", "--config", "cfg.json", "--out", "chosen"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["config"]["output"]["directory"] == "chosen"
+        written = json.loads(Path("chosen/report.json").read_text())
+        assert written["config"]["output"]["directory"] == "chosen"
+        assert not Path("from-config").exists()
 
     def test_thresholds_json(self, capsys):
         assert main(["thresholds", "--mu", "1", "--nu", "1", "--L", "1",

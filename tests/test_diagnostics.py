@@ -19,7 +19,8 @@ from hyperburg import (
     support_interval,
     validate_params,
 )
-from hyperburg.diagnostics import DiagnosticsRecord, RecordWorkspace, compute_record
+from hyperburg.diagnostics import (DiagnosticsRecord, RecordWorkspace, compute_record,
+                                   sobolev_norms)
 from hyperburg.initial_data import ProfileSpec, bump_profile
 from hyperburg.operators import d1_central, d2_central, pde_rhs, trapezoid_dot
 from hyperburg.solver import Grid, GridState
@@ -148,14 +149,12 @@ class TestRecordWorkspace:
         work = RecordWorkspace((grid.n,))
         for buf in (work.d1, work.d2, work.magnitude, work.ttt, work.flux, work.xtt):
             buf.fill(np.nan)
-        prev = None
         for state in states:
-            alone = compute_record(state, PARAMS, prev=prev)
-            got = compute_record(state, PARAMS, prev=prev, work=work)
+            alone = compute_record(state, PARAMS)
+            got = compute_record(state, PARAMS, work=work)
             assert [float(x).hex() for x in vars(got).values()] == \
                 [float(x).hex() for x in vars(alone).values()]
-            prev = alone
-        assert len(states) > 10 and prev.sup_norm > 0.0
+        assert len(states) > 10 and alone.sup_norm > 0.0
 
     def test_record_equals_allocating_reference_bitwise(self):
         # The buffers of one record are reused within it; each derivative
@@ -236,7 +235,7 @@ class TestIdentityResidual:
 
     def test_zero_records(self):
         recs = [
-            compute_record(zero_state(), PARAMS, prev=None)
+            compute_record(zero_state(), PARAMS)
             for _ in range(4)
         ]
         recs = [
@@ -248,7 +247,7 @@ class TestIdentityResidual:
     def test_no_uniform_triple_checks_nothing(self):
         # Three records, the last off the stride: no uniform triple, so
         # the residual is None (unchecked), not a vacuous 0.0.
-        base = compute_record(zero_state(), PARAMS, prev=None)
+        base = compute_record(zero_state(), PARAMS)
         recs = [
             DiagnosticsRecord(**{**base.__dict__, "t": t}) for t in (0.0, 0.1, 0.15)
         ]
@@ -267,11 +266,11 @@ class TestIdentityResidual:
 
 class TestGronwall:
     def test_zero_run_margin_zero(self):
-        recs = [compute_record(zero_state(), PARAMS, prev=None)]
+        recs = [compute_record(zero_state(), PARAMS)]
         assert gronwall_check_E1(recs, PARAMS) == 0.0
 
     def test_flags_violation_when_E1_starts_at_zero(self):
-        base = compute_record(zero_state(), PARAMS, prev=None)
+        base = compute_record(zero_state(), PARAMS)
         bad = DiagnosticsRecord(**{**base.__dict__, "t": 1.0, "E1": 0.5})
         assert gronwall_check_E1([base, bad], PARAMS) < 0.0
 
@@ -289,38 +288,39 @@ def report_params(report):
 
 class TestSobolevNorms:
     def test_zero_run(self):
-        rec = compute_record(zero_state(), PARAMS, prev=None)
-        for t in (0.1, 0.2):
-            rec = compute_record(state_on(zero_state().grid, np.zeros(64), t=t),
-                                 PARAMS, prev=rec)
-        assert (rec.sobolev_H2_accum, rec.sobolev_H3_accum) == (0.0, 0.0)
+        recs = [compute_record(state_on(zero_state().grid, np.zeros(64), t=t), PARAMS)
+                for t in (0.0, 0.1, 0.2)]
+        assert sobolev_norms(recs, PARAMS) == (0.0, 0.0)
+        assert sobolev_norms(recs[:1], PARAMS) == (0.0, 0.0)
 
     def test_single_record_closed_form(self):
-        # one time gap dt: each accumulator grows by dt * S with S assembled
-        # by hand from the new record's own fields
+        # two records a gap dt apart: each squared norm is dt * S with S
+        # assembled by hand from the second record's own fields; the first
+        # record's fields do not enter
         mu, c = 2.0, 3.0
         params = validate_params(mu, mu * c * c, 1.0)
         grid = Grid(-2.0, 2.0, 512)
         v = bump_profile(grid.nodes(), 1.0)
-        prev = compute_record(state_on(grid, v, 0.5 * v), params)
-        prev = DiagnosticsRecord(
-            **{**prev.__dict__, "sobolev_H2_accum": 1.5, "sobolev_H3_accum": 2.5}
-        )
+        first = compute_record(state_on(grid, v, 0.5 * v, t=0.5), params)
         dt = 0.25
-        rec = compute_record(state_on(grid, 0.9 * v, -0.3 * v, t=dt), params, prev=prev)
+        rec = compute_record(state_on(grid, 0.9 * v, -0.3 * v, t=0.5 + dt), params)
         assert min(rec.E1, rec.E2, rec.E3, rec.int_vxt2, rec.int_vxtt2,
                    rec.int_vxxt2, rec.half_int_v2) > 0.0
         s2 = (mu**4 * (2 * rec.E2 + c * c * rec.int_vxt2)
               + mu**2 * (2 * rec.E1) + 2 * rec.half_int_v2)
         s3 = s2 + mu**6 * (2 * rec.E3 + c * c * rec.int_vxtt2 + c**4 * rec.int_vxxt2)
-        assert rec.sobolev_H2_accum == pytest.approx(1.5 + dt * s2, rel=1e-12)
-        assert rec.sobolev_H3_accum == pytest.approx(2.5 + dt * s3, rel=1e-12)
+        h2, h3 = sobolev_norms([first, rec], params)
+        assert h2 * h2 == pytest.approx(dt * s2, rel=1e-12)
+        assert h3 * h3 == pytest.approx(dt * s3, rel=1e-12)
 
     def test_accumulators_monotone_and_bounded_growth(self, smalldata_report):
+        # the squared norms of every prefix of the record series
         recs = smalldata_report.outcome.records
-        h2 = [r.sobolev_H2_accum for r in recs]
-        h3 = [r.sobolev_H3_accum for r in recs]
+        params = report_params(smalldata_report)
+        h2, h3 = zip(*(np.square(sobolev_norms(recs[:k + 1], params))
+                       for k in range(len(recs))))
         assert all(np.isfinite(h2)) and all(np.isfinite(h3))
+        assert smalldata_report.sobolev == dict(zip(("H2", "H3"), sobolev_norms(recs, params)))
         assert all(b >= a for a, b in zip(h2, h2[1:]))
         assert all(b >= a for a, b in zip(h3, h3[1:]))
         # decaying run: later windows accumulate no more than earlier ones

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from hyperburg import (
 from hyperburg.initial_data import ProfileSpec
 from hyperburg import solver
 from hyperburg.diagnostics import RecordWorkspace, compute_record
-from hyperburg.operators import RhsKernel
+from hyperburg.operators import RhsKernel, pde_rhs
 from hyperburg.solver import (
     Grid,
     estimate_blowup_time,
@@ -102,29 +104,40 @@ class TestStepRK4:
 
 class TestStepWorkspace:
     def test_reused_workspace_matches_fresh_bitwise(self):
-        # One workspace across ten steps, with the slope loaded (as a record
-        # would) before some of them and a foreign state's slope left in the
-        # buffers before others: every step equals a fresh-workspace step.
+        # One workspace across ten steps, with a foreign state's stages and
+        # slopes left in every buffer before some of them: every step equals
+        # a fresh-workspace step.
         params, state = small_state()
         dt = stable_dt(state.grid, params, 0.4)
         work = StepWorkspace(state.v.shape)
         other = GridState(state.grid, state.t, np.stack((2.0 * state.v, state.w + 1.0)))
         reused = fresh = state
         for i in range(10):
-            if i % 3 == 0:
-                work.load_slope(reused, params)
-            elif i % 3 == 1:
-                work.load_slope(other, params)
+            if i % 3 != 2:
+                step_rk4(other, params, dt, work)
             reused = step_rk4(reused, params, dt, work)
             fresh = step_rk4(fresh, params, dt, StepWorkspace(fresh.v.shape))
             assert np.array_equal(reused.v, fresh.v)
             assert np.array_equal(reused.w, fresh.w)
-        # The stages overwrite the loaded slope: a second step from the same
-        # state must not take the leftovers for its stage 1.
-        work.load_slope(state, params)
+        # A second step from the same state must not take the first one's
+        # leftovers for its stages.
         first = step_rk4(state, params, dt, work)
         again = step_rk4(state, params, dt, work)
         assert np.array_equal(first.v, again.v) and np.array_equal(first.w, again.w)
+
+    @pytest.mark.parametrize("fitted", [False, True], ids=["whole-grid", "window"])
+    def test_kept_slope_is_the_input_states_slope(self, fitted):
+        # After a step, k1 holds pde_rhs of the state it stepped from on the
+        # window, bit for bit, whatever the buffers held before.
+        params, state = sharp_state()
+        dt = stable_dt(state.grid, params, 0.4)
+        work = StepWorkspace(state.v.shape, state if fitted else None)
+        a, b = work.window
+        assert (0 < a and b < state.grid.n) == fitted
+        step_rk4(GridState(state.grid, 0.0, 3.0 * state.u), params, dt, work)
+        step_rk4(state, params, dt, work)
+        want = pde_rhs(state.v, state.w, state.grid.dx, params.mu, params.nu)[..., a:b]
+        assert work.k1.tobytes() == want.tobytes()
 
     def test_stepped_state_fields_are_rows_of_its_block(self):
         params, state = small_state()
@@ -136,22 +149,24 @@ class TestStepWorkspace:
             nxt.v = nxt.v.copy()
 
     def test_slope_boundaries_stay_zero(self):
-        # The bound kernel zeroes the slope boundary once and writes only
+        # The bound kernels zero the slope boundaries once and write only
         # interiors; fields that are nonzero at the boundary must not leak
-        # into it, over 50 steps with slopes loaded now and then.
+        # into them, over 50 steps with a foreign state stepped now and then.
         params, state = small_state()
         rng = np.random.default_rng(5)
         state = GridState(state.grid, 0.0,
                           np.stack((state.v + 0.01 * rng.standard_normal(state.grid.n),
                                     0.01 * rng.standard_normal(state.grid.n))))
+        other = GridState(state.grid, 0.0, rng.standard_normal(state.u.shape))
         assert state.v[0] != 0.0 and state.w[-1] != 0.0
         dt = stable_dt(state.grid, params, 0.4)
         work = StepWorkspace(state.v.shape)
         for i in range(50):
             if i % 7 == 0:
-                work.load_slope(state, params)
+                step_rk4(other, params, dt, work)
             state = step_rk4(state, params, dt, work)
-            assert np.all(work.k[..., 0] == 0.0) and np.all(work.k[..., -1] == 0.0)
+            for k in (work.k1, work.k):
+                assert np.all(k[..., 0] == 0.0) and np.all(k[..., -1] == 0.0)
         assert np.isfinite(state.u).all()
 
     def test_stacked_states_step_row_by_row(self):
@@ -259,11 +274,9 @@ class TestActiveWindow:
         assert 0.0 < out.stepped_frac < 0.5
         chain = self.full_grid_chain(state0, params, out.dt, out.n_steps)
         assert len(seen) == len(chain) == len(out.records)
-        prev = None
         for got, want, rec in zip(seen, chain, out.records):
             assert same_bits(got, want)
-            prev = compute_record(want, params, prev)
-            assert record_hex(rec) == record_hex(prev)
+            assert record_hex(rec) == record_hex(compute_record(want, params))
 
     @pytest.mark.parametrize("lo", [0, 1004], ids=["left", "right"])
     def test_data_nonzero_at_the_boundary(self, monkeypatch, lo):
@@ -364,6 +377,19 @@ class TestIntegrate:
             assert rec.sup_norm == 0.0
             assert (rec.support_left, rec.support_right) == (0.0, 0.0)
             assert rec.schwartz_gap == 0.0
+
+    def test_outcomes_compare_equal_bitwise(self):
+        # Identical inputs give equal outcomes; a final state one ulp away,
+        # or with a zero of the other sign, makes them unequal.
+        params, state0 = small_state()
+        out = integrate(state0, params, t_end=0.2, record_stride=4)
+        assert out == integrate(state0, params, t_end=0.2, record_stride=4)
+        final = out.final_state
+        for i, nudged in ((100, np.nextafter(final.v[100], np.inf)), (0, -0.0)):
+            u = final.u.copy()
+            u[0, i] = nudged
+            changed = dataclasses.replace(out, final_state=GridState(final.grid, final.t, u))
+            assert changed != out and changed.final_state != final
 
     def test_records_strictly_increasing_and_deterministic(self):
         params, state0 = small_state()
@@ -513,12 +539,32 @@ class TestIntegrate:
                         observe=states.append)
         assert len(states) == len(out.records)
         assert np.array_equal(states[-1].v, out.final_state.v)
-        prev = None
         for state, rec in zip(states, out.records):
-            alone = compute_record(state, params, prev=prev)
+            alone = compute_record(state, params)
             for name, value in vars(alone).items():
                 assert getattr(rec, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
-            prev = rec
+
+    def test_terminal_record_off_the_stride(self, monkeypatch):
+        # Blow-up at stride 7 ends off the stride: the terminal record
+        # evaluates its own slope, the others take their step's stage 1.
+        # Every record equals a standalone record bit for bit, and the run
+        # evaluates 4 * steps + 1 slopes.
+        params = validate_params(1, 1, 1)
+        grid = Grid(-8.0, 8.0, 513)
+        state0 = sample_initial_state(
+            params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
+        slopes = []
+        kernel = RhsKernel.__call__
+        monkeypatch.setattr(RhsKernel, "__call__",
+                            lambda *args: slopes.append(1) or kernel(*args))
+        states = []
+        out = integrate(state0, params, t_end=6.5, record_stride=7, observe=states.append)
+        assert out.status is RunStatus.BLOWUP_DETECTED and out.n_steps % 7 != 0
+        assert len(slopes) == 4 * out.n_steps + 1
+        want = states[::7] + [out.final_state]
+        assert [r.t for r in out.records] == [s.t for s in want]
+        for state, rec in zip(want, out.records):
+            assert record_hex(rec) == record_hex(compute_record(state, params))
 
     def test_smalldata_decay(self, smalldata_report):
         recs = smalldata_report.outcome.records
