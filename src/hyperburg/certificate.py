@@ -27,6 +27,10 @@ moment thresholds of :func:`hyperburg.model.moment_thresholds`: the two
 disagree away from the marginal case (the first and third conditions
 jointly require F'(0) > 4 c G(0) / L, which outgrows the fixed threshold
 once F(0) is large), so both verdicts are always reported.
+
+Only :func:`aux_ode_oracle` (the ``certificate-oracle`` preset) needs
+``scipy.integrate``; it loads on that function's first call, so importing
+this module costs a bare ``import scipy`` only.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import scipy
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams, moment_thresholds
@@ -231,7 +235,7 @@ def aux_ode_oracle(
 
     t_eval = np.linspace(0.0, t_end, n_samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(
+        sol = scipy.integrate.solve_ivp(
             rhs,
             (0.0, t_end),
             [G0],

@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hyperburg
 from hyperburg import (
     DomainError,
     ParameterError,
@@ -18,7 +24,7 @@ from hyperburg import (
     t_star,
     validate_params,
 )
-from hyperburg.suite import epsilon_scan_oracle
+from hyperburg.suite import _scan_grid, epsilon_scan_oracle
 
 UNIT = validate_params(1, 1, 1)
 
@@ -102,6 +108,19 @@ class TestEpsilonInterval:
                 assert abs(scanned[0] - interval[0]) <= 1e-4 + 1e-9
                 assert abs(scanned[1] - interval[1]) <= 1e-4 + 1e-9
 
+    def test_scan_grid_cached_and_chunked_scan_exact(self):
+        grid = _scan_grid()
+        assert grid is _scan_grid()
+        assert not grid.flags.writeable
+        assert np.array_equal(grid, np.arange(1, 100001) * 1e-4)
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            g0 = float(rng.uniform(1.0, 400.0))
+            f1 = float(rng.uniform(1.0, 1000.0))
+            whole = grid[epsilon_conditions_hold(grid, UNIT, g0, f1)]
+            expected = (float(whole[0]), float(whole[-1])) if whole.size else None
+            assert epsilon_scan_oracle(UNIT, g0, f1) == expected
+
 
 class TestClosedForm:
     def test_identity_at_t0(self):
@@ -182,6 +201,27 @@ class TestAuxOdeOracle:
         res = aux_ode_oracle(1.0, 64.0, UNIT, 1.5 * ts)
         assert res.diverged
         assert res.t[-1] <= ts
+
+    def test_cold_start_defers_scipy_integrate(self):
+        """A fresh import loads bare scipy only; the first oracle call loads
+        scipy.integrate.  Its horizon 0.3 lies below T* = sqrt(2) - 1."""
+        probe = """
+import json, sys
+import hyperburg, hyperburg.cli
+heavy = ("scipy.integrate", "scipy.special", "scipy.linalg")
+at_import = {"scipy": "scipy" in sys.modules, "heavy": [m for m in heavy if m in sys.modules]}
+res = hyperburg.aux_ode_oracle(1.0, 64.0, hyperburg.validate_params(1, 1, 1), 0.3)
+print(json.dumps({**at_import, "integrate_after": "scipy.integrate" in sys.modules,
+                  "diverged": bool(res.diverged)}))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(hyperburg.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        seen = json.loads(done.stdout.strip().splitlines()[-1])
+        assert seen["scipy"]
+        assert seen["heavy"] == []
+        assert seen["integrate_after"]
+        assert seen["diverged"] is False
 
 
 class TestBuildCertificateAndComparison:
