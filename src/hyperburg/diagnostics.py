@@ -7,12 +7,20 @@ quadrature-error level.  Integrals of squares and the moments share one
 trapezoid helper, :func:`~hyperburg.operators.trapezoid_dot`.  Higher time
 derivatives (v_tt, v_ttt) are reconstructed from the equation instead of
 stored; during a run the solver passes in v_tt, the stage-1 slope of its
-step from the recorded state, and a :class:`RecordWorkspace` for every
-array a record writes.
-A record differences the state's ``(2, n)`` block ``u`` (rows v and w) in one
-call per stencil, writes its arrays on the solver's active window only
-(outside it the state is zero) and integrates over the whole grid, so the
-sums keep their whole-grid order.
+step from the recorded state, and a :class:`RecordWorkspace`.
+
+A record fills one contiguous ``(12, W)`` block, a view into the one flat
+buffer of its :class:`RecordWorkspace`, on the solver's window widened
+outward to multiples of RECORD_ALIGN = 32 columns (or to a grid end).  It
+copies in the state's (v, w) rows and v_tt once, differences (v, w) in one
+``d2_central`` call and the five rows (v, w, v_tt, v_xx, v*w) in one
+``d1_central`` call, and builds v_ttt in place.  Every integral, the ten
+squared norms and both moments, is a ``trapezoid_dot`` over those columns
+only, split at the grid columns that are multiples of 8192 to stay below
+OpenBLAS's threading cutoff (see there, also for the two reductions
+rejected).  So a record is a function of the state alone, whatever the
+window and the BLAS thread count, and on a grid of at most 8192 nodes its
+integrals are whole-grid ``np.dot`` bits.
 
 Monitored quantities (all but the cone maximum are fields of the record
 that :func:`compute_record` assembles; the cone maximum is a streaming
@@ -62,6 +70,14 @@ __all__ = [
 
 # Relative support-detection threshold: scheme tails decay but never vanish.
 SUPPORT_REL_THRESHOLD = 1e-12
+# A record's columns start and end at multiples of RECORD_ALIGN (or at a grid
+# end): a whole number of the blocks OpenBLAS's dot kernel sums in SIMD lanes,
+# so the zero columns between the data and the window edge leave every lane,
+# and so the dot, as it is on the whole grid.
+RECORD_ALIGN = 32
+# Rows of the record block, in order: v, w, v_tt, v*w, v_xx, w_xx; then the
+# first differences of the first five, v_x, w_x, v_xtt, (v w)_x, v_xxx; v_ttt.
+RECORD_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -109,15 +125,18 @@ def support_interval(state: GridState, threshold: float,
     not exceed the threshold.  Returns (0.0, 0.0) as the empty-support
     marker when neither field exceeds the threshold anywhere.
     """
-    if not (threshold > 0.0):
-        raise ParameterError(f"support threshold must be positive, got {threshold}")
     if magnitude is None:
         magnitude = np.abs(state.u)
-    live = (magnitude[..., window] > threshold).any(axis=0)
-    idx = np.flatnonzero(live)
+    return _outermost(magnitude[..., window], threshold, state.grid.nodes()[window])
+
+
+def _outermost(magnitude: np.ndarray, threshold: float, x: np.ndarray) -> tuple[float, float]:
+    """First and last ``x`` whose column of ``magnitude`` exceeds the threshold, or (0.0, 0.0)."""
+    if not (threshold > 0.0):
+        raise ParameterError(f"support threshold must be positive, got {threshold}")
+    idx = np.flatnonzero((magnitude > threshold).any(axis=0))
     if idx.size == 0:
         return (0.0, 0.0)
-    x = state.grid.nodes()[window]
     return float(x[idx[0]]), float(x[idx[-1]])
 
 
@@ -251,16 +270,30 @@ class ConeMax:
 
 
 class RecordWorkspace:
-    """The arrays :func:`compute_record` writes, for v of this ``shape``: first
-    and second differences and magnitude of the (v, w) block, scratch, and
-    the solver's v_tt.  All start zeroed and are written on ``window`` only."""
+    """The one buffer :func:`compute_record` writes, for a grid of ``shape[-1]`` nodes.
 
-    __slots__ = ("d1", "d2", "magnitude", "ttt", "flux", "xtt", "v_tt", "window")
+    ``window`` = (a, b) is the solver's window, whose columns hold every
+    nonzero of the state: the whole grid until :meth:`bind` narrows it.
+    ``span`` = (lo, hi) is that window widened outward to multiples of
+    RECORD_ALIGN columns, capped at the grid's end, and ``block`` the
+    contiguous ``(RECORD_ROWS, hi - lo)`` view at the head of the flat
+    ``buffer`` that a record fills on those columns.  Rebinding re-views the
+    buffer and allocates nothing; a record overwrites every entry of the
+    block, so what the buffer held before does not matter.
+    """
+
+    __slots__ = ("buffer", "window", "span", "block")
 
     def __init__(self, shape):
-        self.d1, self.d2, self.magnitude = (np.zeros((2, *shape)) for _ in range(3))
-        self.ttt, self.flux, self.xtt, self.v_tt = (np.zeros(shape) for _ in range(4))
-        self.window = slice(0, shape[-1])
+        self.buffer = np.empty(RECORD_ROWS * shape[-1])
+        self.bind(0, shape[-1])
+
+    def bind(self, a: int, b: int) -> None:
+        """Record on the solver window [a, b)."""
+        n = self.buffer.size // RECORD_ROWS
+        lo, hi = a - a % RECORD_ALIGN, min(n, -(-b // RECORD_ALIGN) * RECORD_ALIGN)
+        self.window, self.span = (a, b), (lo, hi)
+        self.block = self.buffer[:RECORD_ROWS * (hi - lo)].reshape(RECORD_ROWS, hi - lo)
 
 
 def compute_record(
@@ -271,55 +304,55 @@ def compute_record(
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one state.
 
-    ``v_tt`` is dw/dt, row 1 of ``pde_rhs`` at this state, when the caller has it
+    ``v_tt`` is dw/dt, row 1 of ``pde_rhs`` at this state, on the columns of
+    ``work.window`` (the whole grid without ``work``), when the caller has it
     (the stage-1 slope of the solver's step from this state); it is only
     read.  Without it the record computes it, with the same function and the
-    same result.  ``work`` holds the arrays the record writes; a fresh one
+    same result.  ``work`` holds the block the record writes; a fresh one
     gives the same bits.  A fresh one's window is the whole grid; a narrower
-    one needs the solver's MARGIN zero columns of the state inside its edges.
+    one needs the solver's MARGIN zero columns of the state inside its edges
+    and zeros outside them.  The integrals run over the record block's
+    columns only (see the module docstring).
     """
     if work is None:
         work = RecordWorkspace(state.v.shape)
-    dx = state.grid.dx
+    grid, dx, mu, nu = state.grid, state.grid.dx, params.mu, params.nu
     c2 = params.c * params.c
-    u, win = state.u, work.window
-    v, w = u
+    (a, b), (lo, hi) = work.window, work.span
+    block = work.block
+    v, w, v_tt_row, vw, v_xx, w_xx, v_x, w_x, v_xtt, flux, v_xxx, v_ttt = block
     with np.errstate(over="ignore", invalid="ignore"):
-        # Stencils, v_ttt and |u| on the window; the integrals span the grid.
-        d1_central(u[..., win], dx, out=work.d1[..., win])
-        d2_central(u[..., win], dx, out=work.d2[..., win])
-        (v_x, w_x), (v_xx, w_xx) = work.d1, work.d2
+        np.copyto(block[:2], state.u[:, lo:hi])
         if v_tt is None:
-            v_tt = pde_rhs(v, w, dx, params.mu, params.nu)[1]
+            v_tt = pde_rhs(*state.u[:, a:b], dx, mu, nu)[1]
+        v_tt_row[:a - lo] = v_tt_row[b - lo:] = 0.0
+        v_tt_row[a - lo:b - lo] = v_tt
+        d2_central(block[:2], dx, out=block[4:6])
+        np.multiply(v, w, out=vw)
+        d1_central(block[:5], dx, out=block[6:11])
         # d/dt of the w-equation (flux v^2/2 differentiates to v*w), in place.
-        v_ttt, flux = work.ttt, work.flux
-        ttt, fl = v_ttt[..., win], flux[..., win]
-        np.multiply(v[..., win], w[..., win], out=ttt)
-        d1_central(ttt, dx, out=fl)
-        np.multiply(w_xx[..., win], params.nu, out=ttt)
-        np.subtract(ttt, fl, out=ttt)
-        np.subtract(ttt, v_tt[..., win], out=ttt)
-        np.divide(ttt, params.mu, out=ttt)
-        ttt[..., 0] = ttt[..., -1] = 0.0
-        d1_central(v_xx[..., win], dx, out=fl)
-        d1_central(v_tt[..., win], dx, out=work.xtt[..., win])
-        v_xxx, v_xtt = flux, work.xtt
+        np.multiply(w_xx, nu, out=v_ttt)
+        np.subtract(v_ttt, flux, out=v_ttt)
+        np.subtract(v_ttt, v_tt_row, out=v_ttt)
+        np.divide(v_ttt, mu, out=v_ttt)
+        v_ttt[0] = v_ttt[-1] = 0.0
 
-        e1 = 0.5 * (trapezoid_dot(w, w, dx) + c2 * trapezoid_dot(v_x, v_x, dx))
-        e2 = 0.5 * (trapezoid_dot(v_tt, v_tt, dx) + c2**2 * trapezoid_dot(v_xx, v_xx, dx))
-        e3 = 0.5 * (trapezoid_dot(v_ttt, v_ttt, dx) + c2**3 * trapezoid_dot(v_xxx, v_xxx, dx))
-        int_vxt2 = trapezoid_dot(w_x, w_x, dx)
-        int_vxtt2 = trapezoid_dot(v_xtt, v_xtt, dx)
-        int_vxxt2 = trapezoid_dot(w_xx, w_xx, dx)
-        half_v2 = 0.5 * trapezoid_dot(v, v, dx)
+        n = grid.n
+        (int_w2, int_vx2, int_vtt2, int_vxx2, int_vttt2, int_vxxx2, int_vxt2, int_vxtt2,
+         int_vxxt2, int_v2) = (trapezoid_dot(row, row, dx, lo, n) for row in (
+             w, v_x, v_tt_row, v_xx, v_ttt, v_xxx, w_x, v_xtt, w_xx, v))
+        e1 = 0.5 * (int_w2 + c2 * int_vx2)
+        e2 = 0.5 * (int_vtt2 + c2**2 * int_vxx2)
+        e3 = 0.5 * (int_vttt2 + c2**3 * int_vxxx2)
+        half_v2 = 0.5 * int_v2
+        x = grid.nodes()[lo:hi]
+        f = trapezoid_dot(x, v, dx, lo, n)
+        fp = trapezoid_dot(x, w, dx, lo, n)
 
-        magnitude = work.magnitude
-        sup = float(np.abs(u[..., win], out=magnitude[..., win])[0].max())  # = sup_norm
-        left, right = support_interval(
-            state, SUPPORT_REL_THRESHOLD * (1.0 + sup), magnitude, win
-        )
-        f = moment_F(state)
-        fp = moment_Fprime(state)
+        # The differences are spent: |u| goes where v_x and w_x were.
+        magnitude = np.abs(block[:2], out=block[6:8])
+        sup = float(magnitude[0].max())  # = sup_norm
+        left, right = _outermost(magnitude, SUPPORT_REL_THRESHOLD * (1.0 + sup), x)
         radius = params.L + params.c * state.t
         gap = (2.0 / 3.0) * radius**3 * (2.0 * half_v2) - f * f
 

@@ -38,15 +38,47 @@ __all__ = [
 ]
 
 
-def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float) -> float:
-    """Trapezoidal rule for int a*b dx on a uniform 1-D grid.
+# OpenBLAS runs a dot on several threads above 10,000 elements, and then its
+# bits depend on the thread count.  trapezoid_dot reduces in pieces that end
+# at grid columns that are multiples of DOT_SPLIT, so no piece is threaded and
+# no split point depends on which columns the caller passes.
+DOT_SPLIT = 8192
 
-    One dot product with the half-weight end correction,
-    dx * (a.b - (a[0] b[0] + a[-1] b[-1]) / 2); no temporary array.
-    Returns a Python float.
+
+def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
+                  n: int | None = None) -> float:
+    """Trapezoidal rule for int a*b dx on a uniform grid of ``n`` nodes.
+
+    ``a`` and ``b`` are 1-D and hold the grid columns [lo, lo + len(a)), the
+    whole grid by default; outside them the integrand must be zero.  The dot
+    product is split at the grid columns that are multiples of DOT_SPLIT and
+    its pieces are added left to right, so its bits do not depend on the
+    BLAS thread count.  Nor do they depend on the columns passed, as long as
+    their edges are multiples of 32 or grid ends (as
+    :class:`~hyperburg.diagnostics.RecordWorkspace` takes them): each piece
+    then keeps the SIMD lanes of OpenBLAS's dot kernel, and on a grid of at
+    most DOT_SPLIT nodes the sum is one whole-grid ``np.dot``.  The
+    half-weight end correction, dx * (a.b - (a[0] b[0] + a[-1] b[-1]) / 2),
+    enters only at the grid ends the columns reach.  Returns a Python float.
+
+    Two other reductions were measured and rejected: an ``np.einsum`` sum
+    over the columns often differs from the whole-grid sum, and an unsplit
+    dot over them differs from the whole-grid dot once OpenBLAS threads it,
+    above 10,000 columns.
     """
-    ends = a[0] * b[0] + a[-1] * b[-1]
-    return float(dx * (np.dot(a, b) - 0.5 * ends))
+    m = a.shape[-1]
+    n = lo + m if n is None else n
+    cut = DOT_SPLIT - lo % DOT_SPLIT
+    if cut >= m:
+        total = float(np.dot(a, b))
+    else:
+        total = float(np.dot(a[:cut], b[:cut]))
+        for start in range(cut, m, DOT_SPLIT):
+            total += float(np.dot(a[start:start + DOT_SPLIT], b[start:start + DOT_SPLIT]))
+    if lo == 0 or lo + m == n:
+        ends = (a[0] * b[0] if lo == 0 else 0.0) + (a[-1] * b[-1] if lo + m == n else 0.0)
+        total -= 0.5 * ends
+    return float(dx * total)
 
 
 def d1_central(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:

@@ -183,7 +183,7 @@ class StepWorkspace:
     (later stage slopes) and ``acc`` (weighted slope sum) are contiguous
     ``(2, ..., b - a)`` blocks; ``rhs1`` and ``rhs`` are the slope kernels
     bound to ``k1`` and ``k``, ``stage`` the stencil views of ``s``,
-    ``record`` the records' full-width buffers.
+    ``record`` the records' workspace, bound to the same window.
     """
 
     __slots__ = ("shape", "window", "s", "k1", "k", "acc", "rhs1", "rhs", "stage", "record")
@@ -202,12 +202,12 @@ class StepWorkspace:
         self.s, self.k1, self.k, self.acc = (np.empty(block) for _ in range(4))
         self.rhs1, self.rhs = RhsKernel(self.k1), RhsKernel(self.k)
         self.stage = stencil_views(self.s)
-        self.record.window = slice(a, b)
+        self.record.bind(a, b)
 
     def fit(self, state: GridState) -> None:
         """Grow the window to the nonzeros of ``state`` (every row of a stack;
         the whole grid if it has none), padded so the next REFIT_STEPS - 1 steps
-        keep MARGIN.  It never shrinks, so the record buffers stay zero outside."""
+        keep MARGIN.  It never shrinks."""
         u, n = state.u, self.shape[-1]
         live = np.flatnonzero(u.any(axis=tuple(range(u.ndim - 1))))
         if live.size == 0:
@@ -310,10 +310,12 @@ def integrate(
     first non-finite state (NUMERICAL_FAILURE; no record is emitted for a
     broken state), or at the first time >= t_end.
 
-    Run health is one max and one min per row of the whole stepped (v, w)
-    block ``u``, not just the active window:
-    NaN propagates through both and +-inf shows in one, so the extremes are
-    finite exactly when v and w are; sup|v| = max(max v, -min v).
+    Run health is one max and one min per row of the new state's (v, w)
+    block on the step's window, with 0.0 folded in when the window is
+    narrower than the grid: outside it the new state is zero by
+    construction, so these are the whole block's extremes.  NaN propagates
+    through both and +-inf shows in one, so the extremes are finite exactly
+    when v and w are; sup|v| = max(max v, -min v).
 
     ``observe``, when given, is called with state0 before stepping and then
     with every finite state, in order; never with a non-finite state.  It
@@ -343,8 +345,8 @@ def integrate(
         observe(state0)
 
     dt = stable_dt(state0.grid, params, cfl)
+    n = state0.grid.n
     work = StepWorkspace(state0.v.shape, state0)
-    v_tt = work.record.v_tt
     records: list[DiagnosticsRecord] = []
     state, steps, stepped, status, record_s = state0, 0, 0, None, 0.0
 
@@ -355,16 +357,19 @@ def integrate(
             new_state = step_rk4(state, params, dt, work)
             a, b = work.window
             if steps % record_stride == 0:
-                np.copyto(v_tt[a:b], work.k1[1])
                 t0 = perf_counter()
-                records.append(compute_record(state, params, v_tt, work.record))
+                records.append(compute_record(state, params, work.k1[1], work.record))
                 record_s += perf_counter() - t0
             state = new_state
             steps += 1
             stepped += b - a
 
-            hi_v, hi_w = state.u.max(axis=1).tolist()
-            lo_v, lo_w = state.u.min(axis=1).tolist()
+            stepped_u = state.u[:, a:b]
+            hi, lo = stepped_u.max(axis=1), stepped_u.min(axis=1)
+            if b - a < n:
+                np.maximum(hi, 0.0, out=hi)
+                np.minimum(lo, 0.0, out=lo)
+            (hi_v, hi_w), (lo_v, lo_w) = hi.tolist(), lo.tolist()
             if not all(map(math.isfinite, (hi_v, hi_w, lo_v, lo_w))):
                 # Keep the last healthy record; return the broken state as-is.
                 status = RunStatus.NUMERICAL_FAILURE
@@ -382,7 +387,7 @@ def integrate(
             records.append(compute_record(state, params, work=work.record))
             record_s += perf_counter() - t0
     return RunOutcome(status=status, t_final=state.t, records=records, final_state=state,
-                      n_steps=steps, dt=dt, stepped_frac=stepped / (steps * state0.grid.n),
+                      n_steps=steps, dt=dt, stepped_frac=stepped / (steps * n),
                       record_s=record_s)
 
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import hyperburg
 from hyperburg import (
     ConeMax,
     DomainError,
@@ -147,14 +152,38 @@ class TestRecordWorkspace:
         states = []
         integrate(state0, PARAMS, t_end=0.2, record_stride=1, observe=states.append)
         work = RecordWorkspace((grid.n,))
-        for buf in (work.d1, work.d2, work.magnitude, work.ttt, work.flux, work.xtt):
-            buf.fill(np.nan)
+        work.buffer.fill(np.nan)
         for state in states:
             alone = compute_record(state, PARAMS)
             got = compute_record(state, PARAMS, work=work)
             assert [float(x).hex() for x in vars(got).values()] == \
                 [float(x).hex() for x in vars(alone).values()]
         assert len(states) > 10 and alone.sup_norm > 0.0
+
+    def test_records_independent_of_blas_threads(self):
+        # On 16385 nodes the record window spans the grid's middle column,
+        # so its integrals split at DOT_SPLIT; whole-grid dots there would
+        # be threaded by OpenBLAS and change bits with the thread count.
+        probe = """
+import hyperburg as hb
+params = hb.validate_params(1.0, 1.0, 1.0)
+grid = hb.Grid(-8.0, 8.0, 16385)
+state0 = hb.sample_initial_state(
+    params, grid, hb.calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
+out = hb.integrate(state0, params, t_end=0.01, record_stride=1)
+print(len(out.records), hb.moment_F(state0).hex())
+print(" ".join(float(x).hex() for r in out.records for x in vars(r).values()))
+"""
+        src = str(Path(hyperburg.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True, check=True, timeout=120)
+            outputs.append(done.stdout)
+        head = outputs[0].split()
+        assert int(head[0]) > 20
+        assert outputs[0] == outputs[1]
 
     def test_record_equals_allocating_reference_bitwise(self):
         # The buffers of one record are reused within it; each derivative

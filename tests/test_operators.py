@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperburg.operators import d1_central, d2_central, pde_rhs
+from hyperburg.operators import DOT_SPLIT, d1_central, d2_central, pde_rhs, trapezoid_dot
 
 
 def test_d1_exact_on_quadratic():
@@ -114,3 +114,27 @@ def test_pde_rhs_matches_unfused_form():
     unfused[0] = unfused[-1] = 0.0
     scale = nu / (mu * dx * dx) * np.max(np.abs(v))
     assert np.max(np.abs(dw - unfused)) <= 1e-14 * scale
+
+
+def test_trapezoid_dot_on_columns_equals_whole_grid_bitwise():
+    # Data zero outside [a, b): trapezoid_dot over any columns [lo, hi) that
+    # hold [a, b), with lo and hi multiples of 32 or grid ends, equals the
+    # whole-grid call bit for bit, and that is its DOT_SPLIT pieces added
+    # left to right, plus the end terms.
+    rng = np.random.default_rng(5)
+    n, dx = 2 * DOT_SPLIT + 1000, 0.01
+    for _ in range(40):
+        a = int(rng.integers(0, n - 4000))
+        b = a + int(rng.integers(1, 4000))
+        f, g = np.zeros(n), np.zeros(n)
+        f[a:b], g[a:b] = rng.standard_normal((2, b - a))
+        whole = trapezoid_dot(f, g, dx)
+        pieces = [np.dot(f[i:i + DOT_SPLIT], g[i:i + DOT_SPLIT]) for i in range(0, n, DOT_SPLIT)]
+        total = pieces[0]
+        for piece in pieces[1:]:
+            total += piece
+        assert whole == dx * (total - 0.5 * (f[0] * g[0] + f[-1] * g[-1]))
+        lo, hi = a - a % 32, min(n, b + (-b) % 32)
+        for cols in (slice(lo, hi), slice(0, hi), slice(lo, n)):
+            got = trapezoid_dot(f[cols], g[cols], dx, cols.start, n)
+            assert got.hex() == whole.hex(), (a, b, cols)

@@ -18,8 +18,8 @@ from hyperburg import (
 )
 from hyperburg.initial_data import ProfileSpec
 from hyperburg import solver
-from hyperburg.diagnostics import RecordWorkspace, compute_record
-from hyperburg.operators import RhsKernel, pde_rhs
+from hyperburg.diagnostics import RecordWorkspace, compute_record, moment_F
+from hyperburg.operators import DOT_SPLIT, RhsKernel, pde_rhs
 from hyperburg.solver import (
     Grid,
     estimate_blowup_time,
@@ -278,6 +278,21 @@ class TestActiveWindow:
             assert same_bits(got, want)
             assert record_hex(rec) == record_hex(compute_record(want, params))
 
+    def test_large_grid_records_equal_whole_grid_records(self, monkeypatch):
+        # On 16385 nodes the blow-up data straddle the DOT_SPLIT column in the
+        # grid's middle, so every record integral is reduced in two pieces.
+        params = validate_params(1, 1, 1)
+        grid = Grid(-8.0, 8.0, 16385)
+        state0 = sample_initial_state(
+            params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
+        out, seen, windows = self.run_spied(monkeypatch, state0, params, 0.02,
+                                            record_stride=1)
+        assert len(out.records) == len(seen) > 40
+        assert all(0 < a < DOT_SPLIT < b < grid.n for a, b in windows)
+        assert out.records[0].F == moment_F(state0)
+        for state, rec in zip(seen, out.records):
+            assert record_hex(rec) == record_hex(compute_record(state, params))
+
     @pytest.mark.parametrize("lo", [0, 1004], ids=["left", "right"])
     def test_data_nonzero_at_the_boundary(self, monkeypatch, lo):
         params, state0 = sharp_state(lo=lo)
@@ -477,13 +492,15 @@ class TestIntegrate:
         "field, bad", [("w", np.nan), ("v", np.inf), ("v", np.nan), ("w", -np.inf)])
     def test_nonfinite_field_is_numerical_failure(self, monkeypatch, field, bad):
         # A step that leaves one non-finite entry in one field, the other
-        # finite: inf in v must not read as a threshold crossing.
+        # finite: inf in v must not read as a threshold crossing.  The entry
+        # is inside the step's window: outside it a step leaves exact zeros,
+        # so the health check reads the window only.
         params, state0 = small_state()
         real_step = solver.step_rk4
 
         def broken_step(state, *args):
             nxt = real_step(state, *args)
-            getattr(nxt, field)[40] = bad
+            getattr(nxt, field)[state0.grid.n // 2] = bad
             return nxt
 
         monkeypatch.setattr(solver, "step_rk4", broken_step)

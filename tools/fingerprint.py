@@ -12,11 +12,24 @@ checkout that has them.  Usage, from the checkout root::
 
     python tools/fingerprint.py > new.txt   # then diff against an old output
 
+``--dump FILE`` also writes every record of those runs, as ``float.hex``,
+to the JSON file FILE, together with the records of the ``blowup``
+ladder's levels above 4097 nodes (8193 to 65537, stride 1), whose record
+integrals split at a DOT_SPLIT column.  ``--compare OLD NEW`` reads two such
+dumps, say from two checkouts, and prints the worst relative drift
+|new - old| / |old| (|new - old| where old is 0) of each record field over
+the records both dumps hold, then the worst drift of each run::
+
+    python tools/fingerprint.py --dump old.json      # in the old checkout
+    python tools/fingerprint.py --dump new.json      # in the new one
+    python tools/fingerprint.py --compare old.json new.json
+
 Imports ``hyperburg`` from this checkout's ``src/``, not an installed copy.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -26,6 +39,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from hyperburg.config import refinement_ladder  # noqa: E402
 from hyperburg.runner import execute_config  # noqa: E402
 from hyperburg.suite import PRESET_NAMES, execute_preset, preset_configs  # noqa: E402
 
@@ -33,6 +47,8 @@ RECORD_FIELDS = ("t", "F", "Fprime", "E1", "E2", "E3", "sup_norm", "support_left
                  "support_right", "schwartz_gap", "half_int_v2", "int_vxt2", "int_vxtt2",
                  "int_vxxt2")
 REPORT_BLOCKS = ("sobolev", "worst", "certificate", "resolution")
+# The dump's extra levels: the blowup ladder from 1025 nodes, up to 65537.
+LARGE_LEVELS = 7
 
 
 def _hexed(x):
@@ -60,18 +76,79 @@ def fingerprint(report) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def record_rows(report) -> list[list[str]]:
+    return [[float(getattr(rec, name)).hex() for name in RECORD_FIELDS]
+            for rec in report.outcome.records]
+
+
+def fingerprint_runs(dump: dict | None) -> None:
+    """Print the fingerprints; with ``dump``, also fill it with every run's records."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+
+        def emit(config, report):
+            name = str(Path(config.output.directory).relative_to(root))
+            print(name, fingerprint(report), flush=True)
+            if dump is not None:
+                dump[name] = record_rows(report)
+
         for name in PRESET_NAMES:
             run = execute_preset(name, root)
             for config, report in zip(run.configs, run.reports):
-                print(Path(config.output.directory).relative_to(root), fingerprint(report))
+                emit(config, report)
             if run.cone is not None:
                 print(f"{name} cone_max {run.cone.value.hex()}")
         for config in preset_configs("blowup", root / "stride1"):
-            report = execute_config(dataclasses.replace(config, record_stride=1))
-            print(Path(config.output.directory).relative_to(root), fingerprint(report))
+            emit(config, execute_config(dataclasses.replace(config, record_stride=1)))
+        if dump is not None:
+            base = preset_configs("blowup", root / "large")[0]
+            for config in refinement_ladder(base, LARGE_LEVELS)[3:]:
+                report = execute_config(dataclasses.replace(config, record_stride=1))
+                dump[str(Path(config.output.directory).relative_to(root))] = record_rows(report)
+
+
+def relative_drift(old: float, new: float) -> float:
+    """|new - old| / |old|, or |new - old| where old is 0 (as perfbench's record drift)."""
+    return abs(new - old) / (abs(old) if old != 0.0 else 1.0)
+
+
+def compare(old_path: str, new_path: str) -> None:
+    old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    worst = {name: (0.0, None) for name in RECORD_FIELDS}
+    per_run = {}
+    for run in sorted(old.keys() & new.keys()):
+        a, b = old[run], new[run]
+        run_worst = 0.0
+        for row_a, row_b in zip(a, b):
+            for name, x, y in zip(RECORD_FIELDS, row_a, row_b):
+                d = relative_drift(float.fromhex(x), float.fromhex(y))
+                run_worst = max(run_worst, d)
+                if d > worst[name][0]:
+                    worst[name] = (d, run)
+        per_run[run] = (run_worst, len(a), len(b))
+    print(f"# worst relative drift per record field over {len(per_run)} runs")
+    for name, (d, run) in worst.items():
+        print(f"{name} {d:.3e}" + (f" {run}" if run else ""))
+    print("# worst relative drift per run (records old new)")
+    for run, (d, n_old, n_new) in per_run.items():
+        print(f"{run} {d:.3e} {n_old} {n_new}")
+    for run in sorted(old.keys() ^ new.keys()):
+        print(f"{run} only in {old_path if run in old else new_path}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--dump", metavar="FILE", help="also write every run's records to FILE")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="print the record drift between two dumps, run nothing")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    dump = None if args.dump is None else {}
+    fingerprint_runs(dump)
+    if dump is not None:
+        Path(args.dump).write_text(json.dumps(dump))
 
 
 if __name__ == "__main__":
