@@ -35,7 +35,6 @@ from .solver import (
     RunOutcome,
     RunStatus,
     check_domain_margin,
-    default_blowup_threshold,
     estimate_blowup_time,  # not in __all__: an alias of Refinement for old callers
     integrate,
     stable_dt,
@@ -82,7 +81,7 @@ __all__ = [
     # solver
     "Grid", "GridState", "RunStatus", "RunOutcome", "stable_dt",
     "step_rk4", "integrate", "Refinement",
-    "check_domain_margin", "default_blowup_threshold",
+    "check_domain_margin",
     # diagnostics
     "DiagnosticsRecord", "ConeMax", "moment_F", "moment_Fprime",
     "support_interval", "identity_residual", "gronwall_check_E1",

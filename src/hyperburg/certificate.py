@@ -59,6 +59,8 @@ __all__ = [
     "build_certificate",
 ]
 
+ORACLE_SAMPLES = 200
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -210,13 +212,13 @@ def aux_ode_oracle(
     G0: float,
     params: ModelParams,
     t_end: float,
-    n_samples: int = 200,
 ) -> OracleResult:
     """Adaptive high-order integration of G' = eps (c t + L)^(-3) G^(3/2).
 
     Independent cross-check for :func:`g_closed_form`, run with relative
-    tolerance 1e-10.  If G escapes (or the integrator stalls) before
-    t_end, the partial samples are returned with ``diverged`` set.
+    tolerance 1e-10 and sampled at ORACLE_SAMPLES evenly spaced times.  If G
+    escapes (or the integrator stalls) before t_end, the partial samples are
+    returned with ``diverged`` set.
     """
     if not (t_end >= 0.0):
         raise ParameterError(f"t_end must be nonnegative, got {t_end}")
@@ -233,7 +235,7 @@ def aux_ode_oracle(
     escaped.terminal = True
     escaped.direction = 1.0
 
-    t_eval = np.linspace(0.0, t_end, n_samples)
+    t_eval = np.linspace(0.0, t_end, ORACLE_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = scipy.integrate.solve_ivp(
             rhs,
@@ -246,7 +248,7 @@ def aux_ode_oracle(
             events=escaped,
             dense_output=False,
         )
-    diverged = (sol.status != 0) or (sol.t.size < n_samples)
+    diverged = (sol.status != 0) or (sol.t.size < ORACLE_SAMPLES)
     return OracleResult(t=sol.t, G=sol.y[0], diverged=diverged)
 
 

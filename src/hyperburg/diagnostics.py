@@ -115,19 +115,13 @@ def moment_Fprime(state: GridState) -> float:
     return trapezoid_dot(state.grid.nodes(), state.w, state.grid.dx)
 
 
-def support_interval(state: GridState, threshold: float,
-                     magnitude: Optional[np.ndarray] = None,
-                     window: slice = slice(None)) -> tuple[float, float]:
+def support_interval(state: GridState, threshold: float) -> tuple[float, float]:
     """Outermost nodes where |v| or |w| exceeds the threshold.
 
-    ``magnitude`` is |(v, w)| as a ``(2, n)`` block, computed here unless
-    given; only its columns ``window`` are scanned, so outside them it must
-    not exceed the threshold.  Returns (0.0, 0.0) as the empty-support
-    marker when neither field exceeds the threshold anywhere.
+    Returns (0.0, 0.0) as the empty-support marker when neither field
+    exceeds the threshold anywhere.
     """
-    if magnitude is None:
-        magnitude = np.abs(state.u)
-    return _outermost(magnitude[..., window], threshold, state.grid.nodes()[window])
+    return _outermost(np.abs(state.u), threshold, state.grid.nodes())
 
 
 def _outermost(magnitude: np.ndarray, threshold: float, x: np.ndarray) -> tuple[float, float]:
@@ -270,7 +264,7 @@ class ConeMax:
 
 
 class RecordWorkspace:
-    """The one buffer :func:`compute_record` writes, for a grid of ``shape[-1]`` nodes.
+    """The one buffer :func:`compute_record` writes, for a grid of ``n`` nodes.
 
     ``window`` = (a, b) is the solver's window, whose columns hold every
     nonzero of the state: the whole grid until :meth:`bind` narrows it.
@@ -284,9 +278,9 @@ class RecordWorkspace:
 
     __slots__ = ("buffer", "window", "span", "block")
 
-    def __init__(self, shape):
-        self.buffer = np.empty(RECORD_ROWS * shape[-1])
-        self.bind(0, shape[-1])
+    def __init__(self, n: int):
+        self.buffer = np.empty(RECORD_ROWS * n)
+        self.bind(0, n)
 
     def bind(self, a: int, b: int) -> None:
         """Record on the solver window [a, b)."""
@@ -315,7 +309,7 @@ def compute_record(
     columns only (see the module docstring).
     """
     if work is None:
-        work = RecordWorkspace(state.v.shape)
+        work = RecordWorkspace(state.grid.n)
     grid, dx, mu, nu = state.grid, state.grid.dx, params.mu, params.nu
     c2 = params.c * params.c
     (a, b), (lo, hi) = work.window, work.span

@@ -74,7 +74,7 @@ class RunReport:
 
 
 def _fmt(x: float) -> str:
-    """Round-trip decimal form (repr), shared by CSV and stdout paths."""
+    """Round-trip decimal form (repr) of a CSV cell."""
     return repr(float(x))
 
 
@@ -139,14 +139,13 @@ def _worst_case(outcome: RunOutcome, cert: Certificate, params: ModelParams) -> 
         worst["comparison_margin_rel"] = None
 
     excess = None
-    if outcome.final_state is not None:
-        dx = outcome.final_state.grid.dx
-        for rec in records:
-            if (rec.support_left, rec.support_right) == (0.0, 0.0):
-                continue
-            allowed = params.L + params.c * rec.t + 5.0 * dx
-            e = max(rec.support_right - allowed, -allowed - rec.support_left)
-            excess = e if excess is None else max(excess, e)
+    dx = outcome.final_state.grid.dx
+    for rec in records:
+        if (rec.support_left, rec.support_right) == (0.0, 0.0):
+            continue
+        allowed = params.L + params.c * rec.t + 5.0 * dx
+        e = max(rec.support_right - allowed, -allowed - rec.support_left)
+        excess = e if excess is None else max(excess, e)
     worst["support_excess"] = excess
     return worst
 

@@ -7,11 +7,11 @@ with dt = min(cfl * dx / c, mu).  The domain is sized so the exact support
 pinned to zero, which substitutes for boundary conditions entirely.
 
 Stepping kernel: :func:`integrate` is the one stepping loop.  A state is one
-``(2, n)`` block ``u`` of rows v and w (:class:`GridState`), so each stage
-input, accumulation, update and boundary pin is one array call.  A run binds
-one :class:`StepWorkspace` (buffers, slope kernel and stencil views, rebuilt
-only when its window grows) and a step allocates only the new state's block.
-The arrays act on the last axis: :func:`step_rk4` steps a ``(2, B, n)`` stack.
+``(2, n)`` block ``u`` of rows v and w (:class:`GridState` rejects any other
+shape), so each stage input, accumulation, update and boundary pin is one
+array call.  A run binds one :class:`StepWorkspace` (buffers, slope kernel
+and stencil views, rebuilt only when its window grows) and a step allocates
+only the new state's block.
 
 Active window: a run steps and records only on a column window [a, b)
 holding every nonzero of (v, w) with MARGIN zero columns on each side (see
@@ -59,7 +59,6 @@ __all__ = [
     "Refinement",
     "estimate_blowup_time",
     "check_domain_margin",
-    "default_blowup_threshold",
 ]
 
 # Nodes of slack the support of a healthy run may spill past L + c t.
@@ -106,11 +105,21 @@ class Grid:
 @dataclass
 class GridState:
     """Field pair (v, w = dv/dt) on a grid at one time instant, held as one
-    ``(2, ..., n)`` block ``u``; ``v`` and ``w`` are its rows, read-only."""
+    ``(2, grid.n)`` block ``u``; ``v`` and ``w`` are its rows, read-only.
+
+    Raises:
+        ParameterError: for any other shape of ``u``, a stack of states included.
+    """
 
     grid: Grid
     t: float
     u: np.ndarray
+
+    def __post_init__(self):
+        if self.u.shape != (2, self.grid.n):
+            raise ParameterError(f"GridState needs u of shape (2, {self.grid.n}), one (v, w) "
+                                 f"pair on its grid, got {self.u.shape}; build one per state "
+                                 f"as np.stack((v, w)) from fields of {self.grid.n} nodes")
 
     @property
     def v(self) -> np.ndarray:
@@ -121,11 +130,11 @@ class GridState:
         return self.u[1]
 
     def __eq__(self, other) -> bool:
-        """Bitwise: same grid and t, and ``u``'s shape, dtype and bytes (signs of zero count)."""
+        """Bitwise: same grid and t, and ``u``'s dtype and bytes (signs of zero count)."""
         if not isinstance(other, GridState):
             return NotImplemented
-        return (self.grid, self.t, self.u.shape, self.u.dtype, self.u.tobytes()) == (
-            other.grid, other.t, other.u.shape, other.u.dtype, other.u.tobytes())
+        return (self.grid, self.t, self.u.dtype, self.u.tobytes()) == (
+            other.grid, other.t, other.u.dtype, other.u.tobytes())
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.v)))
@@ -151,12 +160,12 @@ class RunOutcome:
 
     status: RunStatus
     t_final: float
-    records: list[DiagnosticsRecord] = field(default_factory=list)
-    final_state: Optional[GridState] = None
-    n_steps: int = 0
-    dt: float = 0.0
-    stepped_frac: float = 1.0
-    record_s: float = field(default=0.0, compare=False)
+    records: list[DiagnosticsRecord]
+    final_state: GridState
+    n_steps: int
+    dt: float
+    stepped_frac: float
+    record_s: float = field(compare=False)
 
     @property
     def t_detect(self) -> Optional[float]:
@@ -177,39 +186,38 @@ def stable_dt(grid: Grid, params: ModelParams, cfl: float) -> float:
 class StepWorkspace:
     """Buffers and bound views for one run's steps and records.
 
-    ``window`` = (a, b) is the columns steps and records compute on: the
-    whole grid, or with ``state`` its padded nonzero extent (see :meth:`fit`).
-    ``s`` (stage input), ``k1`` (the last step's stage-1 slope), ``k``
-    (later stage slopes) and ``acc`` (weighted slope sum) are contiguous
-    ``(2, ..., b - a)`` blocks; ``rhs1`` and ``rhs`` are the slope kernels
-    bound to ``k1`` and ``k``, ``stage`` the stencil views of ``s``,
-    ``record`` the records' workspace, bound to the same window.
+    ``window`` = (a, b) is the columns of a grid of ``n`` nodes that steps
+    and records compute on: the whole grid, or with ``state`` its padded
+    nonzero extent (see :meth:`fit`).  ``s`` (stage input), ``k1`` (the last
+    step's stage-1 slope), ``k`` (later stage slopes) and ``acc`` (weighted
+    slope sum) are contiguous ``(2, b - a)`` blocks; ``rhs1`` and ``rhs`` are
+    the slope kernels bound to ``k1`` and ``k``, ``stage`` the stencil views
+    of ``s``, ``record`` the records' workspace, bound to the same window.
     """
 
-    __slots__ = ("shape", "window", "s", "k1", "k", "acc", "rhs1", "rhs", "stage", "record")
+    __slots__ = ("window", "s", "k1", "k", "acc", "rhs1", "rhs", "stage", "record")
 
-    def __init__(self, shape, state: Optional[GridState] = None):
-        self.shape, self.record = tuple(shape), RecordWorkspace(shape)
-        self.window = (self.shape[-1], 0)  # empty until bound
+    def __init__(self, n: int, state: Optional[GridState] = None):
+        self.record = RecordWorkspace(n)
+        self.window = (n, 0)  # empty until bound
         if state is None:
-            self._bind(0, self.shape[-1])
+            self._bind(0, n)
         else:
             self.fit(state)
 
     def _bind(self, a: int, b: int) -> None:
         self.window = (a, b)
-        block = (2, *self.shape[:-1], b - a)
-        self.s, self.k1, self.k, self.acc = (np.empty(block) for _ in range(4))
+        self.s, self.k1, self.k, self.acc = (np.empty((2, b - a)) for _ in range(4))
         self.rhs1, self.rhs = RhsKernel(self.k1), RhsKernel(self.k)
         self.stage = stencil_views(self.s)
         self.record.bind(a, b)
 
     def fit(self, state: GridState) -> None:
-        """Grow the window to the nonzeros of ``state`` (every row of a stack;
-        the whole grid if it has none), padded so the next REFIT_STEPS - 1 steps
-        keep MARGIN.  It never shrinks."""
-        u, n = state.u, self.shape[-1]
-        live = np.flatnonzero(u.any(axis=tuple(range(u.ndim - 1))))
+        """Grow the window to the nonzeros of ``state`` (the whole grid if it
+        has none), padded so the next REFIT_STEPS - 1 steps keep MARGIN.  It
+        never shrinks."""
+        n = state.grid.n
+        live = np.flatnonzero(state.u.any(axis=0))
         if live.size == 0:
             a, b = 0, n
         else:
@@ -237,11 +245,11 @@ def step_rk4(
     of 1.0 is exact and so is not multiplied out.
     """
     if work is None:
-        work = StepWorkspace(state.v.shape)
+        work = StepWorkspace(state.grid.n)
     dx, mu, nu = state.grid.dx, params.mu, params.nu
     u = state.u
     a, b = work.window
-    win = u[..., a:b]
+    win = u[:, a:b]
     s, k, acc, rhs = work.s, work.k, work.acc, work.rhs
 
     work.rhs1(stencil_views(win), dx, mu, nu)
@@ -263,8 +271,8 @@ def step_rk4(
 
     np.multiply(acc, dt / 6.0, out=acc)
     u_new = np.zeros(u.shape)
-    np.add(win, acc, out=u_new[..., a:b])
-    u_new[..., 0] = u_new[..., -1] = 0.0
+    np.add(win, acc, out=u_new[:, a:b])
+    u_new[:, 0] = u_new[:, -1] = 0.0
     return GridState(state.grid, state.t + dt, u_new)
 
 
@@ -286,12 +294,6 @@ def check_domain_margin(grid: Grid, params: ModelParams, t_end: float) -> None:
         )
 
 
-def default_blowup_threshold(state0: GridState) -> float:
-    """Detection threshold 1e6 * max(1, initial sup norm): far above any
-    bounded-solution scale at desk parameters, far below overflow."""
-    return 1e6 * max(1.0, state0.sup_norm())
-
-
 def integrate(
     state0: GridState,
     params: ModelParams,
@@ -306,9 +308,10 @@ def integrate(
     A diagnostics record is emitted for the initial state, after every
     ``record_stride`` steps, and for the terminal state.  Detection
     semantics: the run stops at the first state whose sup norm reaches
-    ``blowup_threshold`` (default :func:`default_blowup_threshold`), at the
-    first non-finite state (NUMERICAL_FAILURE; no record is emitted for a
-    broken state), or at the first time >= t_end.
+    ``blowup_threshold`` (by default 1e6 * max(1, sup|v0|), far above any
+    bounded-solution scale at desk parameters and far below overflow), at
+    the first non-finite state (NUMERICAL_FAILURE; no record is emitted for
+    a broken state), or at the first time >= t_end.
 
     Run health is one max and one min per row of the new state's (v, w)
     block on the step's window, with 0.0 folded in when the window is
@@ -326,18 +329,14 @@ def integrate(
     inputs give bit-identical outcomes and records.
 
     Raises:
-        ParameterError: unless ``state0.u`` is one ``(2, n)`` pair, not a stack.
         ConfigError: for a bad stride or grid margin, or a threshold at or
             below sup|v0|, which would report blow-up at the first step.
     """
-    if state0.u.shape != (2, state0.grid.n):
-        raise ParameterError(f"integrate records one state, u of shape (2, {state0.grid.n}), got "
-                             f"{state0.u.shape}; step a stack with step_rk4 on one StepWorkspace")
     if record_stride < 1:
         raise ConfigError(f"record_stride must be >= 1, got {record_stride}")
     check_domain_margin(state0.grid, params, t_end)
     if blowup_threshold is None:
-        blowup_threshold = default_blowup_threshold(state0)
+        blowup_threshold = 1e6 * max(1.0, state0.sup_norm())
     elif not blowup_threshold > state0.sup_norm():
         raise ConfigError(f"blowup_threshold {blowup_threshold!r} must exceed sup|v0| = "
                           f"{state0.sup_norm()!r}; raise it, or set it null for the default")
@@ -346,7 +345,7 @@ def integrate(
 
     dt = stable_dt(state0.grid, params, cfl)
     n = state0.grid.n
-    work = StepWorkspace(state0.v.shape, state0)
+    work = StepWorkspace(n, state0)
     records: list[DiagnosticsRecord] = []
     state, steps, stepped, status, record_s = state0, 0, 0, None, 0.0
 

@@ -125,6 +125,12 @@ class TestSupNormAndSupport:
         v = np.zeros(64)
         v[10] = -3.0
         assert state_on(grid, v).sup_norm() == 3.0
+        # w counts towards the support where it exceeds the threshold
+        w = np.zeros(64)
+        w[50] = 1e-3
+        x = grid.nodes()
+        assert support_interval(state_on(grid, v, w), 1e-6) == (x[10], x[50])
+        assert support_interval(state_on(grid, v, w), 1e-2) == (x[10], x[10])
 
     def test_calibrated_state_peak_and_support(self):
         grid = Grid(-2.0, 2.0, 2048)
@@ -151,7 +157,7 @@ class TestRecordWorkspace:
         state0 = sample_initial_state(PARAMS, grid, ProfileSpec("odd_bump", a, 2.0, 1.0))
         states = []
         integrate(state0, PARAMS, t_end=0.2, record_stride=1, observe=states.append)
-        work = RecordWorkspace((grid.n,))
+        work = RecordWorkspace(grid.n)
         work.buffer.fill(np.nan)
         for state in states:
             alone = compute_record(state, PARAMS)
@@ -215,30 +221,6 @@ print(" ".join(float(x).hex() for r in out.records for x in vars(r).values()))
         assert (rec.support_left, rec.support_right) == (grid.nodes()[live[0]],
                                                          grid.nodes()[live[-1]])
         assert rec.E3 > 0.0 and rec.int_vxtt2 > 0.0
-
-    def test_support_from_given_magnitude(self):
-        grid = Grid(-2.0, 2.0, 64)
-        v = np.zeros(64)
-        w = np.zeros(64)
-        v[10], w[50] = -3.0, 1e-3
-        st = state_on(grid, v, w)
-        x = grid.nodes()
-        assert support_interval(st, 1e-6) == (x[10], x[50])
-        magnitude = np.abs(np.stack((v, w)))
-        assert support_interval(st, 1e-6, magnitude) == (x[10], x[50])
-        assert support_interval(st, 1e-2, magnitude) == (x[10], x[10])
-
-    def test_support_scans_only_the_window(self):
-        grid = Grid(-2.0, 2.0, 64)
-        v = np.zeros(64)
-        w = np.zeros(64)
-        v[10], w[50] = -3.0, 1e-3
-        st = state_on(grid, v, w)
-        x = grid.nodes()
-        magnitude = np.abs(np.stack((v, w)))
-        for window in (slice(10, 51), slice(5, 60), slice(None)):
-            assert support_interval(st, 1e-6, magnitude, window) == (x[10], x[50])
-        assert support_interval(st, 1e-6, None, slice(11, 50)) == (0.0, 0.0)
 
 
 class TestSchwartzGap:

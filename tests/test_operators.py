@@ -18,7 +18,7 @@ def test_d2_exact_on_quadratic():
     assert out[1:-1] == pytest.approx(6.0, rel=1e-10)
 
 
-def test_flux_divergence_matches_v_vx_for_smooth_field():
+def test_d1_central_of_half_v_squared_matches_v_vx_for_smooth_field():
     x = np.linspace(-1.0, 1.0, 2001)
     dx = x[1] - x[0]
     v = np.sin(x)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hyperburg import (
 )
 from hyperburg.initial_data import ProfileSpec
 from hyperburg import solver
-from hyperburg.diagnostics import RecordWorkspace, compute_record, moment_F
+from hyperburg.diagnostics import compute_record, moment_F
 from hyperburg.operators import DOT_SPLIT, RhsKernel, pde_rhs
 from hyperburg.solver import (
     Grid,
@@ -109,14 +110,14 @@ class TestStepWorkspace:
         # a fresh-workspace step.
         params, state = small_state()
         dt = stable_dt(state.grid, params, 0.4)
-        work = StepWorkspace(state.v.shape)
+        work = StepWorkspace(state.grid.n)
         other = GridState(state.grid, state.t, np.stack((2.0 * state.v, state.w + 1.0)))
         reused = fresh = state
         for i in range(10):
             if i % 3 != 2:
                 step_rk4(other, params, dt, work)
             reused = step_rk4(reused, params, dt, work)
-            fresh = step_rk4(fresh, params, dt, StepWorkspace(fresh.v.shape))
+            fresh = step_rk4(fresh, params, dt, StepWorkspace(fresh.grid.n))
             assert np.array_equal(reused.v, fresh.v)
             assert np.array_equal(reused.w, fresh.w)
         # A second step from the same state must not take the first one's
@@ -131,7 +132,7 @@ class TestStepWorkspace:
         # window, bit for bit, whatever the buffers held before.
         params, state = sharp_state()
         dt = stable_dt(state.grid, params, 0.4)
-        work = StepWorkspace(state.v.shape, state if fitted else None)
+        work = StepWorkspace(state.grid.n, state if fitted else None)
         a, b = work.window
         assert (0 < a and b < state.grid.n) == fitted
         step_rk4(GridState(state.grid, 0.0, 3.0 * state.u), params, dt, work)
@@ -160,7 +161,7 @@ class TestStepWorkspace:
         other = GridState(state.grid, 0.0, rng.standard_normal(state.u.shape))
         assert state.v[0] != 0.0 and state.w[-1] != 0.0
         dt = stable_dt(state.grid, params, 0.4)
-        work = StepWorkspace(state.v.shape)
+        work = StepWorkspace(state.grid.n)
         for i in range(50):
             if i % 7 == 0:
                 step_rk4(other, params, dt, work)
@@ -168,49 +169,6 @@ class TestStepWorkspace:
             for k in (work.k1, work.k):
                 assert np.all(k[..., 0] == 0.0) and np.all(k[..., -1] == 0.0)
         assert np.isfinite(state.u).all()
-
-    def test_stacked_states_step_row_by_row(self):
-        params, state = small_state()
-        dt = stable_dt(state.grid, params, 0.4)
-        scales = (0.5, 1.0, 3.0)
-        stack = GridState(state.grid, 0.0, np.stack((
-            np.stack([k * state.v for k in scales]),
-            np.stack([k * state.v for k in scales]),
-        )))
-        stepped = step_rk4(stack, params, dt)
-        for i, k in enumerate(scales):
-            row = step_rk4(
-                GridState(state.grid, 0.0, np.stack((k * state.v, k * state.v))), params, dt
-            )
-            assert np.array_equal(stepped.v[i], row.v)
-            assert np.array_equal(stepped.w[i], row.w)
-
-    def test_stacked_run_rows_match_single_runs_and_records(self):
-        # A (3, n) stack stepped on one workspace equals three single runs
-        # on their own workspaces, and each row's record, computed with a
-        # shared record workspace, equals the single run's standalone record.
-        params, state = small_state(sup=0.5)
-        dt = stable_dt(state.grid, params, 0.4)
-        scales = (0.5, 1.0, 3.0)
-        stack = GridState(state.grid, 0.0,
-                          np.stack((np.stack([k * state.v for k in scales]),
-                                    np.stack([0.5 * k * state.v for k in scales]))))
-        singles = [GridState(state.grid, 0.0, np.stack((k * state.v, 0.5 * k * state.v)))
-                   for k in scales]
-        work = StepWorkspace(stack.v.shape)
-        single_works = [StepWorkspace(state.v.shape) for _ in scales]
-        for _ in range(6):
-            stack = step_rk4(stack, params, dt, work)
-            singles = [step_rk4(s, params, dt, w) for s, w in zip(singles, single_works)]
-        shared = RecordWorkspace(state.v.shape)
-        for i, single in enumerate(singles):
-            assert np.array_equal(stack.v[i], single.v)
-            assert np.array_equal(stack.w[i], single.w)
-            row = GridState(state.grid, stack.t, stack.u[:, i])
-            got = compute_record(row, params, work=shared)
-            alone = compute_record(single, params)
-            assert [float(x).hex() for x in vars(got).values()] == \
-                [float(x).hex() for x in vars(alone).values()]
 
 
 def sharp_state(n=1024, dom=16.0, lo=500, width=20, seed=3, scale=1.0):
@@ -270,6 +228,10 @@ class TestActiveWindow:
         assert out.status is RunStatus.COMPLETED and out.n_steps >= 4 * solver.REFIT_STEPS
         # the initial window and at least three growths, none the whole grid
         assert len(windows) >= 4 and all(0 < a and b < state0.grid.n for a, b in windows)
+        # the initial window is the nonzero extent padded for REFIT_STEPS - 1 steps
+        live = np.flatnonzero(state0.u.any(axis=0))
+        pad = solver.MARGIN + solver.REACH * (solver.REFIT_STEPS - 1)
+        assert windows[0] == (live[0] - pad, live[-1] + 1 + pad)
         assert all(a1 < a0 and b1 > b0 for (a0, b0), (a1, b1) in zip(windows, windows[1:]))
         assert 0.0 < out.stepped_frac < 0.5
         chain = self.full_grid_chain(state0, params, out.dt, out.n_steps)
@@ -330,27 +292,6 @@ class TestActiveWindow:
                            np.stack((state.v + 1e-3 * rng.standard_normal(state.grid.n),
                                      1e-3 * rng.standard_normal(state.grid.n))))
         assert integrate(state0, params, t_end=0.2).stepped_frac == 1.0
-
-    def test_stack_with_different_supports_matches_single_runs(self, monkeypatch):
-        # The stack's window is the union of its rows' extents.
-        params = validate_params(1, 1, 1)
-        rows = [sharp_state(lo=lo, width=wd, seed=i)[1]
-                for i, (lo, wd) in enumerate([(300, 10), (500, 30), (640, 4)])]
-        stack = GridState(rows[0].grid, 0.0, np.stack((np.stack([r.v for r in rows]),
-                                                       np.stack([r.w for r in rows]))))
-        work = StepWorkspace(stack.v.shape, stack)
-        singles = [self.run_spied(monkeypatch, r, params, 0.7, record_stride=8)
-                   for r in rows]
-        live = np.flatnonzero(stack.u.any(axis=(0, 1)))
-        pad = solver.MARGIN + solver.REACH * (solver.REFIT_STEPS - 1)
-        assert work.window == (live[0] - pad, live[-1] + 1 + pad)
-        for step in range(1, singles[0][0].n_steps + 1):
-            stack = step_rk4(stack, params, singles[0][0].dt, work)
-            if step % solver.REFIT_STEPS == 0:
-                work.fit(stack)
-            for i, (_, seen, _) in enumerate(singles):
-                assert stack.v[i].tobytes() == seen[step].v.tobytes()
-                assert stack.w[i].tobytes() == seen[step].w.tobytes()
 
     def test_nan_inside_the_window_is_numerical_failure(self, monkeypatch):
         params, state0 = sharp_state()
@@ -419,14 +360,18 @@ class TestIntegrate:
         with pytest.raises(ConfigError, match="grid"):
             integrate(state0, params, t_end=10.0)
 
-    def test_stack_rejected_before_stepping(self, monkeypatch):
-        # A stack of B states, u of shape (2, B, n), steps with step_rk4 on
-        # one StepWorkspace; integrate builds records of one state only.
+    def test_state_of_another_shape_rejected_before_stepping(self, monkeypatch):
+        # A state is one (2, n) pair: a stack of B states, a block one node
+        # short and a single field are each rejected where the state is
+        # built, so integrate never steps them.
         params, state = small_state()
-        stack = GridState(state.grid, 0.0, np.stack((state.u, 2.0 * state.u), axis=1))
+        n = state.grid.n
         monkeypatch.setattr(solver, "step_rk4", None)  # any step would fail
-        with pytest.raises(ParameterError, match="step_rk4 on one StepWorkspace"):
-            integrate(stack, params, t_end=0.5)
+        for u in (np.stack((state.u, 2.0 * state.u), axis=1), state.u[:, :n - 1], state.v):
+            with pytest.raises(ParameterError, match=rf"shape \(2, {n}\).*np\.stack"):
+                GridState(state.grid, 0.0, u)
+            with pytest.raises(ParameterError, match=rf"got {re.escape(str(u.shape))}"):
+                integrate(GridState(state.grid, 0.0, u), params, t_end=0.5)
 
     @pytest.mark.parametrize("threshold", [1.0, "sup0"])
     def test_threshold_at_or_below_initial_sup_rejected(self, monkeypatch, threshold):
@@ -656,7 +601,9 @@ class TestEstimateBlowupTime:
     """The alias kept for existing callers of the refinement summary."""
 
     def _outcome(self, t, status=RunStatus.BLOWUP_DETECTED):
-        return RunOutcome(status=status, t_final=t, records=[], final_state=None)
+        params, state = small_state()
+        return RunOutcome(status=status, t_final=t, records=[], final_state=state, n_steps=0,
+                          dt=stable_dt(state.grid, params, 0.4), stepped_frac=1.0, record_s=0.0)
 
     def test_requires_blowup_outcomes(self):
         with pytest.raises(ConfigError, match="outcome 1 is completed, not blowup_detected"):

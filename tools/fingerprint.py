@@ -1,7 +1,9 @@
 """Print one bit-level fingerprint per simulated run, for diffing two checkouts.
 
 Runs every member of the simulating suite presets, writing their files
-under a temporary directory, plus the ``blowup`` ladder at record stride 1.
+under a temporary directory, plus the ``blowup`` ladder at record stride 1
+and one certified blow-up run at mu = 0.25 (c = 2), shaped like a point of
+the benchmark sweep; every preset has c = 1.
 Each run prints ``<name> <sha256>``, the hash over ``float.hex`` of the
 record fields named in ``RECORD_FIELDS``, the status, ``t_final``, the bytes
 of the final ``v`` and ``w``, the CSV bytes, and the report's ``sobolev``,
@@ -39,7 +41,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hyperburg.config import refinement_ladder  # noqa: E402
+from hyperburg.config import config_from_dict, refinement_ladder  # noqa: E402
 from hyperburg.runner import execute_config  # noqa: E402
 from hyperburg.suite import PRESET_NAMES, execute_preset, preset_configs  # noqa: E402
 
@@ -47,6 +49,17 @@ RECORD_FIELDS = ("t", "F", "Fprime", "E1", "E2", "E3", "sup_norm", "support_left
                  "support_right", "schwartz_gap", "half_int_v2", "int_vxt2", "int_vxtt2",
                  "int_vxxt2")
 REPORT_BLOCKS = ("sobolev", "worst", "certificate", "resolution")
+# n = 512 on [-8, 8] to t = 2 at stride 8, like a sweep point.  F0 and F1 are
+# 1.125 and 1.875 times the thresholds (F0_min, F1_min) = (128/3, 1024/3),
+# where the eps interval is not empty, so the run is certified.
+C2_RUN = {
+    "params": {"mu": 0.25, "nu": 1.0, "L": 1.0},
+    "grid": {"xmin": -8.0, "xmax": 8.0, "n": 512},
+    "cfl": 0.4,
+    "t_end": 2.0,
+    "record_stride": 8,
+    "ic": {"family": "odd_bump", "F0_target": 48.0, "F1_target": 640.0},
+}
 # The dump's extra levels: the blowup ladder from 1025 nodes, up to 65537.
 LARGE_LEVELS = 7
 
@@ -100,6 +113,9 @@ def fingerprint_runs(dump: dict | None) -> None:
                 print(f"{name} cone_max {run.cone.value.hex()}")
         for config in preset_configs("blowup", root / "stride1"):
             emit(config, execute_config(dataclasses.replace(config, record_stride=1)))
+        output = {"directory": str(root / "c2"), "emit_csv": True, "emit_report": True}
+        config = config_from_dict({**C2_RUN, "output": output})
+        emit(config, execute_config(config))
         if dump is not None:
             base = preset_configs("blowup", root / "large")[0]
             for config in refinement_ladder(base, LARGE_LEVELS)[3:]:
