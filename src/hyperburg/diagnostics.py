@@ -13,14 +13,16 @@ A record fills one contiguous ``(12, W)`` block, a view into the one flat
 buffer of its :class:`RecordWorkspace`, on the solver's window widened
 outward to multiples of RECORD_ALIGN = 32 columns (or to a grid end).  It
 copies in the state's (v, w) rows and v_tt once, differences (v, w) in one
-``d2_central`` call and the five rows (v, w, v_tt, v_xx, v*w) in one
-``d1_central`` call, and builds v_ttt in place.  Every integral, the ten
-squared norms and both moments, is a ``trapezoid_dot`` over those columns
-only, split at the grid columns that are multiples of 8192 to stay below
-OpenBLAS's threading cutoff (see there, also for the two reductions
-rejected).  So a record is a function of the state alone, whatever the
-window and the BLAS thread count, and on a grid of at most 8192 nodes its
-integrals are whole-grid ``np.dot`` bits.
+``d2_central`` call and the five rows (v*w, v_tt, v, w, v_xx) in one
+``d1_central`` call, each over its contiguous rows as one flat row, and
+builds v_ttt in place.  Every integral, the ten squared norms and both
+moments, is a ``trapezoid_dot`` over those columns only: one call on the
+eleven rows that hold the squared fields (one ``np.vecdot`` per piece) and
+one for F and F', split at the grid columns that are multiples of 8192 to
+stay below OpenBLAS's threading cutoff (see there, also for the two
+reductions rejected).  So a record is a function of the state alone,
+whatever the window and the BLAS thread count, and on a grid of at most
+8192 nodes its integrals are whole-grid ``np.dot`` bits.
 
 Monitored quantities (all but the cone maximum are fields of the record
 that :func:`compute_record` assembles; the cone maximum is a streaming
@@ -75,8 +77,11 @@ SUPPORT_REL_THRESHOLD = 1e-12
 # so the zero columns between the data and the window edge leave every lane,
 # and so the dot, as it is on the whole grid.
 RECORD_ALIGN = 32
-# Rows of the record block, in order: v, w, v_tt, v*w, v_xx, w_xx; then the
-# first differences of the first five, v_x, w_x, v_xtt, (v w)_x, v_xxx; v_ttt.
+# Rows of the record block, in order: v*w, v_tt, v, w, v_xx, w_xx; then the
+# first differences of the first five, (v w)_x, v_xtt, v_x, w_x, v_xxx; v_ttt.
+# So (v, w) are rows 2:4 and their second differences rows 4:6; the first
+# differences of rows 0:5 are rows 6:11; and rows 1:12 hold the ten squared
+# norms' rows and (v w)_x, whose square the record computes and drops.
 RECORD_ROWS = 12
 
 
@@ -125,13 +130,16 @@ def support_interval(state: GridState, threshold: float) -> tuple[float, float]:
 
 
 def _outermost(magnitude: np.ndarray, threshold: float, x: np.ndarray) -> tuple[float, float]:
-    """First and last ``x`` whose column of ``magnitude`` exceeds the threshold, or (0.0, 0.0)."""
+    """First and last ``x`` whose column of the ``(2, m)`` ``magnitude`` exceeds
+    the threshold, or (0.0, 0.0).  ``np.fmax`` skips a NaN in one row, as
+    ``(magnitude > threshold).any(axis=0)`` would; ``np.maximum`` would not."""
     if not (threshold > 0.0):
         raise ParameterError(f"support threshold must be positive, got {threshold}")
-    idx = np.flatnonzero((magnitude > threshold).any(axis=0))
-    if idx.size == 0:
+    over = np.fmax(magnitude[0], magnitude[1]) > threshold
+    first = int(over.argmax())
+    if not over[first]:
         return (0.0, 0.0)
-    return float(x[idx[0]]), float(x[idx[-1]])
+    return float(x[first]), float(x[over.size - 1 - int(over[::-1].argmax())])
 
 
 def identity_residual(
@@ -314,14 +322,14 @@ def compute_record(
     c2 = params.c * params.c
     (a, b), (lo, hi) = work.window, work.span
     block = work.block
-    v, w, v_tt_row, vw, v_xx, w_xx, v_x, w_x, v_xtt, flux, v_xxx, v_ttt = block
+    vw, v_tt_row, v, w, v_xx, w_xx, flux, v_xtt, v_x, w_x, v_xxx, v_ttt = block
     with np.errstate(over="ignore", invalid="ignore"):
-        np.copyto(block[:2], state.u[:, lo:hi])
+        np.copyto(block[2:4], state.u[:, lo:hi])
         if v_tt is None:
             v_tt = pde_rhs(*state.u[:, a:b], dx, mu, nu)[1]
         v_tt_row[:a - lo] = v_tt_row[b - lo:] = 0.0
         v_tt_row[a - lo:b - lo] = v_tt
-        d2_central(block[:2], dx, out=block[4:6])
+        d2_central(block[2:4], dx, out=block[4:6])
         np.multiply(v, w, out=vw)
         d1_central(block[:5], dx, out=block[6:11])
         # d/dt of the w-equation (flux v^2/2 differentiates to v*w), in place.
@@ -332,19 +340,17 @@ def compute_record(
         v_ttt[0] = v_ttt[-1] = 0.0
 
         n = grid.n
-        (int_w2, int_vx2, int_vtt2, int_vxx2, int_vttt2, int_vxxx2, int_vxt2, int_vxtt2,
-         int_vxxt2, int_v2) = (trapezoid_dot(row, row, dx, lo, n) for row in (
-             w, v_x, v_tt_row, v_xx, v_ttt, v_xxx, w_x, v_xtt, w_xx, v))
+        (int_vtt2, int_v2, int_w2, int_vxx2, int_vxxt2, _, int_vxtt2, int_vx2, int_vxt2,
+         int_vxxx2, int_vttt2) = trapezoid_dot(block[1:], block[1:], dx, lo, n)
         e1 = 0.5 * (int_w2 + c2 * int_vx2)
         e2 = 0.5 * (int_vtt2 + c2**2 * int_vxx2)
         e3 = 0.5 * (int_vttt2 + c2**3 * int_vxxx2)
         half_v2 = 0.5 * int_v2
         x = grid.nodes()[lo:hi]
-        f = trapezoid_dot(x, v, dx, lo, n)
-        fp = trapezoid_dot(x, w, dx, lo, n)
+        f, fp = trapezoid_dot(x, block[2:4], dx, lo, n)
 
         # The differences are spent: |u| goes where v_x and w_x were.
-        magnitude = np.abs(block[:2], out=block[6:8])
+        magnitude = np.abs(block[2:4], out=block[8:10])
         sup = float(magnitude[0].max())  # = sup_norm
         left, right = _outermost(magnitude, SUPPORT_REL_THRESHOLD * (1.0 + sup), x)
         radius = params.L + params.c * state.t

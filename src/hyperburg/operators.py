@@ -9,24 +9,25 @@ zero, which is exact as long as the support never reaches them.
 Every stencil acts on the last axis (``f[..., 1:-1]``), so a ``(B, n)``
 stack of B rows is differenced row by row with the same arithmetic as a
 single row, bit for bit: a diagnostics record differences its (v, w) rows in
-one call and five more rows in another.  The two stencils take an optional
-``out=`` buffer shaped like their input; with it the call allocates no
-array.  An ``out`` buffer must not overlap the inputs.
+one call and five more rows in another.  When the stack and its ``out``
+buffer are both C-contiguous the stencil runs over them as one flat row and
+then zeroes the seam columns, which it computed across rows: every other
+entry comes from the same operations on the same operands.  The two stencils
+take an optional ``out=`` buffer shaped like their input; with it the call
+allocates no array.  An ``out`` buffer must not overlap the inputs.
+:func:`trapezoid_dot` likewise reduces a stack of rows in one ``np.vecdot``
+call per DOT_SPLIT piece, each row with the bits of its own dot.
 
 :func:`pde_rhs` evaluates the slope of (v, w) as one ``(2, ...)`` block, like
 a solver state's ``(2, n)`` ``u``, in one fused sequence of in-place ufunc
-passes, held once by :class:`RhsKernel`: the solver's workspace binds two
+passes, held once by :class:`RhsKernel`: the solver's workspace binds three
 kernels per window, :func:`pde_rhs` one per call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    from numpy import trapezoid
-except ImportError:  # numpy < 2.0
-    from numpy import trapz as trapezoid  # type: ignore[attr-defined]
+from numpy import trapezoid
 
 __all__ = [
     "trapezoid",
@@ -47,20 +48,25 @@ DOT_SPLIT = 8192
 
 
 def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
-                  n: int | None = None) -> float:
+                  n: int | None = None) -> float | list[float]:
     """Trapezoidal rule for int a*b dx on a uniform grid of ``n`` nodes.
 
-    ``a`` and ``b`` are 1-D and hold the grid columns [lo, lo + len(a)), the
-    whole grid by default; outside them the integrand must be zero.  The dot
-    product is split at the grid columns that are multiples of DOT_SPLIT and
-    its pieces are added left to right, so its bits do not depend on the
-    BLAS thread count.  Nor do they depend on the columns passed, as long as
-    their edges are multiples of 32 or grid ends (as
+    ``a`` and ``b`` hold the grid columns [lo, lo + m) on their last axis, the
+    whole grid by default; outside them the integrand must be zero.  1-D
+    operands give a Python float.  A stacked ``(k, m)`` operand, broadcast
+    against the other as ``np.vecdot`` does, gives a list of k floats, each
+    with the bits of its row passed alone: the rows are reduced in one
+    ``np.vecdot`` call per piece, which equals ``np.dot`` row by row.
+
+    The dot product is split at the grid columns that are multiples of
+    DOT_SPLIT and its pieces are added left to right, so its bits do not
+    depend on the BLAS thread count.  Nor do they depend on the columns
+    passed, as long as their edges are multiples of 32 or grid ends (as
     :class:`~hyperburg.diagnostics.RecordWorkspace` takes them): each piece
     then keeps the SIMD lanes of OpenBLAS's dot kernel, and on a grid of at
     most DOT_SPLIT nodes the sum is one whole-grid ``np.dot``.  The
     half-weight end correction, dx * (a.b - (a[0] b[0] + a[-1] b[-1]) / 2),
-    enters only at the grid ends the columns reach.  Returns a Python float.
+    enters only at the grid ends the columns reach.
 
     Two other reductions were measured and rejected: an ``np.einsum`` sum
     over the columns often differs from the whole-grid sum, and an unsplit
@@ -71,26 +77,38 @@ def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
     n = lo + m if n is None else n
     cut = DOT_SPLIT - lo % DOT_SPLIT
     if cut >= m:
-        # The general path gives the same bits, but its slices and empty loop
-        # made stride-1 runs at n = 4096 to 8192 about 5% slower (numpy 2.4,
-        # 2 x86-64 cores).
-        total = float(np.dot(a, b))
+        # The general path gives the same bits; its slices and empty loop
+        # cost about 1 us a call (numpy 2.4, 2 x86-64 cores).
+        total = np.vecdot(a, b)
     else:
-        total = float(np.dot(a[:cut], b[:cut]))
+        total = np.vecdot(a[..., :cut], b[..., :cut])
         for start in range(cut, m, DOT_SPLIT):
-            total += float(np.dot(a[start:start + DOT_SPLIT], b[start:start + DOT_SPLIT]))
+            total += np.vecdot(a[..., start:start + DOT_SPLIT], b[..., start:start + DOT_SPLIT])
     if lo == 0 or lo + m == n:
-        ends = (a[0] * b[0] if lo == 0 else 0.0) + (a[-1] * b[-1] if lo + m == n else 0.0)
+        ends = ((a[..., 0] * b[..., 0] if lo == 0 else 0.0)
+                + (a[..., -1] * b[..., -1] if lo + m == n else 0.0))
         total -= 0.5 * ends
-    return float(dx * total)
+    # Scaled as Python floats, the same IEEE product as numpy's; numpy's
+    # array-by-float product costs about 1 us a call.
+    total = total.tolist()
+    return dx * total if isinstance(total, float) else [dx * t for t in total]
+
+
+def _as_rows(f: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``f`` and ``out`` as one flat row each when both are C-contiguous
+    stacks, else as given; the caller zeroes the seam columns."""
+    if f.ndim > 1 and f.flags.c_contiguous and out.flags.c_contiguous:
+        return f.reshape(-1), out.reshape(-1)
+    return f, out
 
 
 def d1_central(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
     """First derivative, (f[i+1] - f[i-1]) / (2 dx), zero at the boundary."""
     if out is None:
         out = np.empty_like(f)
-    inner = out[..., 1:-1]
-    np.subtract(f[..., 2:], f[..., :-2], out=inner)
+    src, dst = _as_rows(f, out)
+    inner = dst[..., 1:-1]
+    np.subtract(src[..., 2:], src[..., :-2], out=inner)
     np.divide(inner, 2.0 * dx, out=inner)
     out[..., 0] = out[..., -1] = 0.0
     return out
@@ -100,10 +118,11 @@ def d2_central(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.nd
     """Second derivative, (f[i+1] - 2 f[i] + f[i-1]) / dx^2, zero at the boundary."""
     if out is None:
         out = np.empty_like(f)
-    inner = out[..., 1:-1]
-    np.multiply(f[..., 1:-1], 2.0, out=inner)
-    np.subtract(f[..., 2:], inner, out=inner)
-    np.add(inner, f[..., :-2], out=inner)
+    src, dst = _as_rows(f, out)
+    inner = dst[..., 1:-1]
+    np.multiply(src[..., 1:-1], 2.0, out=inner)
+    np.subtract(src[..., 2:], inner, out=inner)
+    np.add(inner, src[..., :-2], out=inner)
     np.divide(inner, dx * dx, out=inner)
     out[..., 0] = out[..., -1] = 0.0
     return out
@@ -118,35 +137,46 @@ def stencil_views(fields) -> tuple[np.ndarray, ...]:
 class RhsKernel:
     """The arithmetic of :func:`pde_rhs`, bound to one ``(2, ..., n)`` slope block ``out``.
 
-    Construction zeroes the boundary of ``out`` and keeps views of its
-    interiors; a call writes only those interiors and returns ``out``, so
-    the boundary stays zero while no one else writes to it.
+    Construction zeroes the boundary of ``out`` and keeps a view of the
+    dw/dt interior; a call writes only that interior, using ``scratch``
+    (shaped like it, and not overlapping the inputs) for its intermediates,
+    and returns ``out``, so the boundary stays zero while no one else writes
+    to it.  The dv/dt row is w, which the kernel leaves to its caller: in the
+    solver's ``(3, W)`` stage blocks (v, w, dw/dt) the slope is the last two
+    rows, so its dv/dt row is the stage's w itself, and :func:`pde_rhs`
+    copies w in.
     """
 
-    __slots__ = ("out", "dv", "dw")
+    __slots__ = ("out", "dw", "scratch")
 
-    def __init__(self, out: np.ndarray):
-        self.out = out
+    def __init__(self, out: np.ndarray, scratch: np.ndarray):
+        self.out, self.scratch = out, scratch
         out[..., 0] = out[..., -1] = 0.0
-        self.dv, self.dw = out[0, ..., 1:-1], out[1, ..., 1:-1]
+        self.dw = out[1, ..., 1:-1]
 
-    def __call__(self, views: tuple[np.ndarray, ...], dx: float, mu: float, nu: float):
-        """Slope of the fields with these :func:`stencil_views`; the dv/dt
-        interior serves as scratch before w is copied into it."""
-        v_right, v_left, v_mid, w_mid = views
+    @staticmethod
+    def coefficients(dx: float, mu: float, nu: float) -> tuple[float, float, float, float]:
+        """The scalar operands (-b, a, 2a, mu) of a call; see :func:`pde_rhs`."""
         a = nu / (mu * dx * dx)
         b = 1.0 / (4.0 * mu * dx)
-        s, scratch = self.dw, self.dv
+        return -b, a, 2.0 * a, mu
+
+    def __call__(self, views: tuple[np.ndarray, ...], coefficients):
+        """Slope of the fields with these :func:`stencil_views`, for these
+        :meth:`coefficients`: floats, or the same values as 0-d arrays, which
+        numpy takes without converting them on every call."""
+        v_right, v_left, v_mid, w_mid = views
+        neg_b, a, two_a, mu = coefficients
+        s, scratch = self.dw, self.scratch
         np.subtract(v_right, v_left, out=scratch)
-        np.multiply(scratch, -b, out=scratch)
+        np.multiply(scratch, neg_b, out=scratch)
         np.add(scratch, a, out=scratch)
         np.add(v_right, v_left, out=s)
         np.multiply(s, scratch, out=s)
-        np.multiply(v_mid, 2.0 * a, out=scratch)
+        np.multiply(v_mid, two_a, out=scratch)
         np.subtract(s, scratch, out=s)
         np.divide(w_mid, mu, out=scratch)
         np.subtract(s, scratch, out=s)
-        np.copyto(scratch, w_mid)
         return self.out
 
 
@@ -169,4 +199,8 @@ def pde_rhs(v: np.ndarray, w: np.ndarray, dx: float, mu: float, nu: float) -> np
     place.  Returns the ``(2, ...)`` block of dv/dt and dw/dt, rows shaped
     like v; boundary entries of both are zero (pinned nodes).
     """
-    return RhsKernel(np.empty((2, *v.shape)))(stencil_views((v, w)), dx, mu, nu)
+    out = np.empty((2, *v.shape))
+    dv = out[0, ..., 1:-1]  # the kernel's scratch until w is copied in
+    RhsKernel(out, dv)(stencil_views((v, w)), RhsKernel.coefficients(dx, mu, nu))
+    np.copyto(dv, w[..., 1:-1])
+    return out

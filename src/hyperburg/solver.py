@@ -8,10 +8,14 @@ pinned to zero, which substitutes for boundary conditions entirely.
 
 Stepping kernel: :func:`integrate` is the one stepping loop.  A state is one
 ``(2, n)`` block ``u`` of rows v and w (:class:`GridState` rejects any other
-shape), so each stage input, accumulation, update and boundary pin is one
-array call.  A run binds one :class:`StepWorkspace` (buffers, slope kernel
-and stencil views, rebuilt only when its window grows) and a step allocates
-only the new state's block.
+shape).  A step copies the state's window once into a contiguous block, so
+each stage input, accumulation and update is one array call on contiguous
+operands, and its scalar operands are 0-d arrays, which numpy takes without
+the conversion a Python float costs on every call.  Stages run on ``(3, W)``
+blocks of rows (v, w, dw/dt), whose last two rows are the stage's slope, so
+no kernel copies w.  A run binds one :class:`StepWorkspace` (stage blocks,
+slope kernels and stencil views, rebuilt only when its window grows) and a
+step allocates only the new state's block.
 
 Active window: a run steps and records only on a column window [a, b)
 holding every nonzero of (v, w) with MARGIN zero columns on each side (see
@@ -188,17 +192,29 @@ class StepWorkspace:
 
     ``window`` = (a, b) is the columns of a grid of ``n`` nodes that steps
     and records compute on: the whole grid, or with ``state`` its padded
-    nonzero extent (see :meth:`fit`).  ``s`` (stage input), ``k1`` (the last
-    step's stage-1 slope), ``k`` (later stage slopes) and ``acc`` (weighted
-    slope sum) are contiguous ``(2, b - a)`` blocks; ``rhs1`` and ``rhs`` are
-    the slope kernels bound to ``k1`` and ``k``, ``stage`` the stencil views
-    of ``s``, ``record`` the records' workspace, bound to the same window.
+    nonzero extent (see :meth:`fit`).  A step runs on three contiguous
+    ``(3, b - a)`` stage blocks of rows (v, w, dw/dt): a stage's input is
+    rows [0:2] of its block and its slope, (dv/dt, dw/dt) = (w, dw/dt), rows
+    [1:3], so no slope row is a copy.  In stage 1's block the input ``u0``
+    is the step's contiguous copy of the state's window and the slope
+    ``k1`` stays for the record; ``edges`` views the copy's two w edge
+    columns.  ``stages`` lists stages 2 to 4, which alternate between the
+    other two blocks, as (input, kernel, stencil views of the input,
+    stage-h operand, rows that take 2 k); ``acc`` is the weighted slope
+    sum.  The kernels (:class:`~hyperburg.operators.RhsKernel`) share
+    one scratch row.  The step's scalar operands are 0-d arrays, refilled
+    by :meth:`set_step` only when dt or the model changes.  ``record`` is
+    the records' workspace, bound to the same window.
     """
 
-    __slots__ = ("window", "s", "k1", "k", "acc", "rhs1", "rhs", "stage", "record")
+    __slots__ = ("window", "u0", "k1", "edges", "rhs1", "views1", "stages", "acc",
+                 "coefficients", "half", "full", "sixth", "key", "record")
 
     def __init__(self, n: int, state: Optional[GridState] = None):
         self.record = RecordWorkspace(n)
+        self.coefficients = tuple(np.zeros(()) for _ in range(4))
+        self.half, self.full, self.sixth = (np.zeros(()) for _ in range(3))
+        self.key = None
         self.window = (n, 0)  # empty until bound
         if state is None:
             self._bind(0, n)
@@ -207,10 +223,26 @@ class StepWorkspace:
 
     def _bind(self, a: int, b: int) -> None:
         self.window = (a, b)
-        self.s, self.k1, self.k, self.acc = (np.empty((2, b - a)) for _ in range(4))
-        self.rhs1, self.rhs = RhsKernel(self.k1), RhsKernel(self.k)
-        self.stage = stencil_views(self.s)
+        scratch = np.empty(b - a - 2)
+        x1, x2, x3 = (np.empty((3, b - a)) for _ in range(3))
+        self.u0, self.k1, self.edges = x1[:2], x1[1:], x1[1, ::b - a - 1]
+        self.rhs1, self.views1 = RhsKernel(self.k1, scratch), stencil_views(x1)
+        rhs2, rhs3 = RhsKernel(x2[1:], scratch), RhsKernel(x3[1:], scratch)
+        views2, views3 = stencil_views(x2), stencil_views(x3)
+        self.stages = ((x2[:2], rhs2, views2, self.half, x3[:2]),
+                       (x3[:2], rhs3, views3, self.half, x2[:2]),
+                       (x2[:2], rhs2, views2, self.full, None))
+        self.acc = np.empty((2, b - a))
         self.record.bind(a, b)
+
+    def set_step(self, dx: float, mu: float, nu: float, dt: float) -> None:
+        """Fill the step's 0-d scalar operands, unless they hold these values."""
+        key = (dx, mu, nu, dt)
+        if key != self.key:
+            for operand, value in zip(self.coefficients, RhsKernel.coefficients(dx, mu, nu)):
+                operand[...] = value
+            self.half[...], self.full[...], self.sixth[...] = 0.5 * dt, dt, dt / 6.0
+            self.key = key
 
     def fit(self, state: GridState) -> None:
         """Grow the window to the nonzeros of ``state`` (the whole grid if it
@@ -236,43 +268,51 @@ def step_rk4(
 ) -> GridState:
     """Advance one classical Runge-Kutta step; boundary nodes re-pinned.
 
-    ``work`` supplies the stage buffers and the window (a fresh whole-grid
+    ``work`` supplies the stage blocks and the window (a fresh whole-grid
     workspace when None); inside each window edge that is not a grid edge
     the state needs MARGIN zero columns.  The step evaluates four slopes and
     leaves the first, the slope of ``state`` on the window, in ``work.k1``.
     Only the new state's (v, w) block is allocated.  The slopes are combined
     as u + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order; k4's weight
-    of 1.0 is exact and so is not multiplied out.
+    of 1.0 is exact and so is not multiplied out, and 2 k is formed as
+    k + k, which is exact too.
     """
     if work is None:
         work = StepWorkspace(state.grid.n)
-    dx, mu, nu = state.grid.dx, params.mu, params.nu
+    work.set_step(state.grid.dx, params.mu, params.nu, dt)
     u = state.u
     a, b = work.window
     win = u[:, a:b]
-    s, k, acc, rhs = work.s, work.k, work.acc, work.rhs
+    u0, acc, coefficients = work.u0, work.acc, work.coefficients
 
-    work.rhs1(stencil_views(win), dx, mu, nu)
+    np.copyto(u0, win)
+    # The copy's w is k1's dv/dt row, whose edge columns a slope holds at
+    # +0.0; the kernels never write them.  Every later stage's w edges are
+    # then +0.0 + h * (+-0.0) = +0.0 as well.  The final update reads the
+    # state's own window, edges included.
+    work.edges[...] = 0.0
+    work.rhs1(work.views1, coefficients)
     # The first weighted sum reads k1 and writes acc = k1 + 2 k2; later ones
-    # add into acc.  Each stage input is built from the slope before it.
-    slope, total = work.k1, work.k1
-    for h, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+    # add into acc.  Each stage input is built from the slope before it, and
+    # 2 k goes to the rows of the other block, which the next stage input
+    # overwrites.
+    slope = total = work.k1
+    for s, rhs, views, h, twice in work.stages:
         np.multiply(slope, h, out=s)
-        np.add(win, s, out=s)
-        rhs(work.stage, dx, mu, nu)
-        if weight == 1.0:
+        np.add(u0, s, out=s)
+        k = rhs(views, coefficients)
+        if twice is None:
             np.add(total, k, out=acc)
         else:
-            # The stage input is spent, so it holds weight * k; k itself
-            # feeds the next stage input.
-            np.multiply(k, weight, out=s)
-            np.add(total, s, out=acc)
+            np.add(k, k, out=twice)
+            np.add(total, twice, out=acc)
         slope, total = k, acc
 
-    np.multiply(acc, dt / 6.0, out=acc)
+    np.multiply(acc, work.sixth, out=acc)
     u_new = np.zeros(u.shape)
     np.add(win, acc, out=u_new[:, a:b])
-    u_new[:, 0] = u_new[:, -1] = 0.0
+    if a == 0 or b == u.shape[1]:  # else both boundary columns are outside the window
+        u_new[:, 0] = u_new[:, -1] = 0.0
     return GridState(state.grid, state.t + dt, u_new)
 
 

@@ -131,6 +131,14 @@ class TestSupNormAndSupport:
         x = grid.nodes()
         assert support_interval(state_on(grid, v, w), 1e-6) == (x[10], x[50])
         assert support_interval(state_on(grid, v, w), 1e-2) == (x[10], x[10])
+        # A NaN in one row leaves its column to the other row, as
+        # (|u| > threshold).any(axis=0) does: columns 10 and 50 stay in the
+        # support, and columns 5 and 60, zero in the other row, stay out.
+        v_nan, w_nan = v.copy(), w.copy()
+        v_nan[[50, 60]] = np.nan
+        w_nan[[5, 10]] = np.nan
+        for fields in ((v, w_nan), (v_nan, w), (v_nan, w_nan)):
+            assert support_interval(state_on(grid, *fields), 1e-6) == (x[10], x[50])
 
     def test_calibrated_state_peak_and_support(self):
         grid = Grid(-2.0, 2.0, 2048)

@@ -91,11 +91,19 @@ def test_out_buffers_match_allocating_calls_bitwise():
 
 
 def test_stacked_rows_match_single_rows_bitwise():
+    # A C-contiguous stack runs as one flat row with its seams re-zeroed; a
+    # strided one (columns of a wider block), or a strided out buffer, row
+    # by row.  Both give each row's own bits.
     v, w = _fields(rows=3)
+    wide = _fields(rows=3, n=97 + 9, seed=12)[0]
     for stencil in (d1_central, d2_central):
-        stacked = stencil(v, 0.3)
-        for i in range(3):
-            assert np.array_equal(stacked[i], stencil(v[i], 0.3))
+        for stack in (v, wide[:, 4:-5]):
+            assert stack.flags.c_contiguous == (stack is v)
+            strided_out = np.full((3, stack.shape[1] + 3), np.nan)[:, 1:-2]
+            for out in (None, strided_out):
+                stacked = stencil(stack, 0.3, out=out)
+                for i in range(3):
+                    assert stacked[i].tobytes() == stencil(stack[i].copy(), 0.3).tobytes()
     dv, dw = pde_rhs(v, w, 0.3, 0.7, 1.3)
     for i in range(3):
         row_dv, row_dw = pde_rhs(v[i], w[i], 0.3, 0.7, 1.3)
@@ -138,3 +146,14 @@ def test_trapezoid_dot_on_columns_equals_whole_grid_bitwise():
         for cols in (slice(lo, hi), slice(0, hi), slice(lo, n)):
             got = trapezoid_dot(f[cols], g[cols], dx, cols.start, n)
             assert got.hex() == whole.hex(), (a, b, cols)
+        # Stacked (k, m) rows, and a 1-D row against a stack, in one call:
+        # each row gives its own call's bits, on every choice of columns.
+        rows = np.stack((f, g, f * g, np.roll(g, 7)))
+        for cols in (slice(0, n), slice(lo, hi), slice(0, hi), slice(lo, n)):
+            block = rows[:, cols]
+            got = trapezoid_dot(block, block[::-1], dx, cols.start, n)
+            want = [trapezoid_dot(r, q, dx, cols.start, n) for r, q in zip(block, block[::-1])]
+            assert [x.hex() for x in got] == [x.hex() for x in want], (a, b, cols)
+            got = trapezoid_dot(f[cols], block[1:3], dx, cols.start, n)
+            want = [trapezoid_dot(f[cols], r, dx, cols.start, n) for r in block[1:3]]
+            assert [x.hex() for x in got] == [x.hex() for x in want], (a, b, cols)

@@ -149,10 +149,12 @@ class TestStepWorkspace:
         with pytest.raises(AttributeError):  # the fields are rows, not attributes
             nxt.v = nxt.v.copy()
 
-    def test_slope_boundaries_stay_zero(self):
-        # The bound kernels zero the slope boundaries once and write only
-        # interiors; fields that are nonzero at the boundary must not leak
-        # into them, over 50 steps with a foreign state stepped now and then.
+    def test_slope_boundaries_stay_zero(self, monkeypatch):
+        # The bound kernels zero the dw/dt boundary once and write only
+        # interiors, and the step pins the w edges of stage 1's copy, which
+        # every stage slope takes as its dv/dt row: fields that are nonzero
+        # at the boundary must not leak into any stage slope, over 50 steps
+        # with a foreign state stepped now and then.
         params, state = small_state()
         rng = np.random.default_rng(5)
         state = GridState(state.grid, 0.0,
@@ -160,15 +162,45 @@ class TestStepWorkspace:
                                     0.01 * rng.standard_normal(state.grid.n))))
         other = GridState(state.grid, 0.0, rng.standard_normal(state.u.shape))
         assert state.v[0] != 0.0 and state.w[-1] != 0.0
+        slopes = []
+        kernel = RhsKernel.__call__
+        monkeypatch.setattr(RhsKernel, "__call__",
+                            lambda *args: slopes.append(kernel(*args)) or slopes[-1])
         dt = stable_dt(state.grid, params, 0.4)
         work = StepWorkspace(state.grid.n)
         for i in range(50):
             if i % 7 == 0:
                 step_rk4(other, params, dt, work)
+            slopes.clear()
             state = step_rk4(state, params, dt, work)
-            for k in (work.k1, work.k):
-                assert np.all(k[..., 0] == 0.0) and np.all(k[..., -1] == 0.0)
+            assert len(slopes) == 4 and slopes[0] is work.k1
+            for k in slopes:
+                assert k.shape == (2, state.grid.n)
+                assert np.all(k[:, 0] == 0.0) and np.all(k[:, -1] == 0.0)
+                assert not np.signbit(k[:, [0, -1]]).any()
         assert np.isfinite(state.u).all()
+
+    def test_step_equals_written_out_rk4_bitwise(self):
+        # A whole-grid step is classical RK4 from pde_rhs, summed in the
+        # same order, bit for bit, on random states that are nonzero at the
+        # grid ends: the stage inputs keep the state's boundary v and the
+        # slopes' boundary columns are zero.
+        params = validate_params(0.7, 1.3, 1.0)
+        grid = Grid(-2.0, 2.0, 96)
+        dx, mu, nu = grid.dx, params.mu, params.nu
+        dt = stable_dt(grid, params, 0.4)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            u = rng.standard_normal((2, grid.n))
+            assert (u[:, [0, -1]] != 0.0).all()
+            k1 = pde_rhs(*u, dx, mu, nu)
+            k2 = pde_rhs(*(u + 0.5 * dt * k1), dx, mu, nu)
+            k3 = pde_rhs(*(u + 0.5 * dt * k2), dx, mu, nu)
+            k4 = pde_rhs(*(u + dt * k3), dx, mu, nu)
+            want = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            want[:, 0] = want[:, -1] = 0.0
+            got = step_rk4(GridState(grid, 0.0, u), params, dt)
+            assert got.u.tobytes() == want.tobytes()
 
 
 def sharp_state(n=1024, dom=16.0, lo=500, width=20, seed=3, scale=1.0):

@@ -3,7 +3,9 @@
 Runs every member of the simulating suite presets, writing their files
 under a temporary directory, plus the ``blowup`` ladder at record stride 1
 and one certified blow-up run at mu = 0.25 (c = 2), shaped like a point of
-the benchmark sweep; every preset has c = 1.
+the benchmark sweep; every preset has c = 1.  It also prints ``step <sha256>``
+over the bytes of one whole-grid ``step_rk4`` from a seeded random state
+that is nonzero at the grid ends, as no run's state is.
 Each run prints ``<name> <sha256>``, the hash over ``float.hex`` of the
 record fields named in ``RECORD_FIELDS``, the status, ``t_final``, the bytes
 of the final ``v`` and ``w``, the CSV bytes, and the report's ``sobolev``,
@@ -41,8 +43,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from hyperburg.config import config_from_dict, refinement_ladder  # noqa: E402
+from hyperburg.model import validate_params  # noqa: E402
 from hyperburg.runner import execute_config  # noqa: E402
+from hyperburg.solver import Grid, GridState, stable_dt, step_rk4  # noqa: E402
 from hyperburg.suite import PRESET_NAMES, execute_preset, preset_configs  # noqa: E402
 
 RECORD_FIELDS = ("t", "F", "Fprime", "E1", "E2", "E3", "sup_norm", "support_left",
@@ -89,6 +95,19 @@ def fingerprint(report) -> str:
     return h.hexdigest()
 
 
+def step_fingerprint() -> str:
+    """sha256 of one whole-grid step from a seeded state nonzero at both grid
+    ends, at mu = 0.7, nu = 1.3 (c != 1)."""
+    params = validate_params(0.7, 1.3, 1.0)
+    grid = Grid(-4.0, 4.0, 257)
+    u = np.random.default_rng(2024).standard_normal((2, grid.n))
+    new = step_rk4(GridState(grid, 0.0, u), params, stable_dt(grid, params, 0.4))
+    h = hashlib.sha256(float(new.t).hex().encode())
+    h.update(new.v.tobytes())
+    h.update(new.w.tobytes())
+    return h.hexdigest()
+
+
 def record_rows(report) -> list[list[str]]:
     return [[float(getattr(rec, name)).hex() for name in RECORD_FIELDS]
             for rec in report.outcome.records]
@@ -116,6 +135,7 @@ def fingerprint_runs(dump: dict | None) -> None:
         output = {"directory": str(root / "c2"), "emit_csv": True, "emit_report": True}
         config = config_from_dict({**C2_RUN, "output": output})
         emit(config, execute_config(config))
+        print("step", step_fingerprint(), flush=True)
         if dump is not None:
             base = preset_configs("blowup", root / "large")[0]
             for config in refinement_ladder(base, LARGE_LEVELS)[3:]:
