@@ -13,11 +13,13 @@ positive moment targets reachable.  Both fields share this shape:
 
 and ``calibrated_profile`` picks (a, b) so the discrete moments hit their
 targets, to a few ulps, under the trapezoidal rule the runtime diagnostics
-use.
+use.  Both evaluate psi from its support on the grid, computed once per
+grid and L.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -79,6 +81,29 @@ def bump_profile(x, L: float):
     return float(out[0]) if scalar else out
 
 
+# Keyed by value, like Grid.nodes.  Only the support is kept: whole-grid
+# arrays kept alive raised a run sequence's peak RSS by several times their
+# own size.
+@functools.lru_cache(maxsize=16)
+def _bump_support(grid: Grid, L: float) -> tuple[int, np.ndarray]:
+    """(first column, values) of bump_profile on the grid's nodes with
+    |x| < L, computed once per (grid, L); the array is read-only."""
+    x = grid.nodes()
+    inside = np.flatnonzero(np.abs(x / L) < 1.0)
+    lo = int(inside[0]) if inside.size else 0
+    part = bump_profile(x[lo:lo + inside.size], L)
+    part.flags.writeable = False
+    return lo, part
+
+
+def _grid_bump(grid: Grid, L: float) -> np.ndarray:
+    """bump_profile over the grid's nodes, bit for bit, from its support."""
+    lo, part = _bump_support(grid, L)
+    psi = np.zeros(grid.n)
+    psi[lo:lo + part.size] = part
+    return psi
+
+
 def bump_max_abs(L: float) -> float:
     """Peak value of |bump_profile|, attained at x* = L*sqrt(2 - sqrt(3)).
 
@@ -114,8 +139,7 @@ def calibrated_profile(
             (m1 == 0) so the targets are unreachable.
     """
     spec = ProfileSpec(family=family, a=0.0, b=0.0, L=L)
-    x = grid.nodes()
-    m1 = float(trapezoid(x * bump_profile(x, L), dx=grid.dx))
+    m1 = float(trapezoid(grid.nodes() * _grid_bump(grid, L), dx=grid.dx))
     if not math.isfinite(m1) or m1 <= 0.0:
         raise CalibrationError(
             f"first moment of the profile is {m1!r} on this grid "
@@ -139,6 +163,5 @@ def sample_initial_state(
             f"grid [{grid.xmin}, {grid.xmax}] does not strictly contain "
             f"the initial support [-{profile.L}, {profile.L}]"
         )
-    x = grid.nodes()
-    psi = bump_profile(x, profile.L)
+    psi = _grid_bump(grid, profile.L)
     return GridState(grid, 0.0, np.stack((profile.a * psi, profile.b * psi)))

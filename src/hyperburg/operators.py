@@ -19,9 +19,9 @@ allocates no array.  An ``out`` buffer must not overlap the inputs.
 call per DOT_SPLIT piece, each row with the bits of its own dot.
 
 :func:`pde_rhs` evaluates the slope of (v, w) as one ``(2, ...)`` block, like
-a solver state's ``(2, n)`` ``u``, in one fused sequence of in-place ufunc
-passes, held once by :class:`RhsKernel`: the solver's workspace binds three
-kernels per window, :func:`pde_rhs` one per call.
+a solver state's ``(2, n)`` ``u``, in fused in-place ufunc passes held once
+by :class:`RhsKernel` in two parts: F(v), which depends on v alone, and
+-w/mu.  The solver's kernels evaluate F for two RK4 stages as one flat row.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "trapezoid_dot",
     "d1_central",
     "d2_central",
-    "stencil_views",
     "RhsKernel",
     "pde_rhs",
 ]
@@ -94,12 +93,12 @@ def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
     return dx * total if isinstance(total, float) else [dx * t for t in total]
 
 
-def _as_rows(f: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``f`` and ``out`` as one flat row each when both are C-contiguous
-    stacks, else as given; the caller zeroes the seam columns."""
-    if f.ndim > 1 and f.flags.c_contiguous and out.flags.c_contiguous:
-        return f.reshape(-1), out.reshape(-1)
-    return f, out
+def _as_rows(*arrays: np.ndarray) -> tuple[np.ndarray, ...] | list[np.ndarray]:
+    """The arrays as one flat row each when all are C-contiguous stacks,
+    else as given; the caller zeroes or skips the seam columns."""
+    if arrays[0].ndim > 1 and all([x.flags.c_contiguous for x in arrays]):
+        return [x.reshape(-1) for x in arrays]
+    return arrays
 
 
 def d1_central(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -128,56 +127,60 @@ def d2_central(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.nd
     return out
 
 
-def stencil_views(fields) -> tuple[np.ndarray, ...]:
-    """v[i+1], v[i-1], v[i], w[i] over the interior, from a (v, w) block or pair."""
-    v, w = fields[0], fields[1]
-    return v[..., 2:], v[..., :-2], v[..., 1:-1], w[..., 1:-1]
-
-
 class RhsKernel:
-    """The arithmetic of :func:`pde_rhs`, bound to one ``(2, ..., n)`` slope block ``out``.
+    """The arithmetic of :func:`pde_rhs` in its two parts, bound to buffers.
 
-    Construction zeroes the boundary of ``out`` and keeps a view of the
-    dw/dt interior; a call writes only that interior, using ``scratch``
-    (shaped like it, and not overlapping the inputs) for its intermediates,
-    and returns ``out``, so the boundary stays zero while no one else writes
-    to it.  The dv/dt row is w, which the kernel leaves to its caller: in the
-    solver's ``(3, W)`` stage blocks (v, w, dw/dt) the slope is the last two
-    rows, so its dv/dt row is the stage's w itself, and :func:`pde_rhs`
-    copies w in.
+    dw/dt = F(v) - w/mu on the interior.  A call writes F(v), seven passes,
+    to the interior of every row of ``f``, using the interior of
+    ``scratch``; ``v``, ``f`` and ``scratch`` are shaped alike and do not
+    overlap.  C-contiguous stacks run as one flat row, as in
+    :func:`d1_central`, and no slope reads the seam columns.  ``rows`` is
+    the number of slopes a call serves.  :meth:`damp` completes one slope
+    from its F in two passes and writes only the dw/dt interior.
     """
 
-    __slots__ = ("out", "dw", "scratch")
+    __slots__ = ("rows", "views", "f", "scratch")
 
-    def __init__(self, out: np.ndarray, scratch: np.ndarray):
-        self.out, self.scratch = out, scratch
-        out[..., 0] = out[..., -1] = 0.0
-        self.dw = out[1, ..., 1:-1]
+    def __init__(self, v: np.ndarray, f: np.ndarray, scratch: np.ndarray):
+        self.rows = v.size // v.shape[-1]
+        src, dst, tmp = _as_rows(v, f, scratch)
+        self.views = src[..., 2:], src[..., :-2], src[..., 1:-1]
+        self.f, self.scratch = dst[..., 1:-1], tmp[..., 1:-1]
 
     @staticmethod
     def coefficients(dx: float, mu: float, nu: float) -> tuple[float, float, float, float]:
-        """The scalar operands (-b, a, 2a, mu) of a call; see :func:`pde_rhs`."""
+        """The scalar operands (-b, a, 2a, mu); see :func:`pde_rhs`."""
         a = nu / (mu * dx * dx)
         b = 1.0 / (4.0 * mu * dx)
         return -b, a, 2.0 * a, mu
 
-    def __call__(self, views: tuple[np.ndarray, ...], coefficients):
-        """Slope of the fields with these :func:`stencil_views`, for these
-        :meth:`coefficients`: floats, or the same values as 0-d arrays, which
-        numpy takes without converting them on every call."""
-        v_right, v_left, v_mid, w_mid = views
-        neg_b, a, two_a, mu = coefficients
-        s, scratch = self.dw, self.scratch
+    def __call__(self, coefficients) -> None:
+        """F for these :meth:`coefficients`, as floats or as 0-d arrays,
+        which numpy takes without converting them on every call."""
+        v_right, v_left, v_mid = self.views
+        neg_b, a, two_a, _ = coefficients
+        f, scratch = self.f, self.scratch
         np.subtract(v_right, v_left, out=scratch)
         np.multiply(scratch, neg_b, out=scratch)
         np.add(scratch, a, out=scratch)
-        np.add(v_right, v_left, out=s)
-        np.multiply(s, scratch, out=s)
+        np.add(v_right, v_left, out=f)
+        np.multiply(f, scratch, out=f)
         np.multiply(v_mid, two_a, out=scratch)
-        np.subtract(s, scratch, out=s)
-        np.divide(w_mid, mu, out=scratch)
-        np.subtract(s, scratch, out=s)
-        return self.out
+        np.subtract(f, scratch, out=f)
+
+    @staticmethod
+    def slope_views(k: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`damp`'s views of the slope block ``k`` = (w, dw/dt) and of
+        its F row ``f``, which does not overlap it."""
+        return k, k[0, ..., 1:-1], f[..., 1:-1], k[1, ..., 1:-1]
+
+    @staticmethod
+    def damp(slope: tuple[np.ndarray, ...], mu) -> np.ndarray:
+        """dw/dt = F - w/mu on these :meth:`slope_views`; returns ``k``."""
+        k, w, f, dw = slope
+        np.divide(w, mu, out=dw)
+        np.subtract(f, dw, out=dw)
+        return k
 
 
 def pde_rhs(v: np.ndarray, w: np.ndarray, dx: float, mu: float, nu: float) -> np.ndarray:
@@ -192,15 +195,16 @@ def pde_rhs(v: np.ndarray, w: np.ndarray, dx: float, mu: float, nu: float) -> np
     With s = v[i+1] + v[i-1] and d = v[i+1] - v[i-1] the interior of
     dw/dt factors as
 
-        (a - b*d) * s - 2a * v[i] - w[i] / mu,
+        F(v) - w[i] / mu,   F(v) = (a - b*d) * s - 2a * v[i],
         a = nu / (mu dx^2),   b = 1 / (4 mu dx),
 
-    which a :class:`RhsKernel` bound to a fresh result block evaluates in
-    place.  Returns the ``(2, ...)`` block of dv/dt and dw/dt, rows shaped
-    like v; boundary entries of both are zero (pinned nodes).
+    which a :class:`RhsKernel` evaluates in its two parts.  Returns the
+    ``(2, ...)`` block of dv/dt and dw/dt, rows shaped like v; boundary
+    entries of both are zero (pinned nodes).
     """
     out = np.empty((2, *v.shape))
-    dv = out[0, ..., 1:-1]  # the kernel's scratch until w is copied in
-    RhsKernel(out, dv)(stencil_views((v, w)), RhsKernel.coefficients(dx, mu, nu))
-    np.copyto(dv, w[..., 1:-1])
-    return out
+    f = np.empty_like(v)
+    RhsKernel(v, f, out[1])(RhsKernel.coefficients(dx, mu, nu))
+    np.copyto(out[0], w)
+    out[..., 0] = out[..., -1] = 0.0
+    return RhsKernel.damp(RhsKernel.slope_views(out, f), mu)

@@ -11,11 +11,12 @@ Stepping kernel: :func:`integrate` is the one stepping loop.  A state is one
 shape).  A step copies the state's window once into a contiguous block, so
 each stage input, accumulation and update is one array call on contiguous
 operands, and its scalar operands are 0-d arrays, which numpy takes without
-the conversion a Python float costs on every call.  Stages run on ``(3, W)``
-blocks of rows (v, w, dw/dt), whose last two rows are the stage's slope, so
-no kernel copies w.  A run binds one :class:`StepWorkspace` (stage blocks,
-slope kernels and stencil views, rebuilt only when its window grows) and a
-step allocates only the new state's block.
+the conversion a Python float costs on every call.  Two stages at a time
+share one slope-kernel call for the part of the slope that depends on v
+alone (see :func:`step_rk4`), so a step makes 41 numpy calls on the window,
+against 51 for four separate slopes, with the same bits.  A run binds one
+:class:`StepWorkspace` (one flat buffer sized for the grid, re-viewed for
+each window) and a step allocates only the new state's block.
 
 Active window: a run steps and records only on a column window [a, b)
 holding every nonzero of (v, w) with MARGIN zero columns on each side (see
@@ -25,7 +26,8 @@ zero in the whole-grid computation too, so the bits are the same.
 A step leaves the stage-1 slope of the state it started from in the
 workspace, and a record due at that state takes its dw/dt as v_tt.  Only
 the terminal state's record evaluates its own slope, so a run makes exactly
-4 * steps + 1 slope evaluations whatever the record stride.  A check that
+4 * steps + 1 slope evaluations (a paired call makes two) whatever the
+record stride.  A check that
 needs fields rather than records (the cone maximum, say) passes an
 ``observe`` callback, which sees the initial state and then every finite
 state the run reaches.
@@ -49,7 +51,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, RecordWorkspace, compute_record
 from .errors import ConfigError, ParameterError
 from .model import ModelParams
-from .operators import RhsKernel, stencil_views
+from .operators import RhsKernel
 
 __all__ = [
     "Grid",
@@ -74,6 +76,8 @@ REACH = 2
 MARGIN = REACH + 1
 # Steps between two measurements of the nonzero extent.
 REFIT_STEPS = 16
+# Rows of a step's workspace block (see StepWorkspace).
+STEP_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -192,25 +196,29 @@ class StepWorkspace:
 
     ``window`` = (a, b) is the columns of a grid of ``n`` nodes that steps
     and records compute on: the whole grid, or with ``state`` its padded
-    nonzero extent (see :meth:`fit`).  A step runs on three contiguous
-    ``(3, b - a)`` stage blocks of rows (v, w, dw/dt): a stage's input is
-    rows [0:2] of its block and its slope, (dv/dt, dw/dt) = (w, dw/dt), rows
-    [1:3], so no slope row is a copy.  In stage 1's block the input ``u0``
-    is the step's contiguous copy of the state's window and the slope
-    ``k1`` stays for the record; ``edges`` views the copy's two w edge
-    columns.  ``stages`` lists stages 2 to 4, which alternate between the
-    other two blocks, as (input, kernel, stencil views of the input,
-    stage-h operand, rows that take 2 k); ``acc`` is the weighted slope
-    sum.  The kernels (:class:`~hyperburg.operators.RhsKernel`) share
-    one scratch row.  The step's scalar operands are 0-d arrays, refilled
-    by :meth:`set_step` only when dt or the model changes.  ``record`` is
-    the records' workspace, bound to the same window.
+    nonzero extent (see :meth:`fit`).  A step runs on the ``(STEP_ROWS,
+    b - a)`` view at the head of the flat ``buffer``, re-viewed, not
+    reallocated, for each window.  Its rows are
+
+        0 v2 | 1 v0 | 2 w0 | 3 dw1 | 4 v4 | 5 v3 | 6 w3 | 7 dw3 |
+        8-9 the weighted slope sum | 10 w2, then w4 | 11 dw2, then dw4,
+
+    for stage inputs (v_s, w_s) and slopes k_s = (w_s, dw_s): ``u0``, the
+    step's copy of the state's window, is rows [1:3], ``k1`` rows [2:4],
+    and ``edges`` the copy's two w edge columns.  The ``pairs`` of
+    :class:`~hyperburg.operators.RhsKernel` evaluate F from rows [0:2]
+    into rows [4:6] and back, with the sum's rows as scratch; ``slopes``
+    and ``rows`` hold the other views a step uses.  Binding zeroes the dw
+    rows' boundary columns, which no kernel writes.  The scalar operands
+    are 0-d arrays, refilled by :meth:`set_step` only when dt or the model
+    changes.  ``record`` is the records' workspace, on the same window.
     """
 
-    __slots__ = ("window", "u0", "k1", "edges", "rhs1", "views1", "stages", "acc",
+    __slots__ = ("buffer", "window", "u0", "k1", "edges", "rows", "pairs", "slopes",
                  "coefficients", "half", "full", "sixth", "key", "record")
 
     def __init__(self, n: int, state: Optional[GridState] = None):
+        self.buffer = np.empty(STEP_ROWS * n)
         self.record = RecordWorkspace(n)
         self.coefficients = tuple(np.zeros(()) for _ in range(4))
         self.half, self.full, self.sixth = (np.zeros(()) for _ in range(3))
@@ -223,16 +231,19 @@ class StepWorkspace:
 
     def _bind(self, a: int, b: int) -> None:
         self.window = (a, b)
-        scratch = np.empty(b - a - 2)
-        x1, x2, x3 = (np.empty((3, b - a)) for _ in range(3))
-        self.u0, self.k1, self.edges = x1[:2], x1[1:], x1[1, ::b - a - 1]
-        self.rhs1, self.views1 = RhsKernel(self.k1, scratch), stencil_views(x1)
-        rhs2, rhs3 = RhsKernel(x2[1:], scratch), RhsKernel(x3[1:], scratch)
-        views2, views3 = stencil_views(x2), stencil_views(x3)
-        self.stages = ((x2[:2], rhs2, views2, self.half, x3[:2]),
-                       (x3[:2], rhs3, views3, self.half, x2[:2]),
-                       (x2[:2], rhs2, views2, self.full, None))
-        self.acc = np.empty((2, b - a))
+        m = b - a
+        block = self.buffer[:STEP_ROWS * m].reshape(STEP_ROWS, m)
+        first, second, acc, k = block[0:4], block[4:8], block[8:10], block[10:12]
+        block[3::4, ::m - 1] = 0.0  # the boundary columns of the dw rows 3, 7 and 11
+        self.u0, self.k1, self.edges = first[1:3], first[2:4], first[2, ::m - 1]
+        self.rows = (first[0], first[1], first[2], first[3], k[0], second[1:3], second[2],
+                     second[0], second[3], first[0:2], acc)
+        self.pairs = (RhsKernel(first[0:2], second[0:2], acc),
+                      RhsKernel(second[0:2], first[0:2], acc))
+        self.slopes = (RhsKernel.slope_views(self.k1, second[1]),
+                       RhsKernel.slope_views(k, second[0]),
+                       RhsKernel.slope_views(second[2:4], first[1]),
+                       RhsKernel.slope_views(k, first[0]))
         self.record.bind(a, b)
 
     def set_step(self, dx: float, mu: float, nu: float, dt: float) -> None:
@@ -247,7 +258,9 @@ class StepWorkspace:
     def fit(self, state: GridState) -> None:
         """Grow the window to the nonzeros of ``state`` (the whole grid if it
         has none), padded so the next REFIT_STEPS - 1 steps keep MARGIN.  It
-        never shrinks."""
+        never shrinks.  The step after those still leaves MARGIN - REACH
+        zero columns inside each window edge that is not a grid edge, which
+        the run-health check relies on."""
         n = state.grid.n
         live = np.flatnonzero(state.u.any(axis=0))
         if live.size == 0:
@@ -268,12 +281,18 @@ def step_rk4(
 ) -> GridState:
     """Advance one classical Runge-Kutta step; boundary nodes re-pinned.
 
-    ``work`` supplies the stage blocks and the window (a fresh whole-grid
+    ``work`` supplies the stage rows and the window (a fresh whole-grid
     workspace when None); inside each window edge that is not a grid edge
     the state needs MARGIN zero columns.  The step evaluates four slopes and
     leaves the first, the slope of ``state`` on the window, in ``work.k1``.
-    Only the new state's (v, w) block is allocated.  The slopes are combined
-    as u + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order; k4's weight
+    Only the new state's (v, w) block is allocated.
+
+    Each slope is dw/dt = F(v) - w/mu (see
+    :class:`~hyperburg.operators.RhsKernel`).  v2 = v0 + h/2 w0 needs no
+    slope, so F(v0) and F(v2) run as one call; once k2 is known so are v3
+    and v4, and F(v3) and F(v4) run as a second.  Each stage input takes
+    the IEEE operations of u + h k, row by row.  The slopes are combined as
+    u + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order; k4's weight
     of 1.0 is exact and so is not multiplied out, and 2 k is formed as
     k + k, which is exact too.
     """
@@ -283,30 +302,40 @@ def step_rk4(
     u = state.u
     a, b = work.window
     win = u[:, a:b]
-    u0, acc, coefficients = work.u0, work.acc, work.coefficients
+    v2, v0, w0, dw1, w, u3, w3, v4, dw3, twice, acc = work.rows
+    first, second = work.pairs
+    slope1, slope2, slope3, slope4 = work.slopes
+    coefficients, half, full = work.coefficients, work.half, work.full
+    damp, mu = RhsKernel.damp, coefficients[3]
 
-    np.copyto(u0, win)
+    np.copyto(work.u0, win)
     # The copy's w is k1's dv/dt row, whose edge columns a slope holds at
-    # +0.0; the kernels never write them.  Every later stage's w edges are
-    # then +0.0 + h * (+-0.0) = +0.0 as well.  The final update reads the
+    # +0.0; no kernel writes them.  Every later stage's w edges are then
+    # +0.0 + h * (+-0.0) = +0.0 as well.  The final update reads the
     # state's own window, edges included.
     work.edges[...] = 0.0
-    work.rhs1(work.views1, coefficients)
-    # The first weighted sum reads k1 and writes acc = k1 + 2 k2; later ones
-    # add into acc.  Each stage input is built from the slope before it, and
-    # 2 k goes to the rows of the other block, which the next stage input
-    # overwrites.
-    slope = total = work.k1
-    for s, rhs, views, h, twice in work.stages:
-        np.multiply(slope, h, out=s)
-        np.add(u0, s, out=s)
-        k = rhs(views, coefficients)
-        if twice is None:
-            np.add(total, k, out=acc)
-        else:
-            np.add(k, k, out=twice)
-            np.add(total, twice, out=acc)
-        slope, total = k, acc
+    np.multiply(w0, half, out=v2)
+    np.add(v0, v2, out=v2)
+    first(coefficients)
+    k1 = damp(slope1, mu)
+    np.multiply(dw1, half, out=w)
+    np.add(w0, w, out=w)
+    k2 = damp(slope2, mu)
+    np.multiply(k2, half, out=u3)
+    np.add(work.u0, u3, out=u3)
+    np.multiply(w3, full, out=v4)
+    np.add(v0, v4, out=v4)
+    second(coefficients)  # v0 and v2 are spent: F(v4), F(v3) overwrite them
+    k3 = damp(slope3, mu)
+    # The sum was the pairs' scratch; k2's rows are stage 4's next.
+    np.add(k2, k2, out=acc)
+    np.add(k1, acc, out=acc)
+    np.multiply(dw3, full, out=w)
+    np.add(w0, w, out=w)
+    k4 = damp(slope4, mu)
+    np.add(k3, k3, out=twice)
+    np.add(acc, twice, out=acc)
+    np.add(acc, k4, out=acc)
 
     np.multiply(acc, work.sixth, out=acc)
     u_new = np.zeros(u.shape)
@@ -354,11 +383,12 @@ def integrate(
     a broken state), or at the first time >= t_end.
 
     Run health is one max and one min per row of the new state's (v, w)
-    block on the step's window, with 0.0 folded in when the window is
-    narrower than the grid: outside it the new state is zero by
-    construction, so these are the whole block's extremes.  NaN propagates
-    through both and +-inf shows in one, so the extremes are finite exactly
-    when v and w are; sup|v| = max(max v, -min v).
+    block on the step's window.  Outside it the new state is zero by
+    construction, and a window narrower than the grid holds a zero column
+    at each edge that is not a grid edge (see :meth:`StepWorkspace.fit`),
+    so these are the whole block's extremes.  NaN
+    propagates through both and +-inf shows in one, so the extremes are
+    finite exactly when v and w are; sup|v| = max(max v, -min v).
 
     ``observe``, when given, is called with state0 before stepping and then
     with every finite state, in order; never with a non-finite state.  It
@@ -388,6 +418,7 @@ def integrate(
     work = StepWorkspace(n, state0)
     records: list[DiagnosticsRecord] = []
     state, steps, stepped, status, record_s = state0, 0, 0, None, 0.0
+    maximum, minimum = np.maximum.reduce, np.minimum.reduce
 
     # Overflow past the threshold is handled explicitly below; silence the
     # transient warnings the last pre-detection steps would otherwise spew.
@@ -404,11 +435,8 @@ def integrate(
             stepped += b - a
 
             stepped_u = state.u[:, a:b]
-            hi, lo = stepped_u.max(axis=1), stepped_u.min(axis=1)
-            if b - a < n:
-                np.maximum(hi, 0.0, out=hi)
-                np.minimum(lo, 0.0, out=lo)
-            (hi_v, hi_w), (lo_v, lo_w) = hi.tolist(), lo.tolist()
+            (hi_v, hi_w), (lo_v, lo_w) = (maximum(stepped_u, axis=1).tolist(),
+                                          minimum(stepped_u, axis=1).tolist())
             if not all(map(math.isfinite, (hi_v, hi_w, lo_v, lo_w))):
                 # Keep the last healthy record; return the broken state as-is.
                 status = RunStatus.NUMERICAL_FAILURE

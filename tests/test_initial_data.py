@@ -17,6 +17,7 @@ from hyperburg import (
     validate_params,
 )
 from hyperburg.diagnostics import moment_F, moment_Fprime
+from hyperburg import initial_data
 from hyperburg.initial_data import ProfileSpec
 from hyperburg.operators import trapezoid
 from hyperburg.solver import Grid
@@ -133,3 +134,29 @@ class TestSampleInitialState:
             sample_initial_state(
                 params, Grid(-1.0, 1.0, 64), ProfileSpec("odd_bump", 1.0, 0.0, 1.0)
             )
+
+    def test_bump_computed_once_per_grid_with_the_same_bits(self):
+        # Calibrating and sampling share one read-only bump support per
+        # (grid, L), and rebuild the direct evaluation from it bit for bit.
+        params = validate_params(1, 1, 1.5)
+        grid = Grid(-8.0, 8.0, 513)
+        x = grid.nodes()
+        psi = bump_profile(x, 1.5)
+        prof = calibrated_profile("odd_bump", 1.5, grid, 40.0, 200.0)
+        m1 = float(trapezoid(x * psi, dx=grid.dx))
+        assert (prof.a, prof.b) == (40.0 / m1, 200.0 / m1)
+        state = sample_initial_state(params, grid, prof)
+        want = np.stack((prof.a * psi, prof.b * psi))
+        assert state.u.tobytes() == want.tobytes()
+        lo, part = initial_data._bump_support(grid, 1.5)
+        assert initial_data._bump_support(Grid(-8.0, 8.0, 513), 1.5)[1] is part
+        assert part.tobytes() == psi[lo:lo + part.size].tobytes()
+        assert not psi[:lo].any() and not psi[lo + part.size:].any()
+        with pytest.raises(ValueError):
+            part[0] = 1.0
+        state.u[:] = 0.0  # writing a state leaves the cached bump as it was
+        assert sample_initial_state(params, grid, prof).u.tobytes() == want.tobytes()
+        # supports of many nodes, of the node x = 0 alone, and of no node
+        for g, L in ((grid, 1.0), (grid, 7.99), (grid, 0.01), (Grid(-8.0, 8.0, 512), 0.01)):
+            direct = bump_profile(g.nodes(), L)
+            assert initial_data._grid_bump(g, L).tobytes() == direct.tobytes()

@@ -10,6 +10,7 @@ from hyperburg import (
     Refinement,
     RunStatus,
     amplitude_for_sup_norm,
+    bump_profile,
     calibrated_profile,
     integrate,
     sample_initial_state,
@@ -150,7 +151,7 @@ class TestStepWorkspace:
             nxt.v = nxt.v.copy()
 
     def test_slope_boundaries_stay_zero(self, monkeypatch):
-        # The bound kernels zero the dw/dt boundary once and write only
+        # Binding zeroes the dw/dt boundary once, the kernels write only
         # interiors, and the step pins the w edges of stage 1's copy, which
         # every stage slope takes as its dv/dt row: fields that are nonzero
         # at the boundary must not leak into any stage slope, over 50 steps
@@ -162,45 +163,75 @@ class TestStepWorkspace:
                                     0.01 * rng.standard_normal(state.grid.n))))
         other = GridState(state.grid, 0.0, rng.standard_normal(state.u.shape))
         assert state.v[0] != 0.0 and state.w[-1] != 0.0
-        slopes = []
-        kernel = RhsKernel.__call__
-        monkeypatch.setattr(RhsKernel, "__call__",
-                            lambda *args: slopes.append(kernel(*args)) or slopes[-1])
+        slopes, rows = spy_slopes(monkeypatch)
         dt = stable_dt(state.grid, params, 0.4)
         work = StepWorkspace(state.grid.n)
         for i in range(50):
             if i % 7 == 0:
                 step_rk4(other, params, dt, work)
             slopes.clear()
+            rows.clear()
             state = step_rk4(state, params, dt, work)
-            assert len(slopes) == 4 and slopes[0] is work.k1
-            for k in slopes:
+            assert rows == [2, 2] and len(slopes) == 4 and slopes[0][0] is work.k1
+            for k, edges in slopes:
                 assert k.shape == (2, state.grid.n)
-                assert np.all(k[:, 0] == 0.0) and np.all(k[:, -1] == 0.0)
-                assert not np.signbit(k[:, [0, -1]]).any()
+                assert np.all(edges == 0.0) and not np.signbit(edges).any()
         assert np.isfinite(state.u).all()
 
     def test_step_equals_written_out_rk4_bitwise(self):
-        # A whole-grid step is classical RK4 from pde_rhs, summed in the
-        # same order, bit for bit, on random states that are nonzero at the
-        # grid ends: the stage inputs keep the state's boundary v and the
-        # slopes' boundary columns are zero.
-        params = validate_params(0.7, 1.3, 1.0)
-        grid = Grid(-2.0, 2.0, 96)
-        dx, mu, nu = grid.dx, params.mu, params.nu
-        dt = stable_dt(grid, params, 0.4)
+        # A step is classical RK4 from pde_rhs on the whole grid, summed in
+        # the same order, bit for bit: on random states that are nonzero at
+        # the grid ends (the stage inputs keep the state's boundary v and the
+        # slopes' boundary columns are zero), and on states zero outside a
+        # narrow fitted window, at three mu.
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            u = rng.standard_normal((2, grid.n))
-            assert (u[:, [0, -1]] != 0.0).all()
-            k1 = pde_rhs(*u, dx, mu, nu)
-            k2 = pde_rhs(*(u + 0.5 * dt * k1), dx, mu, nu)
-            k3 = pde_rhs(*(u + 0.5 * dt * k2), dx, mu, nu)
-            k4 = pde_rhs(*(u + dt * k3), dx, mu, nu)
-            want = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            want[:, 0] = want[:, -1] = 0.0
-            got = step_rk4(GridState(grid, 0.0, u), params, dt)
-            assert got.u.tobytes() == want.tobytes()
+        for mu in (1.0, 0.25, 0.7):
+            params = validate_params(mu, 1.3, 1.0)
+            for fitted in (False, True):
+                grid = Grid(-2.0, 2.0, 400 if fitted else 96)
+                dx, nu = grid.dx, params.nu
+                dt = stable_dt(grid, params, 0.4)
+                for _ in range(20):
+                    if fitted:
+                        u = np.zeros((2, grid.n))
+                        u[:, 180:220] = rng.standard_normal((2, 40))
+                    else:
+                        u = rng.standard_normal((2, grid.n))
+                        assert (u[:, [0, -1]] != 0.0).all()
+                    state = GridState(grid, 0.0, u)
+                    work = StepWorkspace(grid.n, state if fitted else None)
+                    a, b = work.window
+                    assert (0 < a and b < grid.n and b - a < 150) == fitted
+                    k1 = pde_rhs(*u, dx, mu, nu)
+                    k2 = pde_rhs(*(u + 0.5 * dt * k1), dx, mu, nu)
+                    k3 = pde_rhs(*(u + 0.5 * dt * k2), dx, mu, nu)
+                    k4 = pde_rhs(*(u + dt * k3), dx, mu, nu)
+                    want = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    want[:, 0] = want[:, -1] = 0.0
+                    got = step_rk4(state, params, dt, work)
+                    assert got.u.tobytes() == want.tobytes()
+                    assert work.k1.tobytes() == k1[:, a:b].tobytes()
+
+
+def spy_slopes(monkeypatch):
+    """Wrap the slope kernel's two parts: ``rows`` gets the number of slopes
+    each F call serves, ``slopes`` each completed slope block with a copy of
+    its boundary columns as it was made."""
+    slopes, rows = [], []
+    kernel, damp = RhsKernel.__call__, RhsKernel.damp
+
+    def counted_kernel(self, *args):
+        rows.append(self.rows)
+        return kernel(self, *args)
+
+    def recorded_damp(*args):
+        k = damp(*args)
+        slopes.append((k, k[:, [0, -1]].copy()))
+        return k
+
+    monkeypatch.setattr(RhsKernel, "__call__", counted_kernel)
+    monkeypatch.setattr(RhsKernel, "damp", staticmethod(recorded_damp))
+    return slopes, rows
 
 
 def sharp_state(n=1024, dom=16.0, lo=500, width=20, seed=3, scale=1.0):
@@ -324,6 +355,36 @@ class TestActiveWindow:
                            np.stack((state.v + 1e-3 * rng.standard_normal(state.grid.n),
                                      1e-3 * rng.standard_normal(state.grid.n))))
         assert integrate(state0, params, t_end=0.2).stepped_frac == 1.0
+
+    @pytest.mark.parametrize("lo", [500, 0], ids=["inside", "left"])
+    def test_window_edges_inside_the_grid_stay_zero(self, monkeypatch, lo):
+        # The health check takes the window's extremes for the whole state's,
+        # with no 0.0 folded in: after every step, each window edge that is
+        # not a grid edge is a zero column, even when the nonzeros come
+        # within one column of it just before a refit.
+        params, state0 = sharp_state(lo=lo)
+        n = state0.grid.n
+        real_step = solver.step_rk4
+        edges, gaps = [], []
+
+        def checked_step(state, params, dt, work):
+            nxt = real_step(state, params, dt, work)
+            a, b = work.window
+            live = np.flatnonzero(nxt.u.any(axis=0))
+            assert b - a < n and a <= live[0] and live[-1] < b
+            if a > 0:
+                edges.append(nxt.u[:, a].copy())
+                gaps.append(live[0] - a)
+            edges.append(nxt.u[:, b - 1].copy())
+            gaps.append(b - 1 - live[-1])
+            return nxt
+
+        monkeypatch.setattr(solver, "step_rk4", checked_step)
+        out = integrate(state0, params, t_end=0.85)
+        assert out.status is RunStatus.COMPLETED
+        assert len(edges) == (2 if lo else 1) * out.n_steps
+        assert all(not e.any() for e in edges)
+        assert min(gaps) == 1
 
     def test_nan_inside_the_window_is_numerical_failure(self, monkeypatch):
         params, state0 = sharp_state()
@@ -489,6 +550,26 @@ class TestIntegrate:
         # the broken state is never observed
         assert len(seen) == 1 and seen[0] is state0
 
+    def test_negative_data_detected_at_the_first_crossing(self):
+        # With v <= 0 in every state, max v over the window is a zero column
+        # and sup|v| = -min v: the run stops at the first state whose
+        # max |v| reaches the threshold, and at no earlier one.
+        params = validate_params(1, 1, 1)
+        grid = Grid(-13.0, 13.0, 1024)
+        psi = bump_profile(grid.nodes(), 1.0)
+        bump = psi * psi / np.max(psi * psi)
+        state0 = GridState(grid, 0.0, np.stack((-5.0 * bump, -50.0 * bump)))
+        threshold = 4.0 * state0.sup_norm()
+        seen = []
+        out = integrate(state0, params, t_end=3.0, blowup_threshold=threshold,
+                        observe=seen.append)
+        assert out.status is RunStatus.BLOWUP_DETECTED and out.stepped_frac < 0.5
+        assert all((s.v <= 0.0).all() for s in seen)
+        sups = [float(np.max(np.abs(s.v))) for s in seen]
+        first = next(i for i, sup in enumerate(sups) if sup >= threshold)
+        assert first == len(seen) - 1 == out.n_steps > 10
+        assert out.t_final == seen[first].t and seen[first] is out.final_state
+
     @pytest.mark.parametrize(
         "stride, observed",
         [(1, False), (16, False), (1, True), (16, True)],
@@ -497,29 +578,24 @@ class TestIntegrate:
     def test_one_slope_per_step_plus_one(self, monkeypatch, stride, observed):
         # The record's slope is the next step's stage 1: 4 * steps + 1
         # slope evaluations in all, whatever the record stride, with or
-        # without an observer.  Every slope, bound or through pde_rhs, is
-        # one call of the bound kernel.
+        # without an observer.  Every slope, bound or through pde_rhs, is one
+        # row of a kernel call (a paired call serves two) and one damp.
         params, state0 = small_state()
         seen = []
-        counts = {"slope": 0, "step_rk4": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(RhsKernel, "__call__", counting("slope", RhsKernel.__call__))
-        monkeypatch.setattr(solver, "step_rk4", counting("step_rk4", solver.step_rk4))
+        steps = []
+        slopes, rows = spy_slopes(monkeypatch)
+        real_step = solver.step_rk4
+        monkeypatch.setattr(solver, "step_rk4",
+                            lambda *args: steps.append(1) or real_step(*args))
         out = integrate(state0, params, t_end=0.5, record_stride=stride,
                         observe=seen.append if observed else None)
         assert out.status is RunStatus.COMPLETED
-        assert counts["step_rk4"] > 2 * stride
-        assert counts["slope"] == 4 * counts["step_rk4"] + 1
+        assert len(steps) == out.n_steps > 2 * stride
+        assert sum(rows) == len(slopes) == 4 * out.n_steps + 1
         if observed:
             # state0 first, then one state per step in increasing t,
             # ending at the final state
-            assert len(seen) == counts["step_rk4"] + 1
+            assert len(seen) == out.n_steps + 1
             assert seen[0] is state0 and seen[-1] is out.final_state
             assert all(a.t < b.t for a, b in zip(seen, seen[1:]))
 
@@ -547,14 +623,12 @@ class TestIntegrate:
         grid = Grid(-8.0, 8.0, 513)
         state0 = sample_initial_state(
             params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
-        slopes = []
-        kernel = RhsKernel.__call__
-        monkeypatch.setattr(RhsKernel, "__call__",
-                            lambda *args: slopes.append(1) or kernel(*args))
+        slopes, rows = spy_slopes(monkeypatch)
         states = []
         out = integrate(state0, params, t_end=6.5, record_stride=7, observe=states.append)
         assert out.status is RunStatus.BLOWUP_DETECTED and out.n_steps % 7 != 0
-        assert len(slopes) == 4 * out.n_steps + 1
+        assert sum(rows) == len(slopes) == 4 * out.n_steps + 1
+        assert rows == [2, 2] * out.n_steps + [1]
         want = states[::7] + [out.final_state]
         assert [r.t for r in out.records] == [s.t for s in want]
         for state, rec in zip(want, out.records):

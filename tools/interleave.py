@@ -1,0 +1,130 @@
+"""Time two checkouts against each other in one process, run by run.
+
+    python tools/interleave.py OLD NEW [--rounds R] [--seed S] [--groups G,...]
+
+OLD and NEW are checkout roots holding ``src/hyperburg``.  Each tree's
+package is copied into a temporary directory under its own name
+(``hb_old``, ``hb_new``) and both are imported into this process, so
+the two see the same host at the same moment: host speed drifts by up to
+2x over minutes, far more than the differences worth measuring, and two
+benchmark runs minutes apart cannot tell them apart.
+
+Every round runs the units of each group with the two trees alternating
+unit by unit, the tree that goes first swapping every round.  The units
+are those of the benchmark's workloads (``perfbench/workloads.py``):
+
+- ``sweep``: the 512 seeded sweep points, each ``config_from_dict`` plus
+  ``execute_config``;
+- ``decay``: the ``decay`` run of ``decay-refine``;
+- ``refine``: its blow-up levels, n = 2048 ... 16384;
+- ``suite``: the suite presets the benchmark runs.
+
+For each group the script prints, over the rounds, the median of the
+ratio new/old of the median unit time and of the total time, each with
+the number of rounds in which the new tree was faster.  A ratio below 1
+means the new tree is faster.  Files the runs write go to the temporary
+directory, and nothing is written under ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+# As the benchmark does, before numpy is first imported.
+os.environ.update({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})
+sys.dont_write_bytecode = True  # keep perfbench/ and the checkouts clean
+
+ROOT = Path(__file__).resolve().parents[1]
+GROUPS = ("sweep", "decay", "refine", "suite")
+
+
+def load(checkout: Path, name: str, into: Path):
+    """Import ``checkout``'s ``src/hyperburg`` as the package ``name``."""
+    source = checkout / "src" / "hyperburg"
+    if not (source / "__init__.py").is_file():
+        raise SystemExit(f"interleave: no package source at {source}")
+    shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def units(hb, group: str, seed: int, out: Path) -> list:
+    """The group's units for package ``hb``: zero-argument callables."""
+    import workloads
+
+    if group == "sweep":
+        return [lambda doc=doc: hb.execute_config(hb.config_from_dict(doc))
+                for doc in workloads.sweep_docs(seed)]
+    if group == "decay":
+        config = workloads.Decay().build(hb, seed, out)
+        return [lambda: hb.execute_config(config)]
+    if group == "refine":
+        return [lambda config=config: hb.execute_config(config)
+                for config in workloads.BlowupRefine().build(hb, seed, out)]
+    listed = set(hb.suite.PRESET_NAMES)
+    return [lambda name=name: hb.run_suite(name)
+            for name in workloads.SUITE_PRESETS if name in listed]
+
+
+def ratio_line(label: str, ratios: list[float]) -> str:
+    wins = sum(r < 1.0 for r in ratios)
+    return f"{label} {statistics.median(ratios):.3f} ({wins}/{len(ratios)} faster)"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--rounds", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=15015)
+    parser.add_argument("--groups", default=",".join(GROUPS),
+                        help=f"comma-separated subset of {','.join(GROUPS)}")
+    args = parser.parse_args(argv)
+    groups = args.groups.split(",")
+    unknown = set(groups) - set(GROUPS)
+    if unknown or args.rounds < 1:
+        parser.error(f"unknown groups {sorted(unknown)}" if unknown else "need --rounds >= 1")
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
+        tmp = Path(tmp)
+        sys.path.insert(0, str(tmp / "pkgs"))
+        (tmp / "pkgs").mkdir()
+        trees = [load(args.old.resolve(), "hb_old", tmp / "pkgs"),
+                 load(args.new.resolve(), "hb_new", tmp / "pkgs")]
+        print(f"# old {args.old}  new {args.new}  rounds {args.rounds}  seed {args.seed}")
+        for group in groups:
+            work = [units(hb, group, args.seed, tmp / f"{side}-{group}")
+                    for side, hb in zip(("old", "new"), trees)]
+            median_ratios, total_ratios, seconds = [], [], [[], []]
+            for r in range(args.rounds):
+                times = [[], []]
+                order = (0, 1) if r % 2 == 0 else (1, 0)
+                for pair in zip(*work):
+                    for side in order:
+                        t0 = perf_counter()
+                        pair[side]()
+                        times[side].append(perf_counter() - t0)
+                old, new = times
+                median_ratios.append(statistics.median(new) / statistics.median(old))
+                total_ratios.append(sum(new) / sum(old))
+                seconds[0].append(statistics.median(old))
+                seconds[1].append(statistics.median(new))
+            print(f"{group:<7} units {len(work[0]):>3}  median unit "
+                  f"{1e3 * statistics.median(seconds[0]):.3f} -> "
+                  f"{1e3 * statistics.median(seconds[1]):.3f} ms  "
+                  + ratio_line("median-unit ratio", median_ratios) + "  "
+                  + ratio_line("total ratio", total_ratios), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
