@@ -23,7 +23,6 @@ from .model import (
 from .initial_data import (
     ProfileSpec,
     amplitude_for_sup_norm,
-    bump_max_abs,
     bump_profile,
     calibrated_profile,
     sample_initial_state,
@@ -45,9 +44,6 @@ from .diagnostics import (
     DiagnosticsRecord,
     gronwall_check_E1,
     identity_residual,
-    moment_F,
-    moment_Fprime,
-    support_interval,
 )
 from .certificate import (
     Certificate,
@@ -76,15 +72,14 @@ __all__ = [
     # model
     "ModelParams", "validate_params", "moment_thresholds",
     # initial data
-    "ProfileSpec", "bump_profile", "bump_max_abs", "amplitude_for_sup_norm",
+    "ProfileSpec", "bump_profile", "amplitude_for_sup_norm",
     "calibrated_profile", "sample_initial_state",
     # solver
     "Grid", "GridState", "RunStatus", "RunOutcome", "stable_dt",
     "step_rk4", "integrate", "Refinement",
     "check_domain_margin",
     # diagnostics
-    "DiagnosticsRecord", "ConeMax", "moment_F", "moment_Fprime",
-    "support_interval", "identity_residual", "gronwall_check_E1",
+    "DiagnosticsRecord", "ConeMax", "identity_residual", "gronwall_check_E1",
     # certificate
     "Certificate", "OracleResult", "check_moment_thresholds",
     "epsilon_conditions_hold", "epsilon_interval", "g_closed_form", "t_star",

@@ -69,18 +69,14 @@ class RunConfig:
             ic["a"] = self.ic.a
             ic["b"] = self.ic.b
         return {
-            "params": {"mu": self.params.mu, "nu": self.params.nu, "L": self.params.L},
-            "grid": {"xmin": self.grid.xmin, "xmax": self.grid.xmax, "n": self.grid.n},
+            "params": dict(vars(self.params)),
+            "grid": dict(vars(self.grid)),
             "cfl": self.cfl,
             "t_end": self.t_end,
             "blowup_threshold": self.blowup_threshold,
             "record_stride": self.record_stride,
             "ic": ic,
-            "output": {
-                "directory": self.output.directory,
-                "emit_csv": self.output.emit_csv,
-                "emit_report": self.output.emit_report,
-            },
+            "output": dict(vars(self.output)),
         }
 
 

@@ -1,35 +1,18 @@
 """Functionals and inequality gaps monitored along a trajectory.
 
-Everything here is computed with the solver's own stencils and the
-trapezoidal rule on the simulation grid, so bounds that hold exactly for
-the semi-discrete system show up as gaps at roundoff rather than at
-quadrature-error level.  Integrals of squares and the moments share one
-trapezoid helper, :func:`~hyperburg.operators.trapezoid_dot`.  Higher time
-derivatives (v_tt, v_ttt) are reconstructed from the equation instead of
-stored; during a run the solver passes in v_tt, the stage-1 slope of its
-step from the recorded state, and a :class:`RecordWorkspace`.
-
-A record fills one contiguous ``(12, W)`` block, a view into the one flat
-buffer of its :class:`RecordWorkspace`, on the solver's window widened
-outward to multiples of RECORD_ALIGN = 32 columns (or to a grid end).  It
-copies in the state's (v, w) rows and v_tt once, differences (v, w) in one
-``d2_central`` call and the five rows (v*w, v_tt, v, w, v_xx) in one
-``d1_central`` call, each over its contiguous rows as one flat row, and
-builds v_ttt in place.  Every integral, the ten squared norms and both
-moments, is a ``trapezoid_dot`` over those columns only: one call on the
-eleven rows that hold the squared fields (one ``np.vecdot`` per piece) and
-one for F and F', split at the grid columns that are multiples of 8192 to
-stay below OpenBLAS's threading cutoff (see there, also for the two
-reductions rejected).  So a record is a function of the state alone,
-whatever the window and the BLAS thread count, and on a grid of at most
-8192 nodes its integrals are whole-grid ``np.dot`` bits.
+Everything here uses the solver's own stencils (see
+:mod:`~hyperburg.operators`), and higher time derivatives (v_tt, v_ttt) are
+reconstructed from the equation instead of stored.  Every record integral
+is a :func:`~hyperburg.operators.trapezoid_dot` over the columns of its
+:class:`RecordWorkspace`.
 
 Monitored quantities (all but the cone maximum are fields of the record
 that :func:`compute_record` assembles; the cone maximum is a streaming
 observer, :class:`ConeMax`, that the solver calls with each state):
 
 * the moments F = int x v dx and F' = int x w dx, whose growth identity
-  mu F'' + F' = 1/2 int v^2 dx drives the blow-up argument;
+  mu F'' + F' = 1/2 int v^2 dx drives the blow-up argument; the certificate
+  reads them from the t = 0 record;
 * the energies E1, E2, E3 (half-sums of squares of first, second, and
   third derivatives, weighted by powers of c);
 * the sup norm, the support interval, and the cone maximum for
@@ -59,9 +42,6 @@ if TYPE_CHECKING:  # solver imports diagnostics at runtime
 __all__ = [
     "DiagnosticsRecord",
     "ConeMax",
-    "moment_F",
-    "moment_Fprime",
-    "support_interval",
     "identity_residual",
     "gronwall_check_E1",
     "sobolev_norms",
@@ -73,15 +53,11 @@ __all__ = [
 # Relative support-detection threshold: scheme tails decay but never vanish.
 SUPPORT_REL_THRESHOLD = 1e-12
 # A record's columns start and end at multiples of RECORD_ALIGN (or at a grid
-# end): a whole number of the blocks OpenBLAS's dot kernel sums in SIMD lanes,
-# so the zero columns between the data and the window edge leave every lane,
-# and so the dot, as it is on the whole grid.
+# end), as trapezoid_dot needs for the whole-grid bits.
 RECORD_ALIGN = 32
 # Rows of the record block, in order: v*w, v_tt, v, w, v_xx, w_xx; then the
 # first differences of the first five, (v w)_x, v_xtt, v_x, w_x, v_xxx; v_ttt.
-# So (v, w) are rows 2:4 and their second differences rows 4:6; the first
-# differences of rows 0:5 are rows 6:11; and rows 1:12 hold the ten squared
-# norms' rows and (v w)_x, whose square the record computes and drops.
+# A record squares rows 1:12 in one call and drops the square of (v w)_x.
 RECORD_ROWS = 12
 
 
@@ -110,29 +86,15 @@ class DiagnosticsRecord:
     int_vxxt2: float
 
 
-def moment_F(state: GridState) -> float:
-    """First moment int x v dx (trapezoidal), the expansion measure."""
-    return trapezoid_dot(state.grid.nodes(), state.v, state.grid.dx)
-
-
-def moment_Fprime(state: GridState) -> float:
-    """First moment of the time derivative, int x w dx."""
-    return trapezoid_dot(state.grid.nodes(), state.w, state.grid.dx)
-
-
-def support_interval(state: GridState, threshold: float) -> tuple[float, float]:
-    """Outermost nodes where |v| or |w| exceeds the threshold.
-
-    Returns (0.0, 0.0) as the empty-support marker when neither field
-    exceeds the threshold anywhere.
-    """
-    return _outermost(np.abs(state.u), threshold, state.grid.nodes())
-
-
 def _outermost(magnitude: np.ndarray, threshold: float, x: np.ndarray) -> tuple[float, float]:
     """First and last ``x`` whose column of the ``(2, m)`` ``magnitude`` exceeds
-    the threshold, or (0.0, 0.0).  ``np.fmax`` skips a NaN in one row, as
-    ``(magnitude > threshold).any(axis=0)`` would; ``np.maximum`` would not."""
+    the threshold, or (0.0, 0.0), the empty-support marker.  ``np.fmax``
+    skips a NaN in one row, as ``(magnitude > threshold).any(axis=0)`` would;
+    ``np.maximum`` would not.
+
+    Raises:
+        ParameterError: unless the threshold is positive.
+    """
     if not (threshold > 0.0):
         raise ParameterError(f"support threshold must be positive, got {threshold}")
     over = np.fmax(magnitude[0], magnitude[1]) > threshold
@@ -279,9 +241,8 @@ class RecordWorkspace:
     ``span`` = (lo, hi) is that window widened outward to multiples of
     RECORD_ALIGN columns, capped at the grid's end, and ``block`` the
     contiguous ``(RECORD_ROWS, hi - lo)`` view at the head of the flat
-    ``buffer`` that a record fills on those columns.  Rebinding re-views the
-    buffer and allocates nothing; a record overwrites every entry of the
-    block, so what the buffer held before does not matter.
+    ``buffer`` that a record fills and integrates on those columns.
+    Rebinding allocates nothing, and a record overwrites the whole block.
     """
 
     __slots__ = ("buffer", "window", "span", "block")
@@ -307,14 +268,12 @@ def compute_record(
     """Assemble the full diagnostics record for one state.
 
     ``v_tt`` is dw/dt, row 1 of ``pde_rhs`` at this state, on the columns of
-    ``work.window`` (the whole grid without ``work``), when the caller has it
-    (the stage-1 slope of the solver's step from this state); it is only
-    read.  Without it the record computes it, with the same function and the
-    same result.  ``work`` holds the block the record writes; a fresh one
-    gives the same bits.  A fresh one's window is the whole grid; a narrower
-    one needs the solver's MARGIN zero columns of the state inside its edges
-    and zeros outside them.  The integrals run over the record block's
-    columns only (see the module docstring).
+    ``work.window`` (the whole grid without ``work``), when the caller has it;
+    it is only read.  Without it the record computes it, with the same
+    result.  ``work`` holds the block the record writes; a fresh one, whose
+    window is the whole grid, gives the same bits.  A narrower window needs
+    the solver's MARGIN zero columns of the state inside its edges and zeros
+    outside them.
     """
     if work is None:
         work = RecordWorkspace(state.grid.n)

@@ -12,9 +12,7 @@ positive moment targets reachable.  Both fields share this shape:
     v(x, 0) = a * psi(x),      dv/dt(x, 0) = b * psi(x),
 
 and ``calibrated_profile`` picks (a, b) so the discrete moments hit their
-targets, to a few ulps, under the trapezoidal rule the runtime diagnostics
-use.  Both evaluate psi from its support on the grid, computed once per
-grid and L.
+targets.  psi's support on a grid is computed once per grid and L.
 """
 
 from __future__ import annotations
@@ -27,13 +25,11 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError, ParameterError
 from .model import ModelParams
-from .operators import trapezoid
 from .solver import Grid, GridState
 
 __all__ = [
     "ProfileSpec",
     "bump_profile",
-    "bump_max_abs",
     "amplitude_for_sup_norm",
     "calibrated_profile",
     "sample_initial_state",
@@ -81,9 +77,7 @@ def bump_profile(x, L: float):
     return float(out[0]) if scalar else out
 
 
-# Keyed by value, like Grid.nodes.  Only the support is kept: whole-grid
-# arrays kept alive raised a run sequence's peak RSS by several times their
-# own size.
+# Keyed by value, like Grid.nodes; only the support is kept, to bound memory.
 @functools.lru_cache(maxsize=16)
 def _bump_support(grid: Grid, L: float) -> tuple[int, np.ndarray]:
     """(first column, values) of bump_profile on the grid's nodes with
@@ -104,17 +98,10 @@ def _grid_bump(grid: Grid, L: float) -> np.ndarray:
     return psi
 
 
-def bump_max_abs(L: float) -> float:
-    """Peak value of |bump_profile|, attained at x* = L*sqrt(2 - sqrt(3)).
-
-    Closed form: max |psi| = L * sqrt(2 - sqrt(3)) * exp(-(1 + sqrt(3)) / 2).
-    """
-    return L * math.sqrt(2.0 - math.sqrt(3.0)) * math.exp(-(1.0 + math.sqrt(3.0)) / 2.0)
-
-
 def amplitude_for_sup_norm(sup: float, L: float) -> float:
-    """Amplitude a such that a * psi has the requested peak magnitude."""
-    return sup / bump_max_abs(L)
+    """Amplitude a such that a * psi has the requested peak magnitude: max |psi|
+    is psi(x*) = x* exp(-(1 + sqrt(3)) / 2) at x* = L sqrt(2 - sqrt(3))."""
+    return sup / (L * math.sqrt(2.0 - math.sqrt(3.0)) * math.exp(-(1.0 + math.sqrt(3.0)) / 2.0))
 
 
 def calibrated_profile(
@@ -126,12 +113,10 @@ def calibrated_profile(
 ) -> ProfileSpec:
     """Profile whose sampled moments hit the targets: a = F0/m1, b = F1/m1.
 
-    The first moment m1 = trapz(x * psi) is evaluated on the run grid with
-    ``numpy.trapezoid``.  The diagnostics apply the same rule as a dot
-    product (:func:`~hyperburg.operators.trapezoid_dot`), which sums in
-    another order, so int x*(a*psi) dx reproduces ``F0_target`` up to a few
-    ulps, with no discretization offset between the calibrated data and the
-    recorded moment series.
+    m1 = int x * psi dx is ``numpy.trapezoid`` on the run grid.  A record's
+    moments apply the same rule as a dot product, summed in another order,
+    so they reproduce the targets to a few ulps, with no discretization
+    offset.
 
     Raises:
         ParameterError: for an unknown family or a bad L (checked first).
@@ -139,7 +124,7 @@ def calibrated_profile(
             (m1 == 0) so the targets are unreachable.
     """
     spec = ProfileSpec(family=family, a=0.0, b=0.0, L=L)
-    m1 = float(trapezoid(grid.nodes() * _grid_bump(grid, L), dx=grid.dx))
+    m1 = float(np.trapezoid(grid.nodes() * _grid_bump(grid, L), dx=grid.dx))
     if not math.isfinite(m1) or m1 <= 0.0:
         raise CalibrationError(
             f"first moment of the profile is {m1!r} on this grid "

@@ -1,36 +1,25 @@
 """Shared finite-difference stencils and the semi-discrete right-hand side.
 
-Both the time integrator and the diagnostics use exactly these operators, so
-discrete identities (moment growth, integration by parts) hold to roundoff
-instead of mixing inconsistent approximations.  All stencils are second-order
-central differences on a uniform grid; the two boundary nodes are forced to
-zero, which is exact as long as the support never reaches them.
+Both the time integrator and the diagnostics use exactly these operators and
+the trapezoidal rule, so discrete identities (moment growth, integration by
+parts) hold to roundoff, not to quadrature error.  All stencils are
+second-order central differences on a uniform grid, zero at the two
+boundary nodes (see :mod:`~hyperburg.solver`).
 
-Every stencil acts on the last axis (``f[..., 1:-1]``), so a ``(B, n)``
-stack of B rows is differenced row by row with the same arithmetic as a
-single row, bit for bit: a diagnostics record differences its (v, w) rows in
-one call and five more rows in another.  When the stack and its ``out``
-buffer are both C-contiguous the stencil runs over them as one flat row and
-then zeroes the seam columns, which it computed across rows: every other
-entry comes from the same operations on the same operands.  The two stencils
-take an optional ``out=`` buffer shaped like their input; with it the call
-allocates no array.  An ``out`` buffer must not overlap the inputs.
-:func:`trapezoid_dot` likewise reduces a stack of rows in one ``np.vecdot``
-call per DOT_SPLIT piece, each row with the bits of its own dot.
-
-:func:`pde_rhs` evaluates the slope of (v, w) as one ``(2, ...)`` block, like
-a solver state's ``(2, n)`` ``u``, in fused in-place ufunc passes held once
-by :class:`RhsKernel` in two parts: F(v), which depends on v alone, and
--w/mu.  The solver's kernels evaluate F for two RK4 stages as one flat row.
+Every stencil acts on the last axis, so a ``(B, n)`` stack of B rows is
+differenced row by row, bit for bit as each row alone.  A C-contiguous stack
+and its ``out`` buffer run as one flat row, and the seam columns computed
+across rows are then zeroed.  The stencils take an optional ``out=`` buffer
+shaped like their input, which must not overlap it; with it the call
+allocates no array.  :class:`RhsKernel` holds the one copy of the slope
+arithmetic, which :func:`pde_rhs` and the solver use.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy import trapezoid
 
 __all__ = [
-    "trapezoid",
     "trapezoid_dot",
     "d1_central",
     "d2_central",
@@ -39,10 +28,7 @@ __all__ = [
 ]
 
 
-# OpenBLAS runs a dot on several threads above 10,000 elements, and then its
-# bits depend on the thread count.  trapezoid_dot reduces in pieces that end
-# at grid columns that are multiples of DOT_SPLIT, so no piece is threaded and
-# no split point depends on which columns the caller passes.
+# trapezoid_dot splits its dot at the grid columns that are multiples of this.
 DOT_SPLIT = 8192
 
 
@@ -53,31 +39,26 @@ def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
     ``a`` and ``b`` hold the grid columns [lo, lo + m) on their last axis, the
     whole grid by default; outside them the integrand must be zero.  1-D
     operands give a Python float.  A stacked ``(k, m)`` operand, broadcast
-    against the other as ``np.vecdot`` does, gives a list of k floats, each
-    with the bits of its row passed alone: the rows are reduced in one
-    ``np.vecdot`` call per piece, which equals ``np.dot`` row by row.
+    as ``np.vecdot`` does, gives a list of k floats, each with the bits of
+    its row passed alone (``np.vecdot`` equals ``np.dot`` row by row).
 
-    The dot product is split at the grid columns that are multiples of
-    DOT_SPLIT and its pieces are added left to right, so its bits do not
-    depend on the BLAS thread count.  Nor do they depend on the columns
-    passed, as long as their edges are multiples of 32 or grid ends (as
-    :class:`~hyperburg.diagnostics.RecordWorkspace` takes them): each piece
-    then keeps the SIMD lanes of OpenBLAS's dot kernel, and on a grid of at
+    Why a record's integrals are the whole-grid bits, whatever its window:
+    OpenBLAS threads a dot above 10,000 elements, and then its bits depend
+    on the thread count.  So the dot is split at the grid columns that are
+    multiples of DOT_SPLIT, and its pieces are added left to right; no piece
+    is threaded, and no split point depends on the columns passed.  When
+    their edges are multiples of 32 or grid ends (as
+    :class:`~hyperburg.diagnostics.RecordWorkspace` takes them), each piece
+    sums a whole number of the blocks OpenBLAS's dot kernel sums in SIMD
+    lanes, so the zero columns left out change no lane.  On a grid of at
     most DOT_SPLIT nodes the sum is one whole-grid ``np.dot``.  The
     half-weight end correction, dx * (a.b - (a[0] b[0] + a[-1] b[-1]) / 2),
     enters only at the grid ends the columns reach.
-
-    Two other reductions were measured and rejected: an ``np.einsum`` sum
-    over the columns often differs from the whole-grid sum, and an unsplit
-    dot over them differs from the whole-grid dot once OpenBLAS threads it,
-    above 10,000 columns.
     """
     m = a.shape[-1]
     n = lo + m if n is None else n
     cut = DOT_SPLIT - lo % DOT_SPLIT
-    if cut >= m:
-        # The general path gives the same bits; its slices and empty loop
-        # cost about 1 us a call (numpy 2.4, 2 x86-64 cores).
+    if cut >= m:  # one piece: the general path's bits, without its slicing cost
         total = np.vecdot(a, b)
     else:
         total = np.vecdot(a[..., :cut], b[..., :cut])
@@ -87,8 +68,7 @@ def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
         ends = ((a[..., 0] * b[..., 0] if lo == 0 else 0.0)
                 + (a[..., -1] * b[..., -1] if lo + m == n else 0.0))
         total -= 0.5 * ends
-    # Scaled as Python floats, the same IEEE product as numpy's; numpy's
-    # array-by-float product costs about 1 us a call.
+    # Scaled as Python floats: numpy's IEEE product, at less cost per call.
     total = total.tolist()
     return dx * total if isinstance(total, float) else [dx * t for t in total]
 
@@ -128,15 +108,13 @@ def d2_central(f: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.nd
 
 
 class RhsKernel:
-    """The arithmetic of :func:`pde_rhs` in its two parts, bound to buffers.
+    """The two parts of :func:`pde_rhs`'s dw/dt, bound to buffers.
 
-    dw/dt = F(v) - w/mu on the interior.  A call writes F(v), seven passes,
-    to the interior of every row of ``f``, using the interior of
-    ``scratch``; ``v``, ``f`` and ``scratch`` are shaped alike and do not
-    overlap.  C-contiguous stacks run as one flat row, as in
-    :func:`d1_central`, and no slope reads the seam columns.  ``rows`` is
-    the number of slopes a call serves.  :meth:`damp` completes one slope
-    from its F in two passes and writes only the dw/dt interior.
+    A call writes F(v) to the interior of every row of ``f``, using the
+    interior of ``scratch``; ``v``, ``f`` and ``scratch`` are shaped alike
+    and do not overlap.  C-contiguous stacks run as one flat row, as in the
+    stencils.  ``rows`` is the number of slopes a call serves.  :meth:`damp`
+    completes one slope from its F and writes only the dw/dt interior.
     """
 
     __slots__ = ("rows", "views", "f", "scratch")

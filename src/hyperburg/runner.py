@@ -7,8 +7,7 @@ Outputs per run:
   acceptance check needs is recomputable from this file alone;
 * ``report.json`` with the config echo, the certificate, the outcome, the
   worst-case value of every monitored inequality margin, ``resolution``
-  (see :func:`_resolution`) and ``perf`` (steps, dt, the share of columns
-  stepped, and wall seconds for set-up, stepping, records and output).
+  (see :func:`_resolution`) and ``perf`` (see :func:`execute_config`).
 
 Numbers are serialized with round-trip precision (repr), so re-running the
 report's echoed config reproduces the CSV bit for bit; only the ``perf``
@@ -168,29 +167,22 @@ def execute_config(
     config: RunConfig,
     observe: Optional[Callable[[GridState], None]] = None,
 ) -> RunReport:
-    """Build initial data, certify, integrate, aggregate, and persist.
+    """Build initial data, integrate, certify, aggregate, and persist.
 
     Files go to :func:`~hyperburg.config.resolve_output_dir` of ``config``.
     ``observe`` is handed to :func:`~hyperburg.solver.integrate`.
-    Validation problems raise before any file is written.
+    Validation problems raise before any file is written.  ``perf`` holds
+    the steps, dt, the share of columns stepped, and the wall seconds of
+    set-up (initial data), stepping, records and output (the certificate,
+    the margins and the files).
     """
     t_setup = perf_counter()
-    params = config.params
-    grid = config.grid
-    if config.ic.uses_targets:
-        profile = calibrated_profile(
-            config.ic.family, params.L, grid,
-            config.ic.F0_target, config.ic.F1_target,
-        )
+    params, grid, ic = config.params, config.grid, config.ic
+    if ic.uses_targets:
+        profile = calibrated_profile(ic.family, params.L, grid, ic.F0_target, ic.F1_target)
     else:
-        profile = ProfileSpec(
-            family=config.ic.family, a=config.ic.a, b=config.ic.b, L=params.L
-        )
+        profile = ProfileSpec(family=ic.family, a=ic.a, b=ic.b, L=params.L)
     state0 = sample_initial_state(params, grid, profile)
-
-    f0 = diagnostics.moment_F(state0)
-    f1 = diagnostics.moment_Fprime(state0)
-    cert = build_certificate(params, f0, f1)
 
     t_run = perf_counter()
     outcome = integrate(
@@ -203,6 +195,8 @@ def execute_config(
         observe=observe,
     )
     t_output = perf_counter()
+    # integrate always records state0, with the whole-grid moments' bits.
+    cert = build_certificate(params, outcome.records[0].F, outcome.records[0].Fprime)
 
     target = resolve_output_dir(config)
     report_path = target / "report.json" if config.output.emit_report else None
@@ -228,7 +222,6 @@ def execute_config(
         csv_path = target / "records.csv"
         write_csv(csv_path, outcome, cert, params)
         files["csv"] = str(csv_path)
-    # Set-up is initial data and certificate; output is margins and CSV.
     report.perf = dict(n_steps=outcome.n_steps, dt=outcome.dt,
                        stepped_frac=outcome.stepped_frac, setup_s=t_run - t_setup,
                        stepping_s=t_output - t_run - outcome.record_s,

@@ -8,29 +8,17 @@ pinned to zero, which substitutes for boundary conditions entirely.
 
 Stepping kernel: :func:`integrate` is the one stepping loop.  A state is one
 ``(2, n)`` block ``u`` of rows v and w (:class:`GridState` rejects any other
-shape).  A step copies the state's window once into a contiguous block, so
-each stage input, accumulation and update is one array call on contiguous
-operands, and its scalar operands are 0-d arrays, which numpy takes without
-the conversion a Python float costs on every call.  Two stages at a time
-share one slope-kernel call for the part of the slope that depends on v
-alone (see :func:`step_rk4`), so a step makes 41 numpy calls on the window,
-against 51 for four separate slopes, with the same bits.  A run binds one
-:class:`StepWorkspace` (one flat buffer sized for the grid, re-viewed for
-each window) and a step allocates only the new state's block.
+shape).  A run binds one :class:`StepWorkspace`, and :func:`step_rk4`
+steps on its contiguous copy of the state's window.
 
 Active window: a run steps and records only on a column window [a, b)
 holding every nonzero of (v, w) with MARGIN zero columns on each side (see
-:class:`StepWorkspace`).  Outside it every field, stage and slope is exactly
-zero in the whole-grid computation too, so the bits are the same.
-
-A step leaves the stage-1 slope of the state it started from in the
-workspace, and a record due at that state takes its dw/dt as v_tt.  Only
-the terminal state's record evaluates its own slope, so a run makes exactly
-4 * steps + 1 slope evaluations (a paired call makes two) whatever the
-record stride.  A check that
-needs fields rather than records (the cone maximum, say) passes an
-``observe`` callback, which sees the initial state and then every finite
-state the run reaches.
+:class:`StepWorkspace`).  A slope spreads v into dw/dt by one node and
+dv/dt = w spreads nothing, so no stage (nor a record stencil) reaches past
+REACH nodes beyond the nonzeros of its input.  Outside the window every field, stage and slope is
+therefore exactly zero in the whole-grid computation too, so the bits are
+the same, signs of zeros included.  A record's integrals keep the
+whole-grid bits as well (see :func:`~hyperburg.operators.trapezoid_dot`).
 
 Blow-up is reported as the first time the sup norm crosses a threshold, not
 as an extrapolated singularity time: the model supplies no blow-up rate to
@@ -69,9 +57,8 @@ __all__ = [
 
 # Nodes of slack the support of a healthy run may spill past L + c t.
 SUPPORT_SLACK_NODES = 10
-# A slope spreads v into dw/dt by one node and dv/dt = w spreads nothing, so
-# no RK4 stage (nor a record stencil) reaches past REACH nodes beyond the
-# nonzeros of its input; MARGIN adds the window edge the kernel pins to zero.
+# How far a step reaches past its input's nonzeros (see the module docstring);
+# MARGIN adds the window edge the kernel pins to zero.
 REACH = 2
 MARGIN = REACH + 1
 # Steps between two measurements of the nonzero extent.
@@ -197,8 +184,7 @@ class StepWorkspace:
     ``window`` = (a, b) is the columns of a grid of ``n`` nodes that steps
     and records compute on: the whole grid, or with ``state`` its padded
     nonzero extent (see :meth:`fit`).  A step runs on the ``(STEP_ROWS,
-    b - a)`` view at the head of the flat ``buffer``, re-viewed, not
-    reallocated, for each window.  Its rows are
+    b - a)`` view at the head of the flat ``buffer``.  Its rows are
 
         0 v2 | 1 v0 | 2 w0 | 3 dw1 | 4 v4 | 5 v3 | 6 w3 | 7 dw3 |
         8-9 the weighted slope sum | 10 w2, then w4 | 11 dw2, then dw4,
@@ -382,21 +368,20 @@ def integrate(
     the first non-finite state (NUMERICAL_FAILURE; no record is emitted for
     a broken state), or at the first time >= t_end.
 
-    Run health is one max and one min per row of the new state's (v, w)
-    block on the step's window.  Outside it the new state is zero by
-    construction, and a window narrower than the grid holds a zero column
-    at each edge that is not a grid edge (see :meth:`StepWorkspace.fit`),
-    so these are the whole block's extremes.  NaN
-    propagates through both and +-inf shows in one, so the extremes are
-    finite exactly when v and w are; sup|v| = max(max v, -min v).
+    Run health is one max and one min per row of the new state on the
+    step's window, which holds its extremes (see :meth:`StepWorkspace.fit`).
+    NaN propagates through both and +-inf shows in one, so they are finite
+    exactly when v and w are; sup|v| = max(max v, -min v).
 
     ``observe``, when given, is called with state0 before stepping and then
     with every finite state, in order; never with a non-finite state.  It
     must not change the arrays of the states it is given.
 
-    A record of a state the run steps from takes its slope from that step
-    (see the module docstring).  Pure function of its arguments: identical
-    inputs give bit-identical outcomes and records.
+    A record of a state the run steps from takes v_tt from that step's
+    ``work.k1``, so only the terminal record evaluates its own slope: a run
+    makes 4 * steps + 1 slope evaluations (a paired call makes two) whatever
+    the stride.  Pure function of its arguments: identical inputs give
+    bit-identical outcomes and records.
 
     Raises:
         ConfigError: for a bad stride or grid margin, or a threshold at or

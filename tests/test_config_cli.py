@@ -2,15 +2,17 @@ import copy
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperburg import ConfigError, RunStatus
+from hyperburg import ConfigError, RunStatus, calibrated_profile, sample_initial_state
 from hyperburg.cli import main
 from hyperburg.config import (config_from_dict, load_config, refinement_ladder,
                               resolve_output_dir)
+from hyperburg.operators import trapezoid_dot
 from hyperburg.runner import CSV_COLUMNS, execute_config
 from hyperburg.solver import stable_dt
 from hyperburg.suite import preset_configs
@@ -288,6 +290,36 @@ class TestExecuteConfig:
         assert type(report.certificate["thresholds_met"]) is bool
         assert type(report.certificate["F0"]) is float
         json.dumps(report.certificate)
+
+    @pytest.mark.parametrize("n", [513, 16385])
+    def test_certificate_moments_are_the_whole_grid_dots(self, tmp_path, n):
+        # The certificate reads the t = 0 record.  On 16385 nodes the
+        # record's dot is split at DOT_SPLIT; the bits are still the
+        # whole-grid moments'.
+        doc = blowup_doc(str(tmp_path / "m"), n=n)
+        doc["t_end"] = 0.01
+        config = config_from_dict(doc)
+        report = execute_config(config)
+        params, grid = config.params, config.grid
+        state0 = sample_initial_state(
+            params, grid, calibrated_profile("odd_bump", params.L, grid, 40.0, 200.0))
+        want = [trapezoid_dot(grid.nodes(), row, grid.dx, 0, grid.n).hex()
+                for row in (state0.v, state0.w)]
+        assert [report.certificate["F0"].hex(), report.certificate["F1"].hex()] == want
+        first = report.outcome.records[0]
+        assert [first.F.hex(), first.Fprime.hex()] == want
+
+    def test_no_library_warning_escapes_an_overflowing_run(self, tmp_path):
+        # A sweep-size run whose data overflow the moments' dot.  Only the
+        # absence of warnings is asserted, not the status.
+        doc = blowup_doc(str(tmp_path / "o"))
+        doc["t_end"] = 2.0
+        doc["ic"]["F0_target"] = 1e307
+        config = config_from_dict(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = execute_config(config)
+        assert report.certificate["F0"] == math.inf
 
     def test_no_output_written_for_invalid_config(self, tmp_path):
         out = tmp_path / "never"

@@ -18,14 +18,11 @@ from hyperburg import (
     gronwall_check_E1,
     identity_residual,
     integrate,
-    moment_F,
-    moment_Fprime,
     sample_initial_state,
-    support_interval,
     validate_params,
 )
-from hyperburg.diagnostics import (DiagnosticsRecord, RecordWorkspace, compute_record,
-                                   sobolev_norms)
+from hyperburg.diagnostics import (DiagnosticsRecord, RecordWorkspace, _outermost,
+                                   compute_record, sobolev_norms)
 from hyperburg.initial_data import ProfileSpec, bump_profile
 from hyperburg.operators import d1_central, d2_central, pde_rhs, trapezoid_dot
 from hyperburg.solver import Grid, GridState
@@ -53,10 +50,21 @@ def linear_ramp_state():
 PARAMS = validate_params(1, 1, 1)
 
 
+def moments(state):
+    """(F, F') of the state's record, the moments the certificate reads."""
+    rec = compute_record(state, PARAMS)
+    return rec.F, rec.Fprime
+
+
+def support(state):
+    """The support fields of the state's record."""
+    rec = compute_record(state, PARAMS)
+    return rec.support_left, rec.support_right
+
+
 class TestMoments:
     def test_zero_state(self):
-        assert moment_F(zero_state()) == 0.0
-        assert moment_Fprime(zero_state()) == 0.0
+        assert moments(zero_state()) == (0.0, 0.0)
 
     def test_even_profile_has_zero_moment(self):
         grid = Grid(-2.0, 2.0, 1025)
@@ -64,20 +72,21 @@ class TestMoments:
         u = np.clip(np.abs(x), 0.0, 0.999999)
         even = np.where(np.abs(x) < 1.0, np.exp(1.0 / (u * u - 1.0)), 0.0)
         st = state_on(grid, even)
-        assert abs(moment_F(st)) <= 1e-14
+        assert abs(moments(st)[0]) <= 1e-14
 
     def test_linear_ramp(self):
         st = linear_ramp_state()
-        assert moment_F(st) == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert moments(st)[0] == pytest.approx(2.0 / 3.0, abs=1e-6)
         st_w = GridState(st.grid, 0.0, np.stack((np.zeros_like(st.v), st.v)))
-        assert moment_Fprime(st_w) == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert moments(st_w)[1] == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_calibrated_state_moment_exact(self):
         grid = Grid(-2.0, 2.0, 1024)
         prof = calibrated_profile("odd_bump", 1.0, grid, 7.0, 11.0)
         st = sample_initial_state(PARAMS, grid, prof)
-        assert abs(moment_F(st) - 7.0) <= 8 * np.spacing(7.0)
-        assert abs(moment_Fprime(st) - 11.0) <= 8 * np.spacing(11.0)
+        f, fp = moments(st)
+        assert abs(f - 7.0) <= 8 * np.spacing(7.0)
+        assert abs(fp - 11.0) <= 8 * np.spacing(11.0)
 
 
 class TestEnergy:
@@ -118,7 +127,7 @@ class TestEnergy:
 class TestSupNormAndSupport:
     def test_zero(self):
         assert zero_state().sup_norm() == 0.0
-        assert support_interval(zero_state(), 1e-12) == (0.0, 0.0)
+        assert support(zero_state()) == (0.0, 0.0)
 
     def test_single_negative_node(self):
         grid = Grid(-2.0, 2.0, 64)
@@ -129,8 +138,9 @@ class TestSupNormAndSupport:
         w = np.zeros(64)
         w[50] = 1e-3
         x = grid.nodes()
-        assert support_interval(state_on(grid, v, w), 1e-6) == (x[10], x[50])
-        assert support_interval(state_on(grid, v, w), 1e-2) == (x[10], x[10])
+        assert support(state_on(grid, v, w)) == (x[10], x[50])
+        assert _outermost(np.abs(state_on(grid, v, w).u), 1e-6, x) == (x[10], x[50])
+        assert _outermost(np.abs(state_on(grid, v, w).u), 1e-2, x) == (x[10], x[10])
         # A NaN in one row leaves its column to the other row, as
         # (|u| > threshold).any(axis=0) does: columns 10 and 50 stay in the
         # support, and columns 5 and 60, zero in the other row, stay out.
@@ -138,7 +148,7 @@ class TestSupNormAndSupport:
         v_nan[[50, 60]] = np.nan
         w_nan[[5, 10]] = np.nan
         for fields in ((v, w_nan), (v_nan, w), (v_nan, w_nan)):
-            assert support_interval(state_on(grid, *fields), 1e-6) == (x[10], x[50])
+            assert _outermost(np.abs(state_on(grid, *fields).u), 1e-6, x) == (x[10], x[50])
 
     def test_calibrated_state_peak_and_support(self):
         grid = Grid(-2.0, 2.0, 2048)
@@ -148,12 +158,13 @@ class TestSupNormAndSupport:
         assert st.sup_norm() == pytest.approx(
             a * np.max(np.abs(bump_profile(x, 1.0))), rel=1e-15
         )
-        left, right = support_interval(st, 1e-12)
+        left, right = support(st)
         assert -1.0 <= left < right <= 1.0
 
     def test_threshold_validation(self):
+        st = zero_state()
         with pytest.raises(ParameterError):
-            support_interval(zero_state(), 0.0)
+            _outermost(np.abs(st.u), 0.0, st.grid.nodes())
 
 
 class TestRecordWorkspace:
@@ -185,7 +196,7 @@ grid = hb.Grid(-8.0, 8.0, 16385)
 state0 = hb.sample_initial_state(
     params, grid, hb.calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
 out = hb.integrate(state0, params, t_end=0.01, record_stride=1)
-print(len(out.records), hb.moment_F(state0).hex())
+print(len(out.records), out.records[0].F.hex())
 print(" ".join(float(x).hex() for r in out.records for x in vars(r).values()))
 """
         src = str(Path(hyperburg.__file__).resolve().parents[1])

@@ -10,16 +10,14 @@ from hyperburg import (
     DomainError,
     ParameterError,
     amplitude_for_sup_norm,
-    bump_max_abs,
     bump_profile,
     calibrated_profile,
     sample_initial_state,
     validate_params,
 )
-from hyperburg.diagnostics import moment_F, moment_Fprime
+from hyperburg.diagnostics import compute_record
 from hyperburg import initial_data
 from hyperburg.initial_data import ProfileSpec
-from hyperburg.operators import trapezoid
 from hyperburg.solver import Grid
 
 
@@ -39,14 +37,17 @@ class TestBumpProfile:
         assert bump_profile(-x, L) == -bump_profile(x, L)
 
     def test_peak_closed_form_matches_dense_scan(self):
+        # amplitude_for_sup_norm(sup, L) = sup / max|psi|, in closed form.
         for L in (1.0, 3.0):
             x = np.linspace(-L, L, 2_000_001)
             dense = float(np.max(np.abs(bump_profile(x, L))))
-            assert bump_max_abs(L) == pytest.approx(dense, rel=1e-10)
+            assert 1.0 / amplitude_for_sup_norm(1.0, L) == pytest.approx(dense, rel=1e-10)
 
     def test_amplitude_for_sup_norm(self):
+        # The peak of |psi| is attained at x* = L sqrt(2 - sqrt(3)).
         a = amplitude_for_sup_norm(0.1, 2.0)
-        assert a * bump_max_abs(2.0) == pytest.approx(0.1, rel=1e-15)
+        x_star = 2.0 * math.sqrt(2.0 - math.sqrt(3.0))
+        assert a * bump_profile(x_star, 2.0) == pytest.approx(0.1, rel=1e-15)
 
 
 class TestCalibrate:
@@ -69,7 +70,7 @@ class TestCalibrate:
         # Independent high-order quadrature of int x*psi dx vs the
         # trapezoidal value the calibration divides by.
         x = self.grid.nodes()
-        m1_trapz = float(trapezoid(x * bump_profile(x, 1.0), dx=self.grid.dx))
+        m1_trapz = float(np.trapezoid(x * bump_profile(x, 1.0), dx=self.grid.dx))
         m1_quad, err = quad(
             lambda s: s * s * math.exp(1.0 / (s * s - 1.0)) if abs(s) < 1 else 0.0,
             -1.0, 1.0, limit=200, epsabs=1e-14,
@@ -120,8 +121,9 @@ class TestSampleInitialState:
         grid = Grid(-2.0, 2.0, 2048)
         prof = calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0)
         state = sample_initial_state(params, grid, prof)
-        assert abs(moment_F(state) - 40.0) <= 8 * np.spacing(40.0)
-        assert abs(moment_Fprime(state) - 200.0) <= 8 * np.spacing(200.0)
+        rec = compute_record(state, params)
+        assert abs(rec.F - 40.0) <= 8 * np.spacing(40.0)
+        assert abs(rec.Fprime - 200.0) <= 8 * np.spacing(200.0)
 
     def test_grid_must_contain_support(self):
         params = validate_params(1, 1, 1)
@@ -143,7 +145,7 @@ class TestSampleInitialState:
         x = grid.nodes()
         psi = bump_profile(x, 1.5)
         prof = calibrated_profile("odd_bump", 1.5, grid, 40.0, 200.0)
-        m1 = float(trapezoid(x * psi, dx=grid.dx))
+        m1 = float(np.trapezoid(x * psi, dx=grid.dx))
         assert (prof.a, prof.b) == (40.0 / m1, 200.0 / m1)
         state = sample_initial_state(params, grid, prof)
         want = np.stack((prof.a * psi, prof.b * psi))

@@ -1,0 +1,64 @@
+"""Print the size of the ``hyperburg`` package, in three numbers.
+
+* ``src_lines``: every line of the ``.py`` files under ``src/``, as ``wc -l``
+  counts them;
+* ``code_lines``: those lines that hold code, that is, not blank, not
+  comment-only and not inside a module, class or function docstring;
+* ``exports``: the number of names in ``hyperburg.__all__``.
+
+Usage, from the checkout root::
+
+    python tools/size.py
+
+Imports ``hyperburg`` from this checkout's ``src/``, not an installed copy.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+import hyperburg  # noqa: E402
+
+# Tokens that hold no code of their own.
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """Line numbers of the module's, its classes' and its functions' docstrings."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(text: str) -> int:
+    """Lines of ``text`` on which some token other than layout starts or ends
+    (a multi-line string covers all its lines), docstrings left out."""
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(text)))
+
+
+def main() -> None:
+    texts = [path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))]
+    print(f"src_lines {sum(text.count(chr(10)) for text in texts)}")
+    print(f"code_lines {sum(code_lines(text) for text in texts)}")
+    print(f"exports {len(hyperburg.__all__)}")
+
+
+if __name__ == "__main__":
+    main()
