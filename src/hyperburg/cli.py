@@ -19,13 +19,13 @@ Subcommands:
   Level k writes to ``<config directory>-n<n_k>``; --out DIR moves it under DIR.
 
 The HYPERBURG_OUT environment variable, when set, roots all relative
-output directories.  Numeric output is round-trip double precision.
+output directories.  Numeric output is round-trip double precision, and
+every JSON document printed is strict JSON: non-finite numbers are null.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +35,7 @@ from .certificate import build_certificate, check_moment_thresholds
 from .config import load_config, refinement_ladder
 from .errors import HyperburgError
 from .model import moment_thresholds, validate_params
-from .runner import certificate_dict, execute_config
+from .runner import certificate_dict, execute_config, json_text
 from .solver import Refinement, RunStatus
 from .suite import PRESET_NAMES, run_suite
 
@@ -88,16 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
-
-
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.out is not None:
         config = replace(config, output=replace(config.output, directory=args.out))
     report = execute_config(config)
-    _print_json(report.to_dict())
+    print(json_text(report.to_dict()))
     return _STATUS_EXIT[report.status]
 
 
@@ -105,14 +101,14 @@ def _cmd_thresholds(args) -> int:
     params = validate_params(args.mu, args.nu, args.L)
     f0_min, f1_min = moment_thresholds(params)
     met = check_moment_thresholds(params, args.F0, args.F1)
-    _print_json({"F0_min": f0_min, "F1_min": f1_min, "F0": args.F0, "F1": args.F1,
-                 "thresholds_met": met})
+    print(json_text({"F0_min": f0_min, "F1_min": f1_min, "F0": args.F0, "F1": args.F1,
+                     "thresholds_met": met}))
     return 0
 
 
 def _cmd_certificate(args) -> int:
     params = validate_params(args.mu, args.nu, args.L)
-    _print_json(certificate_dict(build_certificate(params, args.F0, args.F1), params))
+    print(json_text(certificate_dict(build_certificate(params, args.F0, args.F1), params)))
     return 0
 
 
@@ -141,7 +137,7 @@ def _cmd_convergence(args) -> int:
     else:
         doc.update(t_m_estimate=ref.t_detect[-1], converged=ref.converged, order=ref.order,
                    t_inf=ref.t_inf, t_inf_error=ref.t_inf_error)
-    _print_json(doc)
+    print(json_text(doc))
     return 1 if missed else 0
 
 

@@ -1,21 +1,35 @@
 """Run configuration: a single strict JSON document.
 
-Unknown keys are rejected at every level so typos in experiment definitions
-fail loudly instead of silently running defaults.  A normalized echo of the
-configuration is embedded in every run report, and re-running that echo
-reproduces the run bit for bit.
+The dataclasses :class:`RunConfig`, :class:`ICConfig` and
+:class:`OutputConfig` are the schema.  Their fields are the JSON keys, their
+defaults the JSON defaults (cfl 0.4, record_stride 1, blowup_threshold null,
+output directory "out", both emits true), and each ``__post_init__`` holds
+its block's value rules.  So a configuration built in code, by a preset or
+by ``dataclasses.replace`` is checked exactly as a JSON file is.
+
+:func:`config_from_dict` rejects unknown and missing keys at every level, so
+typos fail loudly instead of silently running defaults.  Every number must
+be finite; ``grid.n`` and ``record_stride`` must be integers; JSON null is
+accepted only for ``blowup_threshold``, where it means the default.  A
+normalized echo of the configuration is embedded in every run report, and
+re-running that echo reproduces the run bit for bit.  Non-finite numbers in
+any output document are written as null (see
+:func:`~hyperburg.runner.json_text`).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .initial_data import PROFILE_FAMILIES
 from .model import ModelParams, validate_params
 from .solver import Grid, check_domain_margin
@@ -24,17 +38,36 @@ __all__ = ["ICConfig", "OutputConfig", "RunConfig", "load_config", "refinement_l
            "resolve_output_dir"]
 
 OUTPUT_ROOT_ENV = "HYPERBURG_OUT"
+# The one key whose JSON value may be null.
+NULLABLE = "blowup_threshold"
+# How an error names the JSON type of the non-number fields.
+TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
 @dataclass(frozen=True)
 class ICConfig:
-    """Initial-condition block: moment targets or raw amplitudes."""
+    """Initial-condition block: both moment targets or both raw amplitudes."""
 
     family: str
     F0_target: Optional[float] = None
     F1_target: Optional[float] = None
     a: Optional[float] = None
     b: Optional[float] = None
+
+    def __post_init__(self):
+        if self.family not in PROFILE_FAMILIES:
+            raise ConfigError(f"ic.family must be one of {PROFILE_FAMILIES}, got {self.family!r}")
+        targets, raw = (self.F0_target, self.F1_target), (self.a, self.b)
+        has_targets = targets != (None, None)
+        if has_targets == (raw != (None, None)):
+            raise ConfigError("ic must give either both moment targets (F0_target, F1_target) "
+                              "or both raw amplitudes (a, b)")
+        given = targets if has_targets else raw
+        if None in given:
+            raise ConfigError("ic needs both F0_target and F1_target" if has_targets
+                              else "ic needs both amplitudes a and b")
+        if not all(map(math.isfinite, given)):
+            raise ConfigError(f"ic numbers must be finite, got {given}")
 
     @property
     def uses_targets(self) -> bool:
@@ -47,27 +80,38 @@ class OutputConfig:
     emit_csv: bool = True
     emit_report: bool = True
 
+    def __post_init__(self):
+        if not isinstance(self.directory, str) or not self.directory:
+            raise ConfigError(
+                f"output.directory must be a non-empty string, got {self.directory!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run.  The domain must shield its boundary up to ``t_end`` (see
+    :func:`~hyperburg.solver.check_domain_margin`, which also checks t_end)."""
+
     params: ModelParams
     grid: Grid
     t_end: float
     ic: ICConfig
-    output: OutputConfig
+    output: OutputConfig = OutputConfig()
     cfl: float = 0.4
     blowup_threshold: Optional[float] = None
     record_stride: int = 1
 
+    def __post_init__(self):
+        if not (0.0 < self.cfl <= 1.0):
+            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
+        if self.blowup_threshold is not None and not (0.0 < self.blowup_threshold < math.inf):
+            raise ConfigError(
+                f"blowup_threshold must be finite and > 0, got {self.blowup_threshold}")
+        if type(self.record_stride) is not int or self.record_stride < 1:
+            raise ConfigError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
+        check_domain_margin(self.grid, self.params, self.t_end)
+
     def to_dict(self) -> dict:
         """Normalized echo (defaults made explicit); re-runnable as-is."""
-        ic: dict[str, Any] = {"family": self.ic.family}
-        if self.ic.uses_targets:
-            ic["F0_target"] = self.ic.F0_target
-            ic["F1_target"] = self.ic.F1_target
-        else:
-            ic["a"] = self.ic.a
-            ic["b"] = self.ic.b
         return {
             "params": dict(vars(self.params)),
             "grid": dict(vars(self.grid)),
@@ -75,29 +119,56 @@ class RunConfig:
             "t_end": self.t_end,
             "blowup_threshold": self.blowup_threshold,
             "record_stride": self.record_stride,
-            "ic": ic,
+            "ic": {k: v for k, v in vars(self.ic).items() if v is not None},
             "output": dict(vars(self.output)),
         }
 
 
-def _require_keys(block: dict, allowed: set[str], required: set[str], where: str) -> None:
+@functools.cache
+def _schema(cls) -> tuple[dict[str, type], frozenset[str]]:
+    """Each field's value type (Optional unwrapped) and the required field
+    names of a config block's class, read once per class."""
+    hints = typing.get_type_hints(cls)
+    kinds = {name: (typing.get_args(hint) or (hint,))[0] for name, hint in hints.items()}
+    return kinds, frozenset(f.name for f in dataclasses.fields(cls)
+                            if f.default is dataclasses.MISSING)
+
+
+def _read(cls, block: Any, where: str):
+    """``cls`` built from the JSON object ``block``, named ``where`` in errors."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object, got {type(block).__name__}")
-    unknown = set(block) - allowed
+    kinds, required = _schema(cls)
+    unknown = block.keys() - kinds
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(block)
+    missing = required - block.keys()
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-
-
-def _number(block: dict, key: str, where: str) -> float:
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-    return float(value)
+    values = {}
+    for key, value in block.items():
+        kind = kinds[key]
+        if value is None and key == NULLABLE:
+            pass
+        elif kind is float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an integer past the largest double
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+        elif kind in TYPE_NAMES:  # bool is an int: no bool for an int field, nor int for a bool
+            if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+                raise ConfigError(f"{where}.{key} must be {TYPE_NAMES[kind]}, got {value!r}")
+        else:
+            value = _read(kind, value, key)
+        values[key] = value
+    try:
+        return validate_params(**values) if cls is ModelParams else cls(**values)
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -107,105 +178,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         ConfigError: on unknown/missing keys, bad values, or a grid that
             cannot causally shield its boundary up to t_end.
     """
-    _require_keys(
-        doc,
-        allowed={"params", "grid", "cfl", "t_end", "blowup_threshold",
-                 "record_stride", "ic", "output"},
-        required={"params", "grid", "t_end", "ic"},
-        where="config",
-    )
-
-    pb = doc["params"]
-    _require_keys(pb, {"mu", "nu", "L"}, {"mu", "nu", "L"}, "params")
-    try:
-        params = validate_params(pb["mu"], pb["nu"], pb["L"])
-    except Exception as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-    gb = doc["grid"]
-    _require_keys(gb, {"xmin", "xmax", "n"}, {"xmin", "xmax", "n"}, "grid")
-    n = gb["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ConfigError(f"grid.n must be an integer, got {n!r}")
-    try:
-        grid = Grid(_number(gb, "xmin", "grid"), _number(gb, "xmax", "grid"), n)
-    except Exception as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    t_end = _number(doc, "t_end", "config")
-    if not (t_end > 0.0):
-        raise ConfigError(f"t_end must be positive, got {t_end}")
-
-    cfl = _number(doc, "cfl", "config") if "cfl" in doc else 0.4
-    if not (0.0 < cfl <= 1.0):
-        raise ConfigError(f"cfl must lie in (0, 1], got {cfl}")
-
-    threshold = None
-    if doc.get("blowup_threshold") is not None:
-        threshold = _number(doc, "blowup_threshold", "config")
-        if not (threshold > 0.0):
-            raise ConfigError(f"blowup_threshold must be positive, got {threshold}")
-
-    stride = doc.get("record_stride", 1)
-    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
-        raise ConfigError(f"record_stride must be an integer >= 1, got {stride!r}")
-
-    ib = doc["ic"]
-    _require_keys(
-        ib,
-        allowed={"family", "F0_target", "F1_target", "a", "b"},
-        required={"family"},
-        where="ic",
-    )
-    family = ib["family"]
-    if family not in PROFILE_FAMILIES:
-        raise ConfigError(f"ic.family must be one of {PROFILE_FAMILIES}, got {family!r}")
-    has_targets = "F0_target" in ib or "F1_target" in ib
-    has_raw = "a" in ib or "b" in ib
-    if has_targets == has_raw:
-        raise ConfigError(
-            "ic must give either both moment targets (F0_target, F1_target) "
-            "or both raw amplitudes (a, b)"
-        )
-    if has_targets:
-        if "F0_target" not in ib or "F1_target" not in ib:
-            raise ConfigError("ic needs both F0_target and F1_target")
-        ic = ICConfig(
-            family=family,
-            F0_target=_number(ib, "F0_target", "ic"),
-            F1_target=_number(ib, "F1_target", "ic"),
-        )
-    else:
-        if "a" not in ib or "b" not in ib:
-            raise ConfigError("ic needs both amplitudes a and b")
-        ic = ICConfig(family=family, a=_number(ib, "a", "ic"), b=_number(ib, "b", "ic"))
-
-    ob = doc.get("output", {})
-    _require_keys(ob, {"directory", "emit_csv", "emit_report"}, set(), "output")
-    directory = ob.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError(f"output.directory must be a non-empty string, got {directory!r}")
-    for key in ("emit_csv", "emit_report"):
-        if key in ob and not isinstance(ob[key], bool):
-            raise ConfigError(f"output.{key} must be a boolean, got {ob[key]!r}")
-    output = OutputConfig(
-        directory=directory,
-        emit_csv=ob.get("emit_csv", True),
-        emit_report=ob.get("emit_report", True),
-    )
-
-    config = RunConfig(
-        params=params,
-        grid=grid,
-        t_end=t_end,
-        ic=ic,
-        output=output,
-        cfl=cfl,
-        blowup_threshold=threshold,
-        record_stride=stride,
-    )
-    check_domain_margin(grid, params, t_end)
-    return config
+    return _read(RunConfig, doc, "config")
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
@@ -213,7 +186,7 @@ def load_config(path: str | os.PathLike) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(doc)
 

@@ -11,7 +11,8 @@ Outputs per run:
 
 Numbers are serialized with round-trip precision (repr), so re-running the
 report's echoed config reproduces the CSV bit for bit; only the ``perf``
-timings of ``report.json`` vary between runs.
+timings of ``report.json`` vary between runs.  ``report.json`` and every
+JSON document the CLI prints are strict JSON (see :func:`json_text`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .initial_data import ProfileSpec, calibrated_profile, sample_initial_state
 from .model import ModelParams
 from .solver import GridState, RunOutcome, integrate
 
-__all__ = ["RunReport", "execute_config", "write_csv", "certificate_dict", "CSV_COLUMNS"]
+__all__ = ["RunReport", "execute_config", "write_csv", "certificate_dict", "json_text",
+           "CSV_COLUMNS"]
 
 # Every column but G_lower_bound is the DiagnosticsRecord field of its name.
 CSV_COLUMNS = ("t", "sup_norm", "F", "Fprime", "E1", "E2", "E3", "support_left",
@@ -68,8 +70,13 @@ class RunReport:
         return {f.name: copy.deepcopy(getattr(self, f.name))
                 for f in dataclasses.fields(self) if f.name != "outcome"}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+
+def json_text(doc) -> str:
+    """``doc`` as indented strict JSON (RFC 8259): a non-finite float, which
+    JSON cannot hold, is written as null.  ``doc`` itself is not changed."""
+    # json writes non-finite floats as Infinity and NaN tokens; read them back as null.
+    strict = json.loads(json.dumps(doc), parse_constant=lambda token: None)
+    return json.dumps(strict, indent=2, allow_nan=False)
 
 
 def _fmt(x: float) -> str:
@@ -227,5 +234,5 @@ def execute_config(
                        stepping_s=t_output - t_run - outcome.record_s,
                        records_s=outcome.record_s, output_s=perf_counter() - t_output)
     if report_path is not None:
-        report_path.write_text(report.to_json() + "\n", encoding="utf-8")
+        report_path.write_text(json_text(report.to_dict()) + "\n", encoding="utf-8")
     return report

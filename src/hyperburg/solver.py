@@ -78,9 +78,9 @@ class Grid:
     def __post_init__(self):
         if self.n < 8:
             raise ParameterError(f"grid needs n >= 8 nodes, got {self.n}")
-        if not (self.xmax > self.xmin):
+        if not (-math.inf < self.xmin < self.xmax < math.inf):
             raise ParameterError(
-                f"grid needs xmax > xmin, got [{self.xmin}, {self.xmax}]"
+                f"grid needs finite ends with xmax > xmin, got [{self.xmin}, {self.xmax}]"
             )
 
     @property
@@ -332,14 +332,18 @@ def step_rk4(
 
 
 def check_domain_margin(grid: Grid, params: ModelParams, t_end: float) -> None:
-    """Require the domain to causally shield the boundary up to t_end.
+    """Require a finite t_end > 0 and a domain that causally shields the
+    boundary up to t_end.
 
     The support stays inside {|x| <= L + c t}; the grid must extend at
     least SUPPORT_SLACK_NODES spacings beyond that on both sides.
 
     Raises:
-        ConfigError: when the margin is violated.
+        ConfigError: for a bad t_end, or when the margin is violated.
     """
+    if not (0.0 < t_end < math.inf):
+        raise ConfigError(f"t_end must be a finite number > 0, got {t_end!r}; "
+                          "give the run a positive, finite end time")
     reach = params.L + params.c * t_end + SUPPORT_SLACK_NODES * grid.dx
     if grid.xmax < reach or grid.xmin > -reach:
         raise ConfigError(
@@ -384,7 +388,7 @@ def integrate(
     bit-identical outcomes and records.
 
     Raises:
-        ConfigError: for a bad stride or grid margin, or a threshold at or
+        ConfigError: for a bad stride, t_end or grid margin, or a threshold at or
             below sup|v0|, which would report blow-up at the first step.
     """
     if record_stride < 1:

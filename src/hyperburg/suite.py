@@ -96,7 +96,7 @@ def _member(
     out_root: Optional[str | Path], tag: str, half_width: float, n: int,
     t_end: float, stride: int, ic: ICConfig, L: float = 1.0,
 ) -> RunConfig:
-    """One preset run: mu = nu = 1, cfl 0.4, files (if any) in out_root/tag."""
+    """One preset run: mu = nu = 1, the default cfl, files (if any) in out_root/tag."""
     files = out_root is not None
     output = OutputConfig(str(Path(out_root, tag)) if files else "unused", files, files)
     return RunConfig(
@@ -105,7 +105,6 @@ def _member(
         t_end=t_end,
         ic=ic,
         output=output,
-        cfl=0.4,
         record_stride=stride,
     )
 

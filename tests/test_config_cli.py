@@ -10,8 +10,8 @@ import pytest
 
 from hyperburg import ConfigError, RunStatus, calibrated_profile, sample_initial_state
 from hyperburg.cli import main
-from hyperburg.config import (config_from_dict, load_config, refinement_ladder,
-                              resolve_output_dir)
+from hyperburg.config import (ICConfig, OutputConfig, RunConfig, config_from_dict, load_config,
+                              refinement_ladder, resolve_output_dir)
 from hyperburg.operators import trapezoid_dot
 from hyperburg.runner import CSV_COLUMNS, execute_config
 from hyperburg.solver import stable_dt
@@ -76,6 +76,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="ic must give"):
             config_from_dict(doc)
 
+    def test_defaults_are_the_json_defaults(self):
+        doc = base_doc()
+        for key in ("cfl", "blowup_threshold", "record_stride", "output"):
+            del doc[key]
+        config = config_from_dict(doc)
+        assert config == RunConfig(config.params, config.grid, 1.0, config.ic)
+        echo = config.to_dict()
+        assert (echo["cfl"], echo["blowup_threshold"], echo["record_stride"]) == (0.4, None, 1)
+        assert echo["output"] == {"directory": "out", "emit_csv": True, "emit_report": True}
+        assert config_from_dict(echo) == config
+
     @pytest.mark.parametrize("mutate", [
         lambda d: d["grid"].update(n=256.0),
         lambda d: d["grid"].update(n=True),
@@ -85,6 +96,9 @@ class TestConfigParsing:
         lambda d: d.update(blowup_threshold=-5.0),
         lambda d: d["params"].update(mu=0.0),
         lambda d: d["ic"].update(family="gaussian"),
+        lambda d: d.update(ic={"family": "odd_bump", "a": None, "b": None,
+                               "F0_target": 40.0, "F1_target": 200.0}),
+        lambda d: d["output"].update(directory=""),
     ])
     def test_bad_values_rejected(self, mutate):
         doc = base_doc()
@@ -109,6 +123,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"{where} must be finite, got"):
             load_config(path)
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda c: RunConfig(c.params, c.grid, -1.0, c.ic), "t_end must be a finite number > 0"),
+        (lambda c: RunConfig(c.params, c.grid, 1.0, c.ic, cfl=1.5), r"cfl must lie in \(0, 1\]"),
+        (lambda c: RunConfig(c.params, c.grid, 1.0, c.ic, record_stride=0),
+         "record_stride must be an integer >= 1"),
+        (lambda c: RunConfig(c.params, c.grid, 1.0, c.ic, blowup_threshold=-5.0),
+         "blowup_threshold must be finite and > 0"),
+        (lambda c: RunConfig(c.params, c.grid, 1.0, c.ic, blowup_threshold=math.inf),
+         "blowup_threshold must be finite and > 0"),
+        (lambda c: dataclasses.replace(c, cfl=1.5), r"cfl must lie in \(0, 1\]"),
+        (lambda c: ICConfig("odd_bump"), "ic must give"),
+        (lambda c: ICConfig("odd_bump", a=1.0), "ic needs both amplitudes a and b"),
+        (lambda c: ICConfig("odd_bump", F1_target=200.0), "ic needs both F0_target and F1_target"),
+        (lambda c: ICConfig("odd_bump", 40.0, 200.0, 1.0, 0.0), "ic must give"),
+        (lambda c: ICConfig("gaussian", a=1.0, b=0.0), "ic.family must be one of"),
+        (lambda c: ICConfig("odd_bump", a=math.nan, b=0.0), "ic numbers must be finite"),
+        (lambda c: OutputConfig(""), "output.directory must be a non-empty string"),
+    ], ids=["t_end", "cfl", "record_stride", "blowup_threshold", "blowup_threshold-inf",
+            "replace", "ic-empty", "ic-half-raw", "ic-half-targets", "ic-both-modes", "ic-family",
+            "ic-nan", "output"])
+    def test_values_checked_however_built(self, build, match):
+        # A config built in code, or replaced, is checked as a JSON file is.
+        with pytest.raises(ConfigError, match=match):
+            build(config_from_dict(base_doc()))
+
     def test_margin_violation_rejected(self):
         doc = base_doc()
         doc["t_end"] = 10.0  # support would reach the boundary
@@ -121,6 +160,9 @@ class TestConfigParsing:
         assert load_config(path).t_end == 1.0
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(bad)
+        bad.write_bytes(b"\xff\xfe")  # not UTF-8
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(bad)
 
@@ -354,6 +396,31 @@ class TestCLI:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "null" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_rejects_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_overflowing_run_writes_strict_json(self, tmp_path, capsys):
+        # The t = 0 moments overflow: report.json and stdout write the
+        # non-finite numbers as null, which a strict parser accepts.
+        doc = blowup_doc(str(tmp_path / "o"))
+        doc["t_end"] = 2.0
+        doc["ic"]["F0_target"] = 1e307
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        main(["run", "--config", str(cfg)])
+
+        def reject(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        printed = json.loads(capsys.readouterr().out, parse_constant=reject)
+        written = json.loads(Path(printed["files"]["report"]).read_text(), parse_constant=reject)
+        assert printed["certificate"]["F0"] is None
+        assert {k: v for k, v in written.items() if k != "perf"} == {
+            k: v for k, v in printed.items() if k != "perf"}
 
     def test_run_numerical_failure_exit_code(self, tmp_path, capsys):
         doc = base_doc(str(tmp_path / "nf"))

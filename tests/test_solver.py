@@ -403,6 +403,13 @@ class TestActiveWindow:
         assert all(np.isfinite(s.v).all() for s in seen)
 
 
+@pytest.mark.parametrize("ends", [(-np.inf, np.inf), (-1.0, np.inf), (np.nan, 1.0), (1.0, -1.0)],
+                         ids=["infinite", "right-infinite", "nan", "reversed"])
+def test_grid_needs_finite_ordered_ends(ends):
+    with pytest.raises(ParameterError, match="grid needs finite ends with xmax > xmin"):
+        Grid(*ends, 256)
+
+
 def test_grid_nodes_computed_once_and_read_only():
     grid = Grid(-2.0, 2.0, 64)
     x = grid.nodes()
@@ -451,6 +458,16 @@ class TestIntegrate:
         params, state0 = small_state(dom=2.5)
         with pytest.raises(ConfigError, match="grid"):
             integrate(state0, params, t_end=10.0)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_bad_t_end_rejected_before_stepping(self, t_end):
+        # Blow-up data, so that a run which ignored t_end would still stop.
+        params = validate_params(1, 1, 1)
+        grid = Grid(-8.0, 8.0, 512)
+        state0 = sample_initial_state(
+            params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
+        with pytest.raises(ConfigError, match=r"t_end must be a finite number > 0, got"):
+            integrate(state0, params, t_end=t_end)
 
     def test_state_of_another_shape_rejected_before_stepping(self, monkeypatch):
         # A state is one (2, n) pair: a stack of B states, a block one node

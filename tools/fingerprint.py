@@ -8,9 +8,11 @@ over the bytes of one whole-grid ``step_rk4`` from a seeded random state
 that is nonzero at the grid ends, as no run's state is.
 Each run prints ``<name> <sha256>``, the hash over ``float.hex`` of the
 record fields named in ``RECORD_FIELDS``, the status, ``t_final``, the bytes
-of the final ``v`` and ``w``, the CSV bytes, and the report's ``sobolev``,
-``worst``, ``certificate`` and ``resolution`` blocks; the ``cone`` preset's
-cone maximum is printed as ``float.hex``.  Only these record fields and
+of the final ``v`` and ``w``, the CSV bytes, the report's ``sobolev``,
+``worst``, ``certificate`` and ``resolution`` blocks, and the ``report.json``
+bytes without their ``perf`` block, with the temporary directory's path
+replaced by ``ROOT``; the ``cone`` preset's cone maximum is printed as
+``float.hex``.  Only these record fields and
 ``v`` and ``w`` of a state are read, so the same script runs on any
 checkout that has them.  Usage, from the checkout root::
 
@@ -37,6 +39,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -66,6 +69,8 @@ C2_RUN = {
     "record_stride": 8,
     "ic": {"family": "odd_bump", "F0_target": 48.0, "F1_target": 640.0},
 }
+# The ``perf`` block of report.json: the only run-to-run varying bytes.
+PERF_BLOCK = re.compile(r',\n  "perf": \{[^}]*\}')
 # The dump's extra levels: the blowup ladder from 1025 nodes, up to 65537.
 LARGE_LEVELS = 7
 
@@ -81,7 +86,7 @@ def _hexed(x):
     return x
 
 
-def fingerprint(report) -> str:
+def fingerprint(report, root: Path) -> str:
     outcome = report.outcome
     h = hashlib.sha256()
     for rec in outcome.records:
@@ -92,6 +97,10 @@ def fingerprint(report) -> str:
     h.update(Path(report.files["csv"]).read_bytes())
     blocks = {name: getattr(report, name) for name in REPORT_BLOCKS}
     h.update(json.dumps(_hexed(blocks), sort_keys=True).encode())
+    written, blocks_cut = PERF_BLOCK.subn("", Path(report.files["report"]).read_text("utf-8"))
+    if blocks_cut != 1:
+        raise SystemExit(f"fingerprint: no single perf block in {report.files['report']}")
+    h.update(written.replace(str(root), "ROOT").encode())
     return h.hexdigest()
 
 
@@ -120,7 +129,7 @@ def fingerprint_runs(dump: dict | None) -> None:
 
         def emit(config, report):
             name = str(Path(config.output.directory).relative_to(root))
-            print(name, fingerprint(report), flush=True)
+            print(name, fingerprint(report, root), flush=True)
             if dump is not None:
                 dump[name] = record_rows(report)
 
