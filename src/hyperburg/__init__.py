@@ -21,7 +21,6 @@ from .model import (
     validate_params,
 )
 from .initial_data import (
-    ProfileSpec,
     amplitude_for_sup_norm,
     bump_profile,
     calibrated_profile,
@@ -50,7 +49,6 @@ from .certificate import (
     OracleResult,
     aux_ode_oracle,
     build_certificate,
-    check_moment_thresholds,
     comparison_check,
     epsilon_conditions_hold,
     epsilon_interval,
@@ -72,7 +70,7 @@ __all__ = [
     # model
     "ModelParams", "validate_params", "moment_thresholds",
     # initial data
-    "ProfileSpec", "bump_profile", "amplitude_for_sup_norm",
+    "bump_profile", "amplitude_for_sup_norm",
     "calibrated_profile", "sample_initial_state",
     # solver
     "Grid", "GridState", "RunStatus", "RunOutcome", "stable_dt",
@@ -81,7 +79,7 @@ __all__ = [
     # diagnostics
     "DiagnosticsRecord", "ConeMax", "identity_residual", "gronwall_check_E1",
     # certificate
-    "Certificate", "OracleResult", "check_moment_thresholds",
+    "Certificate", "OracleResult",
     "epsilon_conditions_hold", "epsilon_interval", "g_closed_form", "t_star",
     "aux_ode_oracle", "comparison_check", "build_certificate",
     # config / runner / suite

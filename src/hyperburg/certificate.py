@@ -49,7 +49,6 @@ from .diagnostics import DiagnosticsRecord
 __all__ = [
     "Certificate",
     "OracleResult",
-    "check_moment_thresholds",
     "epsilon_conditions_hold",
     "epsilon_interval",
     "g_closed_form",
@@ -72,8 +71,10 @@ class Certificate:
     condition supplies the upper endpoint, that endpoint itself is
     infeasible by zero margin, so consumers should sample strictly inside
     (``eps_chosen`` is the midpoint).  ``T_star`` is the blow-up time of
-    the minorant at ``eps_chosen``; it exists iff the interval is
-    nonempty.
+    the minorant at ``eps_chosen``, and ``T_star_tightest`` the one at the
+    interval's upper end, the least T* the construction reaches; both
+    exist iff the interval is nonempty.  ``dict(vars(certificate))`` is the
+    certificate block of ``report.json`` and of ``hyperburg certificate``.
     """
 
     F0: float
@@ -83,6 +84,7 @@ class Certificate:
     eps_chosen: Optional[float]
     G0: float
     T_star: Optional[float]
+    T_star_tightest: Optional[float]
 
     @property
     def feasible(self) -> bool:
@@ -111,12 +113,6 @@ class OracleResult:
     t: np.ndarray
     G: np.ndarray
     diverged: bool
-
-
-def check_moment_thresholds(params: ModelParams, F0: float, F1: float) -> bool:
-    """Strict verdict on the certified-blow-up moment thresholds."""
-    f0_min, f1_min = moment_thresholds(params)
-    return F0 > f0_min and F1 > f1_min
 
 
 def epsilon_conditions_hold(
@@ -284,19 +280,22 @@ def comparison_check(
 def build_certificate(params: ModelParams, F0: float, F1: float) -> Certificate:
     """Assemble the certificate for initial moments (F0, F1).
 
-    The threshold verdict is always computed; the eps interval only when
-    both moments are positive (the construction needs G0 > 0 and
-    F'(0) > 0).  G(0) = F0 by construction, so the t = 0 comparison
-    margin is exactly zero.
+    The threshold verdict (both moments strictly above
+    :func:`~hyperburg.model.moment_thresholds`) is always computed; the eps
+    interval only when both moments are positive (the construction needs
+    G0 > 0 and F'(0) > 0).  G(0) = F0 by construction, so the t = 0
+    comparison margin is exactly zero.
     """
+    f0_min, f1_min = moment_thresholds(params)
     interval = epsilon_interval(params, F0, F1) if F0 > 0.0 and F1 > 0.0 else None
     eps_chosen = None if interval is None else interval[0] + 0.5 * (interval[1] - interval[0])
     return Certificate(
         F0=F0,
         F1=F1,
-        thresholds_met=check_moment_thresholds(params, F0, F1),
+        thresholds_met=F0 > f0_min and F1 > f1_min,
         eps_interval=interval,
         eps_chosen=eps_chosen,
         G0=F0,
         T_star=None if eps_chosen is None else t_star(eps_chosen, F0, params),
+        T_star_tightest=None if interval is None else t_star(interval[1], F0, params),
     )

@@ -31,11 +31,11 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .certificate import build_certificate, check_moment_thresholds
+from .certificate import build_certificate
 from .config import load_config, refinement_ladder
 from .errors import HyperburgError
 from .model import moment_thresholds, validate_params
-from .runner import certificate_dict, execute_config, json_text
+from .runner import execute_config, json_text
 from .solver import Refinement, RunStatus
 from .suite import PRESET_NAMES, run_suite
 
@@ -100,7 +100,7 @@ def _cmd_run(args) -> int:
 def _cmd_thresholds(args) -> int:
     params = validate_params(args.mu, args.nu, args.L)
     f0_min, f1_min = moment_thresholds(params)
-    met = check_moment_thresholds(params, args.F0, args.F1)
+    met = build_certificate(params, args.F0, args.F1).thresholds_met
     print(json_text({"F0_min": f0_min, "F1_min": f1_min, "F0": args.F0, "F1": args.F1,
                      "thresholds_met": met}))
     return 0
@@ -108,7 +108,7 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_certificate(args) -> int:
     params = validate_params(args.mu, args.nu, args.L)
-    print(json_text(certificate_dict(build_certificate(params, args.F0, args.F1), params)))
+    print(json_text(dict(vars(build_certificate(params, args.F0, args.F1)))))
     return 0
 
 

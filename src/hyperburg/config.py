@@ -5,7 +5,9 @@ The dataclasses :class:`RunConfig`, :class:`ICConfig` and
 defaults the JSON defaults (cfl 0.4, record_stride 1, blowup_threshold null,
 output directory "out", both emits true), and each ``__post_init__`` holds
 its block's value rules.  So a configuration built in code, by a preset or
-by ``dataclasses.replace`` is checked exactly as a JSON file is.
+by ``dataclasses.replace`` is checked exactly as a JSON file is, and
+``ModelParams`` checks its own fields.  :class:`ICConfig` is also the
+library's one description of initial data.
 
 :func:`config_from_dict` rejects unknown and missing keys at every level, so
 typos fail loudly instead of silently running defaults.  Every number must
@@ -30,14 +32,14 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .errors import ConfigError, ParameterError
-from .initial_data import PROFILE_FAMILIES
-from .model import ModelParams, validate_params
+from .model import ModelParams
 from .solver import Grid, check_domain_margin
 
 __all__ = ["ICConfig", "OutputConfig", "RunConfig", "load_config", "refinement_ladder",
            "resolve_output_dir"]
 
 OUTPUT_ROOT_ENV = "HYPERBURG_OUT"
+PROFILE_FAMILIES = ("odd_bump",)
 # The one key whose JSON value may be null.
 NULLABLE = "blowup_threshold"
 # How an error names the JSON type of the non-number fields.
@@ -46,7 +48,10 @@ TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 @dataclass(frozen=True)
 class ICConfig:
-    """Initial-condition block: both moment targets or both raw amplitudes."""
+    """Initial data, in JSON and in the library: the amplitudes ``a`` of v and
+    ``b`` of dv/dt on ``family``'s profile of half-width ``params.L``, or both
+    moment targets, which :func:`~hyperburg.initial_data.calibrated_profile`
+    turns into amplitudes on the run grid."""
 
     family: str
     F0_target: Optional[float] = None
@@ -166,7 +171,7 @@ def _read(cls, block: Any, where: str):
             value = _read(kind, value, key)
         values[key] = value
     try:
-        return validate_params(**values) if cls is ModelParams else cls(**values)
+        return cls(**values)
     except ParameterError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

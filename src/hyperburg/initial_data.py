@@ -12,52 +12,30 @@ positive moment targets reachable.  Both fields share this shape:
     v(x, 0) = a * psi(x),      dv/dt(x, 0) = b * psi(x),
 
 and ``calibrated_profile`` picks (a, b) so the discrete moments hit their
-targets.  psi's support on a grid is computed once per grid and L.
+targets.  The initial data are described by a
+:class:`~hyperburg.config.ICConfig`, amplitudes or targets, and L is always
+the run's ``params.L``.  psi's support on a grid is computed once per grid
+and L.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ICConfig
 from .errors import CalibrationError, DomainError, ParameterError
 from .model import ModelParams
 from .solver import Grid, GridState
 
 __all__ = [
-    "ProfileSpec",
     "bump_profile",
     "amplitude_for_sup_norm",
     "calibrated_profile",
     "sample_initial_state",
 ]
-
-PROFILE_FAMILIES = ("odd_bump",)
-
-
-@dataclass(frozen=True)
-class ProfileSpec:
-    """Initial-condition profile: family plus amplitudes of v and dv/dt.
-
-    ``a`` scales the initial velocity field, ``b`` its time derivative; both
-    multiply the same bump of support half-width ``L``.
-    """
-
-    family: str
-    a: float
-    b: float
-    L: float
-
-    def __post_init__(self):
-        if self.family not in PROFILE_FAMILIES:
-            raise ParameterError(
-                f"unknown profile family {self.family!r}; known: {PROFILE_FAMILIES}"
-            )
-        if not (self.L > 0.0) or not math.isfinite(self.L):
-            raise ParameterError(f"L must be positive and finite, got {self.L!r}")
 
 
 def bump_profile(x, L: float):
@@ -110,8 +88,8 @@ def calibrated_profile(
     grid: Grid,
     F0_target: float,
     F1_target: float,
-) -> ProfileSpec:
-    """Profile whose sampled moments hit the targets: a = F0/m1, b = F1/m1.
+) -> ICConfig:
+    """Amplitudes whose sampled moments hit the targets: a = F0/m1, b = F1/m1.
 
     m1 = int x * psi dx is ``numpy.trapezoid`` on the run grid.  A record's
     moments apply the same rule as a dot product, summed in another order,
@@ -119,34 +97,39 @@ def calibrated_profile(
     offset.
 
     Raises:
-        ParameterError: for an unknown family or a bad L (checked first).
+        ConfigError: for an unknown family or a non-finite target (checked
+            first), or amplitudes past the largest double.
+        ParameterError: for a bad L (checked before any moment).
         CalibrationError: if the grid resolves no interior support nodes
             (m1 == 0) so the targets are unreachable.
     """
-    spec = ProfileSpec(family=family, a=0.0, b=0.0, L=L)
+    ICConfig(family, F0_target=F0_target, F1_target=F1_target)  # checks family and targets
+    if not (L > 0.0 and math.isfinite(L)):
+        raise ParameterError(f"L must be positive and finite, got {L!r}")
     m1 = float(np.trapezoid(grid.nodes() * _grid_bump(grid, L), dx=grid.dx))
     if not math.isfinite(m1) or m1 <= 0.0:
         raise CalibrationError(
             f"first moment of the profile is {m1!r} on this grid "
             f"(n={grid.n}, dx={grid.dx:.3g}); grid too coarse for L={L}"
         )
-    return replace(spec, a=F0_target / m1, b=F1_target / m1)
+    return ICConfig(family, a=F0_target / m1, b=F1_target / m1)
 
 
-def sample_initial_state(
-    params: ModelParams,
-    grid: Grid,
-    profile: ProfileSpec,
-) -> GridState:
-    """Sample the profile on the grid as the t = 0 state.
+def sample_initial_state(params: ModelParams, grid: Grid, ic: ICConfig) -> GridState:
+    """Sample ``ic`` on the grid as the t = 0 state, with support half-width
+    ``params.L``; a targets block is calibrated on this grid first.
 
     Raises:
+        CalibrationError: see :func:`calibrated_profile`.
         DomainError: unless the grid strictly contains the support [-L, L].
     """
-    if not (grid.xmin < -profile.L and grid.xmax > profile.L):
+    L = params.L
+    if ic.uses_targets:
+        ic = calibrated_profile(ic.family, L, grid, ic.F0_target, ic.F1_target)
+    if not (grid.xmin < -L and grid.xmax > L):
         raise DomainError(
             f"grid [{grid.xmin}, {grid.xmax}] does not strictly contain "
-            f"the initial support [-{profile.L}, {profile.L}]"
+            f"the initial support [-{L}, {L}]"
         )
-    psi = _grid_bump(grid, profile.L)
-    return GridState(grid, 0.0, np.stack((profile.a * psi, profile.b * psi)))
+    psi = _grid_bump(grid, L)
+    return GridState(grid, 0.0, np.stack((ic.a * psi, ic.b * psi)))

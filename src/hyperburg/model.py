@@ -26,17 +26,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Validated physical configuration.
+    """Physical configuration, checked however it is built: every field must
+    be a finite, strictly positive number.
 
     Attributes:
         mu: inertia coefficient (sets the damping time scale).
         nu: viscosity.
         L: half-width of the support of the initial data.
+
+    Raises:
+        ParameterError: naming the offending field.
     """
 
     mu: float
     nu: float
     L: float
+
+    def __post_init__(self):
+        for name in ("mu", "nu", "L"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
+            if value <= 0.0:
+                raise ParameterError(f"{name} must be positive, got {value!r}")
 
     @property
     def c(self) -> float:
@@ -45,24 +57,18 @@ class ModelParams:
 
 
 def validate_params(mu: float, nu: float, L: float) -> ModelParams:
-    """Validate raw numbers into :class:`ModelParams`.
-
-    Every argument must be a finite, strictly positive number; NaN and
-    infinities are rejected rather than propagated.
+    """:class:`ModelParams` from raw numbers, each converted with ``float``.
 
     Raises:
         ParameterError: naming the offending parameter.
     """
+    values = []
     for name, value in (("mu", mu), ("nu", nu), ("L", L)):
         try:
-            value = float(value)
+            values.append(float(value))
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"{name} must be a number, got {value!r}") from exc
-        if math.isnan(value) or math.isinf(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
-        if value <= 0.0:
-            raise ParameterError(f"{name} must be positive, got {value!r}")
-    return ModelParams(mu=float(mu), nu=float(nu), L=float(L))
+    return ModelParams(*values)
 
 
 def moment_thresholds(params: ModelParams) -> tuple[float, float]:

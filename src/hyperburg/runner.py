@@ -5,9 +5,11 @@ Outputs per run:
 * ``records.csv`` with exactly the columns ``CSV_COLUMNS``: record fields
   and G_lower_bound (empty where no minorant exists) - everything an
   acceptance check needs is recomputable from this file alone;
-* ``report.json`` with the config echo, the certificate, the outcome, the
-  worst-case value of every monitored inequality margin, ``resolution``
-  (see :func:`_resolution`) and ``perf`` (see :func:`execute_config`).
+* ``report.json`` with the config echo, the certificate (the fields of
+  :class:`~hyperburg.certificate.Certificate`, in their order), the
+  outcome, the worst-case value of every monitored inequality margin,
+  ``resolution`` (see :func:`_resolution`) and ``perf`` (see
+  :func:`execute_config`).
 
 Numbers are serialized with round-trip precision (repr), so re-running the
 report's echoed config reproduces the CSV bit for bit; only the ``perf``
@@ -28,14 +30,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics
-from .certificate import Certificate, build_certificate, comparison_check, t_star
+from .certificate import Certificate, build_certificate, comparison_check
 from .config import RunConfig, resolve_output_dir
-from .initial_data import ProfileSpec, calibrated_profile, sample_initial_state
+from .initial_data import sample_initial_state
 from .model import ModelParams
 from .solver import GridState, RunOutcome, integrate
 
-__all__ = ["RunReport", "execute_config", "write_csv", "certificate_dict", "json_text",
-           "CSV_COLUMNS"]
+__all__ = ["RunReport", "execute_config", "write_csv", "json_text", "CSV_COLUMNS"]
 
 # Every column but G_lower_bound is the DiagnosticsRecord field of its name.
 CSV_COLUMNS = ("t", "sup_norm", "F", "Fprime", "E1", "E2", "E3", "support_left",
@@ -95,23 +96,6 @@ def write_csv(path: Path, outcome: RunOutcome, certificate: Certificate,
         lines.append(",".join(g_cell if col == "G_lower_bound" else _fmt(getattr(rec, col))
                               for col in CSV_COLUMNS))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def certificate_dict(cert: Certificate, params: ModelParams) -> dict:
-    """The certificate as written to ``report.json`` and printed by the CLI."""
-    tight = None
-    if cert.feasible:
-        tight = t_star(cert.eps_interval[1], cert.G0, params)
-    return {
-        "F0": cert.F0,
-        "F1": cert.F1,
-        "thresholds_met": cert.thresholds_met,
-        "eps_interval": list(cert.eps_interval) if cert.feasible else None,
-        "eps_chosen": cert.eps_chosen,
-        "G0": cert.G0,
-        "T_star": cert.T_star,
-        "T_star_tightest": tight,
-    }
 
 
 def _worst_case(outcome: RunOutcome, cert: Certificate, params: ModelParams) -> dict:
@@ -174,7 +158,7 @@ def execute_config(
     config: RunConfig,
     observe: Optional[Callable[[GridState], None]] = None,
 ) -> RunReport:
-    """Build initial data, integrate, certify, aggregate, and persist.
+    """Sample ``config.ic``, integrate, certify, aggregate, and persist.
 
     Files go to :func:`~hyperburg.config.resolve_output_dir` of ``config``.
     ``observe`` is handed to :func:`~hyperburg.solver.integrate`.
@@ -184,12 +168,8 @@ def execute_config(
     the margins and the files).
     """
     t_setup = perf_counter()
-    params, grid, ic = config.params, config.grid, config.ic
-    if ic.uses_targets:
-        profile = calibrated_profile(ic.family, params.L, grid, ic.F0_target, ic.F1_target)
-    else:
-        profile = ProfileSpec(family=ic.family, a=ic.a, b=ic.b, L=params.L)
-    state0 = sample_initial_state(params, grid, profile)
+    params = config.params
+    state0 = sample_initial_state(params, config.grid, config.ic)
 
     t_run = perf_counter()
     outcome = integrate(
@@ -214,7 +194,7 @@ def execute_config(
         status=outcome.status.value,
         t_final=outcome.t_final,
         t_detect=outcome.t_detect,
-        certificate=certificate_dict(cert, params),
+        certificate=dict(vars(cert)),
         worst=_worst_case(outcome, cert, params),
         sobolev=dict(zip(("H2", "H3"), diagnostics.sobolev_norms(outcome.records, params))),
         n_records=len(outcome.records),

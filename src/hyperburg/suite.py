@@ -9,7 +9,8 @@ one result per assertion.  Tolerances are pinned here, once, for the whole
 package:
 
 * Cauchy-Schwarz slack: schwartz_gap >= -1e-10 (1 + F^2) at every record;
-* exponential energy bound: margin >= -1e-8 E1(0) on non-blow-up runs;
+* exponential energy bound: margin >= -1e-8 E1(0) on non-blow-up runs,
+  failed when no run has E1(0) > 0 to scale it;
 * moment-identity residual: checked at every level of its ladder, halving
   (dx, dt) shrinks it by >= 3x, and at the finest level it stays below 1e-4
   max(1/2 int v^2);
@@ -168,13 +169,14 @@ def _schwartz_check(reports: list[RunReport], tag: str) -> SuiteCheck:
 
 
 def _gronwall_check(reports: list[RunReport], tag: str) -> SuiteCheck:
+    """Fails, rather than passes unchecked, when no run has E1(0) > 0."""
+    name = f"{tag}: exp energy bound margin >= -1e-8 E1(0)"
     rels = [r.worst["gronwall_margin_rel"] for r in reports]
-    worst = min((rel for rel in rels if rel is not None), default=0.0)
-    return SuiteCheck(
-        name=f"{tag}: exp energy bound margin >= -1e-8 E1(0)",
-        passed=worst >= GRONWALL_REL_TOL,
-        detail=f"worst margin / E1(0) = {worst:.3e}",
-    )
+    if all(rel is None for rel in rels):
+        levels = [r.config["grid"]["n"] for r in reports]
+        return SuiteCheck(name, False, f"E1(0) = 0, no margin checked at n={levels}")
+    worst = min(rel for rel in rels if rel is not None)
+    return SuiteCheck(name, worst >= GRONWALL_REL_TOL, f"worst margin / E1(0) = {worst:.3e}")
 
 
 def _check_propagation(run: PresetRun) -> list[SuiteCheck]:
@@ -358,7 +360,7 @@ def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
         if lo_err > SCAN_STEP + 1e-9 or hi_err > SCAN_STEP + 1e-9:
             mismatches.append((g0, f1, f"endpoint errors {lo_err:.2e}/{hi_err:.2e}"))
     doc_interval = cert_mod.epsilon_interval(params, 100.0, 200.0)
-    doc_thresholds = cert_mod.check_moment_thresholds(params, 100.0, 200.0)
+    doc_thresholds = cert_mod.build_certificate(params, 100.0, 200.0).thresholds_met
     t_star = cert_mod.t_star(1.0, 64.0, params)
     oracle = cert_mod.aux_ode_oracle(1.0, 64.0, params, 0.9 * t_star)
     closed = np.array([cert_mod.g_closed_form(t, 1.0, 64.0, params) for t in oracle.t])

@@ -22,7 +22,7 @@ from hyperburg import (
 )
 from hyperburg import certificate as cert_mod
 from hyperburg import solver
-from hyperburg.config import config_from_dict
+from hyperburg.config import ICConfig, config_from_dict
 from hyperburg.diagnostics import gronwall_check_E1
 from hyperburg.errors import ConfigError
 from hyperburg.runner import execute_config, write_csv
@@ -83,7 +83,7 @@ def test_criterion_02_certificate_vs_brute_force():
                 or abs(scanned[1] - interval[1]) > 1e-4 + 1e-9):
             mismatches += 1
     documented_empty = cert_mod.epsilon_interval(UNIT, 100.0, 200.0) is None
-    documented_thresholds = cert_mod.check_moment_thresholds(UNIT, 100.0, 200.0)
+    documented_thresholds = cert_mod.build_certificate(UNIT, 100.0, 200.0).thresholds_met
     ok = mismatches == 0 and documented_empty and documented_thresholds
     check(2, "eps interval matches dense scan on 100 instances; documented "
              "threshold-passing case is infeasible", ok,
@@ -293,6 +293,18 @@ def test_identity_check_fails_when_no_residual_was_checked():
     failed = [c for c in check_preset(PresetRun("identity", configs, reports)) if not c.passed]
     assert [c.name for c in failed] == ["identity: residual checked at every level"]
     assert "n=[513, 1025, 2049]" in failed[0].detail
+
+
+def test_energy_check_fails_when_no_margin_was_checked():
+    # Zero data have E1(0) = 0, so the run gives no relative energy margin;
+    # a check that skipped every run must not pass.
+    base = preset_configs("smalldata")[0]
+    config = dataclasses.replace(base, ic=ICConfig("odd_bump", a=0.0, b=0.0), t_end=1.0)
+    report = execute_config(config)
+    assert report.worst["gronwall_margin_rel"] is None
+    failed = [c for c in check_preset(PresetRun("smalldata", [config], [report])) if not c.passed]
+    assert [c.name for c in failed] == ["smalldata: exp energy bound margin >= -1e-8 E1(0)"]
+    assert "n=[2048]" in failed[0].detail
 
 
 def test_unknown_preset_lists_valid_ones():

@@ -15,7 +15,6 @@ from hyperburg import (
     ParameterError,
     aux_ode_oracle,
     build_certificate,
-    check_moment_thresholds,
     comparison_check,
     epsilon_conditions_hold,
     epsilon_interval,
@@ -31,15 +30,15 @@ UNIT = validate_params(1, 1, 1)
 
 class TestMomentThresholdCheck:
     def test_certified_preset_passes(self):
-        assert check_moment_thresholds(UNIT, 40.0, 200.0)
+        assert build_certificate(UNIT, 40.0, 200.0).thresholds_met
 
     def test_boundary_is_strict(self):
         f0_min, f1_min = moment_thresholds(UNIT)
-        assert not check_moment_thresholds(UNIT, f0_min, 200.0)
-        assert not check_moment_thresholds(UNIT, 40.0, f1_min)
+        assert not build_certificate(UNIT, f0_min, 200.0).thresholds_met
+        assert not build_certificate(UNIT, 40.0, f1_min).thresholds_met
 
     def test_second_condition_alone_fails(self):
-        assert not check_moment_thresholds(UNIT, 1000.0, 0.0)
+        assert not build_certificate(UNIT, 1000.0, 0.0).thresholds_met
 
 
 class TestEpsilonInterval:
@@ -51,7 +50,7 @@ class TestEpsilonInterval:
     def test_threshold_passing_but_infeasible(self):
         # Large G0 pushes the blow-up condition above the slope cap even
         # though both standalone thresholds hold.
-        assert check_moment_thresholds(UNIT, 100.0, 200.0)
+        assert build_certificate(UNIT, 100.0, 200.0).thresholds_met
         assert epsilon_interval(UNIT, 100.0, 200.0) is None
 
     def test_coinciding_bounds_empty(self):

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperburg import ConfigError, RunStatus, calibrated_profile, sample_initial_state
+from hyperburg import (ConfigError, HyperburgError, ModelParams, RunStatus, calibrated_profile,
+                       sample_initial_state)
 from hyperburg.cli import main
 from hyperburg.config import (ICConfig, OutputConfig, RunConfig, config_from_dict, load_config,
                               refinement_ladder, resolve_output_dir)
@@ -147,6 +148,12 @@ class TestConfigParsing:
         # A config built in code, or replaced, is checked as a JSON file is.
         with pytest.raises(ConfigError, match=match):
             build(config_from_dict(base_doc()))
+
+    def test_params_built_in_code_are_checked(self):
+        # A ModelParams built directly holds the rules validate_params applies.
+        c = config_from_dict(base_doc())
+        with pytest.raises(HyperburgError, match="mu must be positive"):
+            RunConfig(ModelParams(-1.0, 1.0, 1.0), c.grid, 1.0, c.ic)
 
     def test_margin_violation_rejected(self):
         doc = base_doc()

@@ -23,7 +23,8 @@ from hyperburg import (
 )
 from hyperburg.diagnostics import (DiagnosticsRecord, RecordWorkspace, _outermost,
                                    compute_record, sobolev_norms)
-from hyperburg.initial_data import ProfileSpec, bump_profile
+from hyperburg.config import ICConfig
+from hyperburg.initial_data import bump_profile
 from hyperburg.operators import d1_central, d2_central, pde_rhs, trapezoid_dot
 from hyperburg.solver import Grid, GridState
 
@@ -120,7 +121,7 @@ class TestEnergy:
         assert err < 1e-9 * exact
         expected = 0.5 * 2.0 * exact
         grid = Grid(-1.25, 1.25, 16385)
-        st = sample_initial_state(params, grid, ProfileSpec("odd_bump", a, 0.0, 1.0))
+        st = sample_initial_state(params, grid, ICConfig("odd_bump", a=a, b=0.0))
         assert compute_record(st, params).E1 == pytest.approx(expected, rel=1e-6)
 
 
@@ -153,7 +154,7 @@ class TestSupNormAndSupport:
     def test_calibrated_state_peak_and_support(self):
         grid = Grid(-2.0, 2.0, 2048)
         a = amplitude_for_sup_norm(0.1, 1.0)
-        st = sample_initial_state(PARAMS, grid, ProfileSpec("odd_bump", a, 0.0, 1.0))
+        st = sample_initial_state(PARAMS, grid, ICConfig("odd_bump", a=a, b=0.0))
         x = grid.nodes()
         assert st.sup_norm() == pytest.approx(
             a * np.max(np.abs(bump_profile(x, 1.0))), rel=1e-15
@@ -173,7 +174,7 @@ class TestRecordWorkspace:
         # trajectory: every record is the standalone call's, bit for bit.
         a = amplitude_for_sup_norm(5.0, 1.0)
         grid = Grid(-3.0, 3.0, 512)
-        state0 = sample_initial_state(PARAMS, grid, ProfileSpec("odd_bump", a, 2.0, 1.0))
+        state0 = sample_initial_state(PARAMS, grid, ICConfig("odd_bump", a=a, b=2.0))
         states = []
         integrate(state0, PARAMS, t_end=0.2, record_stride=1, observe=states.append)
         work = RecordWorkspace(grid.n)
@@ -216,7 +217,7 @@ print(" ".join(float(x).hex() for r in out.records for x in vars(r).values()))
         # one stencil call per field.
         a = amplitude_for_sup_norm(5.0, 1.0)
         grid = Grid(-3.0, 3.0, 512)
-        st = sample_initial_state(PARAMS, grid, ProfileSpec("odd_bump", a, 2.0, 1.0))
+        st = sample_initial_state(PARAMS, grid, ICConfig("odd_bump", a=a, b=2.0))
         v, w, dx, mu, nu = st.v, st.w, grid.dx, PARAMS.mu, PARAMS.nu
         c2 = PARAMS.c ** 2
         _, v_tt = pde_rhs(v, w, dx, mu, nu)
@@ -400,7 +401,7 @@ class TestConeMax:
         params = validate_params(1, 1, 1)
         grid = Grid(-8.0, 8.0, 1024)
         a = amplitude_for_sup_norm(0.1, 1.0)
-        st0 = sample_initial_state(params, grid, ProfileSpec("odd_bump", a, 0.0, 1.0))
+        st0 = sample_initial_state(params, grid, ICConfig("odd_bump", a=a, b=0.0))
         cone = ConeMax(0.0, 4.0, params)
         out = integrate(st0, params, t_end=1.0, record_stride=1, observe=cone)
         assert cone.value == max(rec.sup_norm for rec in out.records)

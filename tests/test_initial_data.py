@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from hyperburg import (
     CalibrationError,
+    ConfigError,
     DomainError,
     ParameterError,
     amplitude_for_sup_norm,
@@ -17,7 +18,7 @@ from hyperburg import (
 )
 from hyperburg.diagnostics import compute_record
 from hyperburg import initial_data
-from hyperburg.initial_data import ProfileSpec
+from hyperburg.config import ICConfig
 from hyperburg.solver import Grid
 
 
@@ -85,25 +86,33 @@ class TestCalibrate:
             self.calibrated(40.0, 200.0, Grid(-50.0, 50.0, 8))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "family, L", [("gaussian", 1.0), ("odd_bump", 0.0), ("odd_bump", float("nan"))]
-    )
-    def test_bad_profile_rejected_before_calibration(self, family, L):
+    def test_overflowing_amplitude_rejected(self):
+        # a = F0 / m1 past the largest double is a config fault, not a NaN state.
+        with pytest.raises(ConfigError, match="ic numbers must be finite"):
+            self.calibrated(1e308, 200.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, L, error", [
+        ("gaussian", 1.0, ConfigError),
+        ("odd_bump", 0.0, ParameterError),
+        ("odd_bump", float("nan"), ParameterError),
+    ], ids=["gaussian-1.0", "odd_bump-0.0", "odd_bump-nan"])
+    def test_bad_profile_rejected_before_calibration(self, family, L, error):
         # On a grid too coarse to calibrate, a bad family or L is still the
         # reported fault, and no moment is computed from it.
-        with pytest.raises(ParameterError):
+        with pytest.raises(error):
             calibrated_profile(family, L, Grid(-50.0, 50.0, 8), 40.0, 200.0)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ParameterError, match="family"):
-            ProfileSpec("gaussian", 1.0, 0.0, 1.0)
+        with pytest.raises(ConfigError, match="family"):
+            ICConfig("gaussian", a=1.0, b=0.0)
 
 
 class TestSampleInitialState:
     def test_zero_amplitudes_give_zero_state(self):
         params = validate_params(1, 1, 1)
         grid = Grid(-2.0, 2.0, 256)
-        state = sample_initial_state(params, grid, ProfileSpec("odd_bump", 0.0, 0.0, 1.0))
+        state = sample_initial_state(params, grid, ICConfig("odd_bump", a=0.0, b=0.0))
         assert state.t == 0.0
         assert np.all(state.v == 0.0) and np.all(state.w == 0.0)
 
@@ -115,6 +124,16 @@ class TestSampleInitialState:
         x = grid.nodes()
         assert np.max(np.abs(state.v[np.abs(x) >= 1.0])) == 0.0
         assert np.max(np.abs(state.w[np.abs(x) >= 1.0])) == 0.0
+
+    def test_support_half_width_is_params_L(self):
+        # An amplitude block carries no L of its own: the support is params.L.
+        params = validate_params(1, 1, 1.5)
+        grid = Grid(-3.0, 3.0, 1024)
+        state = sample_initial_state(params, grid, ICConfig("odd_bump", a=1.0, b=0.5))
+        x = np.abs(grid.nodes())
+        for row in (state.v, state.w):
+            assert np.any(row[(x > 1.0) & (x < 1.5)] != 0.0)
+            assert not row[x >= 1.5].any()
 
     def test_moments_hit_targets_to_8_ulps(self):
         params = validate_params(1, 1, 1)
@@ -128,14 +147,10 @@ class TestSampleInitialState:
     def test_grid_must_contain_support(self):
         params = validate_params(1, 1, 1)
         with pytest.raises(DomainError, match="support"):
-            sample_initial_state(
-                params, Grid(-0.5, 0.5, 64), ProfileSpec("odd_bump", 1.0, 0.0, 1.0)
-            )
+            sample_initial_state(params, Grid(-0.5, 0.5, 64), ICConfig("odd_bump", a=1.0, b=0.0))
         # strict containment: grid ending exactly at the support edge fails
         with pytest.raises(DomainError):
-            sample_initial_state(
-                params, Grid(-1.0, 1.0, 64), ProfileSpec("odd_bump", 1.0, 0.0, 1.0)
-            )
+            sample_initial_state(params, Grid(-1.0, 1.0, 64), ICConfig("odd_bump", a=1.0, b=0.0))
 
     def test_bump_computed_once_per_grid_with_the_same_bits(self):
         # Calibrating and sampling share one read-only bump support per

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperburg import (
+    ModelParams,
     ParameterError,
     moment_thresholds,
     validate_params,
@@ -28,10 +29,16 @@ class TestValidateParams:
         ("L", (1, 1, 0)),
         ("mu", (float("nan"), 1, 1)),
         ("nu", (1, float("inf"), 1)),
+        ("mu", (-1.0, 1.0, 1.0)),
+        ("mu", (0.0, 1.0, 1.0)),
+        ("nu", (1.0, float("nan"), 1.0)),
     ])
     def test_bad_inputs_name_the_parameter(self, name, args):
+        # ModelParams holds the rules, so building it directly checks too.
         with pytest.raises(ParameterError, match=name):
             validate_params(*args)
+        with pytest.raises(ParameterError, match=name):
+            ModelParams(*map(float, args))
 
 
 class TestWaveSpeed:

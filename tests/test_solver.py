@@ -18,7 +18,7 @@ from hyperburg import (
     step_rk4,
     validate_params,
 )
-from hyperburg.initial_data import ProfileSpec
+from hyperburg.config import ICConfig
 from hyperburg import solver
 from hyperburg.diagnostics import compute_record
 from hyperburg.operators import DOT_SPLIT, RhsKernel, pde_rhs
@@ -38,7 +38,7 @@ def small_state(n=256, dom=2.5, sup=0.1, L=1.0):
     params = validate_params(1, 1, L)
     grid = Grid(-dom, dom, n)
     a = amplitude_for_sup_norm(sup, L)
-    return params, sample_initial_state(params, grid, ProfileSpec("odd_bump", a, 0.0, L))
+    return params, sample_initial_state(params, grid, ICConfig("odd_bump", a=a, b=0.0))
 
 
 class TestStableDt:
@@ -333,7 +333,7 @@ class TestActiveWindow:
         # whole-grid step turns those to +0.0, and so must the window.
         params = validate_params(1, 1, 1)
         grid = Grid(-13.0, 13.0, 1024)
-        state0 = sample_initial_state(params, grid, ProfileSpec("odd_bump", -2.0, 0.5, 1.0))
+        state0 = sample_initial_state(params, grid, ICConfig("odd_bump", a=-2.0, b=0.5))
         assert np.signbit(state0.v[state0.v == 0.0]).any()
         out, seen, _ = self.run_spied(monkeypatch, state0, params, 1.0, record_stride=5)
         chain = self.full_grid_chain(state0, params, out.dt, out.n_steps)
@@ -423,7 +423,7 @@ class TestIntegrate:
     def test_zero_data_completes_with_zero_records(self):
         params = validate_params(1, 1, 1)
         grid = Grid(-13.0, 13.0, 256)
-        state0 = sample_initial_state(params, grid, ProfileSpec("odd_bump", 0.0, 0.0, 1.0))
+        state0 = sample_initial_state(params, grid, ICConfig("odd_bump", a=0.0, b=0.0))
         out = integrate(state0, params, t_end=1.0, record_stride=16)
         assert out.status is RunStatus.COMPLETED
         for rec in out.records:
@@ -526,7 +526,7 @@ class TestIntegrate:
         params = validate_params(1, 1, 1)
         grid = Grid(-4.0, 4.0, 512)
         state0 = sample_initial_state(
-            params, grid, ProfileSpec("odd_bump", 1e9, 0.0, 1.0)
+            params, grid, ICConfig("odd_bump", a=1e9, b=0.0)
         )
         seen = []
         out = integrate(state0, params, t_end=1.0, blowup_threshold=1e307,

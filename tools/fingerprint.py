@@ -5,7 +5,9 @@ under a temporary directory, plus the ``blowup`` ladder at record stride 1
 and one certified blow-up run at mu = 0.25 (c = 2), shaped like a point of
 the benchmark sweep; every preset has c = 1.  It also prints ``step <sha256>``
 over the bytes of one whole-grid ``step_rk4`` from a seeded random state
-that is nonzero at the grid ends, as no run's state is.
+that is nonzero at the grid ends, as no run's state is, and ``cli <sha256>``
+over the stdout and exit codes of ``hyperburg certificate`` and
+``hyperburg thresholds``, run in-process on the inputs ``CLI_MOMENTS``.
 Each run prints ``<name> <sha256>``, the hash over ``float.hex`` of the
 record fields named in ``RECORD_FIELDS``, the status, ``t_final``, the bytes
 of the final ``v`` and ``w``, the CSV bytes, the report's ``sobolev``,
@@ -36,8 +38,10 @@ Imports ``hyperburg`` from this checkout's ``src/``, not an installed copy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import sys
@@ -48,6 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from hyperburg.cli import main as cli_main  # noqa: E402
 from hyperburg.config import config_from_dict, refinement_ladder  # noqa: E402
 from hyperburg.model import validate_params  # noqa: E402
 from hyperburg.runner import execute_config  # noqa: E402
@@ -69,6 +74,11 @@ C2_RUN = {
     "record_stride": 8,
     "ic": {"family": "odd_bump", "F0_target": 48.0, "F1_target": 640.0},
 }
+# (mu, F0, F1) at nu = L = 1 for the certificate and thresholds commands: the
+# certified blowup data; a pair past both thresholds with an empty eps
+# interval; the C2_RUN moments at c = 2; a negative F0.
+CLI_MOMENTS = ((1.0, 40.0, 200.0), (1.0, 100.0, 200.0), (0.25, 48.0, 640.0),
+               (1.0, -3.0, 200.0))
 # The ``perf`` block of report.json: the only run-to-run varying bytes.
 PERF_BLOCK = re.compile(r',\n  "perf": \{[^}]*\}')
 # The dump's extra levels: the blowup ladder from 1025 nodes, up to 65537.
@@ -117,6 +127,18 @@ def step_fingerprint() -> str:
     return h.hexdigest()
 
 
+def cli_fingerprint() -> str:
+    """sha256 of the stdout and exit codes of ``certificate`` and ``thresholds``
+    on every input of CLI_MOMENTS."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for mu, f0, f1 in CLI_MOMENTS:
+            for command in ("certificate", "thresholds"):
+                args = ["--mu", mu, "--nu", 1.0, "--L", 1.0, "--F0", f0, "--F1", f1]
+                print("exit", cli_main([command, *map(str, args)]))
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def record_rows(report) -> list[list[str]]:
     return [[float(getattr(rec, name)).hex() for name in RECORD_FIELDS]
             for rec in report.outcome.records]
@@ -145,6 +167,7 @@ def fingerprint_runs(dump: dict | None) -> None:
         config = config_from_dict({**C2_RUN, "output": output})
         emit(config, execute_config(config))
         print("step", step_fingerprint(), flush=True)
+        print("cli", cli_fingerprint(), flush=True)
         if dump is not None:
             base = preset_configs("blowup", root / "large")[0]
             for config in refinement_ladder(base, LARGE_LEVELS)[3:]:
