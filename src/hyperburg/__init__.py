@@ -18,7 +18,7 @@ from .errors import (
 from .model import (
     ModelParams,
     moment_thresholds,
-    validate_params,
+    validate_params,  # not in __all__: another name for ModelParams, for old callers
 )
 from .initial_data import (
     amplitude_for_sup_norm,
@@ -32,7 +32,7 @@ from .solver import (
     Refinement,
     RunOutcome,
     RunStatus,
-    check_domain_margin,
+    check_run,
     estimate_blowup_time,  # not in __all__: an alias of Refinement for old callers
     integrate,
     stable_dt,
@@ -68,14 +68,14 @@ __all__ = [
     "HyperburgError", "ParameterError", "ConfigError", "CalibrationError",
     "DomainError",
     # model
-    "ModelParams", "validate_params", "moment_thresholds",
+    "ModelParams", "moment_thresholds",
     # initial data
     "bump_profile", "amplitude_for_sup_norm",
     "calibrated_profile", "sample_initial_state",
     # solver
     "Grid", "GridState", "RunStatus", "RunOutcome", "stable_dt",
     "step_rk4", "integrate", "Refinement",
-    "check_domain_margin",
+    "check_run",
     # diagnostics
     "DiagnosticsRecord", "ConeMax", "identity_residual", "gronwall_check_E1",
     # certificate

@@ -5,9 +5,9 @@ The dataclasses :class:`RunConfig`, :class:`ICConfig` and
 defaults the JSON defaults (cfl 0.4, record_stride 1, blowup_threshold null,
 output directory "out", both emits true), and each ``__post_init__`` holds
 its block's value rules.  So a configuration built in code, by a preset or
-by ``dataclasses.replace`` is checked exactly as a JSON file is, and
-``ModelParams`` checks its own fields.  :class:`ICConfig` is also the
-library's one description of initial data.
+by ``dataclasses.replace`` is checked exactly as a JSON file is; the run's
+rules are :func:`~hyperburg.solver.check_run`'s, which ``integrate`` shares.
+:class:`ICConfig` is also the library's one description of initial data.
 
 :func:`config_from_dict` rejects unknown and missing keys at every level, so
 typos fail loudly instead of silently running defaults.  Every number must
@@ -33,7 +33,7 @@ from typing import Any, Optional
 
 from .errors import ConfigError, ParameterError
 from .model import ModelParams
-from .solver import Grid, check_domain_margin
+from .solver import Grid, check_run
 
 __all__ = ["ICConfig", "OutputConfig", "RunConfig", "load_config", "refinement_ladder",
            "resolve_output_dir"]
@@ -93,8 +93,8 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run.  The domain must shield its boundary up to ``t_end`` (see
-    :func:`~hyperburg.solver.check_domain_margin`, which also checks t_end)."""
+    """One run, checked by :func:`~hyperburg.solver.check_run`; among its
+    rules, the domain must shield its boundary up to ``t_end``."""
 
     params: ModelParams
     grid: Grid
@@ -106,14 +106,8 @@ class RunConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.blowup_threshold is not None and not (0.0 < self.blowup_threshold < math.inf):
-            raise ConfigError(
-                f"blowup_threshold must be finite and > 0, got {self.blowup_threshold}")
-        if type(self.record_stride) is not int or self.record_stride < 1:
-            raise ConfigError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
-        check_domain_margin(self.grid, self.params, self.t_end)
+        check_run(self.grid, self.params, self.t_end, self.cfl, self.blowup_threshold,
+                  self.record_stride)
 
     def to_dict(self) -> dict:
         """Normalized echo (defaults made explicit); re-runnable as-is."""

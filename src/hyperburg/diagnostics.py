@@ -154,11 +154,10 @@ def gronwall_check_E1(
     scale = 1.0 / (params.mu * params.c)
     running_max = 0.0
     worst = math.inf
-    with np.errstate(over="ignore"):
-        for rec in records:
-            running_max = max(running_max, rec.sup_norm)
-            bound = math.exp(min(running_max * scale * rec.t, 709.0)) * e1_0
-            worst = min(worst, bound - rec.E1)
+    for rec in records:
+        running_max = max(running_max, rec.sup_norm)
+        bound = math.exp(min(running_max * scale * rec.t, 709.0)) * e1_0
+        worst = min(worst, bound - rec.E1)
     return worst
 
 

@@ -8,11 +8,13 @@ with inertia ``mu > 0``, viscosity ``nu > 0``, and initial data compactly
 supported in ``[-L, L]``.  Disturbances propagate no faster than the wave
 speed ``c = sqrt(nu / mu)``, which makes the derived constants below the
 backbone of every propagation and blow-up check in this package.
+``validate_params`` is another name for :class:`ModelParams`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -26,8 +28,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration, checked however it is built: every field must
-    be a finite, strictly positive number.
+    """Physical configuration, checked however it is built: each field must be
+    a finite, strictly positive real number, not a bool, and is kept as a float.
 
     Attributes:
         mu: inertia coefficient (sets the damping time scale).
@@ -45,10 +47,17 @@ class ModelParams:
     def __post_init__(self):
         for name in ("mu", "nu", "L"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:  # an int past the largest double
+                value = math.inf
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
             if value <= 0.0:
                 raise ParameterError(f"{name} must be positive, got {value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def c(self) -> float:
@@ -56,19 +65,7 @@ class ModelParams:
         return math.sqrt(self.nu / self.mu)
 
 
-def validate_params(mu: float, nu: float, L: float) -> ModelParams:
-    """:class:`ModelParams` from raw numbers, each converted with ``float``.
-
-    Raises:
-        ParameterError: naming the offending parameter.
-    """
-    values = []
-    for name, value in (("mu", mu), ("nu", nu), ("L", L)):
-        try:
-            values.append(float(value))
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"{name} must be a number, got {value!r}") from exc
-    return ModelParams(*values)
+validate_params = ModelParams
 
 
 def moment_thresholds(params: ModelParams) -> tuple[float, float]:

@@ -52,7 +52,7 @@ __all__ = [
     "integrate",
     "Refinement",
     "estimate_blowup_time",
-    "check_domain_margin",
+    "check_run",
 ]
 
 # Nodes of slack the support of a healthy run may spill past L + c t.
@@ -69,13 +69,15 @@ STEP_ROWS = 12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform spatial mesh on [xmin, xmax] with n nodes."""
+    """Uniform spatial mesh on [xmin, xmax] with n nodes, n a Python int."""
 
     xmin: float
     xmax: float
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ParameterError(f"grid.n must be a Python int, got {self.n!r}; pass int(n)")
         if self.n < 8:
             raise ParameterError(f"grid needs n >= 8 nodes, got {self.n}")
         if not (-math.inf < self.xmin < self.xmax < math.inf):
@@ -172,9 +174,8 @@ def stable_dt(grid: Grid, params: ModelParams, cfl: float) -> float:
 
     dt = min(cfl * dx / c, mu).  The wave bound dominates at practical
     resolutions; the mu cap guards the stiff strongly-damped limit.
+    :func:`check_run`, not this formula, holds cfl in (0, 1].
     """
-    if not (0.0 < cfl <= 1.0):
-        raise ParameterError(f"cfl must lie in (0, 1], got {cfl}")
     return min(cfl * grid.dx / params.c, params.mu)
 
 
@@ -331,26 +332,32 @@ def step_rk4(
     return GridState(state.grid, state.t + dt, u_new)
 
 
-def check_domain_margin(grid: Grid, params: ModelParams, t_end: float) -> None:
-    """Require a finite t_end > 0 and a domain that causally shields the
-    boundary up to t_end.
+def check_run(grid: Grid, params: ModelParams, t_end: float, cfl: float,
+              blowup_threshold: Optional[float], record_stride: int) -> None:
+    """The one check of run arguments, for ``RunConfig`` and :func:`integrate`.
 
-    The support stays inside {|x| <= L + c t}; the grid must extend at
-    least SUPPORT_SLACK_NODES spacings beyond that on both sides.
+    In this order: cfl in (0, 1]; blowup_threshold None or finite and > 0;
+    record_stride an ``int`` (not a bool) >= 1; a finite t_end > 0; and a
+    grid reaching SUPPORT_SLACK_NODES spacings past +-(L + c t_end), as the
+    support stays inside |x| <= L + c t.
 
     Raises:
-        ConfigError: for a bad t_end, or when the margin is violated.
+        ConfigError: for the first rule broken.
     """
+    if not (0.0 < cfl <= 1.0):
+        raise ConfigError(f"cfl must lie in (0, 1], got {cfl}")
+    if blowup_threshold is not None and not (0.0 < blowup_threshold < math.inf):
+        raise ConfigError(f"blowup_threshold must be finite and > 0, got {blowup_threshold}")
+    if type(record_stride) is not int or record_stride < 1:
+        raise ConfigError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     if not (0.0 < t_end < math.inf):
         raise ConfigError(f"t_end must be a finite number > 0, got {t_end!r}; "
                           "give the run a positive, finite end time")
     reach = params.L + params.c * t_end + SUPPORT_SLACK_NODES * grid.dx
     if grid.xmax < reach or grid.xmin > -reach:
-        raise ConfigError(
-            f"grid [{grid.xmin}, {grid.xmax}] too small: support may reach "
-            f"+-{reach:.6g} by t={t_end} (speed c={params.c:.6g}, "
-            f"slack {SUPPORT_SLACK_NODES} nodes)"
-        )
+        raise ConfigError(f"grid [{grid.xmin}, {grid.xmax}] too small: support may reach "
+                          f"+-{reach:.6g} by t={t_end} (speed c={params.c:.6g}, "
+                          f"slack {SUPPORT_SLACK_NODES} nodes)")
 
 
 def integrate(
@@ -388,12 +395,11 @@ def integrate(
     bit-identical outcomes and records.
 
     Raises:
-        ConfigError: for a bad stride, t_end or grid margin, or a threshold at or
-            below sup|v0|, which would report blow-up at the first step.
+        ConfigError: with :func:`check_run`'s message wherever a ``RunConfig`` of
+            these arguments would raise, or for a threshold at or below sup|v0|,
+            which would report blow-up at the first step.
     """
-    if record_stride < 1:
-        raise ConfigError(f"record_stride must be >= 1, got {record_stride}")
-    check_domain_margin(state0.grid, params, t_end)
+    check_run(state0.grid, params, t_end, cfl, blowup_threshold, record_stride)
     if blowup_threshold is None:
         blowup_threshold = 1e6 * max(1.0, state0.sup_norm())
     elif not blowup_threshold > state0.sup_norm():

@@ -9,8 +9,7 @@ one result per assertion.  Tolerances are pinned here, once, for the whole
 package:
 
 * Cauchy-Schwarz slack: schwartz_gap >= -1e-10 (1 + F^2) at every record;
-* exponential energy bound: margin >= -1e-8 E1(0) on non-blow-up runs,
-  failed when no run has E1(0) > 0 to scale it;
+* exponential energy bound: margin >= -1e-8 E1(0) on non-blow-up runs;
 * moment-identity residual: checked at every level of its ladder, halving
   (dx, dt) shrinks it by >= 3x, and at the finest level it stays below 1e-4
   max(1/2 int v^2);
@@ -23,6 +22,8 @@ package:
 * certificate vs brute force: interval endpoints within 1e-4 of a dense
   eps scan on 100 seeded random instances;
 * minorant closed form vs adaptive integration: 1e-8 relative.
+
+A gate with a margin or T* missing fails: it does not pass unchecked.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import diagnostics
 from .config import ICConfig, OutputConfig, RunConfig, refinement_ladder
 from .errors import ConfigError
 from .initial_data import amplitude_for_sup_norm
-from .model import validate_params
+from .model import ModelParams
 from .runner import RunReport, execute_config
 from .solver import Grid, Refinement, RunStatus
 
@@ -101,7 +102,7 @@ def _member(
     files = out_root is not None
     output = OutputConfig(str(Path(out_root, tag)) if files else "unused", files, files)
     return RunConfig(
-        params=validate_params(1.0, 1.0, L),
+        params=ModelParams(1.0, 1.0, L),
         grid=Grid(-half_width, half_width, n),
         t_end=t_end,
         ic=ic,
@@ -159,24 +160,16 @@ def execute_preset(name: str, out_root: Optional[str | Path] = None) -> PresetRu
     return PresetRun(name, configs, reports, cone)
 
 
-def _schwartz_check(reports: list[RunReport], tag: str) -> SuiteCheck:
-    worst = min(r.worst["schwartz_gap_rel"] for r in reports)
-    return SuiteCheck(
-        name=f"{tag}: schwartz_gap >= -1e-10 (1+F^2) at every record",
-        passed=worst >= SCHWARTZ_REL_TOL,
-        detail=f"worst relative gap {worst:.3e}",
-    )
-
-
-def _gronwall_check(reports: list[RunReport], tag: str) -> SuiteCheck:
-    """Fails, rather than passes unchecked, when no run has E1(0) > 0."""
-    name = f"{tag}: exp energy bound margin >= -1e-8 E1(0)"
-    rels = [r.worst["gronwall_margin_rel"] for r in reports]
-    if all(rel is None for rel in rels):
-        levels = [r.config["grid"]["n"] for r in reports]
-        return SuiteCheck(name, False, f"E1(0) = 0, no margin checked at n={levels}")
-    worst = min(rel for rel in rels if rel is not None)
-    return SuiteCheck(name, worst >= GRONWALL_REL_TOL, f"worst margin / E1(0) = {worst:.3e}")
+def _worst_gate(reports: list[RunReport], key: str, bound: float, name: str,
+                detail: str) -> SuiteCheck:
+    """The gate min over ``reports`` of ``worst[key]`` >= ``bound``; ``detail``
+    formats that minimum.  Fails, rather than passes unchecked, when any
+    report has no value for ``key``, naming those levels."""
+    unchecked = [r.config["grid"]["n"] for r in reports if r.worst[key] is None]
+    if unchecked:
+        return SuiteCheck(name, False, f"no {key} checked at n={unchecked}")
+    worst = min(r.worst[key] for r in reports)
+    return SuiteCheck(name, worst >= bound, detail.format(worst))
 
 
 def _check_propagation(run: PresetRun) -> list[SuiteCheck]:
@@ -270,10 +263,7 @@ def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
         if ref.t_inf is not None:
             detail += (f", order p {ref.order:.3f}, "
                        f"t_inf {ref.t_inf:.5f} +- {ref.t_inf_error:.5f}")
-        t_star_ref = cert_mod.t_star(
-            BLOWUP_TSTAR_EPS, configs[0].ic.F0_target, configs[0].params
-        )
-        worst_cmp = min(r.worst["comparison_margin_rel"] for r in reports)
+        t_star = cert_mod.t_star(BLOWUP_TSTAR_EPS, configs[0].ic.F0_target, configs[0].params)
         checks += [
             SuiteCheck(
                 "blowup: refinement-converged detection time (<5% gap)",
@@ -282,14 +272,13 @@ def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
             ),
             SuiteCheck(
                 f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})",
-                estimate <= 1.1 * t_star_ref,
-                f"t_detect {estimate:.5f} vs 1.1 T* = {1.1 * t_star_ref:.5f}",
+                t_star is not None and estimate <= 1.1 * t_star,
+                f"t_detect {estimate:.5f} vs 1.1 T* = {1.1 * t_star:.5f}" if t_star is not None
+                else f"no T* at eps={BLOWUP_TSTAR_EPS}",
             ),
-            SuiteCheck(
-                "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
-                worst_cmp >= COMPARISON_REL_TOL,
-                f"worst relative margin {worst_cmp:.3e}",
-            ),
+            _worst_gate(reports, "comparison_margin_rel", COMPARISON_REL_TOL,
+                        "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
+                        "worst relative margin {:.3e}"),
         ]
     return checks
 
@@ -338,7 +327,7 @@ def epsilon_scan_oracle(params, G0: float, F1: float) -> Optional[tuple[float, f
 
 
 def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
-    params = validate_params(1.0, 1.0, 1.0)
+    params = ModelParams(1.0, 1.0, 1.0)
     rng = np.random.default_rng(SCAN_SEED)
     mismatches = []
     nonempty = 0
@@ -415,9 +404,13 @@ def check_preset(run: PresetRun) -> list[SuiteCheck]:
     """
     checks = _CHECKS[run.name](run)
     if run.reports:
-        checks.append(_schwartz_check(run.reports, run.name))
+        checks.append(_worst_gate(run.reports, "schwartz_gap_rel", SCHWARTZ_REL_TOL,
+                                  f"{run.name}: schwartz_gap >= -1e-10 (1+F^2) at every record",
+                                  "worst relative gap {:.3e}"))
         if run.name != "blowup":
-            checks.append(_gronwall_check(run.reports, run.name))
+            checks.append(_worst_gate(run.reports, "gronwall_margin_rel", GRONWALL_REL_TOL,
+                                      f"{run.name}: exp energy bound margin >= -1e-8 E1(0)",
+                                      "worst margin / E1(0) = {:.3e}"))
     return checks
 
 

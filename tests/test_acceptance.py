@@ -297,14 +297,30 @@ def test_identity_check_fails_when_no_residual_was_checked():
 
 def test_energy_check_fails_when_no_margin_was_checked():
     # Zero data have E1(0) = 0, so the run gives no relative energy margin;
-    # a check that skipped every run must not pass.
-    base = preset_configs("smalldata")[0]
-    config = dataclasses.replace(base, ic=ICConfig("odd_bump", a=0.0, b=0.0), t_end=1.0)
-    report = execute_config(config)
-    assert report.worst["gronwall_margin_rel"] is None
-    failed = [c for c in check_preset(PresetRun("smalldata", [config], [report])) if not c.passed]
-    assert [c.name for c in failed] == ["smalldata: exp energy bound margin >= -1e-8 E1(0)"]
-    assert "n=[2048]" in failed[0].detail
+    # a check that skipped a run must not pass, alone or beside a checked one.
+    data = dataclasses.replace(preset_configs("smalldata")[0], t_end=1.0)
+    zero = dataclasses.replace(data, ic=ICConfig("odd_bump", a=0.0, b=0.0))
+    reports = [execute_config(c) for c in (data, zero)]
+    assert [r.worst["gronwall_margin_rel"] is None for r in reports] == [False, True]
+    for configs, members in (([zero], reports[1:]), ([data, zero], reports)):
+        checks = check_preset(PresetRun("smalldata", configs, members))
+        failed = [c for c in checks if not c.passed]
+        assert [c.name for c in failed] == ["smalldata: exp energy bound margin >= -1e-8 E1(0)"]
+        assert "n=[2048]" in failed[0].detail
+
+
+def test_blowup_checks_fail_without_a_certificate():
+    # F0 = 10 is below F0_min: both levels still blow up, but no eps is
+    # feasible, so there is no comparison margin and no T* to gate on.
+    ic = ICConfig("odd_bump", F0_target=10.0, F1_target=400.0)
+    configs = [dataclasses.replace(c, ic=ic) for c in preset_configs("blowup")[:2]]
+    reports = [execute_config(c) for c in configs]
+    assert [r.certificate["eps_interval"] for r in reports] == [None, None]
+    checks = {c.name: c for c in check_preset(PresetRun("blowup", configs, reports))}
+    assert checks["blowup: detected at every resolution"].passed
+    comparison = checks["blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection"]
+    assert not comparison.passed and "n=[1025, 2049]" in comparison.detail
+    assert not checks[f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})"].passed
 
 
 def test_unknown_preset_lists_valid_ones():

@@ -150,7 +150,7 @@ class TestConfigParsing:
             build(config_from_dict(base_doc()))
 
     def test_params_built_in_code_are_checked(self):
-        # A ModelParams built directly holds the rules validate_params applies.
+        # ModelParams holds its own rules, so one built directly is checked too.
         c = config_from_dict(base_doc())
         with pytest.raises(HyperburgError, match="mu must be positive"):
             RunConfig(ModelParams(-1.0, 1.0, 1.0), c.grid, 1.0, c.ic)

@@ -40,6 +40,19 @@ class TestValidateParams:
         with pytest.raises(ParameterError, match=name):
             ModelParams(*map(float, args))
 
+    @pytest.mark.parametrize("build,args", [
+        (ModelParams, (True, 1, 1)),
+        (ModelParams, ("1.0", 1, 1)),
+        (validate_params, (10**400, 1, 1)),
+    ], ids=["bool", "str", "int-past-double"])
+    def test_non_numbers_and_huge_ints_name_the_parameter(self, build, args):
+        with pytest.raises(ParameterError, match="mu"):
+            build(*args)
+
+    def test_fields_stored_as_float(self):
+        p = ModelParams(1, 1, 1)
+        assert (type(p.mu), type(p.nu), type(p.L)) == (float, float, float)
+
 
 class TestWaveSpeed:
     @pytest.mark.parametrize("mu,nu,c", [(1, 1, 1.0), (1, 4, 2.0), (4, 1, 0.5)])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -18,7 +19,7 @@ from hyperburg import (
     step_rk4,
     validate_params,
 )
-from hyperburg.config import ICConfig
+from hyperburg.config import ICConfig, RunConfig
 from hyperburg import solver
 from hyperburg.diagnostics import compute_record
 from hyperburg.operators import DOT_SPLIT, RhsKernel, pde_rhs
@@ -28,7 +29,7 @@ from hyperburg.solver import (
     GridState,
     RunOutcome,
     StepWorkspace,
-    check_domain_margin,
+    check_run,
 )
 from hyperburg.suite import BLOWUP_TSTAR_EPS
 from hyperburg import certificate as cert
@@ -56,9 +57,10 @@ class TestStableDt:
 
     @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.5])
     def test_cfl_range(self, cfl):
+        # stable_dt is the formula only; check_run holds its cfl range.
         p = validate_params(1, 1, 1)
-        with pytest.raises(ParameterError):
-            stable_dt(Grid(0.0, 1.0, 16), p, cfl)
+        with pytest.raises(ConfigError, match="cfl"):
+            check_run(Grid(-8.0, 8.0, 1024), p, 6.5, cfl, None, 1)
 
 
 class TestStepRK4:
@@ -410,6 +412,12 @@ def test_grid_needs_finite_ordered_ends(ends):
         Grid(*ends, 256)
 
 
+@pytest.mark.parametrize("n", [512.5, np.int64(512)], ids=["float", "numpy-int"])
+def test_grid_needs_python_int_nodes(n):
+    with pytest.raises(ParameterError, match="grid.n must be a Python int"):
+        Grid(-8.0, 8.0, n)
+
+
 def test_grid_nodes_computed_once_and_read_only():
     grid = Grid(-2.0, 2.0, 64)
     x = grid.nodes()
@@ -745,6 +753,25 @@ class TestEstimateBlowupTime:
 
 def test_check_domain_margin_accepts_adequate_grid():
     params = validate_params(1, 1, 1)
-    check_domain_margin(Grid(-8.0, 8.0, 1024), params, 6.5)
+    check_run(Grid(-8.0, 8.0, 1024), params, 6.5, 0.4, None, 1)
     with pytest.raises(ConfigError):
-        check_domain_margin(Grid(-8.0, 8.0, 1024), params, 7.2)
+        check_run(Grid(-8.0, 8.0, 1024), params, 7.2, 0.4, None, 1)
+
+
+@pytest.mark.parametrize("bad", [
+    {"cfl": 0}, {"cfl": 1.5}, {"record_stride": 0}, {"record_stride": 2.5},
+    {"record_stride": True}, {"blowup_threshold": 0}, {"blowup_threshold": -5},
+    {"blowup_threshold": math.inf}, {"t_end": 0}, {"t_end": math.nan},
+], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+def test_run_config_and_integrate_reject_alike(bad):
+    # One owner of the run arguments' rules: a config and a direct call give
+    # the same error, naming the argument, for the same bad value.
+    params = validate_params(1, 1, 1)
+    grid = Grid(-8.0, 8.0, 512)
+    ic = ICConfig("odd_bump", F0_target=40.0, F1_target=200.0)
+    args = {"t_end": 2.0, **bad}
+    with pytest.raises(ConfigError, match=next(iter(bad))) as from_config:
+        RunConfig(params, grid, ic=ic, **args)
+    with pytest.raises(ConfigError) as from_integrate:
+        integrate(sample_initial_state(params, grid, ic), params, **args)
+    assert str(from_integrate.value) == str(from_config.value)

@@ -14,9 +14,12 @@ of the final ``v`` and ``w``, the CSV bytes, the report's ``sobolev``,
 ``worst``, ``certificate`` and ``resolution`` blocks, and the ``report.json``
 bytes without their ``perf`` block, with the temporary directory's path
 replaced by ``ROOT``; the ``cone`` preset's cone maximum is printed as
-``float.hex``.  Only these record fields and
-``v`` and ``w`` of a state are read, so the same script runs on any
-checkout that has them.  Usage, from the checkout root::
+``float.hex``.  Each preset also prints ``<preset> suite <sha256>``, the hash
+over the ``passed``, ``name`` and ``detail`` of every ``check_preset`` result
+for the run it executed, so the script covers ``hyperburg suite`` output too.
+Only these record fields and ``v`` and ``w`` of a state are read, so the
+same script runs on any checkout that has them.  Usage, from the checkout
+root::
 
     python tools/fingerprint.py > new.txt   # then diff against an old output
 
@@ -57,7 +60,8 @@ from hyperburg.config import config_from_dict, refinement_ladder  # noqa: E402
 from hyperburg.model import validate_params  # noqa: E402
 from hyperburg.runner import execute_config  # noqa: E402
 from hyperburg.solver import Grid, GridState, stable_dt, step_rk4  # noqa: E402
-from hyperburg.suite import PRESET_NAMES, execute_preset, preset_configs  # noqa: E402
+from hyperburg.suite import (  # noqa: E402
+    PRESET_NAMES, check_preset, execute_preset, preset_configs)
 
 RECORD_FIELDS = ("t", "F", "Fprime", "E1", "E2", "E3", "sup_norm", "support_left",
                  "support_right", "schwartz_gap", "half_int_v2", "int_vxt2", "int_vxtt2",
@@ -139,6 +143,14 @@ def cli_fingerprint() -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def suite_fingerprint(run) -> str:
+    """sha256 of the passed flag, name and detail of each check of ``run``."""
+    h = hashlib.sha256()
+    for check in check_preset(run):
+        h.update(f"{check.passed}\n{check.name}\n{check.detail}\n".encode())
+    return h.hexdigest()
+
+
 def record_rows(report) -> list[list[str]]:
     return [[float(getattr(rec, name)).hex() for name in RECORD_FIELDS]
             for rec in report.outcome.records]
@@ -161,6 +173,7 @@ def fingerprint_runs(dump: dict | None) -> None:
                 emit(config, report)
             if run.cone is not None:
                 print(f"{name} cone_max {run.cone.value.hex()}")
+            print(name, "suite", suite_fingerprint(run), flush=True)
         for config in preset_configs("blowup", root / "stride1"):
             emit(config, execute_config(dataclasses.replace(config, record_stride=1)))
         output = {"directory": str(root / "c2"), "emit_csv": True, "emit_report": True}
