@@ -4,19 +4,19 @@ The dataclasses :class:`RunConfig`, :class:`ICConfig` and
 :class:`OutputConfig` are the schema.  Their fields are the JSON keys, their
 defaults the JSON defaults (cfl 0.4, record_stride 1, blowup_threshold null,
 output directory "out", both emits true), and each ``__post_init__`` holds
-its block's value rules.  So a configuration built in code, by a preset or
-by ``dataclasses.replace`` is checked exactly as a JSON file is; the run's
-rules are :func:`~hyperburg.solver.check_run`'s, which ``integrate`` shares.
+its block's value rules, however the block is built; the run's rules are
+:func:`~hyperburg.solver.check_run`'s, which ``integrate`` shares.
 :class:`ICConfig` is also the library's one description of initial data.
 
 :func:`config_from_dict` rejects unknown and missing keys at every level, so
 typos fail loudly instead of silently running defaults.  Every number must
-be finite; ``grid.n`` and ``record_stride`` must be integers; JSON null is
-accepted only for ``blowup_threshold``, where it means the default.  A
-normalized echo of the configuration is embedded in every run report, and
-re-running that echo reproduces the run bit for bit.  Non-finite numbers in
-any output document are written as null (see
-:func:`~hyperburg.runner.json_text`).
+be finite and pass :func:`~hyperburg.model._real`, the one real-number rule
+(a real number, not a bool, kept as a float); ``grid.n`` and
+``record_stride`` must be Python ints; JSON null is accepted only for
+``blowup_threshold``, where it means the default.  Every run report embeds
+a normalized echo of the configuration, and re-running that echo reproduces
+the run bit for bit.  Non-finite numbers in any output document are written
+as null (see :func:`~hyperburg.runner.json_text`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .errors import ConfigError, ParameterError
-from .model import ModelParams
+from .model import ModelParams, _real
 from .solver import Grid, check_run
 
 __all__ = ["ICConfig", "OutputConfig", "RunConfig", "load_config", "refinement_ladder",
@@ -40,10 +40,6 @@ __all__ = ["ICConfig", "OutputConfig", "RunConfig", "load_config", "refinement_l
 
 OUTPUT_ROOT_ENV = "HYPERBURG_OUT"
 PROFILE_FAMILIES = ("odd_bump",)
-# The one key whose JSON value may be null.
-NULLABLE = "blowup_threshold"
-# How an error names the JSON type of the non-number fields.
-TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -62,17 +58,18 @@ class ICConfig:
     def __post_init__(self):
         if self.family not in PROFILE_FAMILIES:
             raise ConfigError(f"ic.family must be one of {PROFILE_FAMILIES}, got {self.family!r}")
-        targets, raw = (self.F0_target, self.F1_target), (self.a, self.b)
-        has_targets = targets != (None, None)
-        if has_targets == (raw != (None, None)):
+        has_targets = (self.F0_target, self.F1_target) != (None, None)
+        if has_targets == ((self.a, self.b) != (None, None)):
             raise ConfigError("ic must give either both moment targets (F0_target, F1_target) "
                               "or both raw amplitudes (a, b)")
-        given = targets if has_targets else raw
-        if None in given:
-            raise ConfigError("ic needs both F0_target and F1_target" if has_targets
-                              else "ic needs both amplitudes a and b")
-        if not all(map(math.isfinite, given)):
-            raise ConfigError(f"ic numbers must be finite, got {given}")
+        for name in ("F0_target", "F1_target") if has_targets else ("a", "b"):
+            if getattr(self, name) is None:
+                raise ConfigError("ic needs both F0_target and F1_target" if has_targets
+                                  else "ic needs both amplitudes a and b")
+            value = _real(getattr(self, name), f"ic.{name}", ConfigError)
+            if not math.isfinite(value):
+                raise ConfigError(f"ic numbers must be finite, got {name}={value!r}")
+            object.__setattr__(self, name, value)
 
     @property
     def uses_targets(self) -> bool:
@@ -89,6 +86,9 @@ class OutputConfig:
         if not isinstance(self.directory, str) or not self.directory:
             raise ConfigError(
                 f"output.directory must be a non-empty string, got {self.directory!r}")
+        for name in ("emit_csv", "emit_report"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"output.{name} must be a boolean, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,10 @@ class RunConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        check_run(self.grid, self.params, self.t_end, self.cfl, self.blowup_threshold,
-                  self.record_stride)
+        checked = check_run(self.grid, self.params, self.t_end, self.cfl, self.blowup_threshold,
+                            self.record_stride)
+        for name, value in zip(("t_end", "cfl", "blowup_threshold"), checked):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """Normalized echo (defaults made explicit); re-runnable as-is."""
@@ -146,23 +148,12 @@ def _read(cls, block: Any, where: str):
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
     values = {}
     for key, value in block.items():
-        kind = kinds[key]
-        if value is None and key == NULLABLE:
-            pass
-        elif kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:  # an integer past the largest double
-                value = math.inf
+        if kinds[key] is float and not (value is None and key == "blowup_threshold"):
+            value = _real(value, f"{where}.{key}", ConfigError)
             if not math.isfinite(value):
                 raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-        elif kind in TYPE_NAMES:  # bool is an int: no bool for an int field, nor int for a bool
-            if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-                raise ConfigError(f"{where}.{key} must be {TYPE_NAMES[kind]}, got {value!r}")
-        else:
-            value = _read(kind, value, key)
+        elif kinds[key] not in (float, int, bool, str):
+            value = _read(kinds[key], value, key)
         values[key] = value
     try:
         return cls(**values)
@@ -195,10 +186,10 @@ def refinement_ladder(base: RunConfig, levels: int) -> list[RunConfig]:
 
     Each level halves dx (and so the CFL dt) exactly and writes to
     ``<base directory>-n<n_k>``; all else is ``base``'s.  Steps nothing.
-    Raises ConfigError for fewer than 2 levels.
+    Raises ConfigError unless ``levels`` is an int >= 2.
     """
-    if levels < 2:
-        raise ConfigError(f"a refinement ladder needs levels >= 2, got {levels}")
+    if type(levels) is not int or levels < 2:
+        raise ConfigError(f"a refinement ladder needs integer levels >= 2, got {levels!r}")
     ns = [(base.grid.n - 1) * 2**k + 1 for k in range(levels)]
     return [replace(base, grid=replace(base.grid, n=n),
                     output=replace(base.output, directory=f"{base.output.directory}-n{n}"))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ICConfig
 from .errors import CalibrationError, DomainError, ParameterError
-from .model import ModelParams
+from .model import ModelParams, _real
 from .solver import Grid, GridState
 
 __all__ = [
@@ -103,16 +103,15 @@ def calibrated_profile(
         CalibrationError: if the grid resolves no interior support nodes
             (m1 == 0) so the targets are unreachable.
     """
-    ICConfig(family, F0_target=F0_target, F1_target=F1_target)  # checks family and targets
+    targets = ICConfig(family, F0_target=F0_target, F1_target=F1_target)  # checks them
+    L = _real(L, "L", ParameterError)
     if not (L > 0.0 and math.isfinite(L)):
         raise ParameterError(f"L must be positive and finite, got {L!r}")
     m1 = float(np.trapezoid(grid.nodes() * _grid_bump(grid, L), dx=grid.dx))
     if not math.isfinite(m1) or m1 <= 0.0:
-        raise CalibrationError(
-            f"first moment of the profile is {m1!r} on this grid "
-            f"(n={grid.n}, dx={grid.dx:.3g}); grid too coarse for L={L}"
-        )
-    return ICConfig(family, a=F0_target / m1, b=F1_target / m1)
+        raise CalibrationError(f"first moment of the profile is {m1!r} on this grid "
+                               f"(n={grid.n}, dx={grid.dx:.3g}); grid too coarse for L={L}")
+    return ICConfig(family, a=targets.F0_target / m1, b=targets.F1_target / m1)
 
 
 def sample_initial_state(params: ModelParams, grid: Grid, ic: ICConfig) -> GridState:

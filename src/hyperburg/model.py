@@ -17,7 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import HyperburgError, ParameterError
 
 __all__ = [
     "ModelParams",
@@ -26,18 +26,27 @@ __all__ = [
 ]
 
 
+def _real(value, name: str, error: type[HyperburgError]) -> float:
+    """The package's one real-number rule: a real ``value`` (numpy scalars
+    too), not a bool, as a Python float, an int past the largest double as
+    inf; else ``error``, "<name> must be a number".  Floats skip the ABC test."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical configuration, checked however it is built: each field must be
-    a finite, strictly positive real number, not a bool, and is kept as a float.
+    """Physical configuration: each field passes :func:`_real` and must be
+    finite and > 0, or a ParameterError names it.
 
     Attributes:
         mu: inertia coefficient (sets the damping time scale).
         nu: viscosity.
         L: half-width of the support of the initial data.
-
-    Raises:
-        ParameterError: naming the offending field.
     """
 
     mu: float
@@ -46,13 +55,7 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("mu", "nu", "L"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ParameterError(f"{name} must be a number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:  # an int past the largest double
-                value = math.inf
+            value = _real(getattr(self, name), name, ParameterError)
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
             if value <= 0.0:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, RecordWorkspace, compute_record
 from .errors import ConfigError, ParameterError
-from .model import ModelParams
+from .model import ModelParams, _real
 from .operators import RhsKernel
 
 __all__ = [
@@ -80,10 +80,11 @@ class Grid:
             raise ParameterError(f"grid.n must be a Python int, got {self.n!r}; pass int(n)")
         if self.n < 8:
             raise ParameterError(f"grid needs n >= 8 nodes, got {self.n}")
+        for end in ("xmin", "xmax"):
+            object.__setattr__(self, end, _real(getattr(self, end), f"grid.{end}", ParameterError))
         if not (-math.inf < self.xmin < self.xmax < math.inf):
-            raise ParameterError(
-                f"grid needs finite ends with xmax > xmin, got [{self.xmin}, {self.xmax}]"
-            )
+            raise ParameterError(f"grid needs finite ends with xmax > xmin, "
+                                 f"got [{self.xmin}, {self.xmax}]")
 
     @property
     def dx(self) -> float:
@@ -333,21 +334,25 @@ def step_rk4(
 
 
 def check_run(grid: Grid, params: ModelParams, t_end: float, cfl: float,
-              blowup_threshold: Optional[float], record_stride: int) -> None:
+              blowup_threshold: Optional[float],
+              record_stride: int) -> tuple[float, float, Optional[float]]:
     """The one check of run arguments, for ``RunConfig`` and :func:`integrate`.
 
-    In this order: cfl in (0, 1]; blowup_threshold None or finite and > 0;
-    record_stride an ``int`` (not a bool) >= 1; a finite t_end > 0; and a
-    grid reaching SUPPORT_SLACK_NODES spacings past +-(L + c t_end), as the
-    support stays inside |x| <= L + c t.
+    Numbers pass :func:`~hyperburg.model._real`, then in order: cfl in (0, 1];
+    blowup_threshold None or finite and > 0; record_stride an ``int`` (not a
+    bool) >= 1; a finite t_end > 0; a grid SUPPORT_SLACK_NODES spacings past
+    the support's reach +-(L + c t_end).  Returns ``(t_end, cfl, blowup_threshold)``.
 
     Raises:
         ConfigError: for the first rule broken.
     """
+    cfl, t_end = _real(cfl, "cfl", ConfigError), _real(t_end, "t_end", ConfigError)
     if not (0.0 < cfl <= 1.0):
         raise ConfigError(f"cfl must lie in (0, 1], got {cfl}")
-    if blowup_threshold is not None and not (0.0 < blowup_threshold < math.inf):
-        raise ConfigError(f"blowup_threshold must be finite and > 0, got {blowup_threshold}")
+    if blowup_threshold is not None:
+        blowup_threshold = _real(blowup_threshold, "blowup_threshold", ConfigError)
+        if not (0.0 < blowup_threshold < math.inf):
+            raise ConfigError(f"blowup_threshold must be finite and > 0, got {blowup_threshold}")
     if type(record_stride) is not int or record_stride < 1:
         raise ConfigError(f"record_stride must be an integer >= 1, got {record_stride!r}")
     if not (0.0 < t_end < math.inf):
@@ -358,6 +363,7 @@ def check_run(grid: Grid, params: ModelParams, t_end: float, cfl: float,
         raise ConfigError(f"grid [{grid.xmin}, {grid.xmax}] too small: support may reach "
                           f"+-{reach:.6g} by t={t_end} (speed c={params.c:.6g}, "
                           f"slack {SUPPORT_SLACK_NODES} nodes)")
+    return t_end, cfl, blowup_threshold
 
 
 def integrate(
@@ -399,7 +405,8 @@ def integrate(
             these arguments would raise, or for a threshold at or below sup|v0|,
             which would report blow-up at the first step.
     """
-    check_run(state0.grid, params, t_end, cfl, blowup_threshold, record_stride)
+    t_end, cfl, blowup_threshold = check_run(state0.grid, params, t_end, cfl,
+                                             blowup_threshold, record_stride)
     if blowup_threshold is None:
         blowup_threshold = 1e6 * max(1.0, state0.sup_norm())
     elif not blowup_threshold > state0.sup_norm():

@@ -7,15 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperburg import (ConfigError, HyperburgError, ModelParams, RunStatus, calibrated_profile,
-                       sample_initial_state)
+                       integrate, sample_initial_state)
 from hyperburg.cli import main
 from hyperburg.config import (ICConfig, OutputConfig, RunConfig, config_from_dict, load_config,
                               refinement_ladder, resolve_output_dir)
 from hyperburg.operators import trapezoid_dot
 from hyperburg.runner import CSV_COLUMNS, execute_config
-from hyperburg.solver import stable_dt
+from hyperburg.solver import Grid, stable_dt
 from hyperburg.suite import preset_configs
 
 
@@ -148,6 +149,64 @@ class TestConfigParsing:
         # A config built in code, or replaced, is checked as a JSON file is.
         with pytest.raises(ConfigError, match=match):
             build(config_from_dict(base_doc()))
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda c: dataclasses.replace(c, cfl=True), "^cfl must be a number, got True"),
+        (lambda c: dataclasses.replace(c, t_end=True), "^t_end must be a number, got True"),
+        (lambda c: ICConfig("odd_bump", a=True, b=0.0), r"^ic\.a must be a number, got True"),
+        (lambda c: dataclasses.replace(c, cfl="0.4"), "^cfl must be a number"),
+        (lambda c: dataclasses.replace(c, t_end="2"), "^t_end must be a number"),
+        (lambda c: dataclasses.replace(c, blowup_threshold="1e9"),
+         "^blowup_threshold must be a number"),
+        (lambda c: Grid(-8.0, "8", 512), r"^grid\.xmax must be a number"),
+        (lambda c: ICConfig("odd_bump", a="1", b=0.0), r"^ic\.a must be a number"),
+        (lambda c: integrate(sample_initial_state(c.params, c.grid, c.ic), c.params, 1.0,
+                             cfl="0.4"), "^cfl must be a number"),
+        (lambda c: calibrated_profile("odd_bump", "1", c.grid, 40.0, 200.0),
+         "^L must be a number"),
+        (lambda c: OutputConfig("d", "yes", True),
+         r"^output\.emit_csv must be a boolean, got 'yes'"),
+        (lambda c: refinement_ladder(c, 2.5), "levels >= 2, got 2.5"),
+        (lambda c: refinement_ladder(c, "3"), "levels >= 2, got '3'"),
+    ], ids=["cfl-bool", "t_end-bool", "ic-a-bool", "cfl-str", "t_end-str", "threshold-str",
+            "grid-str", "ic-a-str", "integrate-cfl-str", "calibrated-L-str", "output-emit-str",
+            "ladder-float", "ladder-str"])
+    def test_code_built_values_name_the_field(self, build, match):
+        # Each number a caller gives passes the one real-number rule, so a bad
+        # one raises a package error naming its field, never a bare TypeError.
+        with pytest.raises(HyperburgError, match=match):
+            build(config_from_dict(base_doc()))
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_every_config_that_builds_echoes_itself(self, data):
+        # Numbers in any of the accepted Python and numpy types either raise a
+        # package error or are kept as floats that re-read to an equal config.
+        kinds = st.sampled_from([int, float, np.float64, np.float32, np.int64])
+
+        def number(lo, hi, kind=kinds):
+            x, kind = data.draw(st.floats(lo, hi)), data.draw(kind)
+            return kind(round(x)) if kind in (int, np.int64) else kind(x)
+
+        def count(lo, hi):  # mostly an int, as an integer field should be
+            return number(lo, hi, st.just(int) | kinds)
+
+        ic = (ICConfig("odd_bump", F0_target=number(-50, 500), F1_target=number(-50, 500))
+              if data.draw(st.booleans()) else ICConfig("odd_bump", a=number(-5, 5),
+                                                        b=number(-5, 5)))
+        try:
+            config = RunConfig(
+                ModelParams(number(0.25, 2), number(0.25, 2), number(0.25, 1.5)),
+                Grid(number(-40, -20), number(20, 40), count(64, 600)), number(0.05, 2), ic,
+                cfl=number(0.05, 1), record_stride=count(1, 9),
+                blowup_threshold=data.draw(st.none() | st.floats(1.0, 1e9).map(np.float32)))
+        except HyperburgError:
+            return
+        numbers = [*vars(config.params).values(), config.grid.xmin, config.grid.xmax,
+                   config.t_end, config.cfl, config.blowup_threshold,
+                   *(getattr(config.ic, name) for name in ("F0_target", "F1_target", "a", "b"))]
+        assert all(type(v) is float for v in numbers if v is not None)
+        assert config_from_dict(config.to_dict()) == config
 
     def test_params_built_in_code_are_checked(self):
         # ModelParams holds its own rules, so one built directly is checked too.
@@ -369,6 +428,16 @@ class TestExecuteConfig:
             warnings.simplefilter("error")
             report = execute_config(config)
         assert report.certificate["F0"] == math.inf
+
+    def test_numpy_scalar_numbers_run_and_write_the_report(self, tmp_path):
+        # Kept as Python floats, numpy numbers reach report.json like any other.
+        config = dataclasses.replace(
+            config_from_dict(base_doc(str(tmp_path / "f32"))), t_end=np.float32(1.0),
+            ic=ICConfig("odd_bump", a=np.float32(0.5), b=0.0))
+        report = execute_config(config)
+        echo = json.loads(Path(report.files["report"]).read_text())["config"]
+        assert (echo["t_end"], echo["ic"]["a"]) == (1.0, 0.5)
+        assert config_from_dict(echo) == config
 
     def test_no_output_written_for_invalid_config(self, tmp_path):
         out = tmp_path / "never"

@@ -1,8 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hyperburg
 from hyperburg import (
     ModelParams,
     ParameterError,
@@ -52,6 +55,17 @@ class TestValidateParams:
     def test_fields_stored_as_float(self):
         p = ModelParams(1, 1, 1)
         assert (type(p.mu), type(p.nu), type(p.L)) == (float, float, float)
+
+
+def test_one_home_for_the_real_number_rule():
+    # The rule's one implementation catches the overflow of an int past the
+    # largest double; a second catch would be a second copy of the rule.
+    sources = sorted(Path(hyperburg.__file__).parent.glob("*.py"))
+    homes = [(path.name, line) for path in sources
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if re.search(r"except\s+OverflowError", line)]
+    assert [name for name, _ in homes] == ["model.py"], homes
+    assert "_real" not in hyperburg.__all__
 
 
 class TestWaveSpeed:
