@@ -43,7 +43,7 @@ import numpy as np
 import scipy
 
 from .errors import DomainError, ParameterError
-from .model import ModelParams, moment_thresholds
+from .model import ModelParams, _real, moment_thresholds
 from .diagnostics import DiagnosticsRecord
 
 __all__ = [
@@ -252,19 +252,20 @@ def comparison_check(
     records: Sequence[DiagnosticsRecord],
     certificate: Certificate,
     params: ModelParams,
-) -> float:
+) -> Optional[float]:
     """Worst relative margin of the moment comparison F(t) >= G(t).
 
     For every record with t < T*, the margin (F(t) - G(t)) / (1 + G(t))
     is evaluated at the certificate's chosen eps; the minimum is
     returned, so the bound "F >= G - tol (1 + G)" holds along the whole
-    series iff the result is >= -tol.
+    series iff the result is >= -tol.  None when the certificate has no
+    feasible eps: nothing checked.
 
     Raises:
-        ParameterError: when the certificate has no feasible eps.
+        ParameterError: with no records, or none before T*.
     """
     if not certificate.feasible:
-        raise ParameterError("certificate has an empty eps interval")
+        return None
     if not records:
         raise ParameterError("need at least one record")
     worst = math.inf
@@ -284,8 +285,10 @@ def build_certificate(params: ModelParams, F0: float, F1: float) -> Certificate:
     :func:`~hyperburg.model.moment_thresholds`) is always computed; the eps
     interval only when both moments are positive (the construction needs
     G0 > 0 and F'(0) > 0).  G(0) = F0 by construction, so the t = 0
-    comparison margin is exactly zero.
+    comparison margin is exactly zero.  F0 and F1 pass the real-number rule
+    and are stored as floats; a non-number raises ParameterError.
     """
+    F0, F1 = _real(F0, "F0", ParameterError), _real(F1, "F1", ParameterError)
     f0_min, f1_min = moment_thresholds(params)
     interval = epsilon_interval(params, F0, F1) if F0 > 0.0 and F1 > 0.0 else None
     eps_chosen = None if interval is None else interval[0] + 0.5 * (interval[1] - interval[0])

@@ -112,13 +112,11 @@ def identity_residual(
 
     F'' and F' are centered differences of the recorded F samples; only
     uniformly spaced consecutive triples are used (a terminal record may
-    sit off the stride).  None when no triple is uniform: nothing checked.
-
-    Raises:
-        ParameterError: with fewer than 3 records.
+    sit off the stride).  None when there are fewer than 3 records or no
+    triple is uniform: nothing checked.
     """
     if len(records) < 3:
-        raise ParameterError(f"need >= 3 records, got {len(records)}")
+        return None
     t = np.array([r.t for r in records])
     f = np.array([r.F for r in records])
     rhs_half_v2 = np.array([r.half_int_v2 for r in records])

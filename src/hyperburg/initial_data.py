@@ -42,12 +42,13 @@ def bump_profile(x, L: float):
     """Odd smooth bump x * exp(1/((x/L)^2 - 1)) inside |x| < L, exactly 0 outside.
 
     Accepts scalars or arrays; vanishing outside the support is exact (the
-    else-branch writes 0.0, not a rounded exponential).
+    else-branch writes 0.0, not a rounded exponential).  A non-number L
+    raises ParameterError.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     xv = np.atleast_1d(arr)
-    u = xv / L
+    u = xv / _real(L, "L", ParameterError)
     inside = np.abs(u) < 1.0
     out = np.zeros_like(xv)
     ui = u[inside]
@@ -78,7 +79,9 @@ def _grid_bump(grid: Grid, L: float) -> np.ndarray:
 
 def amplitude_for_sup_norm(sup: float, L: float) -> float:
     """Amplitude a such that a * psi has the requested peak magnitude: max |psi|
-    is psi(x*) = x* exp(-(1 + sqrt(3)) / 2) at x* = L sqrt(2 - sqrt(3))."""
+    is psi(x*) = x* exp(-(1 + sqrt(3)) / 2) at x* = L sqrt(2 - sqrt(3)).  A
+    non-number sup or L raises ParameterError."""
+    sup, L = _real(sup, "sup", ParameterError), _real(L, "L", ParameterError)
     return sup / (L * math.sqrt(2.0 - math.sqrt(3.0)) * math.exp(-(1.0 + math.sqrt(3.0)) / 2.0))
 
 

@@ -113,20 +113,14 @@ def _worst_case(outcome: RunOutcome, cert: Certificate, params: ModelParams) -> 
         r.schwartz_gap / (1.0 + r.F * r.F) for r in records
     )
 
-    if len(records) >= 3:
-        worst["identity_residual_max"] = diagnostics.identity_residual(records, params)
-    else:
-        worst["identity_residual_max"] = None
+    worst["identity_residual_max"] = diagnostics.identity_residual(records, params)
 
     gron = diagnostics.gronwall_check_E1(records, params)
     worst["gronwall_margin"] = gron
     e1_0 = records[0].E1
     worst["gronwall_margin_rel"] = gron / e1_0 if e1_0 > 0.0 else None
 
-    if cert.feasible:
-        worst["comparison_margin_rel"] = comparison_check(records, cert, params)
-    else:
-        worst["comparison_margin_rel"] = None
+    worst["comparison_margin_rel"] = comparison_check(records, cert, params)
 
     excess = None
     dx = outcome.final_state.grid.dx

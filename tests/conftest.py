@@ -4,13 +4,13 @@ import functools
 
 import pytest
 
-from hyperburg import validate_params
+from hyperburg import ModelParams
 from hyperburg.suite import execute_preset
 
 
 @pytest.fixture(scope="session")
 def params_unit():
-    return validate_params(1.0, 1.0, 1.0)
+    return ModelParams(1.0, 1.0, 1.0)
 
 
 @pytest.fixture(scope="session")

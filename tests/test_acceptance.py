@@ -13,13 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperburg import (
-    aux_ode_oracle,
-    g_closed_form,
-    moment_thresholds,
-    t_star,
-    validate_params,
-)
+from hyperburg import ModelParams, moment_thresholds
+from hyperburg.certificate import aux_ode_oracle, g_closed_form, t_star
 from hyperburg import certificate as cert_mod
 from hyperburg import solver
 from hyperburg.config import ICConfig, config_from_dict
@@ -40,7 +35,7 @@ from hyperburg.suite import (
     run_suite,
 )
 
-UNIT = validate_params(1.0, 1.0, 1.0)
+UNIT = ModelParams(1.0, 1.0, 1.0)
 # Presets that simulate; certificate-oracle checks pure mathematics.
 RUN_PRESETS = [name for name in PRESET_NAMES if preset_configs(name)]
 
@@ -209,7 +204,7 @@ def test_criterion_09_gronwall_energy_bound(
     worst_tag, worst = None, math.inf
     for tag, report in non_blowup.items():
         p = report.config["params"]
-        params = validate_params(p["mu"], p["nu"], p["L"])
+        params = ModelParams(p["mu"], p["nu"], p["L"])
         e1_0 = report.outcome.records[0].E1
         margin = gronwall_check_E1(report.outcome.records, params)
         rel = margin / e1_0 if e1_0 > 0 else 0.0

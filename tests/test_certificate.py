@@ -12,20 +12,23 @@ from hypothesis import given, settings, strategies as st
 import hyperburg
 from hyperburg import (
     DomainError,
+    ModelParams,
     ParameterError,
-    aux_ode_oracle,
     build_certificate,
+    moment_thresholds,
+)
+from hyperburg.certificate import (
+    aux_ode_oracle,
     comparison_check,
     epsilon_conditions_hold,
     epsilon_interval,
     g_closed_form,
-    moment_thresholds,
     t_star,
-    validate_params,
 )
+from hyperburg.runner import json_text
 from hyperburg.suite import _scan_grid, epsilon_scan_oracle
 
-UNIT = validate_params(1, 1, 1)
+UNIT = ModelParams(1, 1, 1)
 
 
 class TestMomentThresholdCheck:
@@ -207,9 +210,10 @@ class TestAuxOdeOracle:
         probe = """
 import json, sys
 import hyperburg, hyperburg.cli
+from hyperburg.certificate import aux_ode_oracle
 heavy = ("scipy.integrate", "scipy.special", "scipy.linalg")
 at_import = {"scipy": "scipy" in sys.modules, "heavy": [m for m in heavy if m in sys.modules]}
-res = hyperburg.aux_ode_oracle(1.0, 64.0, hyperburg.validate_params(1, 1, 1), 0.3)
+res = aux_ode_oracle(1.0, 64.0, hyperburg.ModelParams(1, 1, 1), 0.3)
 print(json.dumps({**at_import, "integrate_after": "scipy.integrate" in sys.modules,
                   "diverged": bool(res.diverged)}))
 """
@@ -254,11 +258,21 @@ class TestBuildCertificateAndComparison:
         assert cert.minorant(math.nextafter(cert.T_star, 0.0), UNIT) is None
         assert build_certificate(UNIT, 100.0, 200.0).minorant(0.0, UNIT) is None
 
+    @pytest.mark.parametrize("F0", [True, "40", np.float32(40.0)], ids=["bool", "str", "float32"])
+    def test_moments_pass_the_real_number_rule(self, F0):
+        if type(F0) is np.float32:
+            cert = build_certificate(UNIT, F0, np.float32(200.0))
+            assert (type(cert.F0), type(cert.F1), type(cert.G0)) == (float, float, float)
+            assert cert == build_certificate(UNIT, 40.0, 200.0)
+            assert json.loads(json_text(vars(cert)))["F0"] == 40.0
+        else:
+            with pytest.raises(ParameterError, match="^F0 must be a number, got"):
+                build_certificate(UNIT, F0, 200.0)
+
     def test_comparison_requires_feasible_certificate(self, blowup_reports):
         records = blowup_reports[0].outcome.records
         empty = build_certificate(UNIT, 100.0, 200.0)
-        with pytest.raises(ParameterError):
-            comparison_check(records, empty, UNIT)
+        assert comparison_check(records, empty, UNIT) is None
 
     def test_comparison_margin_zero_at_t0(self, blowup_reports):
         # G(0) = F(0) by construction, later records only gain margin.

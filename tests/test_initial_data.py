@@ -9,13 +9,12 @@ from hyperburg import (
     CalibrationError,
     ConfigError,
     DomainError,
+    ModelParams,
     ParameterError,
-    amplitude_for_sup_norm,
-    bump_profile,
     calibrated_profile,
     sample_initial_state,
-    validate_params,
 )
+from hyperburg.initial_data import amplitude_for_sup_norm, bump_profile
 from hyperburg.diagnostics import compute_record
 from hyperburg import initial_data
 from hyperburg.config import ICConfig
@@ -49,6 +48,15 @@ class TestBumpProfile:
         a = amplitude_for_sup_norm(0.1, 2.0)
         x_star = 2.0 * math.sqrt(2.0 - math.sqrt(3.0))
         assert a * bump_profile(x_star, 2.0) == pytest.approx(0.1, rel=1e-15)
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda: bump_profile(0.5, "1"), "L"),
+        (lambda: amplitude_for_sup_norm("1", 1.0), "sup"),
+        (lambda: amplitude_for_sup_norm(1.0, "1"), "L"),
+    ], ids=["bump-L", "amplitude-sup", "amplitude-L"])
+    def test_non_number_names_the_argument(self, call, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be a number, got '1'"):
+            call()
 
 
 class TestCalibrate:
@@ -110,14 +118,14 @@ class TestCalibrate:
 
 class TestSampleInitialState:
     def test_zero_amplitudes_give_zero_state(self):
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-2.0, 2.0, 256)
         state = sample_initial_state(params, grid, ICConfig("odd_bump", a=0.0, b=0.0))
         assert state.t == 0.0
         assert np.all(state.v == 0.0) and np.all(state.w == 0.0)
 
     def test_support_containment_exact(self):
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-3.0, 3.0, 1024)
         prof = calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0)
         state = sample_initial_state(params, grid, prof)
@@ -127,7 +135,7 @@ class TestSampleInitialState:
 
     def test_support_half_width_is_params_L(self):
         # An amplitude block carries no L of its own: the support is params.L.
-        params = validate_params(1, 1, 1.5)
+        params = ModelParams(1, 1, 1.5)
         grid = Grid(-3.0, 3.0, 1024)
         state = sample_initial_state(params, grid, ICConfig("odd_bump", a=1.0, b=0.5))
         x = np.abs(grid.nodes())
@@ -136,7 +144,7 @@ class TestSampleInitialState:
             assert not row[x >= 1.5].any()
 
     def test_moments_hit_targets_to_8_ulps(self):
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-2.0, 2.0, 2048)
         prof = calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0)
         state = sample_initial_state(params, grid, prof)
@@ -145,7 +153,7 @@ class TestSampleInitialState:
         assert abs(rec.Fprime - 200.0) <= 8 * np.spacing(200.0)
 
     def test_grid_must_contain_support(self):
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         with pytest.raises(DomainError, match="support"):
             sample_initial_state(params, Grid(-0.5, 0.5, 64), ICConfig("odd_bump", a=1.0, b=0.0))
         # strict containment: grid ending exactly at the support edge fails
@@ -155,7 +163,7 @@ class TestSampleInitialState:
     def test_bump_computed_once_per_grid_with_the_same_bits(self):
         # Calibrating and sampling share one read-only bump support per
         # (grid, L), and rebuild the direct evaluation from it bit for bit.
-        params = validate_params(1, 1, 1.5)
+        params = ModelParams(1, 1, 1.5)
         grid = Grid(-8.0, 8.0, 513)
         x = grid.nodes()
         psi = bump_profile(x, 1.5)

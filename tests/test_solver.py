@@ -7,18 +7,15 @@ import pytest
 
 from hyperburg import (
     ConfigError,
+    ModelParams,
     ParameterError,
     Refinement,
     RunStatus,
-    amplitude_for_sup_norm,
-    bump_profile,
     calibrated_profile,
     integrate,
     sample_initial_state,
-    stable_dt,
-    step_rk4,
-    validate_params,
 )
+from hyperburg.initial_data import amplitude_for_sup_norm, bump_profile
 from hyperburg.config import ICConfig, RunConfig
 from hyperburg import solver
 from hyperburg.diagnostics import compute_record
@@ -30,13 +27,15 @@ from hyperburg.solver import (
     RunOutcome,
     StepWorkspace,
     check_run,
+    stable_dt,
+    step_rk4,
 )
 from hyperburg.suite import BLOWUP_TSTAR_EPS
 from hyperburg import certificate as cert
 
 
 def small_state(n=256, dom=2.5, sup=0.1, L=1.0):
-    params = validate_params(1, 1, L)
+    params = ModelParams(1, 1, L)
     grid = Grid(-dom, dom, n)
     a = amplitude_for_sup_norm(sup, L)
     return params, sample_initial_state(params, grid, ICConfig("odd_bump", a=a, b=0.0))
@@ -44,28 +43,28 @@ def small_state(n=256, dom=2.5, sup=0.1, L=1.0):
 
 class TestStableDt:
     def test_wave_bound(self):
-        p = validate_params(1, 1, 1)  # c = 1
+        p = ModelParams(1, 1, 1)  # c = 1
         assert stable_dt(Grid(0.0, 0.01 * 99, 100), p, 0.4) == pytest.approx(0.004)
 
     def test_faster_wave_shrinks_dt(self):
-        p = validate_params(0.25, 1, 1)  # c = 2
+        p = ModelParams(0.25, 1, 1)  # c = 2
         assert stable_dt(Grid(0.0, 0.01 * 99, 100), p, 0.4) == pytest.approx(0.002)
 
     def test_damping_cap_binds(self):
-        p = validate_params(0.1, 1e-7, 1)  # c = 1e-3, dx/c huge
+        p = ModelParams(0.1, 1e-7, 1)  # c = 1e-3, dx/c huge
         assert stable_dt(Grid(0.0, 99.0, 100), p, 0.5) == pytest.approx(0.1)
 
     @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.5])
     def test_cfl_range(self, cfl):
         # stable_dt is the formula only; check_run holds its cfl range.
-        p = validate_params(1, 1, 1)
+        p = ModelParams(1, 1, 1)
         with pytest.raises(ConfigError, match="cfl"):
             check_run(Grid(-8.0, 8.0, 1024), p, 6.5, cfl, None, 1)
 
 
 class TestStepRK4:
     def test_zero_state_is_fixed_point(self):
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-2.0, 2.0, 64)
         z = np.zeros(64)
         state = GridState(grid, 0.0, np.stack((z, z)))
@@ -188,7 +187,7 @@ class TestStepWorkspace:
         # narrow fitted window, at three mu.
         rng = np.random.default_rng(17)
         for mu in (1.0, 0.25, 0.7):
-            params = validate_params(mu, 1.3, 1.0)
+            params = ModelParams(mu, 1.3, 1.0)
             for fitted in (False, True):
                 grid = Grid(-2.0, 2.0, 400 if fitted else 96)
                 dx, nu = grid.dx, params.nu
@@ -240,7 +239,7 @@ def sharp_state(n=1024, dom=16.0, lo=500, width=20, seed=3, scale=1.0):
     """Random (v, w) on nodes [lo, lo + width), zero elsewhere: the nonzeros
     spread the full REACH nodes per step for a hundred steps before the
     front underflows, so every window refit is tight."""
-    params = validate_params(1, 1, 1)
+    params = ModelParams(1, 1, 1)
     grid = Grid(-dom, dom, n)
     rng = np.random.default_rng(seed)
     v, w = np.zeros(n), np.zeros(n)
@@ -308,7 +307,7 @@ class TestActiveWindow:
     def test_large_grid_records_equal_whole_grid_records(self, monkeypatch):
         # On 16385 nodes the blow-up data straddle the DOT_SPLIT column in the
         # grid's middle, so every record integral is reduced in two pieces.
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-8.0, 8.0, 16385)
         state0 = sample_initial_state(
             params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
@@ -333,7 +332,7 @@ class TestActiveWindow:
     def test_negative_amplitude_and_signed_zeros(self, monkeypatch):
         # A negative odd bump samples v to -0.0 outside its support; the
         # whole-grid step turns those to +0.0, and so must the window.
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-13.0, 13.0, 1024)
         state0 = sample_initial_state(params, grid, ICConfig("odd_bump", a=-2.0, b=0.5))
         assert np.signbit(state0.v[state0.v == 0.0]).any()
@@ -342,7 +341,7 @@ class TestActiveWindow:
         assert all(same_bits(got, want) for got, want in zip(seen, chain))
 
     def test_zero_data_steps_the_whole_grid(self, monkeypatch):
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-13.0, 13.0, 256)
         state0 = GridState(grid, 0.0, np.zeros((2, 256)))
         out, seen, windows = self.run_spied(monkeypatch, state0, params, 0.5)
@@ -429,7 +428,7 @@ def test_grid_nodes_computed_once_and_read_only():
 
 class TestIntegrate:
     def test_zero_data_completes_with_zero_records(self):
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-13.0, 13.0, 256)
         state0 = sample_initial_state(params, grid, ICConfig("odd_bump", a=0.0, b=0.0))
         out = integrate(state0, params, t_end=1.0, record_stride=16)
@@ -470,7 +469,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("t_end", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
     def test_bad_t_end_rejected_before_stepping(self, t_end):
         # Blow-up data, so that a run which ignored t_end would still stop.
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-8.0, 8.0, 512)
         state0 = sample_initial_state(
             params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
@@ -494,7 +493,7 @@ class TestIntegrate:
     def test_threshold_at_or_below_initial_sup_rejected(self, monkeypatch, threshold):
         # The certified data start at sup|v0| = 75.2: a threshold at or below
         # it would report blow-up after one step.
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-8.0, 8.0, 1025)
         state0 = sample_initial_state(
             params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
@@ -520,7 +519,7 @@ class TestIntegrate:
         assert len(out.records) == len(seen) == out.n_steps + 1
 
     def test_blowup_detection_on_certified_preset(self, blowup_reports):
-        t_star_ref = cert.t_star(BLOWUP_TSTAR_EPS, 40.0, validate_params(1, 1, 1))
+        t_star_ref = cert.t_star(BLOWUP_TSTAR_EPS, 40.0, ModelParams(1, 1, 1))
         for report in blowup_reports:
             assert report.status == RunStatus.BLOWUP_DETECTED.value
             assert report.t_detect <= 1.1 * t_star_ref
@@ -531,7 +530,7 @@ class TestIntegrate:
     def test_numerical_failure_flagged(self):
         # Amplitude far into the unstable regime with an unreachably high
         # threshold: the run must end as a failure, not a detection.
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-4.0, 4.0, 512)
         state0 = sample_initial_state(
             params, grid, ICConfig("odd_bump", a=1e9, b=0.0)
@@ -578,7 +577,7 @@ class TestIntegrate:
         # With v <= 0 in every state, max v over the window is a zero column
         # and sup|v| = -min v: the run stops at the first state whose
         # max |v| reaches the threshold, and at no earlier one.
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-13.0, 13.0, 1024)
         psi = bump_profile(grid.nodes(), 1.0)
         bump = psi * psi / np.max(psi * psi)
@@ -643,7 +642,7 @@ class TestIntegrate:
         # evaluates its own slope, the others take their step's stage 1.
         # Every record equals a standalone record bit for bit, and the run
         # evaluates 4 * steps + 1 slopes.
-        params = validate_params(1, 1, 1)
+        params = ModelParams(1, 1, 1)
         grid = Grid(-8.0, 8.0, 513)
         state0 = sample_initial_state(
             params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
@@ -752,7 +751,7 @@ class TestEstimateBlowupTime:
 
 
 def test_check_domain_margin_accepts_adequate_grid():
-    params = validate_params(1, 1, 1)
+    params = ModelParams(1, 1, 1)
     check_run(Grid(-8.0, 8.0, 1024), params, 6.5, 0.4, None, 1)
     with pytest.raises(ConfigError):
         check_run(Grid(-8.0, 8.0, 1024), params, 7.2, 0.4, None, 1)
@@ -766,7 +765,7 @@ def test_check_domain_margin_accepts_adequate_grid():
 def test_run_config_and_integrate_reject_alike(bad):
     # One owner of the run arguments' rules: a config and a direct call give
     # the same error, naming the argument, for the same bad value.
-    params = validate_params(1, 1, 1)
+    params = ModelParams(1, 1, 1)
     grid = Grid(-8.0, 8.0, 512)
     ic = ICConfig("odd_bump", F0_target=40.0, F1_target=200.0)
     args = {"t_end": 2.0, **bad}

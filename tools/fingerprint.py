@@ -57,7 +57,7 @@ import numpy as np  # noqa: E402
 
 from hyperburg.cli import main as cli_main  # noqa: E402
 from hyperburg.config import config_from_dict, refinement_ladder  # noqa: E402
-from hyperburg.model import validate_params  # noqa: E402
+from hyperburg.model import ModelParams  # noqa: E402
 from hyperburg.runner import execute_config  # noqa: E402
 from hyperburg.solver import Grid, GridState, stable_dt, step_rk4  # noqa: E402
 from hyperburg.suite import (  # noqa: E402
@@ -121,7 +121,7 @@ def fingerprint(report, root: Path) -> str:
 def step_fingerprint() -> str:
     """sha256 of one whole-grid step from a seeded state nonzero at both grid
     ends, at mu = 0.7, nu = 1.3 (c != 1)."""
-    params = validate_params(0.7, 1.3, 1.0)
+    params = ModelParams(0.7, 1.3, 1.0)
     grid = Grid(-4.0, 4.0, 257)
     u = np.random.default_rng(2024).standard_normal((2, grid.n))
     new = step_rk4(GridState(grid, 0.0, u), params, stable_dt(grid, params, 0.4))
