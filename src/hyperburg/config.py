@@ -35,8 +35,8 @@ from .errors import ConfigError, ParameterError
 from .model import ModelParams, _real
 from .solver import Grid, check_run
 
-__all__ = ["ICConfig", "OutputConfig", "RunConfig", "load_config", "refinement_ladder",
-           "resolve_output_dir"]
+__all__ = ["ICConfig", "OutputConfig", "RunConfig", "config_from_dict", "load_config",
+           "refinement_ladder", "resolve_output_dir"]
 
 OUTPUT_ROOT_ENV = "HYPERBURG_OUT"
 PROFILE_FAMILIES = ("odd_bump",)

@@ -6,6 +6,12 @@ reconstructed from the equation instead of stored.  Every record integral
 is a :func:`~hyperburg.operators.trapezoid_dot` over the columns of its
 :class:`RecordWorkspace`.
 
+Records are staged, then computed in batches.  A record is a function of one
+state, and nothing in a run reads it before the run ends, so the solver
+copies each due record's inputs into a slot of its workspace, and up to
+K = n // span staged records are computed as one stacked block, each with
+the bits it has alone; :func:`compute_record` is a batch of one.
+
 Monitored quantities (all but the cone maximum are fields of the record
 that :func:`compute_record` assembles; the cone maximum is a streaming
 observer, :class:`ConeMax`, that the solver calls with each state):
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -57,7 +64,8 @@ SUPPORT_REL_THRESHOLD = 1e-12
 RECORD_ALIGN = 32
 # Rows of the record block, in order: v*w, v_tt, v, w, v_xx, w_xx; then the
 # first differences of the first five, (v w)_x, v_xtt, v_x, w_x, v_xxx; v_ttt.
-# A record squares rows 1:12 in one call and drops the square of (v w)_x.
+# Each row holds one column span per slot.  A flush squares rows 1:12 in one
+# call and drops the squares of (v w)_x.
 RECORD_ROWS = 12
 
 
@@ -231,29 +239,122 @@ class ConeMax:
 
 
 class RecordWorkspace:
-    """The one buffer :func:`compute_record` writes, for a grid of ``n`` nodes.
+    """The one buffer records are computed in, for a grid of ``n`` nodes.
 
     ``window`` = (a, b) is the solver's window, whose columns hold every
     nonzero of the state: the whole grid until :meth:`bind` narrows it.
     ``span`` = (lo, hi) is that window widened outward to multiples of
-    RECORD_ALIGN columns, capped at the grid's end, and ``block`` the
-    contiguous ``(RECORD_ROWS, hi - lo)`` view at the head of the flat
-    ``buffer`` that a record fills and integrates on those columns.
-    Rebinding allocates nothing, and a record overwrites the whole block.
+    RECORD_ALIGN columns, capped at the grid's end.  A record is staged:
+    :meth:`stage` copies a state's (v, w) on the span and its v_tt into the
+    next of ``slots`` = n // (hi - lo) slots of the ``(RECORD_ROWS, slots,
+    hi - lo)`` stack at the head of the flat ``buffer``.  :meth:`flush`
+    computes the k staged slots as one ``(RECORD_ROWS, k, hi - lo)`` block
+    there and appends their records to ``records``, in staging order.
+    Staging flushes when the slots are full, and binding flushes before the
+    window moves, so every staged slot is on one span; the staged slots
+    belong to one grid and one model.  ``batches`` counts the flushes, and
+    ``seconds`` the wall time spent staging and flushing.  Rebinding
+    allocates nothing, and a flush overwrites its whole block.
     """
 
-    __slots__ = ("buffer", "window", "span", "block")
+    __slots__ = ("buffer", "window", "span", "slots", "stack", "staged", "grid", "params",
+                 "records", "batches", "seconds")
 
     def __init__(self, n: int):
         self.buffer = np.empty(RECORD_ROWS * n)
+        self.staged: list[float] = []  # the t of each staged slot
+        self.records: list[DiagnosticsRecord] = []
+        self.batches, self.seconds = 0, 0.0
         self.bind(0, n)
 
     def bind(self, a: int, b: int) -> None:
-        """Record on the solver window [a, b)."""
+        """Record on the solver window [a, b), once the staged slots are flushed."""
+        self.flush()
         n = self.buffer.size // RECORD_ROWS
         lo, hi = a - a % RECORD_ALIGN, min(n, -(-b // RECORD_ALIGN) * RECORD_ALIGN)
-        self.window, self.span = (a, b), (lo, hi)
-        self.block = self.buffer[:RECORD_ROWS * (hi - lo)].reshape(RECORD_ROWS, hi - lo)
+        self.window, self.span, self.slots = (a, b), (lo, hi), n // (hi - lo)
+        self.stack = self.buffer[:RECORD_ROWS * self.slots * (hi - lo)].reshape(
+            RECORD_ROWS, self.slots, hi - lo)
+
+    def stage(self, state: GridState, params: ModelParams,
+              v_tt: Optional[np.ndarray] = None) -> None:
+        """Copy the state's record inputs into the next slot; flush when the
+        slots are full.  ``v_tt`` is as in :func:`compute_record`, on the
+        columns of ``window``, and is copied, so the caller may overwrite it."""
+        t0 = perf_counter()
+        (a, b), lo = self.window, self.span[0]
+        slot = self.stack[1:4, len(self.staged)]
+        np.copyto(slot[1:], state.u[:, lo:self.span[1]])
+        if v_tt is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v_tt = pde_rhs(*state.u[:, a:b], state.grid.dx, params.mu, params.nu)[1]
+        slot[0, a - lo:b - lo] = v_tt
+        self.staged.append(state.t)
+        self.grid, self.params = state.grid, params
+        self.seconds += perf_counter() - t0
+        if len(self.staged) == self.slots:
+            self.flush()
+
+    def flush(self) -> None:
+        """Compute the records of every staged slot, as one block."""
+        k = len(self.staged)
+        if k == 0:
+            return
+        t0 = perf_counter()
+        (a, b), (lo, hi) = self.window, self.span
+        m = hi - lo
+        block = self.buffer[:RECORD_ROWS * k * m].reshape(RECORD_ROWS, k, m)
+        if k < self.slots:  # close the staged rows up into the k-slot block
+            np.copyto(block[1:4], self.stack[1:4, :k])
+        grid, params = self.grid, self.params
+        dx, mu, nu, n = grid.dx, params.mu, params.nu, grid.n
+        c2 = params.c * params.c
+        vw, v_tt, v, w, v_xx, w_xx, flux, v_xtt, v_x, w_x, v_xxx, v_ttt = block
+        with np.errstate(over="ignore", invalid="ignore"):
+            v_tt[:, :a - lo] = v_tt[:, b - lo:] = 0.0
+            d2_central(block[2:4], dx, out=block[4:6])
+            np.multiply(v, w, out=vw)
+            d1_central(block[:5], dx, out=block[6:11])
+            # d/dt of the w-equation (flux v^2/2 differentiates to v*w), in place.
+            np.multiply(w_xx, nu, out=v_ttt)
+            np.subtract(v_ttt, flux, out=v_ttt)
+            np.subtract(v_ttt, v_tt, out=v_ttt)
+            np.divide(v_ttt, mu, out=v_ttt)
+            v_ttt[:, 0] = v_ttt[:, -1] = 0.0
+
+            squares = zip(*trapezoid_dot(block[1:], block[1:], dx, lo, n))
+            x = grid.nodes()[lo:hi]
+            moments = zip(*trapezoid_dot(x, block[2:4], dx, lo, n))
+            # The differences are spent: |u| goes where v_x and w_x were.
+            magnitude = np.abs(block[2:4], out=block[8:10])
+            sups = magnitude[0].max(axis=1).tolist()
+
+            for t, integrals, (f, fp), sup, slot in zip(self.staged, squares, moments, sups,
+                                                         magnitude.swapaxes(0, 1)):
+                (int_vtt2, int_v2, int_w2, int_vxx2, int_vxxt2, _, int_vxtt2, int_vx2,
+                 int_vxt2, int_vxxx2, int_vttt2) = integrals
+                half_v2 = 0.5 * int_v2
+                left, right = _outermost(slot, SUPPORT_REL_THRESHOLD * (1.0 + sup), x)
+                radius = params.L + params.c * t
+                self.records.append(DiagnosticsRecord(
+                    t=t,
+                    F=f,
+                    Fprime=fp,
+                    E1=0.5 * (int_w2 + c2 * int_vx2),
+                    E2=0.5 * (int_vtt2 + c2**2 * int_vxx2),
+                    E3=0.5 * (int_vttt2 + c2**3 * int_vxxx2),
+                    sup_norm=sup,
+                    support_left=left,
+                    support_right=right,
+                    schwartz_gap=(2.0 / 3.0) * radius**3 * (2.0 * half_v2) - f * f,
+                    half_int_v2=half_v2,
+                    int_vxt2=int_vxt2,
+                    int_vxtt2=int_vxtt2,
+                    int_vxxt2=int_vxxt2,
+                ))
+        self.staged.clear()
+        self.batches += 1
+        self.seconds += perf_counter() - t0
 
 
 def compute_record(
@@ -262,7 +363,7 @@ def compute_record(
     v_tt: Optional[np.ndarray] = None,
     work: Optional[RecordWorkspace] = None,
 ) -> DiagnosticsRecord:
-    """Assemble the full diagnostics record for one state.
+    """Assemble the full diagnostics record for one state: a batch of one.
 
     ``v_tt`` is dw/dt, row 1 of ``pde_rhs`` at this state, on the columns of
     ``work.window`` (the whole grid without ``work``), when the caller has it;
@@ -270,61 +371,10 @@ def compute_record(
     result.  ``work`` holds the block the record writes; a fresh one, whose
     window is the whole grid, gives the same bits.  A narrower window needs
     the solver's MARGIN zero columns of the state inside its edges and zeros
-    outside them.
+    outside them.  Slots already staged in ``work`` are flushed with it.
     """
     if work is None:
         work = RecordWorkspace(state.grid.n)
-    grid, dx, mu, nu = state.grid, state.grid.dx, params.mu, params.nu
-    c2 = params.c * params.c
-    (a, b), (lo, hi) = work.window, work.span
-    block = work.block
-    vw, v_tt_row, v, w, v_xx, w_xx, flux, v_xtt, v_x, w_x, v_xxx, v_ttt = block
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.copyto(block[2:4], state.u[:, lo:hi])
-        if v_tt is None:
-            v_tt = pde_rhs(*state.u[:, a:b], dx, mu, nu)[1]
-        v_tt_row[:a - lo] = v_tt_row[b - lo:] = 0.0
-        v_tt_row[a - lo:b - lo] = v_tt
-        d2_central(block[2:4], dx, out=block[4:6])
-        np.multiply(v, w, out=vw)
-        d1_central(block[:5], dx, out=block[6:11])
-        # d/dt of the w-equation (flux v^2/2 differentiates to v*w), in place.
-        np.multiply(w_xx, nu, out=v_ttt)
-        np.subtract(v_ttt, flux, out=v_ttt)
-        np.subtract(v_ttt, v_tt_row, out=v_ttt)
-        np.divide(v_ttt, mu, out=v_ttt)
-        v_ttt[0] = v_ttt[-1] = 0.0
-
-        n = grid.n
-        (int_vtt2, int_v2, int_w2, int_vxx2, int_vxxt2, _, int_vxtt2, int_vx2, int_vxt2,
-         int_vxxx2, int_vttt2) = trapezoid_dot(block[1:], block[1:], dx, lo, n)
-        e1 = 0.5 * (int_w2 + c2 * int_vx2)
-        e2 = 0.5 * (int_vtt2 + c2**2 * int_vxx2)
-        e3 = 0.5 * (int_vttt2 + c2**3 * int_vxxx2)
-        half_v2 = 0.5 * int_v2
-        x = grid.nodes()[lo:hi]
-        f, fp = trapezoid_dot(x, block[2:4], dx, lo, n)
-
-        # The differences are spent: |u| goes where v_x and w_x were.
-        magnitude = np.abs(block[2:4], out=block[8:10])
-        sup = float(magnitude[0].max())  # = sup_norm
-        left, right = _outermost(magnitude, SUPPORT_REL_THRESHOLD * (1.0 + sup), x)
-        radius = params.L + params.c * state.t
-        gap = (2.0 / 3.0) * radius**3 * (2.0 * half_v2) - f * f
-
-        return DiagnosticsRecord(
-            t=state.t,
-            F=f,
-            Fprime=fp,
-            E1=e1,
-            E2=e2,
-            E3=e3,
-            sup_norm=sup,
-            support_left=left,
-            support_right=right,
-            schwartz_gap=gap,
-            half_int_v2=half_v2,
-            int_vxt2=int_vxt2,
-            int_vxtt2=int_vxtt2,
-            int_vxxt2=int_vxxt2,
-        )
+    work.stage(state, params, v_tt)
+    work.flush()
+    return work.records.pop()

@@ -38,17 +38,29 @@ __all__ = [
 ]
 
 
+def _half_width(L: float) -> float:
+    """The profile's half-width L as a float.
+
+    Raises:
+        ParameterError: unless L is a positive, finite number.
+    """
+    L = _real(L, "L", ParameterError)
+    if not (L > 0.0 and math.isfinite(L)):
+        raise ParameterError(f"L must be positive and finite, got {L!r}")
+    return L
+
+
 def bump_profile(x, L: float):
     """Odd smooth bump x * exp(1/((x/L)^2 - 1)) inside |x| < L, exactly 0 outside.
 
     Accepts scalars or arrays; vanishing outside the support is exact (the
-    else-branch writes 0.0, not a rounded exponential).  A non-number L
-    raises ParameterError.
+    else-branch writes 0.0, not a rounded exponential).  An L that is not a
+    positive, finite number raises ParameterError.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     xv = np.atleast_1d(arr)
-    u = xv / _real(L, "L", ParameterError)
+    u = xv / _half_width(L)
     inside = np.abs(u) < 1.0
     out = np.zeros_like(xv)
     ui = u[inside]
@@ -80,8 +92,9 @@ def _grid_bump(grid: Grid, L: float) -> np.ndarray:
 def amplitude_for_sup_norm(sup: float, L: float) -> float:
     """Amplitude a such that a * psi has the requested peak magnitude: max |psi|
     is psi(x*) = x* exp(-(1 + sqrt(3)) / 2) at x* = L sqrt(2 - sqrt(3)).  A
-    non-number sup or L raises ParameterError."""
-    sup, L = _real(sup, "sup", ParameterError), _real(L, "L", ParameterError)
+    non-number sup, or an L that is not a positive, finite number, raises
+    ParameterError."""
+    sup, L = _real(sup, "sup", ParameterError), _half_width(L)
     return sup / (L * math.sqrt(2.0 - math.sqrt(3.0)) * math.exp(-(1.0 + math.sqrt(3.0)) / 2.0))
 
 
@@ -107,9 +120,7 @@ def calibrated_profile(
             (m1 == 0) so the targets are unreachable.
     """
     targets = ICConfig(family, F0_target=F0_target, F1_target=F1_target)  # checks them
-    L = _real(L, "L", ParameterError)
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ParameterError(f"L must be positive and finite, got {L!r}")
+    L = _half_width(L)
     m1 = float(np.trapezoid(grid.nodes() * _grid_bump(grid, L), dx=grid.dx))
     if not math.isfinite(m1) or m1 <= 0.0:
         raise CalibrationError(f"first moment of the profile is {m1!r} on this grid "

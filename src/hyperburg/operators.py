@@ -38,9 +38,10 @@ def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
 
     ``a`` and ``b`` hold the grid columns [lo, lo + m) on their last axis, the
     whole grid by default; outside them the integrand must be zero.  1-D
-    operands give a Python float.  A stacked ``(k, m)`` operand, broadcast
-    as ``np.vecdot`` does, gives a list of k floats, each with the bits of
-    its row passed alone (``np.vecdot`` equals ``np.dot`` row by row).
+    operands give a Python float.  Stacked operands, such as ``(k, m)`` or
+    ``(k, j, m)``, broadcast as ``np.vecdot`` does, give nested lists of
+    floats shaped like the stack, each with the bits of its row passed
+    alone (``np.vecdot`` equals ``np.dot`` row by row).
 
     Why a record's integrals are the whole-grid bits, whatever its window:
     OpenBLAS threads a dot above 10,000 elements, and then its bits depend
@@ -68,6 +69,8 @@ def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
         ends = ((a[..., 0] * b[..., 0] if lo == 0 else 0.0)
                 + (a[..., -1] * b[..., -1] if lo + m == n else 0.0))
         total -= 0.5 * ends
+    if total.ndim > 1:
+        return np.multiply(total, dx).tolist()
     # Scaled as Python floats: numpy's IEEE product, at less cost per call.
     total = total.tolist()
     return dx * total if isinstance(total, float) else [dx * t for t in total]

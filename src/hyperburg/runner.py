@@ -157,9 +157,10 @@ def execute_config(
     Files go to :func:`~hyperburg.config.resolve_output_dir` of ``config``.
     ``observe`` is handed to :func:`~hyperburg.solver.integrate`.
     Validation problems raise before any file is written.  ``perf`` holds
-    the steps, dt, the share of columns stepped, and the wall seconds of
-    set-up (initial data), stepping, records and output (the certificate,
-    the margins and the files).
+    the steps, dt, the share of columns stepped, the wall seconds of
+    set-up (initial data), stepping, records (staged and flushed) and output
+    (the certificate, the margins and the files), and the number of record
+    flushes.
     """
     t_setup = perf_counter()
     params = config.params
@@ -206,7 +207,8 @@ def execute_config(
     report.perf = dict(n_steps=outcome.n_steps, dt=outcome.dt,
                        stepped_frac=outcome.stepped_frac, setup_s=t_run - t_setup,
                        stepping_s=t_output - t_run - outcome.record_s,
-                       records_s=outcome.record_s, output_s=perf_counter() - t_output)
+                       records_s=outcome.record_s, record_batches=outcome.record_batches,
+                       output_s=perf_counter() - t_output)
     if report_path is not None:
         report_path.write_text(json_text(report.to_dict()) + "\n", encoding="utf-8")
     return report

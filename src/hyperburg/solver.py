@@ -20,6 +20,11 @@ therefore exactly zero in the whole-grid computation too, so the bits are
 the same, signs of zeros included.  A record's integrals keep the
 whole-grid bits as well (see :func:`~hyperburg.operators.trapezoid_dot`).
 
+Records are staged: a due record's (v, w) and v_tt are copied into a slot
+of the run's :class:`~hyperburg.diagnostics.RecordWorkspace`, and the
+staged records are computed as one block when its K = n // span slots are
+full, before the window is rebound, and when the run ends, by failure too.
+
 Blow-up is reported as the first time the sup norm crosses a threshold, not
 as an extrapolated singularity time: the model supplies no blow-up rate to
 extrapolate with.  :class:`Refinement` extrapolates detection times in dx.
@@ -31,12 +36,11 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, RecordWorkspace, compute_record
+from .diagnostics import DiagnosticsRecord, RecordWorkspace
 from .errors import ConfigError, ParameterError
 from .model import ModelParams, _real
 from .operators import RhsKernel
@@ -152,8 +156,9 @@ class RunOutcome:
     BLOWUP_DETECTED, the time of the first non-finite state for
     NUMERICAL_FAILURE, and the first time >= t_end otherwise.
     ``n_steps`` steps of ``dt`` were taken on ``stepped_frac`` of the
-    columns on average; ``record_s`` is the wall time spent in
-    :func:`~hyperburg.diagnostics.compute_record`.
+    columns on average.  ``record_s`` is the wall time spent staging records
+    and computing them, in ``record_batches`` flushes of the run's
+    :class:`~hyperburg.diagnostics.RecordWorkspace`.
     """
 
     status: RunStatus
@@ -164,6 +169,7 @@ class RunOutcome:
     dt: float
     stepped_frac: float
     record_s: float = field(compare=False)
+    record_batches: int = field(default=0, compare=False)
 
     @property
     def t_detect(self) -> Optional[float]:
@@ -199,7 +205,8 @@ class StepWorkspace:
     and ``rows`` hold the other views a step uses.  Binding zeroes the dw
     rows' boundary columns, which no kernel writes.  The scalar operands
     are 0-d arrays, refilled by :meth:`set_step` only when dt or the model
-    changes.  ``record`` is the records' workspace, on the same window.
+    changes.  ``record`` is the records' workspace, on the same window;
+    rebinding flushes the records staged there first.
     """
 
     __slots__ = ("buffer", "window", "u0", "k1", "edges", "rows", "pairs", "slopes",
@@ -395,7 +402,8 @@ def integrate(
     must not change the arrays of the states it is given.
 
     A record of a state the run steps from takes v_tt from that step's
-    ``work.k1``, so only the terminal record evaluates its own slope: a run
+    ``work.k1``, copied when the record is staged (see the module
+    docstring), so only the terminal record evaluates its own slope: a run
     makes 4 * steps + 1 slope evaluations (a paired call makes two) whatever
     the stride.  Pure function of its arguments: identical inputs give
     bit-identical outcomes and records.
@@ -418,8 +426,7 @@ def integrate(
     dt = stable_dt(state0.grid, params, cfl)
     n = state0.grid.n
     work = StepWorkspace(n, state0)
-    records: list[DiagnosticsRecord] = []
-    state, steps, stepped, status, record_s = state0, 0, 0, None, 0.0
+    state, steps, stepped, status = state0, 0, 0, None
     maximum, minimum = np.maximum.reduce, np.minimum.reduce
 
     # Overflow past the threshold is handled explicitly below; silence the
@@ -429,9 +436,7 @@ def integrate(
             new_state = step_rk4(state, params, dt, work)
             a, b = work.window
             if steps % record_stride == 0:
-                t0 = perf_counter()
-                records.append(compute_record(state, params, work.k1[1], work.record))
-                record_s += perf_counter() - t0
+                work.record.stage(state, params, work.k1[1])
             state = new_state
             steps += 1
             stepped += b - a
@@ -452,12 +457,11 @@ def integrate(
             if blown or state.t >= t_end:
                 status = RunStatus.BLOWUP_DETECTED if blown else RunStatus.COMPLETED
         if status is not RunStatus.NUMERICAL_FAILURE:
-            t0 = perf_counter()
-            records.append(compute_record(state, params, work=work.record))
-            record_s += perf_counter() - t0
-    return RunOutcome(status=status, t_final=state.t, records=records, final_state=state,
-                      n_steps=steps, dt=dt, stepped_frac=stepped / (steps * n),
-                      record_s=record_s)
+            work.record.stage(state, params)
+        work.record.flush()
+    return RunOutcome(status=status, t_final=state.t, records=work.record.records,
+                      final_state=state, n_steps=steps, dt=dt, stepped_frac=stepped / (steps * n),
+                      record_s=work.record.seconds, record_batches=work.record.batches)
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,7 @@ class TestExecuteConfig:
         loaded = json.loads(Path(report.files["report"]).read_text())
         perf = loaded["perf"]
         assert list(perf) == ["n_steps", "dt", "stepped_frac", "setup_s", "stepping_s",
-                              "records_s", "output_s"]
+                              "records_s", "record_batches", "output_s"]
         assert perf["n_steps"] == report.outcome.n_steps > 0
         assert 0.0 < perf["stepped_frac"] == report.outcome.stepped_frac <= 1.0
         assert perf["dt"] == stable_dt(config.grid, config.params, config.cfl)
@@ -357,6 +357,9 @@ class TestExecuteConfig:
             assert loaded["t_final"] >= config.t_end
         assert all(perf[k] >= 0.0 for k in ("setup_s", "stepping_s", "records_s", "output_s"))
         assert perf["records_s"] == report.outcome.record_s > 0.0
+        # every record is computed in one of the flushes, at least one per run
+        assert 1 <= perf["record_batches"] == report.outcome.record_batches \
+            <= len(report.outcome.records)
 
     def test_written_report_names_its_own_file(self, tmp_path):
         report = execute_config(config_from_dict(base_doc(str(tmp_path / "f"))))

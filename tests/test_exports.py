@@ -1,7 +1,9 @@
 """Every name a module lists in ``__all__`` resolves on that module, and the
 package exports exactly the names its README, CLI and benchmark reach."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -30,6 +32,7 @@ MODULE_HELPERS = {
     "certificate": ["comparison_check", "epsilon_conditions_hold", "epsilon_interval",
                     "g_closed_form", "t_star", "aux_ode_oracle", "OracleResult"],
     "initial_data": ["bump_profile", "amplitude_for_sup_norm"],
+    "config": ["resolve_output_dir"],
 }
 
 
@@ -51,6 +54,29 @@ def test_package_exports_exactly_its_public_names():
 def test_helpers_live_in_their_own_module(module):
     listed = importlib.import_module(f"hyperburg.{module}").__all__
     assert set(MODULE_HELPERS[module]) <= set(listed)
+
+
+def top_level_names(module) -> set[str]:
+    """The names a module's own source binds at top level: defs, classes and
+    assignments, not imports."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES[1:]
+                                  if hasattr(importlib.import_module(m), "__all__")])
+def test_package_exports_are_listed_where_defined(name):
+    # ``from hyperburg.<module> import *`` reaches every package export the
+    # module defines.
+    module = importlib.import_module(name)
+    defined = top_level_names(module) & set(hyperburg.__all__)
+    assert defined <= set(module.__all__), sorted(defined - set(module.__all__))
 
 
 def test_benchmark_aliases_stay_reachable_outside_all():

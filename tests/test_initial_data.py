@@ -58,6 +58,19 @@ class TestBumpProfile:
         with pytest.raises(ParameterError, match=f"^{name} must be a number, got '1'"):
             call()
 
+    @pytest.mark.parametrize("call,bad", [
+        (lambda: amplitude_for_sup_norm(1.0, 0.0), "0.0"),
+        (lambda: amplitude_for_sup_norm(1.0, -1.0), "-1.0"),
+        (lambda: bump_profile(0.5, -1.0), "-1.0"),
+        (lambda: bump_profile(0.5, math.inf), "inf"),
+    ], ids=["amplitude-zero", "amplitude-negative", "bump-negative", "bump-inf"])
+    def test_half_width_must_be_positive_and_finite(self, call, bad):
+        # calibrated_profile's rule and message: a zero L divided by zero, a
+        # negative one gave a negative amplitude, and bump_profile(x, -L)
+        # was bump_profile(x, L).
+        with pytest.raises(ParameterError, match=f"^L must be positive and finite, got {bad}$"):
+            call()
+
 
 class TestCalibrate:
     def setup_method(self):

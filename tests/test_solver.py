@@ -18,7 +18,7 @@ from hyperburg import (
 from hyperburg.initial_data import amplitude_for_sup_norm, bump_profile
 from hyperburg.config import ICConfig, RunConfig
 from hyperburg import solver
-from hyperburg.diagnostics import compute_record
+from hyperburg.diagnostics import RecordWorkspace, compute_record
 from hyperburg.operators import DOT_SPLIT, RhsKernel, pde_rhs
 from hyperburg.solver import (
     Grid,
@@ -315,6 +315,58 @@ class TestActiveWindow:
                                             record_stride=1)
         assert len(out.records) == len(seen) > 40
         assert all(0 < a < DOT_SPLIT < b < grid.n for a, b in windows)
+        for state, rec in zip(seen, out.records):
+            assert record_hex(rec) == record_hex(compute_record(state, params))
+
+    @staticmethod
+    def spy_flushes(monkeypatch):
+        """(records, slots) of each record flush that computes something."""
+        flushes = []
+        real_flush = RecordWorkspace.flush
+
+        def flush(self):
+            if self.staged:
+                flushes.append((len(self.staged), self.slots))
+            real_flush(self)
+
+        monkeypatch.setattr(RecordWorkspace, "flush", flush)
+        return flushes
+
+    def test_batched_records_equal_whole_grid_records(self, monkeypatch):
+        # At stride 1 on 8193 nodes, up to n // span records are computed in
+        # one flush; each equals the whole-grid record of its state.
+        params = ModelParams(1, 1, 1)
+        grid = Grid(-8.0, 8.0, 8193)
+        state0 = sample_initial_state(
+            params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
+        flushes = self.spy_flushes(monkeypatch)
+        seen = []
+        out = integrate(state0, params, t_end=6.5, observe=seen.append)
+        sizes = [k for k, _ in flushes]
+        assert out.status is RunStatus.BLOWUP_DETECTED
+        assert max(sizes) >= 2 and len(sizes) == out.record_batches < len(out.records)
+        assert sum(sizes) == len(out.records) == len(seen)
+        for state, rec in zip(seen, out.records):
+            assert record_hex(rec) == record_hex(compute_record(state, params))
+
+    def test_failure_flushes_the_staged_records(self, monkeypatch):
+        # The run breaks with two records staged in three slots: the flush
+        # at the end computes both.  The last, of the final healthy state,
+        # overflows in its integrals, and its neighbour in the batch keeps
+        # its own bits: one record per healthy state, each the whole-grid one.
+        params = ModelParams(1, 1, 1)
+        grid = Grid(-4.0, 4.0, 2048)
+        state0 = sample_initial_state(params, grid, ICConfig("odd_bump", a=1e7, b=0.0))
+        flushes = self.spy_flushes(monkeypatch)
+        seen = []
+        out = integrate(state0, params, t_end=1.0, blowup_threshold=1e307,
+                        observe=seen.append)
+        staged, slots = flushes[-1]
+        assert out.status is RunStatus.NUMERICAL_FAILURE
+        assert 2 <= staged < slots and out.record_batches == len(flushes)
+        assert sum(k for k, _ in flushes) == len(out.records) == len(seen) == out.n_steps
+        assert not all(map(math.isfinite, vars(out.records[-1]).values()))
+        assert all(map(math.isfinite, vars(out.records[-2]).values()))
         for state, rec in zip(seen, out.records):
             assert record_hex(rec) == record_hex(compute_record(state, params))
 

@@ -21,7 +21,9 @@ are those of the benchmark's workloads (``perfbench/workloads.py``):
 
 For each group the script prints, over the rounds, the median of the
 ratio new/old of the median unit time and of the total time, each with
-the number of rounds in which the new tree was faster.  A ratio below 1
+the number of rounds in which the new tree was faster.  A group of at
+most PER_UNIT units also prints each unit's median ratio new/old with its
+win count, so one level of ``refine`` shows by itself.  A ratio below 1
 means the new tree is faster.  Files the runs write go to the temporary
 directory, and nothing is written under ``perfbench/``.
 """
@@ -45,6 +47,8 @@ sys.dont_write_bytecode = True  # keep perfbench/ and the checkouts clean
 
 ROOT = Path(__file__).resolve().parents[1]
 GROUPS = ("sweep", "decay", "refine", "suite")
+# Groups of at most this many units print a line per unit.
+PER_UNIT = 8
 
 
 def load(checkout: Path, name: str, into: Path):
@@ -57,20 +61,20 @@ def load(checkout: Path, name: str, into: Path):
 
 
 def units(hb, group: str, seed: int, out: Path) -> list:
-    """The group's units for package ``hb``: zero-argument callables."""
+    """The group's units for package ``hb``: (label, zero-argument callable)."""
     import workloads
 
     if group == "sweep":
-        return [lambda doc=doc: hb.execute_config(hb.config_from_dict(doc))
-                for doc in workloads.sweep_docs(seed)]
+        return [(f"point {i}", lambda doc=doc: hb.execute_config(hb.config_from_dict(doc)))
+                for i, doc in enumerate(workloads.sweep_docs(seed))]
     if group == "decay":
         config = workloads.Decay().build(hb, seed, out)
-        return [lambda: hb.execute_config(config)]
+        return [("decay", lambda: hb.execute_config(config))]
     if group == "refine":
-        return [lambda config=config: hb.execute_config(config)
+        return [(f"n={config.grid.n}", lambda config=config: hb.execute_config(config))
                 for config in workloads.BlowupRefine().build(hb, seed, out)]
     listed = set(hb.suite.PRESET_NAMES)
-    return [lambda name=name: hb.run_suite(name)
+    return [(name, lambda name=name: hb.run_suite(name))
             for name in workloads.SUITE_PRESETS if name in listed]
 
 
@@ -104,16 +108,20 @@ def main(argv=None) -> int:
         for group in groups:
             work = [units(hb, group, args.seed, tmp / f"{side}-{group}")
                     for side, hb in zip(("old", "new"), trees)]
+            labels = [label for label, _ in work[0]]
             median_ratios, total_ratios, seconds = [], [], [[], []]
+            unit_ratios = [[] for _ in labels]
             for r in range(args.rounds):
                 times = [[], []]
                 order = (0, 1) if r % 2 == 0 else (1, 0)
                 for pair in zip(*work):
                     for side in order:
                         t0 = perf_counter()
-                        pair[side]()
+                        pair[side][1]()
                         times[side].append(perf_counter() - t0)
                 old, new = times
+                for ratios, o, n in zip(unit_ratios, old, new):
+                    ratios.append(n / o)
                 median_ratios.append(statistics.median(new) / statistics.median(old))
                 total_ratios.append(sum(new) / sum(old))
                 seconds[0].append(statistics.median(old))
@@ -123,6 +131,9 @@ def main(argv=None) -> int:
                   f"{1e3 * statistics.median(seconds[1]):.3f} ms  "
                   + ratio_line("median-unit ratio", median_ratios) + "  "
                   + ratio_line("total ratio", total_ratios), flush=True)
+            if len(labels) <= PER_UNIT:
+                for label, ratios in zip(labels, unit_ratios):
+                    print(f"  {label:<20} " + ratio_line("ratio", ratios), flush=True)
     return 0
 
 
