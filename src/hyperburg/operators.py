@@ -69,11 +69,7 @@ def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
         ends = ((a[..., 0] * b[..., 0] if lo == 0 else 0.0)
                 + (a[..., -1] * b[..., -1] if lo + m == n else 0.0))
         total -= 0.5 * ends
-    if total.ndim > 1:
-        return np.multiply(total, dx).tolist()
-    # Scaled as Python floats: numpy's IEEE product, at less cost per call.
-    total = total.tolist()
-    return dx * total if isinstance(total, float) else [dx * t for t in total]
+    return np.multiply(total, dx).tolist()
 
 
 def _as_rows(*arrays: np.ndarray) -> tuple[np.ndarray, ...] | list[np.ndarray]:
