@@ -9,8 +9,9 @@ is a :func:`~hyperburg.operators.trapezoid_dot` over the columns of its
 Records are staged, then computed in batches.  A record is a function of one
 state, and nothing in a run reads it before the run ends, so the solver
 copies each due record's inputs into a slot of its workspace, and up to
-K = n // span staged records are computed as one stacked block, each with
-the bits it has alone; :func:`compute_record` is a batch of one.
+K = max(n, RECORD_COLUMNS_MIN) // span staged records are computed as one
+stacked block, each with the bits it has alone; :func:`compute_record` is a
+batch of one.
 
 Monitored quantities (all but the cone maximum are fields of the record
 that :func:`compute_record` assembles; the cone maximum is a streaming
@@ -67,6 +68,10 @@ RECORD_ALIGN = 32
 # Each row holds one column span per slot.  A flush squares rows 1:12 in one
 # call and drops the squares of (v w)_x.
 RECORD_ROWS = 12
+# Fewest columns a record stack holds, whatever the grid: below about 2048
+# columns a flush's fixed cost, about 33 us, outweighs its work per record, so
+# a short run on a small grid keeps all its records for one flush.
+RECORD_COLUMNS_MIN = 2048
 
 
 @dataclass(frozen=True)
@@ -94,22 +99,25 @@ class DiagnosticsRecord:
     int_vxxt2: float
 
 
-def _outermost(magnitude: np.ndarray, threshold: float, x: np.ndarray) -> tuple[float, float]:
-    """First and last ``x`` whose column of the ``(2, m)`` ``magnitude`` exceeds
-    the threshold, or (0.0, 0.0), the empty-support marker.  ``np.fmax``
-    skips a NaN in one row, as ``(magnitude > threshold).any(axis=0)`` would;
-    ``np.maximum`` would not.
+def _outermost(magnitude: np.ndarray, thresholds, x: np.ndarray) -> list[tuple[float, float]]:
+    """For each slot j of the ``(2, k, m)`` ``magnitude``, the first and last
+    ``x`` whose column exceeds ``thresholds[j]`` in either row, or (0.0, 0.0),
+    the empty-support marker.  ``np.fmax`` skips a NaN in one row, as
+    ``(magnitude > threshold).any(axis=0)`` would; ``np.maximum`` would not.
+    The row maximum overwrites ``magnitude[0]``, so that a flush allocates
+    no ``(k, m)`` block for it.
 
     Raises:
-        ParameterError: unless the threshold is positive.
+        ParameterError: unless every threshold is positive.
     """
-    if not (threshold > 0.0):
-        raise ParameterError(f"support threshold must be positive, got {threshold}")
-    over = np.fmax(magnitude[0], magnitude[1]) > threshold
-    first = int(over.argmax())
-    if not over[first]:
-        return (0.0, 0.0)
-    return float(x[first]), float(x[over.size - 1 - int(over[::-1].argmax())])
+    thresholds = np.asarray(thresholds, dtype=float)
+    if not thresholds.min() > 0.0:  # NaN fails too
+        raise ParameterError(f"support threshold must be positive, got {thresholds.tolist()}")
+    over = np.fmax(magnitude[0], magnitude[1], out=magnitude[0]) > thresholds[:, None]
+    last = over.shape[1] - 1
+    return [(float(x[i]), float(x[last - j])) if row[i] else (0.0, 0.0)
+            for row, i, j in zip(over, over.argmax(axis=1).tolist(),
+                                 over[:, ::-1].argmax(axis=1).tolist())]
 
 
 def identity_residual(
@@ -121,13 +129,14 @@ def identity_residual(
     F'' and F' are centered differences of the recorded F samples; only
     uniformly spaced consecutive triples are used (a terminal record may
     sit off the stride).  None when there are fewer than 3 records or no
-    triple is uniform: nothing checked.
+    triple is uniform: nothing checked.  The fields are read as Python
+    floats, which take the same IEEE operations as numpy scalars, faster.
     """
     if len(records) < 3:
         return None
-    t = np.array([r.t for r in records])
-    f = np.array([r.F for r in records])
-    rhs_half_v2 = np.array([r.half_int_v2 for r in records])
+    t = [float(r.t) for r in records]
+    f = [float(r.F) for r in records]
+    rhs_half_v2 = [float(r.half_int_v2) for r in records]
     dt = t[1] - t[0]
     worst = 0.0
     checked = False
@@ -246,35 +255,59 @@ class RecordWorkspace:
     ``span`` = (lo, hi) is that window widened outward to multiples of
     RECORD_ALIGN columns, capped at the grid's end.  A record is staged:
     :meth:`stage` copies a state's (v, w) on the span and its v_tt into the
-    next of ``slots`` = n // (hi - lo) slots of the ``(RECORD_ROWS, slots,
-    hi - lo)`` stack at the head of the flat ``buffer``.  :meth:`flush`
-    computes the k staged slots as one ``(RECORD_ROWS, k, hi - lo)`` block
-    there and appends their records to ``records``, in staging order.
-    Staging flushes when the slots are full, and binding flushes before the
-    window moves, so every staged slot is on one span; the staged slots
-    belong to one grid and one model.  ``batches`` counts the flushes, and
-    ``seconds`` the wall time spent staging and flushing.  Rebinding
-    allocates nothing, and a flush overwrites its whole block.
+    next of ``slots`` = max(n, RECORD_COLUMNS_MIN) // (hi - lo) slots of the
+    ``(RECORD_ROWS, slots, hi - lo)`` stack at the head of the flat
+    ``buffer``.  :meth:`flush` computes the k staged slots as one
+    ``(RECORD_ROWS, k, hi - lo)`` block there and appends their records to
+    ``records``, in staging order.  Staging flushes when the slots are full.
+    Binding moves the staged slots onto the new span, or flushes them first
+    when they do not fit its slots, so every staged slot is on one span;
+    the staged slots belong to one grid and one model.  ``batches`` counts
+    the flushes, and ``seconds`` the wall time spent staging, moving and
+    flushing.  Rebinding allocates nothing, and a flush overwrites its whole
+    block.
     """
 
-    __slots__ = ("buffer", "window", "span", "slots", "stack", "staged", "grid", "params",
+    __slots__ = ("buffer", "n", "window", "span", "slots", "stack", "staged", "grid", "params",
                  "records", "batches", "seconds")
 
     def __init__(self, n: int):
-        self.buffer = np.empty(RECORD_ROWS * n)
+        self.buffer = np.empty(RECORD_ROWS * max(n, RECORD_COLUMNS_MIN))
+        self.n = n
         self.staged: list[float] = []  # the t of each staged slot
         self.records: list[DiagnosticsRecord] = []
         self.batches, self.seconds = 0, 0.0
         self.bind(0, n)
 
     def bind(self, a: int, b: int) -> None:
-        """Record on the solver window [a, b), once the staged slots are flushed."""
-        self.flush()
-        n = self.buffer.size // RECORD_ROWS
-        lo, hi = a - a % RECORD_ALIGN, min(n, -(-b // RECORD_ALIGN) * RECORD_ALIGN)
-        self.window, self.span, self.slots = (a, b), (lo, hi), n // (hi - lo)
-        self.stack = self.buffer[:RECORD_ROWS * self.slots * (hi - lo)].reshape(
-            RECORD_ROWS, self.slots, hi - lo)
+        """Record on the solver window [a, b), which holds the current one.
+
+        Staged slots that fit the new span's slots move onto it: a record
+        computed on a wider span that is still RECORD_ALIGN-aligned keeps
+        its bits (see :func:`~hyperburg.operators.trapezoid_dot`).  Staged
+        slots that do not fit are flushed first."""
+        columns = self.buffer.size // RECORD_ROWS
+        lo, hi = a - a % RECORD_ALIGN, min(self.n, -(-b // RECORD_ALIGN) * RECORD_ALIGN)
+        slots = columns // (hi - lo)
+        if len(self.staged) >= slots:
+            self.flush()
+        stack = self.buffer[:RECORD_ROWS * slots * (hi - lo)].reshape(RECORD_ROWS, slots, hi - lo)
+        if self.staged:
+            t0 = perf_counter()
+            (a0, b0), (lo0, hi0) = self.window, self.span
+            staged = self.stack[1:4, :len(self.staged)]
+            # A flush zeroes v_tt outside only its own window: zero it outside
+            # the window these slots were staged on.
+            staged[0, :, :a0 - lo0] = staged[0, :, b0 - lo0:] = 0.0
+            # Rows 1:4 of either stack lie in the buffer's first 4 * columns
+            # doubles, so the slots wait past them while the stack moves.
+            held = self.buffer[4 * columns:4 * columns + staged.size].reshape(staged.shape)
+            np.copyto(held, staged)
+            moved = stack[1:4, :len(self.staged)]
+            moved[..., :lo0 - lo] = moved[..., hi0 - lo:] = 0.0
+            np.copyto(moved[..., lo0 - lo:hi0 - lo], held)
+            self.seconds += perf_counter() - t0
+        self.window, self.span, self.slots, self.stack = (a, b), (lo, hi), slots, stack
 
     def stage(self, state: GridState, params: ModelParams,
               v_tt: Optional[np.ndarray] = None) -> None:
@@ -327,14 +360,14 @@ class RecordWorkspace:
             moments = zip(*trapezoid_dot(x, block[2:4], dx, lo, n))
             # The differences are spent: |u| goes where v_x and w_x were.
             magnitude = np.abs(block[2:4], out=block[8:10])
-            sups = magnitude[0].max(axis=1).tolist()
+            sups = magnitude[0].max(axis=1)
+            edges = _outermost(magnitude, SUPPORT_REL_THRESHOLD * (1.0 + sups), x)
 
-            for t, integrals, (f, fp), sup, slot in zip(self.staged, squares, moments, sups,
-                                                         magnitude.swapaxes(0, 1)):
+            for t, integrals, (f, fp), sup, (left, right) in zip(
+                    self.staged, squares, moments, sups.tolist(), edges):
                 (int_vtt2, int_v2, int_w2, int_vxx2, int_vxxt2, _, int_vxtt2, int_vx2,
                  int_vxt2, int_vxxx2, int_vttt2) = integrals
                 half_v2 = 0.5 * int_v2
-                left, right = _outermost(slot, SUPPORT_REL_THRESHOLD * (1.0 + sup), x)
                 radius = params.L + params.c * t
                 self.records.append(DiagnosticsRecord(
                     t=t,

@@ -112,14 +112,17 @@ class RhsKernel:
     A call writes F(v) to the interior of every row of ``f``, using the
     interior of ``scratch``; ``v``, ``f`` and ``scratch`` are shaped alike
     and do not overlap.  C-contiguous stacks run as one flat row, as in the
-    stencils.  ``rows`` is the number of slopes a call serves.  :meth:`damp`
-    completes one slope from its F and writes only the dw/dt interior.
+    stencils; a caller that holds such a flat row already passes it with the
+    number of ``rows`` laid end to end in it.  ``rows`` is the number of
+    slopes a call serves.  :meth:`damp` completes one slope from its F and
+    writes only the dw/dt interior.
     """
 
     __slots__ = ("rows", "views", "f", "scratch")
 
-    def __init__(self, v: np.ndarray, f: np.ndarray, scratch: np.ndarray):
-        self.rows = v.size // v.shape[-1]
+    def __init__(self, v: np.ndarray, f: np.ndarray, scratch: np.ndarray,
+                 rows: int | None = None):
+        self.rows = v.size // v.shape[-1] if rows is None else rows
         src, dst, tmp = _as_rows(v, f, scratch)
         self.views = src[..., 2:], src[..., :-2], src[..., 1:-1]
         self.f, self.scratch = dst[..., 1:-1], tmp[..., 1:-1]

@@ -154,7 +154,8 @@ def execute_config(
 ) -> RunReport:
     """Sample ``config.ic``, integrate, certify, aggregate, and persist.
 
-    Files go to :func:`~hyperburg.config.resolve_output_dir` of ``config``.
+    Files go to :func:`~hyperburg.config.resolve_output_dir` of ``config``,
+    which a run that writes no file does not build.
     ``observe`` is handed to :func:`~hyperburg.solver.integrate`.
     Validation problems raise before any file is written.  ``perf`` holds
     the steps, dt, the share of columns stepped, the wall seconds of
@@ -180,7 +181,8 @@ def execute_config(
     # integrate always records state0, with the whole-grid moments' bits.
     cert = build_certificate(params, outcome.records[0].F, outcome.records[0].Fprime)
 
-    target = resolve_output_dir(config)
+    writes = config.output.emit_csv or config.output.emit_report
+    target = resolve_output_dir(config) if writes else None
     report_path = target / "report.json" if config.output.emit_report else None
     files: dict[str, Optional[str]] = {
         "csv": None, "report": None if report_path is None else str(report_path)}
@@ -198,7 +200,7 @@ def execute_config(
         outcome=outcome,
     )
 
-    if config.output.emit_csv or config.output.emit_report:
+    if writes:
         target.mkdir(parents=True, exist_ok=True)
     if config.output.emit_csv:
         csv_path = target / "records.csv"

@@ -22,8 +22,9 @@ whole-grid bits as well (see :func:`~hyperburg.operators.trapezoid_dot`).
 
 Records are staged: a due record's (v, w) and v_tt are copied into a slot
 of the run's :class:`~hyperburg.diagnostics.RecordWorkspace`, and the
-staged records are computed as one block when its K = n // span slots are
-full, before the window is rebound, and when the run ends, by failure too.
+staged records are computed as one block when its slots are full and when
+the run ends, by failure too.  A window rebind moves the staged slots onto
+the wider span, and flushes them only when they do not fit its slots.
 
 Blow-up is reported as the first time the sup norm crosses a threshold, not
 as an extrapolated singularity time: the model supplies no blow-up rate to
@@ -206,7 +207,7 @@ class StepWorkspace:
     rows' boundary columns, which no kernel writes.  The scalar operands
     are 0-d arrays, refilled by :meth:`set_step` only when dt or the model
     changes.  ``record`` is the records' workspace, on the same window;
-    rebinding flushes the records staged there first.
+    rebinding moves the records staged there onto it.
     """
 
     __slots__ = ("buffer", "window", "u0", "k1", "edges", "rows", "pairs", "slopes",
@@ -227,28 +228,45 @@ class StepWorkspace:
     def _bind(self, a: int, b: int) -> None:
         self.window = (a, b)
         m = b - a
-        block = self.buffer[:STEP_ROWS * m].reshape(STEP_ROWS, m)
+        flat = self.buffer[:STEP_ROWS * m]
+        block = flat.reshape(STEP_ROWS, m)
         first, second, acc, k = block[0:4], block[4:8], block[8:10], block[10:12]
         block[3::4, ::m - 1] = 0.0  # the boundary columns of the dw rows 3, 7 and 11
         self.u0, self.k1, self.edges = first[1:3], first[2:4], first[2, ::m - 1]
         self.rows = (first[0], first[1], first[2], first[3], k[0], second[1:3], second[2],
                      second[0], second[3], first[0:2], acc)
-        self.pairs = (RhsKernel(first[0:2], second[0:2], acc),
-                      RhsKernel(second[0:2], first[0:2], acc))
+        # The pairs' rows [0:2], [4:6] and [8:10], as the flat rows a kernel runs them as.
+        pair0, pair1, scratch = flat[:2 * m], flat[4 * m:6 * m], flat[8 * m:10 * m]
+        self.pairs = (RhsKernel(pair0, pair1, scratch, rows=2),
+                      RhsKernel(pair1, pair0, scratch, rows=2))
         self.slopes = (RhsKernel.slope_views(self.k1, second[1]),
                        RhsKernel.slope_views(k, second[0]),
                        RhsKernel.slope_views(second[2:4], first[1]),
                        RhsKernel.slope_views(k, first[0]))
         self.record.bind(a, b)
 
-    def set_step(self, dx: float, mu: float, nu: float, dt: float) -> None:
-        """Fill the step's 0-d scalar operands, unless they hold these values."""
-        key = (dx, mu, nu, dt)
+    def set_step(self, grid: Grid, params: ModelParams, dt: float) -> None:
+        """Fill the step's 0-d scalar operands, unless they hold these values.
+        A run passes the same three objects every step, which compare by
+        identity first."""
+        key = (grid, params, dt)
         if key != self.key:
-            for operand, value in zip(self.coefficients, RhsKernel.coefficients(dx, mu, nu)):
+            for operand, value in zip(self.coefficients,
+                                      RhsKernel.coefficients(grid.dx, params.mu, params.nu)):
                 operand[...] = value
             self.half[...], self.full[...], self.sixth[...] = 0.5 * dt, dt, dt / 6.0
             self.key = key
+
+    def slope(self, state: GridState) -> np.ndarray:
+        """dw/dt of ``state`` on the window, with the bits of a step's first
+        slope, from a one-row kernel on the spent rows.  The scalar operands
+        are those of the last :meth:`set_step`.  Returns the ``k1`` row the
+        next step overwrites."""
+        a, b = self.window
+        block = self.buffer[:STEP_ROWS * (b - a)].reshape(STEP_ROWS, b - a)
+        np.copyto(self.u0, state.u[:, a:b])
+        RhsKernel(block[1], block[5], block[8])(self.coefficients)  # F(v0) where step 1 puts it
+        return RhsKernel.damp(self.slopes[0], self.coefficients[3])[1]
 
     def fit(self, state: GridState) -> None:
         """Grow the window to the nonzeros of ``state`` (the whole grid if it
@@ -293,7 +311,7 @@ def step_rk4(
     """
     if work is None:
         work = StepWorkspace(state.grid.n)
-    work.set_step(state.grid.dx, params.mu, params.nu, dt)
+    work.set_step(state.grid, params, dt)
     u = state.u
     a, b = work.window
     win = u[:, a:b]
@@ -403,10 +421,10 @@ def integrate(
 
     A record of a state the run steps from takes v_tt from that step's
     ``work.k1``, copied when the record is staged (see the module
-    docstring), so only the terminal record evaluates its own slope: a run
-    makes 4 * steps + 1 slope evaluations (a paired call makes two) whatever
-    the stride.  Pure function of its arguments: identical inputs give
-    bit-identical outcomes and records.
+    docstring), so only the terminal record evaluates its own slope, with
+    :meth:`StepWorkspace.slope`: a run makes 4 * steps + 1 slope evaluations
+    (a paired call makes two) whatever the stride.  Pure function of its
+    arguments: identical inputs give bit-identical outcomes and records.
 
     Raises:
         ConfigError: with :func:`check_run`'s message wherever a ``RunConfig`` of
@@ -415,11 +433,12 @@ def integrate(
     """
     t_end, cfl, blowup_threshold = check_run(state0.grid, params, t_end, cfl,
                                              blowup_threshold, record_stride)
+    sup0 = state0.sup_norm()
     if blowup_threshold is None:
-        blowup_threshold = 1e6 * max(1.0, state0.sup_norm())
-    elif not blowup_threshold > state0.sup_norm():
+        blowup_threshold = 1e6 * max(1.0, sup0)
+    elif not blowup_threshold > sup0:
         raise ConfigError(f"blowup_threshold {blowup_threshold!r} must exceed sup|v0| = "
-                          f"{state0.sup_norm()!r}; raise it, or set it null for the default")
+                          f"{sup0!r}; raise it, or set it null for the default")
     if observe is not None:
         observe(state0)
 
@@ -427,7 +446,9 @@ def integrate(
     n = state0.grid.n
     work = StepWorkspace(n, state0)
     state, steps, stepped, status = state0, 0, 0, None
-    maximum, minimum = np.maximum.reduce, np.minimum.reduce
+    maximum, minimum, isfinite = np.maximum.reduce, np.minimum.reduce, math.isfinite
+    extremes = np.empty((2, 2))  # the max, then the min, of v and of w on the window
+    highs, lows = extremes
 
     # Overflow past the threshold is handled explicitly below; silence the
     # transient warnings the last pre-detection steps would otherwise spew.
@@ -442,9 +463,12 @@ def integrate(
             stepped += b - a
 
             stepped_u = state.u[:, a:b]
-            (hi_v, hi_w), (lo_v, lo_w) = (maximum(stepped_u, axis=1).tolist(),
-                                          minimum(stepped_u, axis=1).tolist())
-            if not all(map(math.isfinite, (hi_v, hi_w, lo_v, lo_w))):
+            # Along axis 1, into the rows of extremes; positional arguments
+            # and one tolist cost less per step than keywords and two.
+            maximum(stepped_u, 1, None, highs)
+            minimum(stepped_u, 1, None, lows)
+            hi_v, hi_w, lo_v, lo_w = extremes.ravel().tolist()
+            if not (isfinite(hi_v) and isfinite(hi_w) and isfinite(lo_v) and isfinite(lo_w)):
                 # Keep the last healthy record; return the broken state as-is.
                 status = RunStatus.NUMERICAL_FAILURE
                 break
@@ -457,7 +481,7 @@ def integrate(
             if blown or state.t >= t_end:
                 status = RunStatus.BLOWUP_DETECTED if blown else RunStatus.COMPLETED
         if status is not RunStatus.NUMERICAL_FAILURE:
-            work.record.stage(state, params)
+            work.record.stage(state, params, work.slope(state))
         work.record.flush()
     return RunOutcome(status=status, t_final=state.t, records=work.record.records,
                       final_state=state, n_steps=steps, dt=dt, stepped_frac=stepped / (steps * n),

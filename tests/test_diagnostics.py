@@ -138,16 +138,22 @@ class TestSupNormAndSupport:
         w[50] = 1e-3
         x = grid.nodes()
         assert support(state_on(grid, v, w)) == (x[10], x[50])
-        assert _outermost(np.abs(state_on(grid, v, w).u), 1e-6, x) == (x[10], x[50])
-        assert _outermost(np.abs(state_on(grid, v, w).u), 1e-2, x) == (x[10], x[10])
+        assert _outermost(np.abs(state_on(grid, v, w).u)[:, None], [1e-6], x) == [(x[10], x[50])]
+        assert _outermost(np.abs(state_on(grid, v, w).u)[:, None], [1e-2], x) == [(x[10], x[10])]
         # A NaN in one row leaves its column to the other row, as
         # (|u| > threshold).any(axis=0) does: columns 10 and 50 stay in the
         # support, and columns 5 and 60, zero in the other row, stay out.
         v_nan, w_nan = v.copy(), w.copy()
         v_nan[[50, 60]] = np.nan
         w_nan[[5, 10]] = np.nan
-        for fields in ((v, w_nan), (v_nan, w), (v_nan, w_nan)):
-            assert _outermost(np.abs(state_on(grid, *fields).u), 1e-6, x) == (x[10], x[50])
+        cases = [state_on(grid, *fields).u for fields in ((v, w_nan), (v_nan, w), (v_nan, w_nan))]
+        for u in cases:
+            assert _outermost(np.abs(u)[:, None], [1e-6], x) == [(x[10], x[50])]
+        # In one batch each slot keeps its own threshold: a slot with no column
+        # over it is (0.0, 0.0), and its neighbours are as alone.
+        batch = np.abs(np.stack(cases + [state_on(grid, v, w).u], axis=1))
+        assert _outermost(batch, [1e-6, 1e-6, 4.0, 1e-2], x) == [
+            (x[10], x[50]), (x[10], x[50]), (0.0, 0.0), (x[10], x[10])]
 
     def test_calibrated_state_peak_and_support(self):
         grid = Grid(-2.0, 2.0, 2048)
@@ -163,7 +169,9 @@ class TestSupNormAndSupport:
     def test_threshold_validation(self):
         st = zero_state()
         with pytest.raises(ParameterError):
-            _outermost(np.abs(st.u), 0.0, st.grid.nodes())
+            _outermost(np.abs(st.u)[:, None], [0.0], st.grid.nodes())
+        with pytest.raises(ParameterError):  # any slot's
+            _outermost(np.abs(np.stack((st.u, st.u), axis=1)), [1e-6, np.nan], st.grid.nodes())
 
 
 class TestRecordWorkspace:

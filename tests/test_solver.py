@@ -332,6 +332,20 @@ class TestActiveWindow:
         monkeypatch.setattr(RecordWorkspace, "flush", flush)
         return flushes
 
+    @staticmethod
+    def spy_binds(monkeypatch):
+        """(slots staged, whether it flushed) of each record bind."""
+        binds = []
+        real_bind = RecordWorkspace.bind
+
+        def bind(self, a, b):
+            staged, batches = len(self.staged), self.batches
+            real_bind(self, a, b)
+            binds.append((staged, self.batches > batches))
+
+        monkeypatch.setattr(RecordWorkspace, "bind", bind)
+        return binds
+
     def test_batched_records_equal_whole_grid_records(self, monkeypatch):
         # At stride 1 on 8193 nodes, up to n // span records are computed in
         # one flush; each equals the whole-grid record of its state.
@@ -354,20 +368,47 @@ class TestActiveWindow:
         # at the end computes both.  The last, of the final healthy state,
         # overflows in its integrals, and its neighbour in the batch keeps
         # its own bits: one record per healthy state, each the whole-grid one.
+        # On 1024 nodes the run passes a refit first, whose bind moves one
+        # staged slot onto the wider span, and the run breaks with it staged.
         params = ModelParams(1, 1, 1)
-        grid = Grid(-4.0, 4.0, 2048)
-        state0 = sample_initial_state(params, grid, ICConfig("odd_bump", a=1e7, b=0.0))
         flushes = self.spy_flushes(monkeypatch)
+        binds = self.spy_binds(monkeypatch)
+        for n, a, moved in ((2048, 1e7, []), (1024, 1e4, [1])):
+            grid = Grid(-4.0, 4.0, n)
+            state0 = sample_initial_state(params, grid, ICConfig("odd_bump", a=a, b=0.0))
+            flushes.clear()
+            binds.clear()
+            seen = []
+            out = integrate(state0, params, t_end=1.0, blowup_threshold=1e307,
+                            observe=seen.append)
+            staged, slots = flushes[-1]
+            assert out.status is RunStatus.NUMERICAL_FAILURE
+            assert 2 <= staged < slots and out.record_batches == len(flushes)
+            assert sum(k for k, _ in flushes) == len(out.records) == len(seen) == out.n_steps
+            assert not all(map(math.isfinite, vars(out.records[-1]).values()))
+            assert all(map(math.isfinite, vars(out.records[-2]).values()))
+            assert [k for k, flushed in binds if k] == moved and not any(f for _, f in binds)
+            for state, rec in zip(seen, out.records):
+                assert record_hex(rec) == record_hex(compute_record(state, params))
+
+    def test_sweep_run_records_in_one_flush(self, monkeypatch):
+        # A run shaped like a benchmark sweep point (n = 512 on [-8, 8],
+        # stride 8, the blowup moments) rebinds its window with records
+        # staged, which move onto the wider span, and computes all its
+        # records in one flush at the end; each is the whole-grid record.
+        params = ModelParams(1, 1, 1)
+        grid = Grid(-8.0, 8.0, 512)
+        state0 = sample_initial_state(
+            params, grid, calibrated_profile("odd_bump", 1.0, grid, 40.0, 200.0))
+        binds = self.spy_binds(monkeypatch)
         seen = []
-        out = integrate(state0, params, t_end=1.0, blowup_threshold=1e307,
-                        observe=seen.append)
-        staged, slots = flushes[-1]
-        assert out.status is RunStatus.NUMERICAL_FAILURE
-        assert 2 <= staged < slots and out.record_batches == len(flushes)
-        assert sum(k for k, _ in flushes) == len(out.records) == len(seen) == out.n_steps
-        assert not all(map(math.isfinite, vars(out.records[-1]).values()))
-        assert all(map(math.isfinite, vars(out.records[-2]).values()))
-        for state, rec in zip(seen, out.records):
+        out = integrate(state0, params, t_end=2.0, record_stride=8, observe=seen.append)
+        assert out.status is RunStatus.BLOWUP_DETECTED
+        assert any(staged and not flushed for staged, flushed in binds)
+        assert out.record_batches == 1
+        states = seen[:out.n_steps:8] + [seen[-1]]
+        assert len(out.records) == len(states) >= 3
+        for state, rec in zip(states, out.records):
             assert record_hex(rec) == record_hex(compute_record(state, params))
 
     @pytest.mark.parametrize("lo", [0, 1004], ids=["left", "right"])

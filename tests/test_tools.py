@@ -1,0 +1,71 @@
+"""The command-line tools under tools/, loaded from their files."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture(scope="module")
+def fingerprint():
+    spec = importlib.util.spec_from_file_location("fingerprint", TOOLS / "fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def record(fingerprint, **fields):
+    """One dumped record: every field 1.0 but those given, as float.hex."""
+    values = {name: 1.0 for name in fingerprint.RECORD_FIELDS} | fields
+    return [float(values[name]).hex() for name in fingerprint.RECORD_FIELDS]
+
+
+def compare(fingerprint, tmp_path, capsys, old, new):
+    """(exit code, {run: drift}) of --compare on these two dumps."""
+    paths = []
+    for name, dump in (("old.json", old), ("new.json", new)):
+        (tmp_path / name).write_text(json.dumps(dump))
+        paths.append(str(tmp_path / name))
+    code = fingerprint.compare(*paths)
+    lines = capsys.readouterr().out.splitlines()
+    runs = lines[lines.index("# worst relative drift per run (records old new)") + 1:-1]
+    drift = {}
+    for line in runs:
+        run, rest = line.split(" ", 1)
+        drift[run] = math.inf if rest.startswith("only in") else float(rest.split()[0])
+    return code, drift
+
+
+def test_equal_dumps_drift_zero(fingerprint, tmp_path, capsys):
+    dump = {"a": [record(fingerprint), record(fingerprint, F=math.nan, E1=math.inf)]}
+    assert compare(fingerprint, tmp_path, capsys, dump, dump) == (0, {"a": 0.0})
+
+
+def test_nan_on_one_side_drifts_inf(fingerprint, tmp_path, capsys):
+    # max(0.0, nan) keeps 0.0, so a NaN against 1.0 once read as no drift.
+    old = {"a": [record(fingerprint)], "b": [record(fingerprint, E2=math.inf)]}
+    new = {"a": [record(fingerprint, F=math.nan)], "b": [record(fingerprint, E2=2.0)]}
+    assert compare(fingerprint, tmp_path, capsys, old, new) == (1, {"a": math.inf, "b": math.inf})
+
+
+def test_lost_record_drifts(fingerprint, tmp_path, capsys):
+    # zip stops at the shorter list: the records both hold are equal.
+    old = {"a": [record(fingerprint), record(fingerprint, t=2.0)], "b": [record(fingerprint)]}
+    new = {"a": [record(fingerprint)], "b": [record(fingerprint)]}
+    assert compare(fingerprint, tmp_path, capsys, old, new) == (1, {"a": math.inf, "b": 0.0})
+
+
+def test_run_in_one_dump_only_drifts(fingerprint, tmp_path, capsys):
+    old = {"a": [record(fingerprint)]}
+    new = {"a": [record(fingerprint)], "b": [record(fingerprint)]}
+    assert compare(fingerprint, tmp_path, capsys, old, new) == (1, {"a": 0.0, "b": math.inf})
+
+
+def test_finite_drift_is_relative(fingerprint, tmp_path, capsys):
+    old = {"a": [record(fingerprint, F=4.0, E1=0.0)]}
+    new = {"a": [record(fingerprint, F=5.0, E1=0.5)]}
+    assert compare(fingerprint, tmp_path, capsys, old, new) == (1, {"a": 0.5})

@@ -29,7 +29,10 @@ ladder's levels above 4097 nodes (8193 to 65537, stride 1), whose record
 integrals split at a DOT_SPLIT column.  ``--compare OLD NEW`` reads two such
 dumps, say from two checkouts, and prints the worst relative drift
 |new - old| / |old| (|new - old| where old is 0) of each record field over
-the records both dumps hold, then the worst drift of each run::
+the records both dumps hold, then the worst drift of each run.  Equal
+``float.hex`` strings drift 0, NaN included; a NaN or an infinity on one side
+only drifts inf, and so does a run whose record counts differ or that only
+one dump holds.  The command exits 1 when any drift is nonzero, else 0::
 
     python tools/fingerprint.py --dump old.json      # in the old checkout
     python tools/fingerprint.py --dump new.json      # in the new one
@@ -46,6 +49,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import tempfile
@@ -193,44 +197,59 @@ def relative_drift(old: float, new: float) -> float:
     return abs(new - old) / (abs(old) if old != 0.0 else 1.0)
 
 
-def compare(old_path: str, new_path: str) -> None:
+def field_drift(old: str, new: str) -> float:
+    """Drift between two ``float.hex`` strings: 0 when they are equal, else
+    the relative drift, or inf where that is NaN (a NaN or an infinity on one
+    side only)."""
+    if old == new:
+        return 0.0
+    d = relative_drift(float.fromhex(old), float.fromhex(new))
+    return math.inf if math.isnan(d) else d
+
+
+def compare(old_path: str, new_path: str) -> int:
+    """Print the drift between two dumps; 1 when any is nonzero, else 0."""
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
     worst = {name: (0.0, None) for name in RECORD_FIELDS}
     per_run = {}
     for run in sorted(old.keys() & new.keys()):
         a, b = old[run], new[run]
-        run_worst = 0.0
+        run_worst = 0.0 if len(a) == len(b) else math.inf
         for row_a, row_b in zip(a, b):
             for name, x, y in zip(RECORD_FIELDS, row_a, row_b):
-                d = relative_drift(float.fromhex(x), float.fromhex(y))
+                d = field_drift(x, y)
                 run_worst = max(run_worst, d)
                 if d > worst[name][0]:
                     worst[name] = (d, run)
         per_run[run] = (run_worst, len(a), len(b))
+    only = sorted(old.keys() ^ new.keys())
     print(f"# worst relative drift per record field over {len(per_run)} runs")
     for name, (d, run) in worst.items():
         print(f"{name} {d:.3e}" + (f" {run}" if run else ""))
     print("# worst relative drift per run (records old new)")
     for run, (d, n_old, n_new) in per_run.items():
         print(f"{run} {d:.3e} {n_old} {n_new}")
-    for run in sorted(old.keys() ^ new.keys()):
+    for run in only:
         print(f"{run} only in {old_path if run in old else new_path}")
+    drifted = only + [run for run, (d, _, _) in per_run.items() if d != 0.0]
+    print(f"# {len(drifted)} of {len(per_run) + len(only)} runs drift")
+    return 1 if drifted else 0
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--dump", metavar="FILE", help="also write every run's records to FILE")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="print the record drift between two dumps, run nothing")
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
-        return
+        return compare(*args.compare)
     dump = None if args.dump is None else {}
     fingerprint_runs(dump)
     if dump is not None:
         Path(args.dump).write_text(json.dumps(dump))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

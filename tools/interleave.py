@@ -23,15 +23,18 @@ For each group the script prints, over the rounds, the median of the
 ratio new/old of the median unit time and of the total time, each with
 the number of rounds in which the new tree was faster.  A group of at
 most PER_UNIT units also prints each unit's median ratio new/old with its
-win count, so one level of ``refine`` shows by itself.  A ratio below 1
-means the new tree is faster.  Files the runs write go to the temporary
-directory, and nothing is written under ``perfbench/``.
+win count, so one level of ``refine`` shows by itself.  The ``sweep``,
+``decay`` and ``refine`` groups also print the mean number of record
+flushes per unit (``perf["record_batches"]`` of the unit's report) of each
+tree.  A ratio below 1 means the new tree is faster.  Files the runs write
+go to the temporary directory, and nothing is written under ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import os
 import shutil
 import statistics
@@ -47,6 +50,8 @@ sys.dont_write_bytecode = True  # keep perfbench/ and the checkouts clean
 
 ROOT = Path(__file__).resolve().parents[1]
 GROUPS = ("sweep", "decay", "refine", "suite")
+# Groups whose units return a run report, whose perf block counts flushes.
+RUNS = ("sweep", "decay", "refine")
 # Groups of at most this many units print a line per unit.
 PER_UNIT = 8
 
@@ -111,14 +116,17 @@ def main(argv=None) -> int:
             labels = [label for label, _ in work[0]]
             median_ratios, total_ratios, seconds = [], [], [[], []]
             unit_ratios = [[] for _ in labels]
+            flushes = [[], []]
             for r in range(args.rounds):
                 times = [[], []]
                 order = (0, 1) if r % 2 == 0 else (1, 0)
                 for pair in zip(*work):
                     for side in order:
                         t0 = perf_counter()
-                        pair[side][1]()
+                        result = pair[side][1]()
                         times[side].append(perf_counter() - t0)
+                        if group in RUNS and r == 0:
+                            flushes[side].append(result.perf.get("record_batches", math.nan))
                 old, new = times
                 for ratios, o, n in zip(unit_ratios, old, new):
                     ratios.append(n / o)
@@ -131,6 +139,9 @@ def main(argv=None) -> int:
                   f"{1e3 * statistics.median(seconds[1]):.3f} ms  "
                   + ratio_line("median-unit ratio", median_ratios) + "  "
                   + ratio_line("total ratio", total_ratios), flush=True)
+            if group in RUNS:
+                print(f"  flushes per unit {statistics.mean(flushes[0]):.3f} -> "
+                      f"{statistics.mean(flushes[1]):.3f}", flush=True)
             if len(labels) <= PER_UNIT:
                 for label, ratios in zip(labels, unit_ratios):
                     print(f"  {label:<20} " + ratio_line("ratio", ratios), flush=True)
