@@ -140,21 +140,26 @@ def _read(cls, block: Any, where: str):
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object, got {type(block).__name__}")
     kinds, required = _schema(cls)
-    unknown = block.keys() - kinds
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - block.keys()
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-    values = {}
+    if not required <= block.keys() <= kinds.keys():
+        unknown = block.keys() - kinds
+        if unknown:
+            raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"missing keys in {where}: {sorted(required - block.keys())}")
+    values = dict(block)
     for key, value in block.items():
-        if kinds[key] is float and not (value is None and key == "blowup_threshold"):
+        kind = kinds[key]
+        if kind is float:
+            # A finite float passes _real as itself, and null is the default
+            # threshold: neither needs the name an error message would use.
+            if ((type(value) is float and -math.inf < value < math.inf)
+                    or (value is None and key == "blowup_threshold")):
+                continue
             value = _real(value, f"{where}.{key}", ConfigError)
             if not math.isfinite(value):
                 raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-        elif kinds[key] not in (float, int, bool, str):
-            value = _read(kinds[key], value, key)
-        values[key] = value
+            values[key] = value
+        elif kind not in (int, bool, str):
+            values[key] = _read(kind, value, key)
     try:
         return cls(**values)
     except ParameterError as exc:

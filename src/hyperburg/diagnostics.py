@@ -105,19 +105,23 @@ def _outermost(magnitude: np.ndarray, thresholds, x: np.ndarray) -> list[tuple[f
     the empty-support marker.  ``np.fmax`` skips a NaN in one row, as
     ``(magnitude > threshold).any(axis=0)`` would; ``np.maximum`` would not.
     The row maximum overwrites ``magnitude[0]``, so that a flush allocates
-    no ``(k, m)`` block for it.
+    no ``(k, m)`` block for it.  A slot whose first column over its
+    threshold is column 0 has one there or none at all (``argmax`` of no
+    True is 0); the edges are read as one fancy index each, which costs
+    less than indexing per slot, and less than ``take`` on reversed nodes.
 
     Raises:
         ParameterError: unless every threshold is positive.
     """
     thresholds = np.asarray(thresholds, dtype=float)
-    if not thresholds.min() > 0.0:  # NaN fails too
+    if not all([t > 0.0 for t in thresholds.tolist()]):  # NaN fails too
         raise ParameterError(f"support threshold must be positive, got {thresholds.tolist()}")
-    over = np.fmax(magnitude[0], magnitude[1], out=magnitude[0]) > thresholds[:, None]
-    last = over.shape[1] - 1
-    return [(float(x[i]), float(x[last - j])) if row[i] else (0.0, 0.0)
-            for row, i, j in zip(over, over.argmax(axis=1).tolist(),
-                                 over[:, ::-1].argmax(axis=1).tolist())]
+    over = np.fmax(magnitude[0], magnitude[1], magnitude[0]) > thresholds[:, None]
+    first = over.argmax(1)
+    lefts = x[first].tolist()
+    rights = x[::-1][over[:, ::-1].argmax(1)].tolist()
+    return [(left, right) if i or hit else (0.0, 0.0)
+            for left, right, i, hit in zip(lefts, rights, first.tolist(), over[:, 0].tolist())]
 
 
 def identity_residual(
@@ -205,6 +209,11 @@ class ConeMax:
     :func:`~hyperburg.solver.integrate`; it keeps the running maximum, not
     the states.  Only states with t <= t_c contribute.
 
+    The offsets x - x_c of the last grid seen are kept.  They are sorted, as
+    the nodes are, so the cone's nodes {|x - x_c| <= r} are the one index
+    range {-r <= x - x_c <= r}, found by bisection: the same nodes as a
+    whole-grid mask, and so the same maximum.
+
     Raises:
         ParameterError: when the apex time t_c is not positive.
     """
@@ -214,6 +223,7 @@ class ConeMax:
             raise ParameterError(f"cone apex time must be positive, got {t_c}")
         self.x_c, self.t_c, self.c = x_c, t_c, params.c
         self._worst: Optional[float] = None
+        self._grid, self._offsets = None, None
 
     def __call__(self, state: GridState) -> None:
         """Fold one state into the maximum.
@@ -231,8 +241,11 @@ class ConeMax:
                 f"[{state.grid.xmin}, {state.grid.xmax}]"
             )
         radius = self.c * (self.t_c - state.t)
-        mask = np.abs(state.grid.nodes() - self.x_c) <= radius
-        peak = float(np.max(np.abs(state.v[mask]))) if mask.any() else 0.0
+        if state.grid is not self._grid:
+            self._grid, self._offsets = state.grid, state.grid.nodes() - self.x_c
+        lo = int(self._offsets.searchsorted(-radius, "left"))
+        hi = int(self._offsets.searchsorted(radius, "right"))
+        peak = float(np.max(np.abs(state.v[lo:hi]))) if lo < hi else 0.0
         self._worst = peak if self._worst is None else max(self._worst, peak)
 
     @property
@@ -265,16 +278,20 @@ class RecordWorkspace:
     the staged slots belong to one grid and one model.  ``batches`` counts
     the flushes, and ``seconds`` the wall time spent staging, moving and
     flushing.  Rebinding allocates nothing, and a flush overwrites its whole
-    block.
+    block.  No method silences floating-point warnings: a caller whose
+    states may overflow holds ``np.errstate(over="ignore",
+    invalid="ignore")``, as :func:`~hyperburg.solver.integrate` and
+    :func:`compute_record` do, so that a flush does not pay for its own.
     """
 
-    __slots__ = ("buffer", "n", "window", "span", "slots", "stack", "staged", "grid", "params",
-                 "records", "batches", "seconds")
+    __slots__ = ("buffer", "n", "window", "span", "slots", "stack", "staged", "grid", "nodes",
+                 "params", "records", "batches", "seconds")
 
     def __init__(self, n: int):
         self.buffer = np.empty(RECORD_ROWS * max(n, RECORD_COLUMNS_MIN))
         self.n = n
         self.staged: list[float] = []  # the t of each staged slot
+        self.grid = None  # the staged slots' grid, and its nodes beside it
         self.records: list[DiagnosticsRecord] = []
         self.batches, self.seconds = 0, 0.0
         self.bind(0, n)
@@ -317,13 +334,14 @@ class RecordWorkspace:
         t0 = perf_counter()
         (a, b), lo = self.window, self.span[0]
         slot = self.stack[1:4, len(self.staged)]
-        np.copyto(slot[1:], state.u[:, lo:self.span[1]])
+        slot[1:] = state.u[:, lo:self.span[1]]
         if v_tt is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                v_tt = pde_rhs(*state.u[:, a:b], state.grid.dx, params.mu, params.nu)[1]
+            v_tt = pde_rhs(*state.u[:, a:b], state.grid.dx, params.mu, params.nu)[1]
         slot[0, a - lo:b - lo] = v_tt
         self.staged.append(state.t)
-        self.grid, self.params = state.grid, params
+        if state.grid is not self.grid:
+            self.grid, self.nodes = state.grid, state.grid.nodes()
+        self.params = params
         self.seconds += perf_counter() - t0
         if len(self.staged) == self.slots:
             self.flush()
@@ -338,53 +356,46 @@ class RecordWorkspace:
         m = hi - lo
         block = self.buffer[:RECORD_ROWS * k * m].reshape(RECORD_ROWS, k, m)
         if k < self.slots:  # close the staged rows up into the k-slot block
-            np.copyto(block[1:4], self.stack[1:4, :k])
+            block[1:4] = self.stack[1:4, :k]
         grid, params = self.grid, self.params
         dx, mu, nu, n = grid.dx, params.mu, params.nu, grid.n
-        c2 = params.c * params.c
-        vw, v_tt, v, w, v_xx, w_xx, flux, v_xtt, v_x, w_x, v_xxx, v_ttt = block
-        with np.errstate(over="ignore", invalid="ignore"):
-            v_tt[:, :a - lo] = v_tt[:, b - lo:] = 0.0
-            d2_central(block[2:4], dx, out=block[4:6])
-            np.multiply(v, w, out=vw)
-            d1_central(block[:5], dx, out=block[6:11])
-            # d/dt of the w-equation (flux v^2/2 differentiates to v*w), in place.
-            np.multiply(w_xx, nu, out=v_ttt)
-            np.subtract(v_ttt, flux, out=v_ttt)
-            np.subtract(v_ttt, v_tt, out=v_ttt)
-            np.divide(v_ttt, mu, out=v_ttt)
-            v_ttt[:, 0] = v_ttt[:, -1] = 0.0
+        c, L = params.c, params.L
+        c2 = c * c
+        c4, c6 = c2**2, c2**3
+        v_tt, v_ttt = block[1], block[11]
+        v_tt[:, :a - lo] = v_tt[:, b - lo:] = 0.0
+        d2_central(block[2:4], dx, out=block[4:6])
+        np.multiply(block[2], block[3], block[0])  # v * w
+        d1_central(block[:5], dx, out=block[6:11])
+        # d/dt of the w-equation (flux v^2/2 differentiates to v*w), in place.
+        np.multiply(block[5], nu, v_ttt)  # w_xx
+        np.subtract(v_ttt, block[6], v_ttt)  # (v w)_x
+        np.subtract(v_ttt, v_tt, v_ttt)
+        np.divide(v_ttt, mu, v_ttt)
+        v_ttt[:, 0] = v_ttt[:, -1] = 0.0
 
-            squares = zip(*trapezoid_dot(block[1:], block[1:], dx, lo, n))
-            x = grid.nodes()[lo:hi]
-            moments = zip(*trapezoid_dot(x, block[2:4], dx, lo, n))
-            # The differences are spent: |u| goes where v_x and w_x were.
-            magnitude = np.abs(block[2:4], out=block[8:10])
-            sups = magnitude[0].max(axis=1)
-            edges = _outermost(magnitude, SUPPORT_REL_THRESHOLD * (1.0 + sups), x)
+        squares = zip(*trapezoid_dot(block[1:], block[1:], dx, lo, n))
+        x = self.nodes[lo:hi]
+        moments = zip(*trapezoid_dot(x, block[2:4], dx, lo, n))
+        # The differences are spent: |u| goes where v_x and w_x were.
+        magnitude = np.abs(block[2:4], block[8:10])
+        sups = magnitude[0].max(axis=1)
+        edges = _outermost(magnitude, SUPPORT_REL_THRESHOLD * (1.0 + sups), x)
 
-            for t, integrals, (f, fp), sup, (left, right) in zip(
-                    self.staged, squares, moments, sups.tolist(), edges):
-                (int_vtt2, int_v2, int_w2, int_vxx2, int_vxxt2, _, int_vxtt2, int_vx2,
-                 int_vxt2, int_vxxx2, int_vttt2) = integrals
-                half_v2 = 0.5 * int_v2
-                radius = params.L + params.c * t
-                self.records.append(DiagnosticsRecord(
-                    t=t,
-                    F=f,
-                    Fprime=fp,
-                    E1=0.5 * (int_w2 + c2 * int_vx2),
-                    E2=0.5 * (int_vtt2 + c2**2 * int_vxx2),
-                    E3=0.5 * (int_vttt2 + c2**3 * int_vxxx2),
-                    sup_norm=sup,
-                    support_left=left,
-                    support_right=right,
-                    schwartz_gap=(2.0 / 3.0) * radius**3 * (2.0 * half_v2) - f * f,
-                    half_int_v2=half_v2,
-                    int_vxt2=int_vxt2,
-                    int_vxtt2=int_vxtt2,
-                    int_vxxt2=int_vxxt2,
-                ))
+        # Positional fields, in DiagnosticsRecord's order: keywords cost
+        # about 2 us more per record.
+        append = self.records.append
+        for t, integrals, (f, fp), sup, (left, right) in zip(
+                self.staged, squares, moments, sups.tolist(), edges):
+            (int_vtt2, int_v2, int_w2, int_vxx2, int_vxxt2, _, int_vxtt2, int_vx2,
+             int_vxt2, int_vxxx2, int_vttt2) = integrals
+            half_v2 = 0.5 * int_v2
+            radius = L + c * t
+            append(DiagnosticsRecord(
+                t, f, fp, 0.5 * (int_w2 + c2 * int_vx2), 0.5 * (int_vtt2 + c4 * int_vxx2),
+                0.5 * (int_vttt2 + c6 * int_vxxx2), sup, left, right,
+                (2.0 / 3.0) * radius**3 * (2.0 * half_v2) - f * f, half_v2,
+                int_vxt2, int_vxtt2, int_vxxt2))
         self.staged.clear()
         self.batches += 1
         self.seconds += perf_counter() - t0
@@ -408,6 +419,7 @@ def compute_record(
     """
     if work is None:
         work = RecordWorkspace(state.grid.n)
-    work.stage(state, params, v_tt)
-    work.flush()
+    with np.errstate(over="ignore", invalid="ignore"):
+        work.stage(state, params, v_tt)
+        work.flush()
     return work.records.pop()

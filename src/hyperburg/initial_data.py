@@ -14,8 +14,8 @@ positive moment targets reachable.  Both fields share this shape:
 and ``calibrated_profile`` picks (a, b) so the discrete moments hit their
 targets.  The initial data are described by a
 :class:`~hyperburg.config.ICConfig`, amplitudes or targets, and L is always
-the run's ``params.L``.  psi's support on a grid is computed once per grid
-and L.
+the run's ``params.L``.  psi's support on a grid, and its first moment,
+are computed once per grid and L.
 """
 
 from __future__ import annotations
@@ -89,6 +89,14 @@ def _grid_bump(grid: Grid, L: float) -> np.ndarray:
     return psi
 
 
+# Beside _bump_support, and bounded alike: a sweep calibrates many targets
+# on one grid.
+@functools.lru_cache(maxsize=16)
+def _first_moment(grid: Grid, L: float) -> float:
+    """m1 = int x * psi dx by ``numpy.trapezoid`` on the grid, once per (grid, L)."""
+    return float(np.trapezoid(grid.nodes() * _grid_bump(grid, L), dx=grid.dx))
+
+
 def amplitude_for_sup_norm(sup: float, L: float) -> float:
     """Amplitude a such that a * psi has the requested peak magnitude: max |psi|
     is psi(x*) = x* exp(-(1 + sqrt(3)) / 2) at x* = L sqrt(2 - sqrt(3)).  A
@@ -121,7 +129,7 @@ def calibrated_profile(
     """
     targets = ICConfig(family, F0_target=F0_target, F1_target=F1_target)  # checks them
     L = _half_width(L)
-    m1 = float(np.trapezoid(grid.nodes() * _grid_bump(grid, L), dx=grid.dx))
+    m1 = _first_moment(grid, L)
     if not math.isfinite(m1) or m1 <= 0.0:
         raise CalibrationError(f"first moment of the profile is {m1!r} on this grid "
                                f"(n={grid.n}, dx={grid.dx:.3g}); grid too coarse for L={L}")

@@ -115,7 +115,8 @@ class RhsKernel:
     stencils; a caller that holds such a flat row already passes it with the
     number of ``rows`` laid end to end in it.  ``rows`` is the number of
     slopes a call serves.  :meth:`damp` completes one slope from its F and
-    writes only the dw/dt interior.
+    writes only the dw/dt interior.  Both pass each ufunc's output
+    positionally, as :func:`~hyperburg.solver.step_rk4` does.
     """
 
     __slots__ = ("rows", "views", "f", "scratch")
@@ -140,13 +141,13 @@ class RhsKernel:
         v_right, v_left, v_mid = self.views
         neg_b, a, two_a, _ = coefficients
         f, scratch = self.f, self.scratch
-        np.subtract(v_right, v_left, out=scratch)
-        np.multiply(scratch, neg_b, out=scratch)
-        np.add(scratch, a, out=scratch)
-        np.add(v_right, v_left, out=f)
-        np.multiply(f, scratch, out=f)
-        np.multiply(v_mid, two_a, out=scratch)
-        np.subtract(f, scratch, out=f)
+        np.subtract(v_right, v_left, scratch)
+        np.multiply(scratch, neg_b, scratch)
+        np.add(scratch, a, scratch)
+        np.add(v_right, v_left, f)
+        np.multiply(f, scratch, f)
+        np.multiply(v_mid, two_a, scratch)
+        np.subtract(f, scratch, f)
 
     @staticmethod
     def slope_views(k: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -158,8 +159,8 @@ class RhsKernel:
     def damp(slope: tuple[np.ndarray, ...], mu) -> np.ndarray:
         """dw/dt = F - w/mu on these :meth:`slope_views`; returns ``k``."""
         k, w, f, dw = slope
-        np.divide(w, mu, out=dw)
-        np.subtract(f, dw, out=dw)
+        np.divide(w, mu, dw)
+        np.subtract(f, dw, dw)
         return k
 
 

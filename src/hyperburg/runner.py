@@ -34,7 +34,7 @@ from .certificate import Certificate, build_certificate, comparison_check
 from .config import RunConfig, resolve_output_dir
 from .initial_data import sample_initial_state
 from .model import ModelParams
-from .solver import GridState, RunOutcome, integrate
+from .solver import GridState, RunOutcome, RunStatus, integrate
 
 __all__ = ["RunReport", "execute_config", "write_csv", "json_text", "CSV_COLUMNS"]
 
@@ -136,11 +136,15 @@ def _worst_case(outcome: RunOutcome, cert: Certificate, params: ModelParams) -> 
 
 def _resolution(outcome: RunOutcome, params: ModelParams) -> dict:
     """Largest recorded sup|v| / c and cell Peclet number sup|v| dx / nu, and
-    the final-state nodes with |v| > max|v| / 10 (None if not finite)."""
+    the final-state nodes with |v| > max|v| / 10 (None if not finite).
+
+    A final state is finite unless the run ended in NUMERICAL_FAILURE: the
+    run-health check found it finite on the window, and it is zero outside.
+    """
     peak = max(r.sup_norm for r in outcome.records)
     final = outcome.final_state
     width = None
-    if np.isfinite(final.u).all():
+    if outcome.status is not RunStatus.NUMERICAL_FAILURE:
         size = np.abs(final.v)
         width = int(np.count_nonzero(size > 0.1 * size.max()))
     return {"max_sup_over_c": peak / params.c,

@@ -307,7 +307,8 @@ def step_rk4(
     the IEEE operations of u + h k, row by row.  The slopes are combined as
     u + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed in that order; k4's weight
     of 1.0 is exact and so is not multiplied out, and 2 k is formed as
-    k + k, which is exact too.
+    k + k, which is exact too.  Every ufunc call passes its output
+    positionally: the ``out=`` keyword costs 50-70 ns more per call.
     """
     if work is None:
         work = StepWorkspace(state.grid.n)
@@ -321,38 +322,38 @@ def step_rk4(
     coefficients, half, full = work.coefficients, work.half, work.full
     damp, mu = RhsKernel.damp, coefficients[3]
 
-    np.copyto(work.u0, win)
+    work.u0[...] = win  # as np.copyto, with less overhead per call
     # The copy's w is k1's dv/dt row, whose edge columns a slope holds at
     # +0.0; no kernel writes them.  Every later stage's w edges are then
     # +0.0 + h * (+-0.0) = +0.0 as well.  The final update reads the
     # state's own window, edges included.
     work.edges[...] = 0.0
-    np.multiply(w0, half, out=v2)
-    np.add(v0, v2, out=v2)
+    np.multiply(w0, half, v2)
+    np.add(v0, v2, v2)
     first(coefficients)
     k1 = damp(slope1, mu)
-    np.multiply(dw1, half, out=w)
-    np.add(w0, w, out=w)
+    np.multiply(dw1, half, w)
+    np.add(w0, w, w)
     k2 = damp(slope2, mu)
-    np.multiply(k2, half, out=u3)
-    np.add(work.u0, u3, out=u3)
-    np.multiply(w3, full, out=v4)
-    np.add(v0, v4, out=v4)
+    np.multiply(k2, half, u3)
+    np.add(work.u0, u3, u3)
+    np.multiply(w3, full, v4)
+    np.add(v0, v4, v4)
     second(coefficients)  # v0 and v2 are spent: F(v4), F(v3) overwrite them
     k3 = damp(slope3, mu)
     # The sum was the pairs' scratch; k2's rows are stage 4's next.
-    np.add(k2, k2, out=acc)
-    np.add(k1, acc, out=acc)
-    np.multiply(dw3, full, out=w)
-    np.add(w0, w, out=w)
+    np.add(k2, k2, acc)
+    np.add(k1, acc, acc)
+    np.multiply(dw3, full, w)
+    np.add(w0, w, w)
     k4 = damp(slope4, mu)
-    np.add(k3, k3, out=twice)
-    np.add(acc, twice, out=acc)
-    np.add(acc, k4, out=acc)
+    np.add(k3, k3, twice)
+    np.add(acc, twice, acc)
+    np.add(acc, k4, acc)
 
-    np.multiply(acc, work.sixth, out=acc)
+    np.multiply(acc, work.sixth, acc)
     u_new = np.zeros(u.shape)
-    np.add(win, acc, out=u_new[:, a:b])
+    np.add(win, acc, u_new[:, a:b])
     if a == 0 or b == u.shape[1]:  # else both boundary columns are outside the window
         u_new[:, 0] = u_new[:, -1] = 0.0
     return GridState(state.grid, state.t + dt, u_new)

@@ -125,6 +125,50 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"{where} must be finite, got"):
             load_config(path)
 
+    # Every float key of a document, as (block, key, a valid float, a valid int);
+    # a block of None is the top level, whose errors name "config".
+    FLOAT_KEYS = [("params", "mu", 0.75, 1), ("params", "nu", 1.25, 2), ("params", "L", 0.75, 1),
+                  ("grid", "xmin", -4.5, -4), ("grid", "xmax", 4.5, 4), (None, "t_end", 0.75, 1),
+                  (None, "cfl", 0.3, 1), (None, "blowup_threshold", 1e6, 10**6),
+                  ("ic", "a", 0.25, 1), ("ic", "b", 0.5, -1), ("ic", "F0_target", 40.5, 40),
+                  ("ic", "F1_target", 200.5, 200)]
+
+    @pytest.mark.parametrize("kind", ["float", "int", "float64", "bool", "str", "nan", "inf",
+                                      "huge-int"])
+    @pytest.mark.parametrize("block,key,real,integer", FLOAT_KEYS,
+                             ids=[f"{b or 'config'}.{k}" for b, k, _, _ in FLOAT_KEYS])
+    def test_float_keys_parse_or_name_the_fault(self, block, key, real, integer, kind):
+        # Each float key either parses to float(value) or raises the reader's
+        # exact message, whatever the type of the value.
+        value = {"float": real, "int": integer, "float64": np.float64(real), "bool": True,
+                 "str": "1", "nan": math.nan, "inf": math.inf, "huge-int": 10**400}[kind]
+        doc = base_doc()
+        if key.endswith("_target"):
+            doc["ic"] = {"family": "odd_bump", "F0_target": 40.0, "F1_target": 200.0}
+        (doc if block is None else doc[block])[key] = value
+        where = f"{block or 'config'}.{key}"
+        if kind in ("bool", "str"):
+            with pytest.raises(ConfigError) as info:
+                config_from_dict(doc)
+            assert str(info.value) == f"{where} must be a number, got {value!r}"
+        elif kind in ("nan", "inf", "huge-int"):
+            with pytest.raises(ConfigError) as info:
+                config_from_dict(doc)
+            read = math.inf if kind == "huge-int" else value  # as _real reads past the doubles
+            assert str(info.value) == f"{where} must be finite, got {read!r}"
+        else:
+            config = config_from_dict(doc)
+            parsed = getattr(config if block is None else getattr(config, block), key)
+            assert type(parsed) is float and parsed.hex() == float(value).hex()
+
+    @pytest.mark.parametrize("block", ["params", "grid", "ic", "output"])
+    def test_a_block_given_as_a_float_is_not_an_object(self, block):
+        doc = base_doc()
+        doc[block] = 1.5
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == f"{block} must be an object, got float"
+
     @pytest.mark.parametrize("build,match", [
         (lambda c: RunConfig(c.params, c.grid, -1.0, c.ic), "t_end must be a finite number > 0"),
         (lambda c: RunConfig(c.params, c.grid, 1.0, c.ic, cfl=1.5), r"cfl must lie in \(0, 1\]"),
@@ -378,6 +422,34 @@ class TestExecuteConfig:
         assert report.status == "numerical_failure"
         assert report.resolution["spike_width_nodes"] is None
         assert math.isfinite(report.resolution["max_sup_over_c"])
+
+    def test_spike_width_from_the_run_status(self):
+        # The width counts the whole final grid for a completed and a blow-up
+        # run, as the isfinite-and-count form does, and is None for a run that
+        # broke: the overflow case of test_failure_flushes_the_staged_records.
+        from hyperburg.runner import _resolution
+
+        def whole_grid_width(state):
+            if not np.isfinite(state.u).all():
+                return None
+            size = np.abs(state.v)
+            return int(np.count_nonzero(size > 0.1 * size.max()))
+
+        params = ModelParams(1, 1, 1)
+        runs = [(Grid(-8.0, 8.0, 512), calibrated_profile("odd_bump", 1.0, Grid(-8.0, 8.0, 512),
+                                                          40.0, 200.0), 6.5, None),
+                (Grid(-4.0, 4.0, 256), ICConfig("odd_bump", a=0.5, b=0.0), 1.0, None),
+                (Grid(-4.0, 4.0, 1024), ICConfig("odd_bump", a=1e4, b=0.0), 1.0, 1e307)]
+        statuses = []
+        for grid, ic, t_end, threshold in runs:
+            out = integrate(sample_initial_state(params, grid, ic), params, t_end,
+                            blowup_threshold=threshold, record_stride=8)
+            statuses.append(out.status)
+            assert _resolution(out, params)["spike_width_nodes"] == \
+                whole_grid_width(out.final_state)
+        assert statuses == [RunStatus.BLOWUP_DETECTED, RunStatus.COMPLETED,
+                            RunStatus.NUMERICAL_FAILURE]
+        assert whole_grid_width(out.final_state) is None
 
     def test_to_dict_never_visits_the_outcome(self, tmp_path):
         doc = base_doc(str(tmp_path / "d"))

@@ -155,6 +155,18 @@ class TestSupNormAndSupport:
         assert _outermost(batch, [1e-6, 1e-6, 4.0, 1e-2], x) == [
             (x[10], x[50]), (x[10], x[50]), (0.0, 0.0), (x[10], x[10])]
 
+    def test_support_from_the_first_column(self):
+        # A slot over its threshold at column 0 has its left edge there; a
+        # slot over it nowhere is the empty marker, in the same batch.
+        grid = Grid(-2.0, 2.0, 64)
+        x = grid.nodes()
+        v = np.zeros(64)
+        v[0], v[7] = 1.0, -2.0
+        u = state_on(grid, v).u
+        batch = np.abs(np.stack((u, u, np.zeros_like(u)), axis=1))
+        assert _outermost(batch, [1e-6, 1.5, 1e-6], x) == [(x[0], x[7]), (x[7], x[7]),
+                                                            (0.0, 0.0)]
+
     def test_calibrated_state_peak_and_support(self):
         grid = Grid(-2.0, 2.0, 2048)
         a = amplitude_for_sup_norm(0.1, 1.0)
@@ -399,6 +411,56 @@ class TestConeMax:
         assert (cone.x_c, cone.t_c) == (5.0, 2.0)
         gsup = max(rec.sup_norm for rec in report.outcome.records)
         assert cone.value <= 1e-10 * (1.0 + gsup)
+
+    @staticmethod
+    def mask_form(state, x_c, t_c, c):
+        """The cone maximum of one state over a whole-grid mask of the cone."""
+        mask = np.abs(state.grid.nodes() - x_c) <= c * (t_c - state.t)
+        return float(np.max(np.abs(state.v[mask]))) if mask.any() else 0.0
+
+    def test_index_range_equals_the_mask_form(self):
+        # On every state the cone preset observes, the cone's index range
+        # gives the whole-grid mask's maximum, for the preset's apex and for
+        # apexes whose cones hold part or all of the data.
+        from hyperburg.runner import execute_config
+        from hyperburg.suite import CONE_APEX, preset_configs
+
+        config = preset_configs("cone")[0]
+        apexes = [CONE_APEX, (0.0, 2.0), (1.5, 2.0), (-2.25, 0.5)]
+        checked = []
+
+        def observe(state):
+            for x_c, t_c in apexes:
+                if state.t <= t_c:
+                    cone = ConeMax(x_c, t_c, config.params)
+                    cone(state)
+                    want = self.mask_form(state, x_c, t_c, config.params.c)
+                    assert cone.value.hex() == want.hex(), (x_c, t_c, state.t)
+                    checked.append(want > 0.0)
+        execute_config(config, observe=observe)
+        assert len(checked) > 1000 and any(checked) and not all(checked)
+
+    def test_index_range_edge_cases(self):
+        # A radius equal to a node's distance holds that node, radius 0 holds
+        # only a node at the apex, and a cone of no node reads 0.0.
+        params = ModelParams(1, 1, 1)  # c = 1
+        grid = Grid(-4.0, 4.0, 81)  # dx = 0.1; node 40 is x = 0
+        x = grid.nodes()
+        v = np.arange(1.0, 82.0)  # |v| grows to the right
+        x_c = x[40]
+        for j in (43, 50):
+            t_c = float(x[j] - x_c)  # at t = 0 the radius is node j's distance
+            cone = ConeMax(x_c, t_c, params)
+            cone(state_on(grid, v))
+            assert cone.value == v[j] == self.mask_form(state_on(grid, v), x_c, t_c, 1.0)
+            assert abs(x[j + 1] - x_c) > t_c
+        cone = ConeMax(x_c, 1.0, params)
+        cone(state_on(grid, v, t=1.0))  # radius 0: the apex node alone
+        assert cone.value == v[40]
+        between = float(x[40] + x[41]) / 2.0
+        cone = ConeMax(between, 1.0, params)
+        cone(state_on(grid, v, t=1.0))  # radius 0 between two nodes: no node
+        assert cone.value == 0.0 == self.mask_form(state_on(grid, v, t=1.0), between, 1.0, 1.0)
 
     def test_cone_containing_support_sees_global_sup(self):
         # base [-4, 4] contains the whole causal region for t <= 1, so the

@@ -101,6 +101,21 @@ class TestCalibrate:
         assert m1_trapz == pytest.approx(m1_quad, rel=1e-6)
         assert self.calibrated(40.0, 0.0).a == 40.0 / m1_trapz
 
+    def test_moment_cached_per_grid_value_with_the_direct_bits(self):
+        # Two distinct grid objects of equal values share one cached m1, and
+        # each calibration divides by the direct np.trapezoid form's bits.
+        first, second = Grid(-8.0, 8.0, 517), Grid(-8.0, 8.0, 517)
+        assert first is not second
+        x = first.nodes()
+        m1 = float(np.trapezoid(x * bump_profile(x, 1.25), dx=first.dx))
+        for grid in (first, second):
+            prof = calibrated_profile("odd_bump", 1.25, grid, 40.0, 200.0)
+            assert [prof.a.hex(), prof.b.hex()] == [(40.0 / m1).hex(), (200.0 / m1).hex()]
+        assert initial_data._first_moment(second, 1.25) == m1
+        # bounded like the bump supports it is computed from
+        assert (initial_data._first_moment.cache_info().maxsize
+                == initial_data._bump_support.cache_info().maxsize == 16)
+
     def test_coarse_grid_raises(self):
         # No interior node falls inside [-1, 1]: the first moment is 0.
         with pytest.raises(CalibrationError):

@@ -26,7 +26,10 @@ most PER_UNIT units also prints each unit's median ratio new/old with its
 win count, so one level of ``refine`` shows by itself.  The ``sweep``,
 ``decay`` and ``refine`` groups also print the mean number of record
 flushes per unit (``perf["record_batches"]`` of the unit's report) of each
-tree.  A ratio below 1 means the new tree is faster.  Files the runs write
+tree, and each tree's median per unit, over every unit of every round, of
+the report's ``perf`` phases ``PHASES``, and for ``sweep`` of the unit's
+``config_from_dict`` as well; so a saving shows in the phase that holds
+it.  A ratio below 1 means the new tree is faster.  Files the runs write
 go to the temporary directory, and nothing is written under ``perfbench/``.
 """
 
@@ -50,8 +53,12 @@ sys.dont_write_bytecode = True  # keep perfbench/ and the checkouts clean
 
 ROOT = Path(__file__).resolve().parents[1]
 GROUPS = ("sweep", "decay", "refine", "suite")
-# Groups whose units return a run report, whose perf block counts flushes.
+# Groups whose units return a run report, whose perf block counts flushes
+# and times the phases of a run.
 RUNS = ("sweep", "decay", "refine")
+PHASES = ("setup_s", "stepping_s", "records_s", "output_s")
+# The phase a sweep unit spends outside execute_config, which it adds to perf.
+PARSE = "config_from_dict"
 # Groups of at most this many units print a line per unit.
 PER_UNIT = 8
 
@@ -70,7 +77,7 @@ def units(hb, group: str, seed: int, out: Path) -> list:
     import workloads
 
     if group == "sweep":
-        return [(f"point {i}", lambda doc=doc: hb.execute_config(hb.config_from_dict(doc)))
+        return [(f"point {i}", lambda doc=doc: parse_and_run(hb, doc))
                 for i, doc in enumerate(workloads.sweep_docs(seed))]
     if group == "decay":
         config = workloads.Decay().build(hb, seed, out)
@@ -81,6 +88,16 @@ def units(hb, group: str, seed: int, out: Path) -> list:
     listed = set(hb.suite.PRESET_NAMES)
     return [(name, lambda name=name: hb.run_suite(name))
             for name in workloads.SUITE_PRESETS if name in listed]
+
+
+def parse_and_run(hb, doc):
+    """``execute_config(config_from_dict(doc))``, the parse's seconds in its perf."""
+    t0 = perf_counter()
+    config = hb.config_from_dict(doc)
+    parse_s = perf_counter() - t0
+    report = hb.execute_config(config)
+    report.perf[PARSE] = parse_s
+    return report
 
 
 def ratio_line(label: str, ratios: list[float]) -> str:
@@ -117,6 +134,7 @@ def main(argv=None) -> int:
             median_ratios, total_ratios, seconds = [], [], [[], []]
             unit_ratios = [[] for _ in labels]
             flushes = [[], []]
+            phases = [{}, {}]  # per tree, each phase's seconds over units and rounds
             for r in range(args.rounds):
                 times = [[], []]
                 order = (0, 1) if r % 2 == 0 else (1, 0)
@@ -125,8 +143,12 @@ def main(argv=None) -> int:
                         t0 = perf_counter()
                         result = pair[side][1]()
                         times[side].append(perf_counter() - t0)
-                        if group in RUNS and r == 0:
-                            flushes[side].append(result.perf.get("record_batches", math.nan))
+                        if group in RUNS:
+                            if r == 0:
+                                flushes[side].append(result.perf.get("record_batches", math.nan))
+                            for phase in (*PHASES, PARSE):
+                                if phase in result.perf:
+                                    phases[side].setdefault(phase, []).append(result.perf[phase])
                 old, new = times
                 for ratios, o, n in zip(unit_ratios, old, new):
                     ratios.append(n / o)
@@ -142,6 +164,11 @@ def main(argv=None) -> int:
             if group in RUNS:
                 print(f"  flushes per unit {statistics.mean(flushes[0]):.3f} -> "
                       f"{statistics.mean(flushes[1]):.3f}", flush=True)
+                print("  median per unit, us:" + "".join(
+                    f"  {phase} {1e6 * statistics.median(phases[0][phase]):.1f} -> "
+                    f"{1e6 * statistics.median(phases[1][phase]):.1f}"
+                    for phase in (*PHASES, PARSE) if phase in phases[0] and phase in phases[1]),
+                    flush=True)
             if len(labels) <= PER_UNIT:
                 for label, ratios in zip(labels, unit_ratios):
                     print(f"  {label:<20} " + ratio_line("ratio", ratios), flush=True)
