@@ -148,17 +148,12 @@ def _read(cls, block: Any, where: str):
     values = dict(block)
     for key, value in block.items():
         kind = kinds[key]
-        if kind is float:
-            # A finite float passes _real as itself, and null is the default
-            # threshold: neither needs the name an error message would use.
-            if ((type(value) is float and -math.inf < value < math.inf)
-                    or (value is None and key == "blowup_threshold")):
-                continue
+        if kind is float and not (value is None and key == "blowup_threshold"):
             value = _real(value, f"{where}.{key}", ConfigError)
             if not math.isfinite(value):
                 raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
             values[key] = value
-        elif kind not in (int, bool, str):
+        elif kind not in (float, int, bool, str):
             values[key] = _read(kind, value, key)
     try:
         return cls(**values)

@@ -105,10 +105,7 @@ def _outermost(magnitude: np.ndarray, thresholds, x: np.ndarray) -> list[tuple[f
     the empty-support marker.  ``np.fmax`` skips a NaN in one row, as
     ``(magnitude > threshold).any(axis=0)`` would; ``np.maximum`` would not.
     The row maximum overwrites ``magnitude[0]``, so that a flush allocates
-    no ``(k, m)`` block for it.  A slot whose first column over its
-    threshold is column 0 has one there or none at all (``argmax`` of no
-    True is 0); the edges are read as one fancy index each, which costs
-    less than indexing per slot, and less than ``take`` on reversed nodes.
+    no ``(k, m)`` block for it.
 
     Raises:
         ParameterError: unless every threshold is positive.
@@ -117,11 +114,10 @@ def _outermost(magnitude: np.ndarray, thresholds, x: np.ndarray) -> list[tuple[f
     if not all([t > 0.0 for t in thresholds.tolist()]):  # NaN fails too
         raise ParameterError(f"support threshold must be positive, got {thresholds.tolist()}")
     over = np.fmax(magnitude[0], magnitude[1], magnitude[0]) > thresholds[:, None]
-    first = over.argmax(1)
-    lefts = x[first].tolist()
-    rights = x[::-1][over[:, ::-1].argmax(1)].tolist()
-    return [(left, right) if i or hit else (0.0, 0.0)
-            for left, right, i, hit in zip(lefts, rights, first.tolist(), over[:, 0].tolist())]
+    last = over.shape[1] - 1
+    return [(float(x[i]), float(x[last - j])) if row[i] else (0.0, 0.0)
+            for row, i, j in zip(over, over.argmax(axis=1).tolist(),
+                                 over[:, ::-1].argmax(axis=1).tolist())]
 
 
 def identity_residual(
@@ -133,14 +129,13 @@ def identity_residual(
     F'' and F' are centered differences of the recorded F samples; only
     uniformly spaced consecutive triples are used (a terminal record may
     sit off the stride).  None when there are fewer than 3 records or no
-    triple is uniform: nothing checked.  The fields are read as Python
-    floats, which take the same IEEE operations as numpy scalars, faster.
+    triple is uniform: nothing checked.
     """
     if len(records) < 3:
         return None
-    t = [float(r.t) for r in records]
-    f = [float(r.F) for r in records]
-    rhs_half_v2 = [float(r.half_int_v2) for r in records]
+    t = [r.t for r in records]
+    f = [r.F for r in records]
+    rhs_half_v2 = [r.half_int_v2 for r in records]
     dt = t[1] - t[0]
     worst = 0.0
     checked = False
@@ -284,14 +279,13 @@ class RecordWorkspace:
     :func:`compute_record` do, so that a flush does not pay for its own.
     """
 
-    __slots__ = ("buffer", "n", "window", "span", "slots", "stack", "staged", "grid", "nodes",
-                 "params", "records", "batches", "seconds")
+    __slots__ = ("buffer", "n", "window", "span", "slots", "stack", "staged", "grid", "params",
+                 "records", "batches", "seconds")
 
     def __init__(self, n: int):
         self.buffer = np.empty(RECORD_ROWS * max(n, RECORD_COLUMNS_MIN))
         self.n = n
         self.staged: list[float] = []  # the t of each staged slot
-        self.grid = None  # the staged slots' grid, and its nodes beside it
         self.records: list[DiagnosticsRecord] = []
         self.batches, self.seconds = 0, 0.0
         self.bind(0, n)
@@ -329,8 +323,8 @@ class RecordWorkspace:
     def stage(self, state: GridState, params: ModelParams,
               v_tt: Optional[np.ndarray] = None) -> None:
         """Copy the state's record inputs into the next slot; flush when the
-        slots are full.  ``v_tt`` is as in :func:`compute_record`, on the
-        columns of ``window``, and is copied, so the caller may overwrite it."""
+        slots are full.  ``v_tt`` is dw/dt on the columns of ``window``, from
+        ``pde_rhs`` when None; it is copied, so the caller may overwrite it."""
         t0 = perf_counter()
         (a, b), lo = self.window, self.span[0]
         slot = self.stack[1:4, len(self.staged)]
@@ -339,9 +333,7 @@ class RecordWorkspace:
             v_tt = pde_rhs(*state.u[:, a:b], state.grid.dx, params.mu, params.nu)[1]
         slot[0, a - lo:b - lo] = v_tt
         self.staged.append(state.t)
-        if state.grid is not self.grid:
-            self.grid, self.nodes = state.grid, state.grid.nodes()
-        self.params = params
+        self.grid, self.params = state.grid, params
         self.seconds += perf_counter() - t0
         if len(self.staged) == self.slots:
             self.flush()
@@ -375,15 +367,14 @@ class RecordWorkspace:
         v_ttt[:, 0] = v_ttt[:, -1] = 0.0
 
         squares = zip(*trapezoid_dot(block[1:], block[1:], dx, lo, n))
-        x = self.nodes[lo:hi]
+        x = grid.nodes()[lo:hi]
         moments = zip(*trapezoid_dot(x, block[2:4], dx, lo, n))
         # The differences are spent: |u| goes where v_x and w_x were.
         magnitude = np.abs(block[2:4], block[8:10])
         sups = magnitude[0].max(axis=1)
         edges = _outermost(magnitude, SUPPORT_REL_THRESHOLD * (1.0 + sups), x)
 
-        # Positional fields, in DiagnosticsRecord's order: keywords cost
-        # about 2 us more per record.
+        # Positional fields, in DiagnosticsRecord's order.
         append = self.records.append
         for t, integrals, (f, fp), sup, (left, right) in zip(
                 self.staged, squares, moments, sups.tolist(), edges):
@@ -404,22 +395,20 @@ class RecordWorkspace:
 def compute_record(
     state: GridState,
     params: ModelParams,
-    v_tt: Optional[np.ndarray] = None,
     work: Optional[RecordWorkspace] = None,
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one state: a batch of one.
 
-    ``v_tt`` is dw/dt, row 1 of ``pde_rhs`` at this state, on the columns of
-    ``work.window`` (the whole grid without ``work``), when the caller has it;
-    it is only read.  Without it the record computes it, with the same
-    result.  ``work`` holds the block the record writes; a fresh one, whose
-    window is the whole grid, gives the same bits.  A narrower window needs
-    the solver's MARGIN zero columns of the state inside its edges and zeros
-    outside them.  Slots already staged in ``work`` are flushed with it.
+    v_tt is computed from the state on the columns of ``work.window`` (the
+    whole grid without ``work``).  ``work`` holds the block the record
+    writes; a fresh one, whose window is the whole grid, gives the same
+    bits.  A narrower window needs the solver's MARGIN zero columns of the
+    state inside its edges and zeros outside them.  Slots already staged in
+    ``work`` are flushed with it.
     """
     if work is None:
         work = RecordWorkspace(state.grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        work.stage(state, params, v_tt)
+        work.stage(state, params)
         work.flush()
     return work.records.pop()

@@ -59,12 +59,9 @@ def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
     m = a.shape[-1]
     n = lo + m if n is None else n
     cut = DOT_SPLIT - lo % DOT_SPLIT
-    if cut >= m:  # one piece: the general path's bits, without its slicing cost
-        total = np.vecdot(a, b)
-    else:
-        total = np.vecdot(a[..., :cut], b[..., :cut])
-        for start in range(cut, m, DOT_SPLIT):
-            total += np.vecdot(a[..., start:start + DOT_SPLIT], b[..., start:start + DOT_SPLIT])
+    total = np.vecdot(a[..., :cut], b[..., :cut])
+    for start in range(cut, m, DOT_SPLIT):
+        total += np.vecdot(a[..., start:start + DOT_SPLIT], b[..., start:start + DOT_SPLIT])
     if lo == 0 or lo + m == n:
         ends = ((a[..., 0] * b[..., 0] if lo == 0 else 0.0)
                 + (a[..., -1] * b[..., -1] if lo + m == n else 0.0))
@@ -112,18 +109,16 @@ class RhsKernel:
     A call writes F(v) to the interior of every row of ``f``, using the
     interior of ``scratch``; ``v``, ``f`` and ``scratch`` are shaped alike
     and do not overlap.  C-contiguous stacks run as one flat row, as in the
-    stencils; a caller that holds such a flat row already passes it with the
-    number of ``rows`` laid end to end in it.  ``rows`` is the number of
-    slopes a call serves.  :meth:`damp` completes one slope from its F and
-    writes only the dw/dt interior.  Both pass each ufunc's output
-    positionally, as :func:`~hyperburg.solver.step_rk4` does.
+    stencils.  ``rows`` is the number of slopes a call serves.  :meth:`damp`
+    completes one slope from its F and writes only the dw/dt interior.  Both
+    pass each ufunc's output positionally, as
+    :func:`~hyperburg.solver.step_rk4` does.
     """
 
     __slots__ = ("rows", "views", "f", "scratch")
 
-    def __init__(self, v: np.ndarray, f: np.ndarray, scratch: np.ndarray,
-                 rows: int | None = None):
-        self.rows = v.size // v.shape[-1] if rows is None else rows
+    def __init__(self, v: np.ndarray, f: np.ndarray, scratch: np.ndarray):
+        self.rows = v.size // v.shape[-1]
         src, dst, tmp = _as_rows(v, f, scratch)
         self.views = src[..., 2:], src[..., :-2], src[..., 1:-1]
         self.f, self.scratch = dst[..., 1:-1], tmp[..., 1:-1]

@@ -228,17 +228,14 @@ class StepWorkspace:
     def _bind(self, a: int, b: int) -> None:
         self.window = (a, b)
         m = b - a
-        flat = self.buffer[:STEP_ROWS * m]
-        block = flat.reshape(STEP_ROWS, m)
+        block = self.buffer[:STEP_ROWS * m].reshape(STEP_ROWS, m)
         first, second, acc, k = block[0:4], block[4:8], block[8:10], block[10:12]
         block[3::4, ::m - 1] = 0.0  # the boundary columns of the dw rows 3, 7 and 11
         self.u0, self.k1, self.edges = first[1:3], first[2:4], first[2, ::m - 1]
         self.rows = (first[0], first[1], first[2], first[3], k[0], second[1:3], second[2],
                      second[0], second[3], first[0:2], acc)
-        # The pairs' rows [0:2], [4:6] and [8:10], as the flat rows a kernel runs them as.
-        pair0, pair1, scratch = flat[:2 * m], flat[4 * m:6 * m], flat[8 * m:10 * m]
-        self.pairs = (RhsKernel(pair0, pair1, scratch, rows=2),
-                      RhsKernel(pair1, pair0, scratch, rows=2))
+        self.pairs = (RhsKernel(first[0:2], second[0:2], acc),
+                      RhsKernel(second[0:2], first[0:2], acc))
         self.slopes = (RhsKernel.slope_views(self.k1, second[1]),
                        RhsKernel.slope_views(k, second[0]),
                        RhsKernel.slope_views(second[2:4], first[1]),
@@ -322,7 +319,7 @@ def step_rk4(
     coefficients, half, full = work.coefficients, work.half, work.full
     damp, mu = RhsKernel.damp, coefficients[3]
 
-    work.u0[...] = win  # as np.copyto, with less overhead per call
+    np.copyto(work.u0, win)
     # The copy's w is k1's dv/dt row, whose edge columns a slope holds at
     # +0.0; no kernel writes them.  Every later stage's w edges are then
     # +0.0 + h * (+-0.0) = +0.0 as well.  The final update reads the
@@ -448,8 +445,6 @@ def integrate(
     work = StepWorkspace(n, state0)
     state, steps, stepped, status = state0, 0, 0, None
     maximum, minimum, isfinite = np.maximum.reduce, np.minimum.reduce, math.isfinite
-    extremes = np.empty((2, 2))  # the max, then the min, of v and of w on the window
-    highs, lows = extremes
 
     # Overflow past the threshold is handled explicitly below; silence the
     # transient warnings the last pre-detection steps would otherwise spew.
@@ -464,11 +459,8 @@ def integrate(
             stepped += b - a
 
             stepped_u = state.u[:, a:b]
-            # Along axis 1, into the rows of extremes; positional arguments
-            # and one tolist cost less per step than keywords and two.
-            maximum(stepped_u, 1, None, highs)
-            minimum(stepped_u, 1, None, lows)
-            hi_v, hi_w, lo_v, lo_w = extremes.ravel().tolist()
+            hi_v, hi_w = maximum(stepped_u, 1).tolist()
+            lo_v, lo_w = minimum(stepped_u, 1).tolist()
             if not (isfinite(hi_v) and isfinite(hi_w) and isfinite(lo_v) and isfinite(lo_w)):
                 # Keep the last healthy record; return the broken state as-is.
                 status = RunStatus.NUMERICAL_FAILURE

@@ -10,12 +10,21 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-@pytest.fixture(scope="module")
-def fingerprint():
-    spec = importlib.util.spec_from_file_location("fingerprint", TOOLS / "fingerprint.py")
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def fingerprint():
+    return load("fingerprint")
+
+
+@pytest.fixture(scope="module")
+def size():
+    return load("size")
 
 
 def record(fingerprint, **fields):
@@ -69,3 +78,43 @@ def test_finite_drift_is_relative(fingerprint, tmp_path, capsys):
     old = {"a": [record(fingerprint, F=4.0, E1=0.0)]}
     new = {"a": [record(fingerprint, F=5.0, E1=0.5)]}
     assert compare(fingerprint, tmp_path, capsys, old, new) == (1, {"a": 0.5})
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks(size):
+    text = """\
+\"\"\"The module's docstring,
+over two lines.\"\"\"
+
+# A comment-only line.
+import os  # a trailing comment leaves the line code
+
+
+class Thing:
+    \"\"\"The class's docstring.\"\"\"
+
+    x = 1
+
+
+def f(a):
+    \"\"\"The function's
+    docstring.\"\"\"
+
+    # Another comment.
+    return a
+"""
+    # import, class, x = 1, def, return
+    assert size.code_lines(text) == 5
+
+
+def test_code_lines_count_every_line_of_a_string_that_is_no_docstring(size):
+    text = """\
+def f():
+    x = 1
+    \"\"\"An expression after the first statement,
+    so no docstring.\"\"\"
+    return \"\"\"one
+two
+three\"\"\"
+"""
+    # def, x = 1, two string lines, three lines of the returned string
+    assert size.code_lines(text) == 7

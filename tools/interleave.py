@@ -31,6 +31,14 @@ the report's ``perf`` phases ``PHASES``, and for ``sweep`` of the unit's
 ``config_from_dict`` as well; so a saving shows in the phase that holds
 it.  A ratio below 1 means the new tree is faster.  Files the runs write
 go to the temporary directory, and nothing is written under ``perfbench/``.
+
+The two trees share one process, and so one allocator and one resident
+set: a ratio here cannot show what a change does to allocation or to
+memory.  The ``certificate-oracle`` preset's unchunked eps scan (one
+100,000-element pass in place of ``suite.SCAN_CHUNK`` pieces) reads faster
+here, yet raised ``sweep-suite`` ``wall_s`` and ``peak_rss_mb`` in fresh
+benchmark processes (see CHANGES.md).  A change to allocation sizes needs
+pairs of ``perfbench/run.py`` runs.
 """
 
 from __future__ import annotations
