@@ -1,12 +1,12 @@
 """Named experiment presets and the assertions they are checked against.
 
-Each preset is a family of run configurations, declared once in
-``preset_configs``.  Running a preset and checking it are separate steps:
-``execute_preset`` runs every member once and returns a ``PresetRun``, and
-``check_preset`` evaluates the preset's acceptance assertions from that
-run's reports alone, stepping nothing.  ``run_suite`` does both, returning
-one result per assertion.  Tolerances are pinned here, once, for the whole
-package:
+Each preset is one entry of the ``_PRESETS`` table, and one rule makes
+every end-status gate.  Running a preset and checking it are separate
+steps: ``execute_preset`` runs every member once and returns a
+``PresetRun``, and ``check_preset`` evaluates the preset's assertions from
+that run's reports alone, stepping nothing.  ``run_suite`` does both,
+returning one result per assertion.  Tolerances are pinned here, once, for
+the whole package:
 
 * Cauchy-Schwarz slack: schwartz_gap >= -1e-10 (1 + F^2) at every record;
 * exponential energy bound: margin >= -1e-8 E1(0) on non-blow-up runs;
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -115,37 +115,24 @@ def _small(sup: float, L: float = 1.0) -> ICConfig:
     return ICConfig(family="odd_bump", a=amplitude_for_sup_norm(sup, L), b=0.0)
 
 
+def _preset(name: str) -> _Preset:
+    """The entry of preset ``name``; ConfigError, listing the valid names, if none."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
+    return _PRESETS[name]
+
+
 def preset_configs(name: str, out_root: Optional[Path] = None) -> list[RunConfig]:
     """Member configurations of a preset (empty for pure-math presets).
 
-    This is the one place each preset's runs are declared.  With
-    ``out_root`` every member writes its CSV and report to
+    With ``out_root`` every member writes its CSV and report to
     ``out_root/<tag>``; without it, nothing is written.
 
     Raises:
         ConfigError: for an unknown preset name (the message lists the
             valid ones).
     """
-    if name == "propagation":
-        # L = 6 at n = 4096 keeps the mollifier shoulder resolved; a steeper
-        # front (L = 1) smears ~20 nodes past the cone at the 1e-12 level.
-        ic = _small(0.1, L=6.0)
-        return [_member(out_root, "propagation", 9.5, 4096, 2.0, 4, ic, L=6.0)]
-    if name == "cone":
-        return [_member(out_root, "cone", 8.0, 2048, 2.0, 4, _small(0.1))]
-    if name == "identity":
-        base = _member(out_root, "identity", 2.5, 513, 1.0, 4, _small(0.1))
-        return refinement_ladder(base, 3)
-    if name == "blowup":
-        ic = ICConfig(family="odd_bump", F0_target=40.0, F1_target=200.0)
-        return refinement_ladder(_member(out_root, "blowup", 8.0, 1025, 6.5, 8, ic), 3)
-    if name == "smalldata":
-        return [_member(out_root, "smalldata", 52.0, 2048, 50.0, 16, _small(0.05))]
-    if name == "certificate-oracle":
-        return []
-    raise ConfigError(
-        f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-    )
+    return _preset(name).members(functools.partial(_member, out_root, name))
 
 
 def execute_preset(name: str, out_root: Optional[str | Path] = None) -> PresetRun:
@@ -154,10 +141,18 @@ def execute_preset(name: str, out_root: Optional[str | Path] = None) -> PresetRu
     Raises:
         ConfigError: for an unknown preset name.
     """
+    preset = _preset(name)
     configs = preset_configs(name, out_root)
-    cone = diagnostics.ConeMax(*CONE_APEX, configs[0].params) if name == "cone" else None
-    reports = [execute_config(c, observe=cone) for c in configs]
-    return PresetRun(name, configs, reports, cone)
+    observe = preset.observer(configs[0].params) if preset.observer else None
+    reports = [execute_config(c, observe=observe) for c in configs]
+    return PresetRun(name, configs, reports, observe)
+
+
+def _status_gate(run: PresetRun, status: RunStatus, label: str, member: str) -> SuiteCheck:
+    """The gate ``<preset>: <label>`` that every member ended with ``status``; the
+    detail joins ``member.format(c=config, r=report)`` over the members."""
+    return SuiteCheck(f"{run.name}: {label}", all(r.status == status.value for r in run.reports),
+                      ", ".join(member.format(c=c, r=r) for c, r in zip(run.configs, run.reports)))
 
 
 def _worst_gate(reports: list[RunReport], key: str, bound: float, name: str,
@@ -176,11 +171,7 @@ def _check_propagation(run: PresetRun) -> list[SuiteCheck]:
     config, report = run.configs[0], run.reports[0]
     excess = report.worst["support_excess"]
     return [
-        SuiteCheck(
-            "propagation: run completes",
-            report.status == RunStatus.COMPLETED.value,
-            f"status {report.status}",
-        ),
+        _status_gate(run, RunStatus.COMPLETED, "run completes", "status {r.status}"),
         SuiteCheck(
             "propagation: support inside [-(L+ct)-5dx, (L+ct)+5dx]",
             excess is not None and excess <= 0.0,
@@ -197,11 +188,7 @@ def _check_cone(run: PresetRun) -> list[SuiteCheck]:
     gsup = max(rec.sup_norm for rec in report.outcome.records)
     bound = CONE_REL_TOL * (1.0 + gsup)
     return [
-        SuiteCheck(
-            "cone: run completes",
-            report.status == RunStatus.COMPLETED.value,
-            f"status {report.status}",
-        ),
+        _status_gate(run, RunStatus.COMPLETED, "run completes", "status {r.status}"),
         SuiteCheck(
             "cone: max |v| on a data-free cone <= 1e-10 (1+sup)",
             cm <= bound,
@@ -213,25 +200,22 @@ def _check_cone(run: PresetRun) -> list[SuiteCheck]:
 def _check_identity(run: PresetRun) -> list[SuiteCheck]:
     configs, reports = run.configs, run.reports
     residuals = [r.worst["identity_residual_max"] for r in reports]
-    checks = [
-        SuiteCheck(
-            "identity: all levels complete",
-            all(r.status == RunStatus.COMPLETED.value for r in reports),
-            ", ".join(r.status for r in reports),
-        )
-    ]
+    checks = [_status_gate(run, RunStatus.COMPLETED, "all levels complete", "{r.status}")]
     unchecked = [c.grid.n for c, res in zip(configs, residuals) if res is None]
     if unchecked:
         return checks + [SuiteCheck("identity: residual checked at every level", False,
                                     f"no uniformly spaced record triple at n={unchecked}")]
-    for i in range(1, len(residuals)):
-        ratio = residuals[i - 1] / residuals[i]
+    for i, (coarse, fine) in enumerate(zip(residuals, residuals[1:]), 1):
+        # A residual that falls to zero shrinks without bound; zero to zero
+        # shows no shrink at all, and a NaN ratio fails the gate.
+        ratio = coarse / fine if fine else np.inf if coarse else np.nan
         checks.append(
             SuiteCheck(
                 f"identity: residual shrinks >= {IDENTITY_SHRINK_FACTOR:g}x "
                 f"(n {configs[i - 1].grid.n} -> {configs[i].grid.n})",
                 ratio >= IDENTITY_SHRINK_FACTOR,
-                f"{residuals[i - 1]:.3e} -> {residuals[i]:.3e}, ratio {ratio:.2f}",
+                f"{coarse:.3e} -> {fine:.3e}, "
+                + (f"ratio {ratio:.2f}" if coarse or fine else "no shrink to measure"),
             )
         )
     rhs_scale = max(rec.half_int_v2 for rec in reports[-1].outcome.records)
@@ -246,20 +230,13 @@ def _check_identity(run: PresetRun) -> list[SuiteCheck]:
 
 def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
     configs, reports = run.configs, run.reports
-    checks = [
-        SuiteCheck(
-            "blowup: detected at every resolution",
-            all(r.status == RunStatus.BLOWUP_DETECTED.value for r in reports),
-            ", ".join(
-                f"n={c.grid.n}: {r.status}@{r.t_final:.4f}"
-                for c, r in zip(configs, reports)
-            ),
-        )
-    ]
+    checks = [_status_gate(run, RunStatus.BLOWUP_DETECTED, "detected at every resolution",
+                           "n={c.grid.n}: {r.status}@{r.t_final:.4f}")]
     if checks[0].passed:
         ref = Refinement(tuple(c.grid.n for c in configs), tuple(r.t_detect for r in reports))
         estimate = ref.t_detect[-1]
-        detail = f"estimate {estimate:.5f}, previous {ref.t_detect[-2]:.5f}"
+        detail = f"estimate {estimate:.5f}" + (
+            f", previous {ref.t_detect[-2]:.5f}" if len(configs) > 1 else "")
         if ref.t_inf is not None:
             detail += (f", order p {ref.order:.3f}, "
                        f"t_inf {ref.t_inf:.5f} +- {ref.t_inf_error:.5f}")
@@ -288,11 +265,8 @@ def _check_smalldata(run: PresetRun) -> list[SuiteCheck]:
     recs = report.outcome.records
     sup0, supT = recs[0].sup_norm, recs[-1].sup_norm
     return [
-        SuiteCheck(
-            "smalldata: run completes to t=50",
-            report.status == RunStatus.COMPLETED.value,
-            f"status {report.status} at t={report.t_final:.3f}",
-        ),
+        _status_gate(run, RunStatus.COMPLETED, "run completes to t=50",
+                     "status {r.status} at t={r.t_final:.3f}"),
         SuiteCheck(
             "smalldata: final sup norm <= initial sup norm",
             supT <= sup0,
@@ -383,16 +357,40 @@ def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
     ]
 
 
-_CHECKS = {
-    "propagation": _check_propagation,
-    "cone": _check_cone,
-    "identity": _check_identity,
-    "blowup": _check_blowup,
-    "smalldata": _check_smalldata,
-    "certificate-oracle": _check_certificate_oracle,
+@dataclass(frozen=True)
+class _Preset:
+    """A ``_PRESETS`` entry.  ``members(member)`` builds the runs, ``member`` being
+    ``_member`` with the output root and the preset's name (the tag) bound;
+    ``observer(params)`` makes the observer of its runs; ``energy_gate`` adds
+    the exponential energy bound to its checks."""
+
+    members: Callable[[Callable[..., RunConfig]], list[RunConfig]]
+    check: Callable[[PresetRun], list[SuiteCheck]]
+    observer: Optional[Callable[[ModelParams], diagnostics.ConeMax]] = None
+    energy_gate: bool = True
+
+
+_PRESETS = {
+    # L = 6 at n = 4096 keeps the mollifier shoulder resolved; a steeper
+    # front (L = 1) smears ~20 nodes past the cone at the 1e-12 level.
+    "propagation": _Preset(
+        lambda member: [member(9.5, 4096, 2.0, 4, _small(0.1, L=6.0), L=6.0)],
+        _check_propagation),
+    "cone": _Preset(lambda member: [member(8.0, 2048, 2.0, 4, _small(0.1))], _check_cone,
+                    observer=functools.partial(diagnostics.ConeMax, *CONE_APEX)),
+    "identity": _Preset(
+        lambda member: refinement_ladder(member(2.5, 513, 1.0, 4, _small(0.1)), 3),
+        _check_identity),
+    "blowup": _Preset(
+        lambda member: refinement_ladder(member(8.0, 1025, 6.5, 8, ICConfig(
+            family="odd_bump", F0_target=40.0, F1_target=200.0)), 3),
+        _check_blowup, energy_gate=False),
+    "smalldata": _Preset(lambda member: [member(52.0, 2048, 50.0, 16, _small(0.05))],
+                         _check_smalldata),
+    "certificate-oracle": _Preset(lambda member: [], _check_certificate_oracle),
 }
 
-PRESET_NAMES = tuple(_CHECKS)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def check_preset(run: PresetRun) -> list[SuiteCheck]:
@@ -400,14 +398,16 @@ def check_preset(run: PresetRun) -> list[SuiteCheck]:
 
     Reads ``run``'s configs, reports and cone observer only; steps nothing.
     Every simulating preset also gets the Cauchy-Schwarz check over all its
-    records, and every one but ``blowup`` the exponential energy bound.
+    records, and those whose entry sets ``energy_gate`` the exponential energy
+    bound.  Raises ConfigError for an unknown preset name.
     """
-    checks = _CHECKS[run.name](run)
+    preset = _preset(run.name)
+    checks = preset.check(run)
     if run.reports:
         checks.append(_worst_gate(run.reports, "schwartz_gap_rel", SCHWARTZ_REL_TOL,
                                   f"{run.name}: schwartz_gap >= -1e-10 (1+F^2) at every record",
                                   "worst relative gap {:.3e}"))
-        if run.name != "blowup":
+        if preset.energy_gate:
             checks.append(_worst_gate(run.reports, "gronwall_margin_rel", GRONWALL_REL_TOL,
                                       f"{run.name}: exp energy bound margin >= -1e-8 E1(0)",
                                       "worst margin / E1(0) = {:.3e}"))

@@ -322,6 +322,74 @@ def test_unknown_preset_lists_valid_ones():
     valid = "valid presets: " + ", ".join(PRESET_NAMES)
     with pytest.raises(ConfigError, match=re.escape(valid)):
         preset_configs("convergence")
+    with pytest.raises(ConfigError, match=re.escape(valid)):
+        check_preset(PresetRun("nope", [], []))
+
+
+@pytest.mark.parametrize("preset, member, status, gate", [
+    ("propagation", 0, RunStatus.NUMERICAL_FAILURE, "propagation: run completes"),
+    ("cone", 0, RunStatus.BLOWUP_DETECTED, "cone: run completes"),
+    ("identity", 1, RunStatus.NUMERICAL_FAILURE, "identity: all levels complete"),
+    ("blowup", 2, RunStatus.NUMERICAL_FAILURE, "blowup: detected at every resolution"),
+    ("smalldata", 0, RunStatus.BLOWUP_DETECTED, "smalldata: run completes to t=50"),
+])
+def test_status_gate_fails_on_one_member(preset, member, status, gate, preset_run):
+    # The session run with one member's status changed: no new simulation.
+    run = preset_run(preset)
+    reports = list(run.reports)
+    reports[member] = dataclasses.replace(reports[member], status=status.value)
+    checks = {c.name: c for c in check_preset(dataclasses.replace(run, reports=reports))}
+    assert not checks[gate].passed and status.value in checks[gate].detail
+    assert [name for name, c in checks.items() if not c.passed] == [gate]
+
+
+def test_blowup_with_a_completed_member_skips_refinement_gates(preset_run):
+    run = preset_run("blowup")
+    reports = [run.reports[0], dataclasses.replace(run.reports[1], status="completed"),
+               run.reports[2]]
+    checks = check_preset(dataclasses.replace(run, reports=reports))
+    assert [c.name for c in checks] == [
+        "blowup: detected at every resolution",
+        "blowup: schwartz_gap >= -1e-10 (1+F^2) at every record",
+    ]
+    assert not checks[0].passed and "n=2049: completed@" in checks[0].detail
+
+
+def test_one_level_blowup_fails_refinement_without_raising(preset_run):
+    # One level detects blow-up but has no previous level to converge against.
+    run = preset_run("blowup")
+    checks = {c.name: c for c in check_preset(PresetRun("blowup", run.configs[:1],
+                                                        run.reports[:1]))}
+    refined = checks["blowup: refinement-converged detection time (<5% gap)"]
+    assert not refined.passed
+    assert refined.detail == f"estimate {run.reports[0].t_detect:.5f}"
+    assert checks["blowup: detected at every resolution"].passed
+
+
+def test_identity_shrink_of_zero_residuals():
+    # Zero data cut to t_end = 0.05: every level's residual is exactly 0, so
+    # no shrink can be measured and each pair fails rather than dividing by 0.
+    configs = [dataclasses.replace(c, t_end=0.05, ic=ICConfig("odd_bump", a=0.0, b=0.0))
+               for c in preset_configs("identity")]
+    reports = [execute_config(c) for c in configs]
+    assert [r.worst["identity_residual_max"] for r in reports] == [0.0, 0.0, 0.0]
+    shrinks = [c for c in check_preset(PresetRun("identity", configs, reports))
+               if c.name.startswith("identity: residual shrinks")]
+    assert len(shrinks) == 2
+    for check_ in shrinks:
+        assert not check_.passed
+        assert check_.detail == "0.000e+00 -> 0.000e+00, no shrink to measure"
+
+
+def test_identity_shrink_to_zero_residual_passes(preset_run):
+    # A finest residual of exactly 0 below a positive one shrinks without bound.
+    run = preset_run("identity")
+    finest = run.reports[-1]
+    reports = run.reports[:-1] + [dataclasses.replace(
+        finest, worst=finest.worst | {"identity_residual_max": 0.0})]
+    checks = {c.name: c for c in check_preset(dataclasses.replace(run, reports=reports))}
+    shrink = checks["identity: residual shrinks >= 3x (n 1025 -> 2049)"]
+    assert shrink.passed and shrink.detail.endswith(", ratio inf")
 
 
 def test_cone_preset_simulates_once(monkeypatch):

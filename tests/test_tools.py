@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import math
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,15 @@ def fingerprint():
 @pytest.fixture(scope="module")
 def size():
     return load("size")
+
+
+@pytest.fixture
+def interleave(monkeypatch):
+    # Loading the script sets thread variables and sys.dont_write_bytecode;
+    # both are put back after the test.
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    return load("interleave")
 
 
 def record(fingerprint, **fields):
@@ -118,3 +129,23 @@ three\"\"\"
 """
     # def, x = 1, two string lines, three lines of the returned string
     assert size.code_lines(text) == 7
+
+
+def test_module_lines_sum_to_the_totals(size, capsys):
+    size.main()
+    lines = capsys.readouterr().out.splitlines()
+    totals = {key: int(value) for key, value in (line.split() for line in lines[:3])}
+    modules = {name: (int(src), int(code)) for name, src, code in map(str.split, lines[3:])}
+    assert "hyperburg/suite.py" in modules and len(modules) == len(lines) - 3
+    assert sum(src for src, _ in modules.values()) == totals["src_lines"]
+    assert sum(code for _, code in modules.values()) == totals["code_lines"]
+    assert all(0 < code <= src for src, code in modules.values())
+
+
+def test_ratio_line_prints_median_quartiles_and_wins(interleave):
+    # Sorted 0.9, 0.95, 1.0, 1.1, 1.2: inclusive quartiles at positions 1 and 3.
+    assert (interleave.ratio_line("total ratio", [1.1, 0.9, 1.2, 1.0, 0.95])
+            == "total ratio 1.000 (IQR 0.950-1.100, 2/5 faster)")
+    assert (interleave.ratio_line("ratio", [0.98, 1.02])
+            == "ratio 1.000 (IQR 0.990-1.010, 1/2 faster)")
+    assert interleave.ratio_line("ratio", [1.02]) == "ratio 1.020 (IQR 1.020-1.020, 0/1 faster)"

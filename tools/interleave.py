@@ -21,7 +21,10 @@ are those of the benchmark's workloads (``perfbench/workloads.py``):
 
 For each group the script prints, over the rounds, the median of the
 ratio new/old of the median unit time and of the total time, each with
-the number of rounds in which the new tree was faster.  A group of at
+the interquartile range of the per-round ratios (inclusive quartiles) and
+the number of rounds in which the new tree was faster.  A ratio whose
+range holds 1 is unresolved: the rounds disagree on which tree is faster,
+and the trees cannot be told apart at that many rounds.  A group of at
 most PER_UNIT units also prints each unit's median ratio new/old with its
 win count, so one level of ``refine`` shows by itself.  The ``sweep``,
 ``decay`` and ``refine`` groups also print the mean number of record
@@ -109,8 +112,13 @@ def parse_and_run(hb, doc):
 
 
 def ratio_line(label: str, ratios: list[float]) -> str:
+    """``label``, the median of ``ratios``, their interquartile range and the
+    count of ratios below 1 (rounds in which the new tree was faster)."""
     wins = sum(r < 1.0 for r in ratios)
-    return f"{label} {statistics.median(ratios):.3f} ({wins}/{len(ratios)} faster)"
+    q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                 if len(ratios) > 1 else ratios * 3)
+    return (f"{label} {statistics.median(ratios):.3f} "
+            f"(IQR {q1:.3f}-{q3:.3f}, {wins}/{len(ratios)} faster)")
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,14 @@
-"""Print the size of the ``hyperburg`` package, in three numbers.
+"""Print the size of the ``hyperburg`` package: three totals, then each module.
 
 * ``src_lines``: every line of the ``.py`` files under ``src/``, as ``wc -l``
   counts them;
 * ``code_lines``: those lines that hold code, that is, not blank, not
   comment-only and not inside a module, class or function docstring;
 * ``exports``: the number of names in ``hyperburg.__all__``.
+
+After the three totals comes one ``<module> <src_lines> <code_lines>`` line
+per module, its path under ``src/`` (``hyperburg/suite.py``); the module
+lines sum to the totals.
 
 Usage, from the checkout root::
 
@@ -54,10 +58,15 @@ def code_lines(text: str) -> int:
 
 
 def main() -> None:
-    texts = [path.read_text(encoding="utf-8") for path in sorted(SRC.rglob("*.py"))]
-    print(f"src_lines {sum(text.count(chr(10)) for text in texts)}")
-    print(f"code_lines {sum(code_lines(text) for text in texts)}")
+    modules = []  # (path under src/, src_lines, code_lines)
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        modules.append((path.relative_to(SRC).as_posix(), text.count("\n"), code_lines(text)))
+    print(f"src_lines {sum(m[1] for m in modules)}")
+    print(f"code_lines {sum(m[2] for m in modules)}")
     print(f"exports {len(hyperburg.__all__)}")
+    for module, src, code in modules:
+        print(f"{module} {src} {code}")
 
 
 if __name__ == "__main__":
