@@ -363,7 +363,7 @@ class RecordWorkspace:
         np.multiply(block[5], nu, v_ttt)  # w_xx
         np.subtract(v_ttt, block[6], v_ttt)  # (v w)_x
         np.subtract(v_ttt, v_tt, v_ttt)
-        np.divide(v_ttt, mu, v_ttt)
+        np.multiply(v_ttt, 1.0 / mu, v_ttt)  # as RhsKernel.damp
         v_ttt[:, 0] = v_ttt[:, -1] = 0.0
 
         squares = zip(*trapezoid_dot(block[1:], block[1:], dx, lo, n))

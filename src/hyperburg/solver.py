@@ -211,14 +211,14 @@ class StepWorkspace:
     """
 
     __slots__ = ("buffer", "window", "u0", "k1", "edges", "rows", "pairs", "slopes",
-                 "coefficients", "half", "full", "sixth", "key", "record")
+                 "coefficients", "half", "full", "sixth", "key", "record", "spare")
 
     def __init__(self, n: int, state: Optional[GridState] = None):
         self.buffer = np.empty(STEP_ROWS * n)
         self.record = RecordWorkspace(n)
         self.coefficients = tuple(np.zeros(()) for _ in range(4))
         self.half, self.full, self.sixth = (np.zeros(()) for _ in range(3))
-        self.key = None
+        self.key = self.spare = None
         self.window = (n, 0)  # empty until bound
         if state is None:
             self._bind(0, n)
@@ -291,13 +291,13 @@ def step_rk4(
 ) -> GridState:
     """Advance one classical Runge-Kutta step; boundary nodes re-pinned.
 
-    ``work`` supplies the stage rows and the window (a fresh whole-grid
-    workspace when None); inside each window edge that is not a grid edge
-    the state needs MARGIN zero columns.  The step evaluates four slopes and
-    leaves the first, the slope of ``state`` on the window, in ``work.k1``.
-    Only the new state's (v, w) block is allocated.
+    ``work`` supplies the stage rows, the window (a fresh whole-grid workspace
+    when None; inside each edge that is not a grid edge the state needs MARGIN
+    zero columns) and ``work.spare``, None or a block zero outside the window
+    that the step takes for the new state, else its one allocation.  It leaves the
+    first of its four slopes, that of ``state`` on the window, in ``work.k1``.
 
-    Each slope is dw/dt = F(v) - w/mu (see
+    Each slope is dw/dt = F(v) - w * (1/mu) (see
     :class:`~hyperburg.operators.RhsKernel`).  v2 = v0 + h/2 w0 needs no
     slope, so F(v0) and F(v2) run as one call; once k2 is known so are v3
     and v4, and F(v3) and F(v4) run as a second.  Each stage input takes
@@ -317,7 +317,7 @@ def step_rk4(
     first, second = work.pairs
     slope1, slope2, slope3, slope4 = work.slopes
     coefficients, half, full = work.coefficients, work.half, work.full
-    damp, mu = RhsKernel.damp, coefficients[3]
+    damp, inv_mu = RhsKernel.damp, coefficients[3]
 
     np.copyto(work.u0, win)
     # The copy's w is k1's dv/dt row, whose edge columns a slope holds at
@@ -328,28 +328,28 @@ def step_rk4(
     np.multiply(w0, half, v2)
     np.add(v0, v2, v2)
     first(coefficients)
-    k1 = damp(slope1, mu)
+    k1 = damp(slope1, inv_mu)
     np.multiply(dw1, half, w)
     np.add(w0, w, w)
-    k2 = damp(slope2, mu)
+    k2 = damp(slope2, inv_mu)
     np.multiply(k2, half, u3)
     np.add(work.u0, u3, u3)
     np.multiply(w3, full, v4)
     np.add(v0, v4, v4)
     second(coefficients)  # v0 and v2 are spent: F(v4), F(v3) overwrite them
-    k3 = damp(slope3, mu)
+    k3 = damp(slope3, inv_mu)
     # The sum was the pairs' scratch; k2's rows are stage 4's next.
     np.add(k2, k2, acc)
     np.add(k1, acc, acc)
     np.multiply(dw3, full, w)
     np.add(w0, w, w)
-    k4 = damp(slope4, mu)
+    k4 = damp(slope4, inv_mu)
     np.add(k3, k3, twice)
     np.add(acc, twice, acc)
     np.add(acc, k4, acc)
 
     np.multiply(acc, work.sixth, acc)
-    u_new = np.zeros(u.shape)
+    u_new, work.spare = np.zeros(u.shape) if work.spare is None else work.spare, None
     np.add(win, acc, u_new[:, a:b])
     if a == 0 or b == u.shape[1]:  # else both boundary columns are outside the window
         u_new[:, 0] = u_new[:, -1] = 0.0
@@ -415,7 +415,8 @@ def integrate(
 
     ``observe``, when given, is called with state0 before stepping and then
     with every finite state, in order; never with a non-finite state.  It
-    must not change the arrays of the states it is given.
+    must not change the states' arrays, and may keep them.  Without it, each
+    state but state0 lends its block to the step after its own (``work.spare``).
 
     A record of a state the run steps from takes v_tt from that step's
     ``work.k1``, copied when the record is staged (see the module
@@ -454,6 +455,8 @@ def integrate(
             a, b = work.window
             if steps % record_stride == 0:
                 work.record.stage(state, params, work.k1[1])
+            # Zero outside the window, which never shrinks; no caller holds it.
+            work.spare = state.u if observe is None and state is not state0 else None
             state = new_state
             steps += 1
             stepped += b - a

@@ -149,10 +149,11 @@ def execute_preset(name: str, out_root: Optional[str | Path] = None) -> PresetRu
 
 
 def _status_gate(run: PresetRun, status: RunStatus, label: str, member: str) -> SuiteCheck:
-    """The gate ``<preset>: <label>`` that every member ended with ``status``; the
-    detail joins ``member.format(c=config, r=report)`` over the members."""
-    return SuiteCheck(f"{run.name}: {label}", all(r.status == status.value for r in run.reports),
-                      ", ".join(member.format(c=c, r=r) for c, r in zip(run.configs, run.reports)))
+    """The gate ``<preset>: <label>`` that the members, at least one, ended with ``status``;
+    the detail joins ``member.format(c=config, r=report)`` or reads "no member ran"."""
+    detail = ", ".join(member.format(c=c, r=r) for c, r in zip(run.configs, run.reports))
+    return SuiteCheck(f"{run.name}: {label}", bool(run.reports) and all(
+        r.status == status.value for r in run.reports), detail or "no member ran")
 
 
 def _worst_gate(reports: list[RunReport], key: str, bound: float, name: str,
@@ -171,7 +172,6 @@ def _check_propagation(run: PresetRun) -> list[SuiteCheck]:
     config, report = run.configs[0], run.reports[0]
     excess = report.worst["support_excess"]
     return [
-        _status_gate(run, RunStatus.COMPLETED, "run completes", "status {r.status}"),
         SuiteCheck(
             "propagation: support inside [-(L+ct)-5dx, (L+ct)+5dx]",
             excess is not None and excess <= 0.0,
@@ -188,7 +188,6 @@ def _check_cone(run: PresetRun) -> list[SuiteCheck]:
     gsup = max(rec.sup_norm for rec in report.outcome.records)
     bound = CONE_REL_TOL * (1.0 + gsup)
     return [
-        _status_gate(run, RunStatus.COMPLETED, "run completes", "status {r.status}"),
         SuiteCheck(
             "cone: max |v| on a data-free cone <= 1e-10 (1+sup)",
             cm <= bound,
@@ -200,11 +199,11 @@ def _check_cone(run: PresetRun) -> list[SuiteCheck]:
 def _check_identity(run: PresetRun) -> list[SuiteCheck]:
     configs, reports = run.configs, run.reports
     residuals = [r.worst["identity_residual_max"] for r in reports]
-    checks = [_status_gate(run, RunStatus.COMPLETED, "all levels complete", "{r.status}")]
     unchecked = [c.grid.n for c, res in zip(configs, residuals) if res is None]
     if unchecked:
-        return checks + [SuiteCheck("identity: residual checked at every level", False,
-                                    f"no uniformly spaced record triple at n={unchecked}")]
+        return [SuiteCheck("identity: residual checked at every level", False,
+                           f"no uniformly spaced record triple at n={unchecked}")]
+    checks = []
     for i, (coarse, fine) in enumerate(zip(residuals, residuals[1:]), 1):
         # A residual that falls to zero shrinks without bound; zero to zero
         # shows no shrink at all, and a NaN ratio fails the gate.
@@ -230,34 +229,32 @@ def _check_identity(run: PresetRun) -> list[SuiteCheck]:
 
 def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
     configs, reports = run.configs, run.reports
-    checks = [_status_gate(run, RunStatus.BLOWUP_DETECTED, "detected at every resolution",
-                           "n={c.grid.n}: {r.status}@{r.t_final:.4f}")]
-    if checks[0].passed:
-        ref = Refinement(tuple(c.grid.n for c in configs), tuple(r.t_detect for r in reports))
-        estimate = ref.t_detect[-1]
-        detail = f"estimate {estimate:.5f}" + (
-            f", previous {ref.t_detect[-2]:.5f}" if len(configs) > 1 else "")
-        if ref.t_inf is not None:
-            detail += (f", order p {ref.order:.3f}, "
-                       f"t_inf {ref.t_inf:.5f} +- {ref.t_inf_error:.5f}")
-        t_star = cert_mod.t_star(BLOWUP_TSTAR_EPS, configs[0].ic.F0_target, configs[0].params)
-        checks += [
-            SuiteCheck(
-                "blowup: refinement-converged detection time (<5% gap)",
-                ref.converged,
-                detail,
-            ),
-            SuiteCheck(
-                f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})",
-                t_star is not None and estimate <= 1.1 * t_star,
-                f"t_detect {estimate:.5f} vs 1.1 T* = {1.1 * t_star:.5f}" if t_star is not None
-                else f"no T* at eps={BLOWUP_TSTAR_EPS}",
-            ),
-            _worst_gate(reports, "comparison_margin_rel", COMPARISON_REL_TOL,
-                        "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
-                        "worst relative margin {:.3e}"),
-        ]
-    return checks
+    if any(r.status != RunStatus.BLOWUP_DETECTED.value for r in reports):  # the gate fails
+        return []
+    ref = Refinement(tuple(c.grid.n for c in configs), tuple(r.t_detect for r in reports))
+    estimate = ref.t_detect[-1]
+    detail = f"estimate {estimate:.5f}" + (
+        f", previous {ref.t_detect[-2]:.5f}" if len(configs) > 1 else "")
+    if ref.t_inf is not None:
+        detail += (f", order p {ref.order:.3f}, "
+                   f"t_inf {ref.t_inf:.5f} +- {ref.t_inf_error:.5f}")
+    t_star = cert_mod.t_star(BLOWUP_TSTAR_EPS, configs[0].ic.F0_target, configs[0].params)
+    return [
+        SuiteCheck(
+            "blowup: refinement-converged detection time (<5% gap)",
+            ref.converged,
+            detail,
+        ),
+        SuiteCheck(
+            f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})",
+            t_star is not None and estimate <= 1.1 * t_star,
+            f"t_detect {estimate:.5f} vs 1.1 T* = {1.1 * t_star:.5f}" if t_star is not None
+            else f"no T* at eps={BLOWUP_TSTAR_EPS}",
+        ),
+        _worst_gate(reports, "comparison_margin_rel", COMPARISON_REL_TOL,
+                    "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
+                    "worst relative margin {:.3e}"),
+    ]
 
 
 def _check_smalldata(run: PresetRun) -> list[SuiteCheck]:
@@ -265,8 +262,6 @@ def _check_smalldata(run: PresetRun) -> list[SuiteCheck]:
     recs = report.outcome.records
     sup0, supT = recs[0].sup_norm, recs[-1].sup_norm
     return [
-        _status_gate(run, RunStatus.COMPLETED, "run completes to t=50",
-                     "status {r.status} at t={r.t_final:.3f}"),
         SuiteCheck(
             "smalldata: final sup norm <= initial sup norm",
             supT <= sup0,
@@ -360,33 +355,37 @@ def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
 @dataclass(frozen=True)
 class _Preset:
     """A ``_PRESETS`` entry.  ``members(member)`` builds the runs, ``member`` being
-    ``_member`` with the output root and the preset's name (the tag) bound;
-    ``observer(params)`` makes the observer of its runs; ``energy_gate`` adds
-    the exponential energy bound to its checks."""
+    ``_member`` with the output root and the preset's name (the tag) bound; ``gate``
+    is the :func:`_status_gate` arguments after ``run``; ``observer(params)`` makes
+    the observer of its runs; ``energy_gate`` adds the exponential energy bound."""
 
     members: Callable[[Callable[..., RunConfig]], list[RunConfig]]
     check: Callable[[PresetRun], list[SuiteCheck]]
+    gate: Optional[tuple[RunStatus, str, str]] = None
     observer: Optional[Callable[[ModelParams], diagnostics.ConeMax]] = None
     energy_gate: bool = True
 
 
+_COMPLETES = (RunStatus.COMPLETED, "run completes", "status {r.status}")
 _PRESETS = {
     # L = 6 at n = 4096 keeps the mollifier shoulder resolved; a steeper
     # front (L = 1) smears ~20 nodes past the cone at the 1e-12 level.
     "propagation": _Preset(
         lambda member: [member(9.5, 4096, 2.0, 4, _small(0.1, L=6.0), L=6.0)],
-        _check_propagation),
+        _check_propagation, _COMPLETES),
     "cone": _Preset(lambda member: [member(8.0, 2048, 2.0, 4, _small(0.1))], _check_cone,
-                    observer=functools.partial(diagnostics.ConeMax, *CONE_APEX)),
+                    _COMPLETES, observer=functools.partial(diagnostics.ConeMax, *CONE_APEX)),
     "identity": _Preset(
         lambda member: refinement_ladder(member(2.5, 513, 1.0, 4, _small(0.1)), 3),
-        _check_identity),
+        _check_identity, (RunStatus.COMPLETED, "all levels complete", "{r.status}")),
     "blowup": _Preset(
         lambda member: refinement_ladder(member(8.0, 1025, 6.5, 8, ICConfig(
             family="odd_bump", F0_target=40.0, F1_target=200.0)), 3),
-        _check_blowup, energy_gate=False),
+        _check_blowup, (RunStatus.BLOWUP_DETECTED, "detected at every resolution",
+                        "n={c.grid.n}: {r.status}@{r.t_final:.4f}"), energy_gate=False),
     "smalldata": _Preset(lambda member: [member(52.0, 2048, 50.0, 16, _small(0.05))],
-                         _check_smalldata),
+                         _check_smalldata, (RunStatus.COMPLETED, "run completes to t=50",
+                                            "status {r.status} at t={r.t_final:.3f}")),
     "certificate-oracle": _Preset(lambda member: [], _check_certificate_oracle),
 }
 
@@ -397,12 +396,15 @@ def check_preset(run: PresetRun) -> list[SuiteCheck]:
     """Evaluate a preset's acceptance assertions from an executed run.
 
     Reads ``run``'s configs, reports and cone observer only; steps nothing.
-    Every simulating preset also gets the Cauchy-Schwarz check over all its
-    records, and those whose entry sets ``energy_gate`` the exponential energy
-    bound.  Raises ConfigError for an unknown preset name.
+    A simulating preset's checks open with its status gate (alone on a run without
+    members) and end with the Cauchy-Schwarz check over all records, then the energy
+    bound if its entry sets ``energy_gate``.  Raises ConfigError for an unknown name.
     """
     preset = _preset(run.name)
-    checks = preset.check(run)
+    checks = [_status_gate(run, *preset.gate)] if preset.gate else []
+    if preset.gate and not run.reports:
+        return checks
+    checks += preset.check(run)
     if run.reports:
         checks.append(_worst_gate(run.reports, "schwartz_gap_rel", SCHWARTZ_REL_TOL,
                                   f"{run.name}: schwartz_gap >= -1e-10 (1+F^2) at every record",

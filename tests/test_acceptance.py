@@ -29,6 +29,7 @@ from hyperburg.suite import (
     PresetRun,
     SCAN_INSTANCES,
     SCAN_SEED,
+    SuiteCheck,
     check_preset,
     epsilon_scan_oracle,
     preset_configs,
@@ -341,6 +342,18 @@ def test_status_gate_fails_on_one_member(preset, member, status, gate, preset_ru
     checks = {c.name: c for c in check_preset(dataclasses.replace(run, reports=reports))}
     assert not checks[gate].passed and status.value in checks[gate].detail
     assert [name for name, c in checks.items() if not c.passed] == [gate]
+
+
+@pytest.mark.parametrize("preset, gate", [
+    ("propagation", "propagation: run completes"),
+    ("cone", "cone: run completes"),
+    ("identity", "identity: all levels complete"),
+    ("blowup", "blowup: detected at every resolution"),
+    ("smalldata", "smalldata: run completes to t=50"),
+])
+def test_run_without_members_fails_its_status_gate_alone(preset, gate):
+    # An empty run has nothing to check past its status gate, which fails.
+    assert check_preset(PresetRun(preset, [], [])) == [SuiteCheck(gate, False, "no member ran")]
 
 
 def test_blowup_with_a_completed_member_skips_refinement_gates(preset_run):

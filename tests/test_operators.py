@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hyperburg.operators import DOT_SPLIT, d1_central, d2_central, pde_rhs, trapezoid_dot
+from hyperburg.operators import (
+    DOT_SPLIT, RhsKernel, d1_central, d2_central, pde_rhs, trapezoid_dot)
 
 
 def test_d1_exact_on_quadratic():
@@ -157,3 +158,55 @@ def test_trapezoid_dot_on_columns_equals_whole_grid_bitwise():
             got = trapezoid_dot(f[cols], block[1:3], dx, cols.start, n)
             want = [trapezoid_dot(f[cols], r, dx, cols.start, n) for r in block[1:3]]
             assert [x.hex() for x in got] == [x.hex() for x in want], (a, b, cols)
+
+
+def _wide_field(rng, n):
+    """Random signs on three magnitudes, mixed: normal numbers from 1e-300 to
+    1e300, subnormals, and numbers within 2x of overflow."""
+    normal = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    subnormal = rng.integers(1, 2**52, n) * 5e-324
+    huge = rng.uniform(0.5, 1.0, n) * np.finfo(float).max
+    return np.choose(rng.integers(0, 3, n), [normal, subnormal, huge]) * rng.choice([-1.0, 1.0], n)
+
+
+def _damped(w, f, mu):
+    """RhsKernel.damp's dw/dt interior from a (w, dw/dt) block and an F row."""
+    k = np.stack((w, np.zeros_like(w)))
+    RhsKernel.damp(RhsKernel.slope_views(k, f), RhsKernel.coefficients(0.1, mu, 1.0)[3])
+    return k[1, 1:-1]
+
+
+@pytest.mark.parametrize("mu", [0.25, 0.5, 1.0, 4.0])
+def test_damp_by_an_exact_reciprocal_equals_the_division_bitwise(mu):
+    # 1/mu is exact for mu a power of two, so w * (1/mu) and w / mu round
+    # the same real: the bits agree, subnormal and overflowing ones included.
+    rng = np.random.default_rng(28)
+    w, f = _wide_field(rng, 4096), _wide_field(rng, 4096)
+    with np.errstate(over="ignore"):
+        want = f[1:-1] - w[1:-1] / mu
+        got = _damped(w, f, mu)
+    assert not np.isfinite(want).all() and (np.abs(want[np.isfinite(want)]) < 1e-307).any()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_damp_by_an_inexact_reciprocal_is_within_one_spacing():
+    # 1/0.7 is rounded, so w * (1/mu) may sit one spacing from w / mu.  The
+    # subtraction carries that spacing: where f and w / mu are within 2x of
+    # each other it is exact, and the result's own spacing can be smaller.
+    mu = 0.7
+    rng = np.random.default_rng(28)
+    w, f = _wide_field(rng, 4096), _wide_field(rng, 4096)
+    with np.errstate(over="ignore"):
+        quotient = w[1:-1] / mu
+        want = f[1:-1] - quotient
+        got = _damped(w, f, mu)
+        product = w[1:-1] * RhsKernel.coefficients(0.1, mu, 1.0)[3]
+    # Overflow, in the quotient or in the subtraction, reads alike on both sides.
+    assert (np.isfinite(product) == np.isfinite(quotient)).all()
+    finite = np.isfinite(want)
+    assert not finite.all() and got[~finite].tobytes() == want[~finite].tobytes()
+    got, want, product, quotient = got[finite], want[finite], product[finite], quotient[finite]
+    assert (product != quotient).any() and (got != want).any()
+    assert (np.abs(product - quotient) <= np.abs(np.spacing(quotient))).all()
+    spacing = np.maximum(np.abs(np.spacing(want)), np.abs(np.spacing(quotient)))
+    assert (np.abs(got - want) <= spacing).all()

@@ -30,7 +30,7 @@ from hyperburg.solver import (
     stable_dt,
     step_rk4,
 )
-from hyperburg.suite import BLOWUP_TSTAR_EPS
+from hyperburg.suite import BLOWUP_TSTAR_EPS, preset_configs
 from hyperburg import certificate as cert
 
 
@@ -545,6 +545,49 @@ class TestIntegrate:
             u[0, i] = nudged
             changed = dataclasses.replace(out, final_state=GridState(final.grid, final.t, u))
             assert changed != out and changed.final_state != final
+
+    @staticmethod
+    def recycled_runs():
+        """A blowup level, a smalldata-shaped run at mu = 0.25, and a
+        sweep-shaped blow-up run at mu = 0.7, as RunConfigs."""
+        blowup = preset_configs("blowup")[0]
+        smalldata = dataclasses.replace(preset_configs("smalldata")[0],
+                                        params=ModelParams(0.25, 1.0, 1.0), t_end=5.0)
+        sweep = RunConfig(ModelParams(0.7, 1.3, 1.0), Grid(-8.0, 8.0, 512), 2.0,
+                          ICConfig("odd_bump", F0_target=55.0, F1_target=500.0),
+                          record_stride=8)
+        return blowup, smalldata, sweep
+
+    @pytest.mark.parametrize("run", range(3), ids=["blowup", "smalldata-mu0.25", "mu0.7"])
+    def test_recycled_block_gives_the_bits_of_a_fresh_one(self, monkeypatch, run):
+        # Without an observer, every step from the third on writes into the
+        # block of the state two steps back; with one, each state keeps its
+        # own block.  Both runs give equal outcomes, state0 is never written,
+        # and states an observer keeps stay as they were observed.
+        config = self.recycled_runs()[run]
+        params = config.params
+        state0 = sample_initial_state(params, config.grid, config.ic)
+        u0 = state0.u.copy()
+        spares = []
+        real_step = solver.step_rk4
+        monkeypatch.setattr(solver, "step_rk4", lambda state, params, dt, work: (
+            spares.append(work.spare is not None) or real_step(state, params, dt, work)))
+
+        def run_with(observe):
+            spares.clear()
+            return integrate(state0, params, config.t_end, config.blowup_threshold,
+                             config.record_stride, config.cfl, observe)
+
+        plain = run_with(None)
+        assert spares == [False, False] + [True] * (plain.n_steps - 2)
+        assert plain.n_steps > 10 and plain.stepped_frac < 1.0
+        assert run_with(lambda state: None) == plain
+        assert not any(spares)
+        kept = []
+        assert run_with(lambda state: kept.append((state, state.u.copy()))) == plain
+        assert len(kept) == plain.n_steps + 1 and kept[0][0] is state0
+        assert all(state.u.tobytes() == copy.tobytes() for state, copy in kept)
+        assert state0.u.tobytes() == u0.tobytes()
 
     def test_records_strictly_increasing_and_deterministic(self):
         params, state0 = small_state()

@@ -2,8 +2,10 @@
 
 Runs every member of the simulating suite presets, writing their files
 under a temporary directory, plus the ``blowup`` ladder at record stride 1
-and one certified blow-up run at mu = 0.25 (c = 2), shaped like a point of
-the benchmark sweep; every preset has c = 1.  It also prints ``step <sha256>``
+and two certified blow-up runs shaped like a point of the benchmark sweep:
+``c2`` at mu = 0.25 (c = 2) and ``mu07`` at mu = 0.7, nu = 1.3, where 1/mu
+is inexact, so that ``--compare`` shows, field by field, what rounding
+1/mu changes in records; every preset has c = 1.  It also prints ``step <sha256>``
 over the bytes of one whole-grid ``step_rk4`` from a seeded random state
 that is nonzero at the grid ends, as no run's state is, and ``cli <sha256>``
 over the stdout and exit codes of ``hyperburg certificate`` and
@@ -82,6 +84,10 @@ C2_RUN = {
     "record_stride": 8,
     "ic": {"family": "odd_bump", "F0_target": 48.0, "F1_target": 640.0},
 }
+# The same shape at mu = 0.7, nu = 1.3 (c = 1.36): F0 and F1 are 1.13 and
+# 1.88 times the thresholds (48.87, 266.38), inside a nonempty eps interval.
+MU07_RUN = {**C2_RUN, "params": {"mu": 0.7, "nu": 1.3, "L": 1.0},
+            "ic": {"family": "odd_bump", "F0_target": 55.0, "F1_target": 500.0}}
 # (mu, F0, F1) at nu = L = 1 for the certificate and thresholds commands: the
 # certified blowup data; a pair past both thresholds with an empty eps
 # interval; the C2_RUN moments at c = 2; a negative F0.
@@ -180,9 +186,10 @@ def fingerprint_runs(dump: dict | None) -> None:
             print(name, "suite", suite_fingerprint(run), flush=True)
         for config in preset_configs("blowup", root / "stride1"):
             emit(config, execute_config(dataclasses.replace(config, record_stride=1)))
-        output = {"directory": str(root / "c2"), "emit_csv": True, "emit_report": True}
-        config = config_from_dict({**C2_RUN, "output": output})
-        emit(config, execute_config(config))
+        for name, doc in (("c2", C2_RUN), ("mu07", MU07_RUN)):
+            output = {"directory": str(root / name), "emit_csv": True, "emit_report": True}
+            config = config_from_dict({**doc, "output": output})
+            emit(config, execute_config(config))
         print("step", step_fingerprint(), flush=True)
         print("cli", cli_fingerprint(), flush=True)
         if dump is not None:
