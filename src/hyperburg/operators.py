@@ -69,6 +69,15 @@ def trapezoid_dot(a: np.ndarray, b: np.ndarray, dx: float, lo: int = 0,
     return np.multiply(total, dx).tolist()
 
 
+def _line_placed(size: int) -> np.ndarray:
+    """An empty float64 array of ``size`` elements whose element 1 starts a
+    64-byte cache line: 8 doubles more are allocated, and the view skips
+    the 0-7 that put it there."""
+    raw = np.empty(size + 8)
+    skip = (-1 - raw.ctypes.data // 8) % 8
+    return raw[skip:skip + size]
+
+
 def _as_rows(*arrays: np.ndarray) -> tuple[np.ndarray, ...] | list[np.ndarray]:
     """The arrays as one flat row each when all are C-contiguous stacks,
     else as given; the caller zeroes or skips the seam columns."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyperburg import operators
 from hyperburg.operators import (
     DOT_SPLIT, RhsKernel, d1_central, d2_central, pde_rhs, trapezoid_dot)
 
@@ -158,6 +159,47 @@ def test_trapezoid_dot_on_columns_equals_whole_grid_bitwise():
             got = trapezoid_dot(f[cols], block[1:3], dx, cols.start, n)
             want = [trapezoid_dot(f[cols], r, dx, cols.start, n) for r in block[1:3]]
             assert [x.hex() for x in got] == [x.hex() for x in want], (a, b, cols)
+
+
+def _at_offset(x, offset):
+    """A copy of the 1-D ``x`` whose element 0 lies ``offset`` doubles past a
+    64-byte line."""
+    raw = np.empty(x.size + 8)
+    skip = (offset - raw.ctypes.data // 8) % 8
+    out = raw[skip:skip + x.size]
+    out[...] = x
+    return out
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_trapezoid_dot_bits_do_not_depend_on_placement(offset):
+    # A dot kernel that peeled elements to reach an aligned load would sum
+    # other lanes at other offsets.  On a grid of at most DOT_SPLIT nodes,
+    # the whole grid and a 32-aligned column range holding the data give the
+    # contiguous whole-grid np.dot's bits, at every offset of either operand.
+    rng = np.random.default_rng(29)
+    n, dx, lo, hi = 4097, 0.01, 992, 3104
+    f, g = np.zeros(n), np.zeros(n)
+    f[1000:3100], g[1000:3100] = rng.standard_normal((2, 2100))
+    want = (dx * (np.dot(f, g) - 0.5 * (f[0] * g[0] + f[-1] * g[-1]))).hex()
+    for other in (0, offset, 7 - offset):
+        got = trapezoid_dot(_at_offset(f, offset), _at_offset(g, other), dx)
+        assert got.hex() == want, other
+        got = trapezoid_dot(_at_offset(f[lo:hi], offset), _at_offset(g[lo:hi], other), dx, lo, n)
+        assert got.hex() == want, other
+
+
+@pytest.mark.parametrize("size", [2, 7, 8, 9, 96, 6144, 12 * 4097, 12 * 16384])
+def test_line_placed_array_starts_element_one_on_a_line(size):
+    # Exactly size writable doubles, element 1 on a 64-byte boundary, at
+    # whatever address the allocator hands out (a few allocations each).
+    for _ in range(4):
+        x = operators._line_placed(size)
+        assert x.shape == (size,) and x.dtype == np.float64
+        assert x.flags.writeable and x.flags.c_contiguous
+        assert x[1:].ctypes.data % 64 == 0
+        x[...] = 1.0
+        assert x.sum() == size
 
 
 def _wide_field(rng, n):

@@ -812,6 +812,63 @@ class TestIntegrate:
             assert a.support_left - b.support_left <= c * dt_rec + 5 * config_grid_dx
 
 
+def placed_at(offset, offsets):
+    """A stand-in for ``_line_placed`` whose array has element 1 ``offset``
+    doubles past a 64-byte line (0 is the helper's own placement); it
+    appends each array's offset to ``offsets``."""
+    def placed(size):
+        raw = np.empty(size + 8)
+        skip = (offset - 1 - raw.ctypes.data // 8) % 8
+        offsets.append(raw[skip + 1:].ctypes.data % 64 // 8)
+        return raw[skip:skip + size]
+    return placed
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("n", [8, 512, 4097, 16384])
+    def test_step_buffer_element_one_starts_a_line(self, n):
+        # Element 1, the first interior column of row 0, starts a 64-byte
+        # line, with rows of odd length (n = 4097) too; a refit views the
+        # same buffer.
+        params, state = sharp_state(n=n, lo=n // 2 - 2, width=4)
+        for work in (StepWorkspace(n), StepWorkspace(n, state)):
+            buffer = work.buffer
+            assert buffer.size == solver.STEP_ROWS * n and buffer.flags.writeable
+            assert buffer[1:].ctypes.data % 64 == 0
+            step_rk4(state, params, 1e-3, work)
+            work.fit(state)
+            assert work.buffer is buffer and work.u0.base is buffer.base
+
+    @staticmethod
+    def placement_runs():
+        """A blowup level at stride 1, a smalldata-shaped run and a sweep
+        point at mu = 0.7, as RunConfigs."""
+        blowup, _, sweep = TestIntegrate.recycled_runs()
+        return (dataclasses.replace(blowup, record_stride=1),
+                dataclasses.replace(preset_configs("smalldata")[0], t_end=5.0), sweep)
+
+    @pytest.mark.parametrize("run", range(3), ids=["blowup-stride1", "smalldata", "mu0.7"])
+    def test_bits_do_not_depend_on_the_step_buffers_placement(self, monkeypatch, run):
+        # Element-wise ufuncs give the same bits at any alignment: a run with
+        # its step buffer at each of the 8 offsets from a line equals the
+        # default run, states and records alike.
+        config = self.placement_runs()[run]
+        params = config.params
+        state0 = sample_initial_state(params, config.grid, config.ic)
+
+        def go():
+            return integrate(state0, params, config.t_end, config.blowup_threshold,
+                             config.record_stride, config.cfl)
+
+        default = go()
+        assert default.n_steps > 10 and default.records
+        for offset in range(8):
+            offsets = []
+            monkeypatch.setattr(solver, "_line_placed", placed_at(offset, offsets))
+            assert go() == default, offset
+            assert offsets == [offset]
+
+
 class TestRefinement:
     def test_identical_times_converged(self):
         ref = Refinement((513, 1025), (2.0, 2.0))
