@@ -2,9 +2,10 @@
 
 Everything here uses the solver's own stencils (see
 :mod:`~hyperburg.operators`), and higher time derivatives (v_tt, v_ttt) are
-reconstructed from the equation instead of stored.  Every record integral
-is a :func:`~hyperburg.operators.trapezoid_dot` over the columns of its
-:class:`RecordWorkspace`.
+reconstructed from the equation instead of stored: v_tt is the first slope
+of the step that starts from the record's state, or, where no step does,
+made in its slot (:meth:`RecordWorkspace.stage`).  Every record integral is
+a :func:`~hyperburg.operators.trapezoid_dot` over its workspace's columns.
 
 Records are staged, then computed in batches.  A record is a function of one
 state, and nothing in a run reads it before the run ends, so the solver
@@ -41,8 +42,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .model import ModelParams
-from .operators import d1_central, d2_central, pde_rhs, trapezoid_dot
+from .model import ModelParams, _real
+from .operators import RhsKernel, d1_central, d2_central, trapezoid_dot
 
 if TYPE_CHECKING:  # solver imports diagnostics at runtime
     from .solver import GridState
@@ -210,10 +211,11 @@ class ConeMax:
     whole-grid mask, and so the same maximum.
 
     Raises:
-        ParameterError: when the apex time t_c is not positive.
+        ParameterError: unless x_c and t_c are real numbers and t_c > 0.
     """
 
     def __init__(self, x_c: float, t_c: float, params: ModelParams):
+        x_c, t_c = _real(x_c, "x_c", ParameterError), _real(t_c, "t_c", ParameterError)
         if not (t_c > 0.0):
             raise ParameterError(f"cone apex time must be positive, got {t_c}")
         self.x_c, self.t_c, self.c = x_c, t_c, params.c
@@ -224,20 +226,19 @@ class ConeMax:
         """Fold one state into the maximum.
 
         Raises:
-            DomainError: when the cone base at t = 0 pokes outside the grid.
+            DomainError: when the cone base at t = 0 pokes outside a new grid.
         """
         if state.t > self.t_c:
             return
-        base_left = self.x_c - self.c * self.t_c
-        base_right = self.x_c + self.c * self.t_c
-        if not (state.grid.xmin <= base_left and base_right <= state.grid.xmax):
-            raise DomainError(
-                f"cone base [{base_left:.6g}, {base_right:.6g}] outside grid "
-                f"[{state.grid.xmin}, {state.grid.xmax}]"
-            )
+        grid = state.grid
+        if grid is not self._grid:
+            base_left = self.x_c - self.c * self.t_c
+            base_right = self.x_c + self.c * self.t_c
+            if not (grid.xmin <= base_left and base_right <= grid.xmax):
+                raise DomainError(f"cone base [{base_left:.6g}, {base_right:.6g}] outside grid "
+                                  f"[{grid.xmin}, {grid.xmax}]")
+            self._grid, self._offsets = grid, grid.nodes() - self.x_c
         radius = self.c * (self.t_c - state.t)
-        if state.grid is not self._grid:
-            self._grid, self._offsets = state.grid, state.grid.nodes() - self.x_c
         lo = int(self._offsets.searchsorted(-radius, "left"))
         hi = int(self._offsets.searchsorted(radius, "right"))
         peak = float(np.max(np.abs(state.v[lo:hi]))) if lo < hi else 0.0
@@ -323,15 +324,20 @@ class RecordWorkspace:
     def stage(self, state: GridState, params: ModelParams,
               v_tt: Optional[np.ndarray] = None) -> None:
         """Copy the state's record inputs into the next slot; flush when the
-        slots are full.  ``v_tt`` is dw/dt on the columns of ``window``, from
-        ``pde_rhs`` when None; it is copied, so the caller may overwrite it."""
+        slots are full.  ``v_tt`` is dw/dt on the columns of ``window``, copied;
+        when None, the slot makes it on the span as a step's first slope,
+        with F(v) in its rows 4-5 (a flush's), and pins its edges to +0.0."""
         t0 = perf_counter()
-        (a, b), lo = self.window, self.span[0]
-        slot = self.stack[1:4, len(self.staged)]
-        slot[1:] = state.u[:, lo:self.span[1]]
+        (a, b), (lo, hi) = self.window, self.span
+        slot = self.stack[:, len(self.staged)]
+        slot[2:4] = state.u[:, lo:hi]
         if v_tt is None:
-            v_tt = pde_rhs(*state.u[:, a:b], state.grid.dx, params.mu, params.nu)[1]
-        slot[0, a - lo:b - lo] = v_tt
+            coefficients = RhsKernel.coefficients(state.grid.dx, params.mu, params.nu)
+            RhsKernel(slot[2], slot[4], slot[5])(coefficients)
+            RhsKernel.damp(RhsKernel.slope_views(slot[3:0:-2], slot[4]), coefficients[3])
+            slot[1, ::hi - lo - 1] = 0.0
+        else:
+            slot[1, a - lo:b - lo] = v_tt
         self.staged.append(state.t)
         self.grid, self.params = state.grid, params
         self.seconds += perf_counter() - t0
@@ -399,12 +405,12 @@ def compute_record(
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one state: a batch of one.
 
-    v_tt is computed from the state on the columns of ``work.window`` (the
-    whole grid without ``work``).  ``work`` holds the block the record
-    writes; a fresh one, whose window is the whole grid, gives the same
-    bits.  A narrower window needs the solver's MARGIN zero columns of the
-    state inside its edges and zeros outside them.  Slots already staged in
-    ``work`` are flushed with it.
+    v_tt is made in the record's slot (:meth:`RecordWorkspace.stage`), on
+    the span of ``work.window`` (the whole grid without ``work``).  ``work``
+    holds the block the record writes; a fresh one, whose window is the
+    whole grid, gives the same bits.  A narrower window needs the solver's
+    MARGIN zero columns of the state inside its edges and zeros outside
+    them.  Slots already staged in ``work`` are flushed with it.
     """
     if work is None:
         work = RecordWorkspace(state.grid.n)

@@ -12,7 +12,8 @@ and its ``out`` buffer run as one flat row, and the seam columns computed
 across rows are then zeroed.  The stencils take an optional ``out=`` buffer
 shaped like their input, which must not overlap it; with it the call
 allocates no array.  :class:`RhsKernel` holds the one copy of the slope
-arithmetic, which :func:`pde_rhs` and the solver use.
+arithmetic, which steps and record slots use; :func:`pde_rhs`, which
+allocates, is the reference that tests and the benchmark call.
 """
 
 from __future__ import annotations

@@ -20,11 +20,12 @@ therefore exactly zero in the whole-grid computation too, so the bits are
 the same, signs of zeros included.  A record's integrals keep the
 whole-grid bits as well (see :func:`~hyperburg.operators.trapezoid_dot`).
 
-Records are staged: a due record's (v, w) and v_tt are copied into a slot
-of the run's :class:`~hyperburg.diagnostics.RecordWorkspace`, and the
-staged records are computed as one block when its slots are full and when
-the run ends, by failure too.  A window rebind moves the staged slots onto
-the wider span, and flushes them only when they do not fit its slots.
+Records are staged: a due record's (v, w) are copied into a slot of the
+run's own :class:`~hyperburg.diagnostics.RecordWorkspace` with its v_tt,
+the step's ``k1`` or, for the terminal state, made in the slot.  The staged
+records are computed as one block when the slots are full and when the run
+ends, by failure too.  A window rebind moves the staged slots onto the wider
+span, and flushes them only when they do not fit its slots.
 
 Blow-up is reported as the first time the sup norm crosses a threshold, not
 as an extrapolated singularity time: the model supplies no blow-up rate to
@@ -159,7 +160,7 @@ class RunOutcome:
     ``n_steps`` steps of ``dt`` were taken on ``stepped_frac`` of the
     columns on average.  ``record_s`` is the wall time spent staging records
     and computing them, in ``record_batches`` flushes of the run's
-    :class:`~hyperburg.diagnostics.RecordWorkspace`.
+    :class:`~hyperburg.diagnostics.RecordWorkspace`, the terminal slope's too.
     """
 
     status: RunStatus
@@ -188,15 +189,15 @@ def stable_dt(grid: Grid, params: ModelParams, cfl: float) -> float:
 
 
 class StepWorkspace:
-    """Buffers and bound views for one run's steps and records.
+    """Buffers and bound views for one run's steps, and nothing else.
 
     ``window`` = (a, b) is the columns of a grid of ``n`` nodes that steps
-    and records compute on: the whole grid, or with ``state`` its padded
-    nonzero extent (see :meth:`fit`).  A step runs on the ``(STEP_ROWS,
-    b - a)`` view at the head of the flat ``buffer``, whose element 1 starts a
-    64-byte line, as does row r's first interior column when r (b - a) is a
-    multiple of 8: at numpy's own offsets a step on 3,200 columns read 9-17%
-    slower.  Its rows are
+    compute on: the whole grid, or with ``state`` its padded nonzero extent
+    (see :meth:`fit`); :func:`integrate` binds its records to the same one.
+    A step runs on the ``(STEP_ROWS, b - a)`` view at the head of the flat
+    ``buffer``, whose element 1 starts a 64-byte line, as does row r's first
+    interior column when r (b - a) is a multiple of 8: at numpy's own offsets
+    a step on 3,200 columns read 9-17% slower.  Its rows are
 
         0 v2 | 1 v0 | 2 w0 | 3 dw1 | 4 v4 | 5 v3 | 6 w3 | 7 dw3 |
         8-9 the weighted slope sum | 10 w2, then w4 | 11 dw2, then dw4,
@@ -209,16 +210,14 @@ class StepWorkspace:
     and ``rows`` hold the other views a step uses.  Binding zeroes the dw
     rows' boundary columns, which no kernel writes.  The scalar operands
     are 0-d arrays, refilled by :meth:`set_step` only when dt or the model
-    changes.  ``record`` is the records' workspace, on the same window;
-    rebinding moves the records staged there onto it.
+    changes.
     """
 
     __slots__ = ("buffer", "window", "u0", "k1", "edges", "rows", "pairs", "slopes",
-                 "coefficients", "half", "full", "sixth", "key", "record", "spare")
+                 "coefficients", "half", "full", "sixth", "key", "spare")
 
     def __init__(self, n: int, state: Optional[GridState] = None):
         self.buffer = _line_placed(STEP_ROWS * n)
-        self.record = RecordWorkspace(n)
         self.coefficients = tuple(np.zeros(()) for _ in range(4))
         self.half, self.full, self.sixth = (np.zeros(()) for _ in range(3))
         self.key = self.spare = None
@@ -243,7 +242,6 @@ class StepWorkspace:
                        RhsKernel.slope_views(k, second[0]),
                        RhsKernel.slope_views(second[2:4], first[1]),
                        RhsKernel.slope_views(k, first[0]))
-        self.record.bind(a, b)
 
     def set_step(self, grid: Grid, params: ModelParams, dt: float) -> None:
         """Fill the step's 0-d scalar operands, unless they hold these values.
@@ -256,17 +254,6 @@ class StepWorkspace:
                 operand[...] = value
             self.half[...], self.full[...], self.sixth[...] = 0.5 * dt, dt, dt / 6.0
             self.key = key
-
-    def slope(self, state: GridState) -> np.ndarray:
-        """dw/dt of ``state`` on the window, with the bits of a step's first
-        slope, from a one-row kernel on the spent rows.  The scalar operands
-        are those of the last :meth:`set_step`.  Returns the ``k1`` row the
-        next step overwrites."""
-        a, b = self.window
-        block = self.buffer[:STEP_ROWS * (b - a)].reshape(STEP_ROWS, b - a)
-        np.copyto(self.u0, state.u[:, a:b])
-        RhsKernel(block[1], block[5], block[8])(self.coefficients)  # F(v0) where step 1 puts it
-        return RhsKernel.damp(self.slopes[0], self.coefficients[3])[1]
 
     def fit(self, state: GridState) -> None:
         """Grow the window to the nonzeros of ``state`` (the whole grid if it
@@ -421,11 +408,12 @@ def integrate(
     must not change the states' arrays, and may keep them.  Without it, each
     state but state0 lends its block to the step after its own (``work.spare``).
 
-    A record of a state the run steps from takes v_tt from that step's
-    ``work.k1``, copied when the record is staged (see the module
-    docstring), so only the terminal record evaluates its own slope, with
-    :meth:`StepWorkspace.slope`: a run makes 4 * steps + 1 slope evaluations
-    (a paired call makes two) whatever the stride.  Pure function of its
+    The run's :class:`~hyperburg.diagnostics.RecordWorkspace`, made right
+    after its :class:`StepWorkspace`, is rebound when a refit widens the
+    window.  A record of a state the run steps from takes v_tt from that
+    step's ``work.k1``, so only the terminal record evaluates its own slope,
+    in its record slot: a run makes 4 * steps + 1 slope evaluations (a
+    paired call makes two) whatever the stride.  Pure function of its
     arguments: identical inputs give bit-identical outcomes and records.
 
     Raises:
@@ -447,6 +435,8 @@ def integrate(
     dt = stable_dt(state0.grid, params, cfl)
     n = state0.grid.n
     work = StepWorkspace(n, state0)
+    records = RecordWorkspace(n)
+    records.bind(*work.window)
     state, steps, stepped, status = state0, 0, 0, None
     maximum, minimum, isfinite = np.maximum.reduce, np.minimum.reduce, math.isfinite
 
@@ -457,7 +447,7 @@ def integrate(
             new_state = step_rk4(state, params, dt, work)
             a, b = work.window
             if steps % record_stride == 0:
-                work.record.stage(state, params, work.k1[1])
+                records.stage(state, params, work.k1[1])
             # Zero outside the window, which never shrinks; no caller holds it.
             work.spare = state.u if observe is None and state is not state0 else None
             state = new_state
@@ -473,6 +463,8 @@ def integrate(
                 break
             if steps % REFIT_STEPS == 0:
                 work.fit(state)
+                if work.window != (a, b):
+                    records.bind(*work.window)
             if observe is not None:
                 observe(state)
 
@@ -480,11 +472,11 @@ def integrate(
             if blown or state.t >= t_end:
                 status = RunStatus.BLOWUP_DETECTED if blown else RunStatus.COMPLETED
         if status is not RunStatus.NUMERICAL_FAILURE:
-            work.record.stage(state, params, work.slope(state))
-        work.record.flush()
-    return RunOutcome(status=status, t_final=state.t, records=work.record.records,
+            records.stage(state, params)
+        records.flush()
+    return RunOutcome(status=status, t_final=state.t, records=records.records,
                       final_state=state, n_steps=steps, dt=dt, stepped_frac=stepped / (steps * n),
-                      record_s=work.record.seconds, record_batches=work.record.batches)
+                      record_s=records.seconds, record_batches=records.batches)
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,13 @@ class TestConeMax:
         with pytest.raises(ParameterError):
             ConeMax(0.0, 0.0, ModelParams(1, 1, 1))
 
+    @pytest.mark.parametrize("x_c, t_c", [(5.0, True), ("5", 2.0), (5.0, "2")],
+                             ids=["bool-t_c", "str-x_c", "str-t_c"])
+    def test_apex_passes_the_real_number_rule(self, x_c, t_c):
+        # The apex is checked when the cone is made, as every stored number is.
+        with pytest.raises(ParameterError, match="must be a number"):
+            ConeMax(x_c, t_c, ModelParams(1, 1, 1))
+
     def test_nothing_checked_is_an_error(self):
         # A cone maximum over no state at t <= t_c checked nothing; it must
         # not read as a vanishing cone.

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hyperburg import (
 )
 from hyperburg.initial_data import amplitude_for_sup_norm, bump_profile
 from hyperburg.config import ICConfig, RunConfig
-from hyperburg import solver
+from hyperburg import operators, solver
 from hyperburg.diagnostics import RecordWorkspace, compute_record
 from hyperburg.operators import DOT_SPLIT, RhsKernel, pde_rhs
 from hyperburg.solver import (
@@ -141,6 +143,23 @@ class TestStepWorkspace:
         step_rk4(state, params, dt, work)
         want = pde_rhs(state.v, state.w, state.grid.dx, params.mu, params.nu)[..., a:b]
         assert work.k1.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [512, 4096, 16384])
+    def test_standalone_step_allocates_only_what_it_steps_with(self, n):
+        # A step without a workspace allocates the step buffer's 12 n + 8
+        # doubles and the new state's 2 n, plus small views: no record buffer.
+        params = ModelParams(0.7, 1.3, 1.0)
+        grid = Grid(-4.0, 4.0, n)
+        state = GridState(grid, 0.0, np.random.default_rng(n).standard_normal((2, n)))
+        dt = stable_dt(grid, params, 0.4)
+        step_rk4(state, params, dt)
+        tracemalloc.start()
+        try:
+            step_rk4(state, params, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (14 * n + 8) * 8 + 16 * 1024
 
     def test_stepped_state_fields_are_rows_of_its_block(self):
         params, state = small_state()
@@ -792,6 +811,40 @@ class TestIntegrate:
         assert [r.t for r in out.records] == [s.t for s in want]
         for state, rec in zip(want, out.records):
             assert record_hex(rec) == record_hex(compute_record(state, params))
+
+    def test_pde_rhs_is_a_reference_only(self, monkeypatch):
+        # Steps and records make every slope with bound kernels: pde_rhs,
+        # wrapped wherever a hyperburg module holds it, is never called by a
+        # blowup level ending off its stride 7, by a sweep-shaped run at
+        # mu = 0.7, or by compute_record.
+        calls = []
+        reference = operators.pde_rhs
+
+        def counted(*args):
+            calls.append(1)
+            return reference(*args)
+
+        held = [(module, name) for key, module in list(sys.modules.items())
+                if key == "hyperburg" or key.startswith("hyperburg.")
+                for name, value in list(vars(module).items()) if value is reference]
+        assert (operators, "pde_rhs") in held
+        for module, name in held:
+            monkeypatch.setattr(module, name, counted)
+        blowup = dataclasses.replace(preset_configs("blowup")[0], record_stride=7)
+        sweep = self.recycled_runs()[2]
+        ends = []
+        for config in (blowup, sweep):
+            state0 = sample_initial_state(config.params, config.grid, config.ic)
+            out = integrate(state0, config.params, config.t_end, config.blowup_threshold,
+                            config.record_stride, config.cfl)
+            assert out.status is RunStatus.BLOWUP_DETECTED and len(out.records) >= 3
+            assert calls == []
+            ends.append(out.n_steps % config.record_stride)
+        assert ends[0] != 0
+        compute_record(out.final_state, sweep.params)
+        assert calls == []
+        operators.pde_rhs(*out.final_state.u, 0.1, 1.0, 1.0)  # the wrapper counts
+        assert len(calls) == 1
 
     def test_smalldata_decay(self, smalldata_report):
         recs = smalldata_report.outcome.records

@@ -7,7 +7,9 @@ and two certified blow-up runs shaped like a point of the benchmark sweep:
 is inexact, so that ``--compare`` shows, field by field, what rounding
 1/mu changes in records; every preset has c = 1.  It also prints ``step <sha256>``
 over the bytes of one whole-grid ``step_rk4`` from a seeded random state
-that is nonzero at the grid ends, as no run's state is, and ``cli <sha256>``
+that is nonzero at the grid ends, as no run's state is, ``record <sha256>``
+over the ``float.hex`` of the ``RECORD_FIELDS`` of ``compute_record`` on that
+state, the only record here whose span ends at the grid ends, and ``cli <sha256>``
 over the stdout and exit codes of ``hyperburg certificate`` and
 ``hyperburg thresholds``, run in-process on the inputs ``CLI_MOMENTS``.
 Each run prints ``<name> <sha256>``, the hash over ``float.hex`` of the
@@ -63,6 +65,7 @@ import numpy as np  # noqa: E402
 
 from hyperburg.cli import main as cli_main  # noqa: E402
 from hyperburg.config import config_from_dict, refinement_ladder  # noqa: E402
+from hyperburg.diagnostics import compute_record  # noqa: E402
 from hyperburg.model import ModelParams  # noqa: E402
 from hyperburg.runner import execute_config  # noqa: E402
 from hyperburg.solver import Grid, GridState, stable_dt, step_rk4  # noqa: E402
@@ -110,11 +113,16 @@ def _hexed(x):
     return x
 
 
+def record_hex(rec) -> list[str]:
+    """The ``float.hex`` of each of the record's RECORD_FIELDS."""
+    return [float(getattr(rec, name)).hex() for name in RECORD_FIELDS]
+
+
 def fingerprint(report, root: Path) -> str:
     outcome = report.outcome
     h = hashlib.sha256()
     for rec in outcome.records:
-        h.update(" ".join(float(getattr(rec, name)).hex() for name in RECORD_FIELDS).encode())
+        h.update(" ".join(record_hex(rec)).encode())
     h.update(f"{outcome.status.value} {float(outcome.t_final).hex()}".encode())
     h.update(outcome.final_state.v.tobytes())
     h.update(outcome.final_state.w.tobytes())
@@ -128,17 +136,28 @@ def fingerprint(report, root: Path) -> str:
     return h.hexdigest()
 
 
-def step_fingerprint() -> str:
-    """sha256 of one whole-grid step from a seeded state nonzero at both grid
-    ends, at mu = 0.7, nu = 1.3 (c != 1)."""
-    params = ModelParams(0.7, 1.3, 1.0)
+def seeded_state() -> tuple[ModelParams, GridState]:
+    """A seeded random state, nonzero at both grid ends, at mu = 0.7,
+    nu = 1.3 (c != 1)."""
     grid = Grid(-4.0, 4.0, 257)
     u = np.random.default_rng(2024).standard_normal((2, grid.n))
-    new = step_rk4(GridState(grid, 0.0, u), params, stable_dt(grid, params, 0.4))
+    return ModelParams(0.7, 1.3, 1.0), GridState(grid, 0.0, u)
+
+
+def step_fingerprint() -> str:
+    """sha256 of one whole-grid step from the seeded state."""
+    params, state = seeded_state()
+    new = step_rk4(state, params, stable_dt(state.grid, params, 0.4))
     h = hashlib.sha256(float(new.t).hex().encode())
     h.update(new.v.tobytes())
     h.update(new.w.tobytes())
     return h.hexdigest()
+
+
+def record_fingerprint() -> str:
+    """sha256 of the record fields of ``compute_record`` on the seeded state."""
+    params, state = seeded_state()
+    return hashlib.sha256(" ".join(record_hex(compute_record(state, params))).encode()).hexdigest()
 
 
 def cli_fingerprint() -> str:
@@ -162,8 +181,7 @@ def suite_fingerprint(run) -> str:
 
 
 def record_rows(report) -> list[list[str]]:
-    return [[float(getattr(rec, name)).hex() for name in RECORD_FIELDS]
-            for rec in report.outcome.records]
+    return [record_hex(rec) for rec in report.outcome.records]
 
 
 def fingerprint_runs(dump: dict | None) -> None:
@@ -191,6 +209,7 @@ def fingerprint_runs(dump: dict | None) -> None:
             config = config_from_dict({**doc, "output": output})
             emit(config, execute_config(config))
         print("step", step_fingerprint(), flush=True)
+        print("record", record_fingerprint(), flush=True)
         print("cli", cli_fingerprint(), flush=True)
         if dump is not None:
             base = preset_configs("blowup", root / "large")[0]
