@@ -185,8 +185,14 @@ def refinement_ladder(base: RunConfig, levels: int) -> list[RunConfig]:
     """Nested refinement of ``base``: level k has n_k = (n0 - 1) 2^k + 1 nodes.
 
     Each level halves dx (and so the CFL dt) exactly and writes to
-    ``<base directory>-n<n_k>``; all else is ``base``'s.  Steps nothing.
-    Raises ConfigError unless ``levels`` is an int >= 2.
+    ``<base directory>-n<n_k>``; all else is ``base``'s, the record stride
+    included.  So the levels record at the coarsest level's times exactly
+    when its dt is a power of two, whose running sums do not round: the
+    ``identity`` preset's levels step 2^-8, 2^-9 and 2^-10 and all end at
+    t = 1.0, while the ``blowup`` preset's dt = 0.00625 is not a power of
+    two, and its levels end at 0.1937500000000001, 0.18124999999999986 and
+    0.17656249999999962.  Steps nothing.  Raises ConfigError unless
+    ``levels`` is an int >= 2.
     """
     if type(levels) is not int or levels < 2:
         raise ConfigError(f"a refinement ladder needs integer levels >= 2, got {levels!r}")

@@ -46,7 +46,7 @@ from .model import ModelParams, _real
 from .operators import RhsKernel, d1_central, d2_central, trapezoid_dot
 
 if TYPE_CHECKING:  # solver imports diagnostics at runtime
-    from .solver import GridState
+    from .solver import Grid, GridState
 
 __all__ = [
     "DiagnosticsRecord",
@@ -257,39 +257,41 @@ class ConeMax:
 
 
 class RecordWorkspace:
-    """The one buffer records are computed in, for a grid of ``n`` nodes.
+    """The one buffer one run's records are computed in, for ``grid`` and ``params``.
 
-    ``window`` = (a, b) is the solver's window, whose columns hold every
-    nonzero of the state: the whole grid until :meth:`bind` narrows it.
-    ``span`` = (lo, hi) is that window widened outward to multiples of
-    RECORD_ALIGN columns, capped at the grid's end.  A record is staged:
-    :meth:`stage` copies a state's (v, w) on the span and its v_tt into the
-    next of ``slots`` = max(n, RECORD_COLUMNS_MIN) // (hi - lo) slots of the
+    The workspace belongs to one grid and one model by construction, and
+    records on the solver window ``window`` = (a, b), whose columns hold
+    every nonzero of the state, until :meth:`bind` widens it.  ``span`` =
+    (lo, hi) is that window widened outward to multiples of RECORD_ALIGN
+    columns, capped at the grid's end.  A record is staged: :meth:`stage`
+    copies a state's (v, w) on the span and its v_tt into the next of
+    ``slots`` = max(n, RECORD_COLUMNS_MIN) // (hi - lo) slots of the
     ``(RECORD_ROWS, slots, hi - lo)`` stack at the head of the flat
-    ``buffer``.  :meth:`flush` computes the k staged slots as one
-    ``(RECORD_ROWS, k, hi - lo)`` block there and appends their records to
-    ``records``, in staging order.  Staging flushes when the slots are full.
-    Binding moves the staged slots onto the new span, or flushes them first
-    when they do not fit its slots, so every staged slot is on one span;
-    the staged slots belong to one grid and one model.  ``batches`` counts
-    the flushes, and ``seconds`` the wall time spent staging, moving and
-    flushing.  Rebinding allocates nothing, and a flush overwrites its whole
-    block.  No method silences floating-point warnings: a caller whose
-    states may overflow holds ``np.errstate(over="ignore",
-    invalid="ignore")``, as :func:`~hyperburg.solver.integrate` and
-    :func:`compute_record` do, so that a flush does not pay for its own.
+    ``buffer``, and each slot is complete when it is staged: its v_tt is
+    +0.0 outside the window.  :meth:`flush` computes the k staged slots as
+    one ``(RECORD_ROWS, k, hi - lo)`` block there and appends their records
+    to ``records``, in staging order.  Staging flushes when the slots are
+    full.  Binding moves the staged slots onto the new span, or flushes them
+    first when they do not fit its slots, so every staged slot is on one
+    span.  ``batches`` counts the flushes, and ``seconds`` the wall time
+    spent staging, moving and flushing.  Rebinding allocates nothing, and a
+    flush overwrites its whole block.  No method silences floating-point
+    warnings: a caller whose states may overflow holds
+    ``np.errstate(over="ignore", invalid="ignore")``, as
+    :func:`~hyperburg.solver.integrate` and :func:`compute_record` do, so
+    that a flush does not pay for its own.
     """
 
-    __slots__ = ("buffer", "n", "window", "span", "slots", "stack", "staged", "grid", "params",
+    __slots__ = ("buffer", "grid", "params", "window", "span", "slots", "stack", "staged",
                  "records", "batches", "seconds")
 
-    def __init__(self, n: int):
-        self.buffer = np.empty(RECORD_ROWS * max(n, RECORD_COLUMNS_MIN))
-        self.n = n
+    def __init__(self, grid: Grid, params: ModelParams, window: tuple[int, int]):
+        self.buffer = np.empty(RECORD_ROWS * max(grid.n, RECORD_COLUMNS_MIN))
+        self.grid, self.params = grid, params
         self.staged: list[float] = []  # the t of each staged slot
         self.records: list[DiagnosticsRecord] = []
         self.batches, self.seconds = 0, 0.0
-        self.bind(0, n)
+        self.bind(*window)
 
     def bind(self, a: int, b: int) -> None:
         """Record on the solver window [a, b), which holds the current one.
@@ -299,18 +301,15 @@ class RecordWorkspace:
         its bits (see :func:`~hyperburg.operators.trapezoid_dot`).  Staged
         slots that do not fit are flushed first."""
         columns = self.buffer.size // RECORD_ROWS
-        lo, hi = a - a % RECORD_ALIGN, min(self.n, -(-b // RECORD_ALIGN) * RECORD_ALIGN)
+        lo, hi = a - a % RECORD_ALIGN, min(self.grid.n, -(-b // RECORD_ALIGN) * RECORD_ALIGN)
         slots = columns // (hi - lo)
         if len(self.staged) >= slots:
             self.flush()
         stack = self.buffer[:RECORD_ROWS * slots * (hi - lo)].reshape(RECORD_ROWS, slots, hi - lo)
         if self.staged:
             t0 = perf_counter()
-            (a0, b0), (lo0, hi0) = self.window, self.span
+            lo0, hi0 = self.span
             staged = self.stack[1:4, :len(self.staged)]
-            # A flush zeroes v_tt outside only its own window: zero it outside
-            # the window these slots were staged on.
-            staged[0, :, :a0 - lo0] = staged[0, :, b0 - lo0:] = 0.0
             # Rows 1:4 of either stack lie in the buffer's first 4 * columns
             # doubles, so the slots wait past them while the stack moves.
             held = self.buffer[4 * columns:4 * columns + staged.size].reshape(staged.shape)
@@ -321,25 +320,26 @@ class RecordWorkspace:
             self.seconds += perf_counter() - t0
         self.window, self.span, self.slots, self.stack = (a, b), (lo, hi), slots, stack
 
-    def stage(self, state: GridState, params: ModelParams,
-              v_tt: Optional[np.ndarray] = None) -> None:
-        """Copy the state's record inputs into the next slot; flush when the
-        slots are full.  ``v_tt`` is dw/dt on the columns of ``window``, copied;
-        when None, the slot makes it on the span as a step's first slope,
-        with F(v) in its rows 4-5 (a flush's), and pins its edges to +0.0."""
+    def stage(self, state: GridState, v_tt: Optional[np.ndarray] = None) -> None:
+        """Copy the state's record inputs into the next slot, which is then
+        complete, and flush when the slots are full.  ``v_tt`` is dw/dt on
+        the columns of ``window``, copied; when None, the slot makes it on
+        the span as a step's first slope, with F(v) in its rows 4-5 (a
+        flush's), and pins its edges to +0.0.  Either way the slot's v_tt is
+        +0.0 outside the window."""
         t0 = perf_counter()
         (a, b), (lo, hi) = self.window, self.span
         slot = self.stack[:, len(self.staged)]
         slot[2:4] = state.u[:, lo:hi]
         if v_tt is None:
-            coefficients = RhsKernel.coefficients(state.grid.dx, params.mu, params.nu)
+            coefficients = RhsKernel.coefficients(self.grid.dx, self.params.mu, self.params.nu)
             RhsKernel(slot[2], slot[4], slot[5])(coefficients)
             RhsKernel.damp(RhsKernel.slope_views(slot[3:0:-2], slot[4]), coefficients[3])
             slot[1, ::hi - lo - 1] = 0.0
         else:
             slot[1, a - lo:b - lo] = v_tt
+        slot[1, :a - lo] = slot[1, b - lo:] = 0.0
         self.staged.append(state.t)
-        self.grid, self.params = state.grid, params
         self.seconds += perf_counter() - t0
         if len(self.staged) == self.slots:
             self.flush()
@@ -350,7 +350,7 @@ class RecordWorkspace:
         if k == 0:
             return
         t0 = perf_counter()
-        (a, b), (lo, hi) = self.window, self.span
+        lo, hi = self.span
         m = hi - lo
         block = self.buffer[:RECORD_ROWS * k * m].reshape(RECORD_ROWS, k, m)
         if k < self.slots:  # close the staged rows up into the k-slot block
@@ -361,7 +361,6 @@ class RecordWorkspace:
         c2 = c * c
         c4, c6 = c2**2, c2**3
         v_tt, v_ttt = block[1], block[11]
-        v_tt[:, :a - lo] = v_tt[:, b - lo:] = 0.0
         d2_central(block[2:4], dx, out=block[4:6])
         np.multiply(block[2], block[3], block[0])  # v * w
         d1_central(block[:5], dx, out=block[6:11])
@@ -398,23 +397,15 @@ class RecordWorkspace:
         self.seconds += perf_counter() - t0
 
 
-def compute_record(
-    state: GridState,
-    params: ModelParams,
-    work: Optional[RecordWorkspace] = None,
-) -> DiagnosticsRecord:
+def compute_record(state: GridState, params: ModelParams) -> DiagnosticsRecord:
     """Assemble the full diagnostics record for one state: a batch of one.
 
-    v_tt is made in the record's slot (:meth:`RecordWorkspace.stage`), on
-    the span of ``work.window`` (the whole grid without ``work``).  ``work``
-    holds the block the record writes; a fresh one, whose window is the
-    whole grid, gives the same bits.  A narrower window needs the solver's
-    MARGIN zero columns of the state inside its edges and zeros outside
-    them.  Slots already staged in ``work`` are flushed with it.
+    The record's workspace is built for the state's grid and ``params`` on
+    the whole grid, and its v_tt is made in the record's slot
+    (:meth:`RecordWorkspace.stage`), complete when staged.
     """
-    if work is None:
-        work = RecordWorkspace(state.grid.n)
+    work = RecordWorkspace(state.grid, params, (0, state.grid.n))
     with np.errstate(over="ignore", invalid="ignore"):
-        work.stage(state, params)
+        work.stage(state)
         work.flush()
     return work.records.pop()

@@ -408,12 +408,13 @@ def integrate(
     must not change the states' arrays, and may keep them.  Without it, each
     state but state0 lends its block to the step after its own (``work.spare``).
 
-    The run's :class:`~hyperburg.diagnostics.RecordWorkspace`, made right
-    after its :class:`StepWorkspace`, is rebound when a refit widens the
-    window.  A record of a state the run steps from takes v_tt from that
-    step's ``work.k1``, so only the terminal record evaluates its own slope,
-    in its record slot: a run makes 4 * steps + 1 slope evaluations (a
-    paired call makes two) whatever the stride.  Pure function of its
+    The run's :class:`~hyperburg.diagnostics.RecordWorkspace` is built for
+    its grid, its model and its :class:`StepWorkspace`'s window, and is
+    rebound when a refit widens the window; each record slot is complete
+    when staged.  A record of a state the run steps from takes v_tt from
+    that step's ``work.k1``, so only the terminal record evaluates its own
+    slope, in its record slot: a run makes 4 * steps + 1 slope evaluations
+    (a paired call makes two) whatever the stride.  Pure function of its
     arguments: identical inputs give bit-identical outcomes and records.
 
     Raises:
@@ -435,8 +436,7 @@ def integrate(
     dt = stable_dt(state0.grid, params, cfl)
     n = state0.grid.n
     work = StepWorkspace(n, state0)
-    records = RecordWorkspace(n)
-    records.bind(*work.window)
+    records = RecordWorkspace(state0.grid, params, work.window)
     state, steps, stepped, status = state0, 0, 0, None
     maximum, minimum, isfinite = np.maximum.reduce, np.minimum.reduce, math.isfinite
 
@@ -447,7 +447,7 @@ def integrate(
             new_state = step_rk4(state, params, dt, work)
             a, b = work.window
             if steps % record_stride == 0:
-                records.stage(state, params, work.k1[1])
+                records.stage(state, work.k1[1])
             # Zero outside the window, which never shrinks; no caller holds it.
             work.spare = state.u if observe is None and state is not state0 else None
             state = new_state
@@ -472,7 +472,7 @@ def integrate(
             if blown or state.t >= t_end:
                 status = RunStatus.BLOWUP_DETECTED if blown else RunStatus.COMPLETED
         if status is not RunStatus.NUMERICAL_FAILURE:
-            records.stage(state, params)
+            records.stage(state)
         records.flush()
     return RunOutcome(status=status, t_final=state.t, records=records.records,
                       final_state=state, n_steps=steps, dt=dt, stepped_frac=stepped / (steps * n),

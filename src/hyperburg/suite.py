@@ -157,29 +157,23 @@ def _status_gate(run: PresetRun, status: RunStatus, label: str, member: str) -> 
 
 
 def _worst_gate(reports: list[RunReport], key: str, bound: float, name: str,
-                detail: str) -> SuiteCheck:
-    """The gate min over ``reports`` of ``worst[key]`` >= ``bound``; ``detail``
-    formats that minimum.  Fails, rather than passes unchecked, when any
-    report has no value for ``key``, naming those levels."""
+                detail: Callable[[float], str], upper: bool = False) -> SuiteCheck:
+    """The gate min over ``reports`` of ``worst[key]`` >= ``bound`` or, with
+    ``upper``, their max <= ``bound``; ``detail`` formats that extreme.  Fails,
+    rather than passes unchecked, when any report has no value for ``key``,
+    naming those levels."""
     unchecked = [r.config["grid"]["n"] for r in reports if r.worst[key] is None]
     if unchecked:
         return SuiteCheck(name, False, f"no {key} checked at n={unchecked}")
-    worst = min(r.worst[key] for r in reports)
-    return SuiteCheck(name, worst >= bound, detail.format(worst))
+    worst = (max if upper else min)(r.worst[key] for r in reports)
+    return SuiteCheck(name, worst <= bound if upper else worst >= bound, detail(worst))
 
 
 def _check_propagation(run: PresetRun) -> list[SuiteCheck]:
-    config, report = run.configs[0], run.reports[0]
-    excess = report.worst["support_excess"]
-    return [
-        SuiteCheck(
-            "propagation: support inside [-(L+ct)-5dx, (L+ct)+5dx]",
-            excess is not None and excess <= 0.0,
-            f"worst excess {excess:.3e} ({excess / config.grid.dx:+.2f} dx)"
-            if excess is not None
-            else "support never detected",
-        ),
-    ]
+    dx = run.configs[0].grid.dx
+    return [_worst_gate(run.reports, "support_excess", 0.0,
+                        "propagation: support inside [-(L+ct)-5dx, (L+ct)+5dx]",
+                        lambda e: f"worst excess {e:.3e} ({e / dx:+.2f} dx)", upper=True)]
 
 
 def _check_cone(run: PresetRun) -> list[SuiteCheck]:
@@ -253,7 +247,7 @@ def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
         ),
         _worst_gate(reports, "comparison_margin_rel", COMPARISON_REL_TOL,
                     "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
-                    "worst relative margin {:.3e}"),
+                    "worst relative margin {:.3e}".format),
     ]
 
 
@@ -408,11 +402,11 @@ def check_preset(run: PresetRun) -> list[SuiteCheck]:
     if run.reports:
         checks.append(_worst_gate(run.reports, "schwartz_gap_rel", SCHWARTZ_REL_TOL,
                                   f"{run.name}: schwartz_gap >= -1e-10 (1+F^2) at every record",
-                                  "worst relative gap {:.3e}"))
+                                  "worst relative gap {:.3e}".format))
         if preset.energy_gate:
             checks.append(_worst_gate(run.reports, "gronwall_margin_rel", GRONWALL_REL_TOL,
                                       f"{run.name}: exp energy bound margin >= -1e-8 E1(0)",
-                                      "worst margin / E1(0) = {:.3e}"))
+                                      "worst margin / E1(0) = {:.3e}".format))
     return checks
 
 

@@ -319,6 +319,22 @@ def test_blowup_checks_fail_without_a_certificate():
     assert not checks[f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})"].passed
 
 
+@pytest.mark.parametrize("excess_dx", [None, 2.0], ids=["unchecked", "outside"])
+def test_propagation_check_fails_unchecked_or_outside(excess_dx, preset_run):
+    # A support never detected gives no excess: the gate fails and names the
+    # level, as every other worst-value gate does.  A positive excess fails.
+    run = preset_run("propagation")
+    dx = run.configs[0].grid.dx
+    excess = None if excess_dx is None else excess_dx * dx
+    reports = [dataclasses.replace(r, worst=r.worst | {"support_excess": excess})
+               for r in run.reports]
+    checks = {c.name: c for c in check_preset(dataclasses.replace(run, reports=reports))}
+    gate = checks["propagation: support inside [-(L+ct)-5dx, (L+ct)+5dx]"]
+    assert not gate.passed
+    assert gate.detail == ("no support_excess checked at n=[4096]" if excess is None
+                           else f"worst excess {excess:.3e} (+2.00 dx)")
+
+
 def test_unknown_preset_lists_valid_ones():
     valid = "valid presets: " + ", ".join(PRESET_NAMES)
     with pytest.raises(ConfigError, match=re.escape(valid)):
@@ -377,6 +393,14 @@ def test_one_level_blowup_fails_refinement_without_raising(preset_run):
     assert not refined.passed
     assert refined.detail == f"estimate {run.reports[0].t_detect:.5f}"
     assert checks["blowup: detected at every resolution"].passed
+
+
+def test_identity_levels_record_at_the_coarsest_times(identity_reports):
+    # dt = 2^-8, 2^-9 and 2^-10 at one stride: no running sum of dt rounds,
+    # so every level ends at t = 1.0 and records at each of level 0's times.
+    times = [[rec.t for rec in r.outcome.records] for r in identity_reports]
+    assert [t[-1] for t in times] == [1.0, 1.0, 1.0]
+    assert all(set(times[0]) <= set(finer) for finer in times[1:])
 
 
 def test_identity_shrink_of_zero_residuals():

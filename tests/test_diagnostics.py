@@ -195,14 +195,40 @@ class TestRecordWorkspace:
         state0 = sample_initial_state(PARAMS, grid, ICConfig("odd_bump", a=a, b=2.0))
         states = []
         integrate(state0, PARAMS, t_end=0.2, record_stride=1, observe=states.append)
-        work = RecordWorkspace(grid.n)
+        work = RecordWorkspace(grid, PARAMS, (0, grid.n))
         work.buffer.fill(np.nan)
         for state in states:
             alone = compute_record(state, PARAMS)
-            got = compute_record(state, PARAMS, work=work)
+            with np.errstate(over="ignore", invalid="ignore"):
+                work.stage(state)
+                work.flush()
+            got = work.records.pop()
             assert [float(x).hex() for x in vars(got).values()] == \
                 [float(x).hex() for x in vars(alone).values()]
         assert len(states) > 10 and alone.sup_norm > 0.0
+
+    @pytest.mark.parametrize("given", [True, False], ids=["k1", "slot-made"])
+    def test_staged_slot_is_zero_outside_the_window(self, given):
+        # A window whose edges are not multiples of RECORD_ALIGN leaves span
+        # columns outside it, here [32, 45) and [467, 480) of the NaN-filled
+        # buffer.  The slot's v_tt reads +0.0 there as soon as it is staged,
+        # not only once a flush has run.
+        a, b = 45, 467
+        grid = Grid(-3.0, 3.0, 512)
+        state = sample_initial_state(PARAMS, grid, ICConfig(
+            "odd_bump", a=amplitude_for_sup_norm(5.0, 1.0), b=2.0))
+        work = RecordWorkspace(grid, PARAMS, (0, grid.n))
+        work.buffer.fill(np.nan)
+        work.bind(a, b)
+        lo, hi = work.span
+        assert (lo, hi) == (32, 480) and work.slots > 1
+        _, v_tt = pde_rhs(state.v, state.w, grid.dx, PARAMS.mu, PARAMS.nu)
+        work.stage(state, v_tt[a:b] if given else None)
+        slot = work.stack[1, 0]
+        outside = np.concatenate((slot[:a - lo], slot[b - lo:]))
+        assert work.staged == [state.t] and work.batches == 0
+        assert [float(x).hex() for x in outside] == ["0x0.0p+0"] * (hi - lo - (b - a))
+        assert np.array_equal(slot[a - lo:b - lo], v_tt[a:b])
 
     def test_records_independent_of_blas_threads(self):
         # On 16385 nodes the record window spans the grid's middle column,

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -140,6 +141,22 @@ def test_module_lines_sum_to_the_totals(size, capsys):
     assert sum(src for src, _ in modules.values()) == totals["src_lines"]
     assert sum(code for _, code in modules.values()) == totals["code_lines"]
     assert all(0 < code <= src for src, code in modules.values())
+
+
+def test_against_a_copy_of_the_tree_reads_zero_deltas(size, tmp_path, capsys):
+    # --against runs both listings in subprocesses; a copy of this tree's
+    # src/ and size.py lists the same numbers, line for line.
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tools").mkdir()
+    shutil.copy(TOOLS / "size.py", tmp_path / "tools")
+    size.main()
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    size.against(str(tmp_path))
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == names and "hyperburg/suite.py" in names
+    for _, old, new, delta in lines:
+        assert old == new and {int(d) for d in delta.split("/")} == {0}
 
 
 def test_ratio_line_prints_median_quartiles_and_wins(interleave):

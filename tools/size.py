@@ -13,14 +13,22 @@ lines sum to the totals.
 Usage, from the checkout root::
 
     python tools/size.py
+    python tools/size.py --against OLD   # OLD: the root of another checkout
+
+``--against OLD`` runs ``OLD/tools/size.py`` and this script, each in a
+subprocess, and prints every total and module line as ``<name> <old> <new>
+<delta>``.  A module's numbers read ``<src_lines>/<code_lines>``, and a line
+that one side lacks reads 0 there.
 
 Imports ``hyperburg`` from this checkout's ``src/``, not an installed copy.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -69,5 +77,25 @@ def main() -> None:
         print(f"{module} {src} {code}")
 
 
+def against(old: str) -> None:
+    """Print each line of ``OLD/tools/size.py``'s listing and this one's as
+    ``<name> <old> <new> <delta>``, in this listing's order."""
+    sizes = []
+    for script in (Path(old) / "tools" / "size.py", Path(__file__).resolve()):
+        out = subprocess.run([sys.executable, script], capture_output=True, text=True, check=True)
+        rows = map(str.split, out.stdout.splitlines())
+        sizes.append({name: list(map(int, rest)) for name, *rest in rows})
+    for name in dict.fromkeys([*sizes[1], *sizes[0]]):
+        pair = [side.get(name, [0, 0]) for side in sizes]  # only a module can be missing
+        print(name, *("/".join(map(str, side)) for side in pair),
+              "/".join(f"{after - before:+d}" for before, after in zip(*pair)))
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="OLD", help="the root of a checkout to compare with")
+    args = parser.parse_args()
+    if args.against:
+        against(args.against)
+    else:
+        main()
