@@ -28,9 +28,13 @@ disagree away from the marginal case (the first and third conditions
 jointly require F'(0) > 4 c G(0) / L, which outgrows the fixed threshold
 once F(0) is large), so both verdicts are always reported.
 
-Only :func:`aux_ode_oracle` (the ``certificate-oracle`` preset) needs
-``scipy.integrate``; it loads on that function's first call, so importing
-this module costs a bare ``import scipy`` only.
+:func:`aux_ode_oracle` (the ``certificate-oracle`` preset) checks the
+closed form by adaptive integration with an embedded Dormand-Prince 5(4)
+pair written here (Dormand & Prince, J. Comput. Appl. Math. 6, 1980;
+Hairer, Norsett & Wanner, Solving ODEs I, II.4), so no SciPy subpackage
+loads.  The bare SciPy import below serves only perfbench's version stamp,
+which reads the module from ``sys.modules``; it can go once the benchmark
+reads the version with ``importlib.metadata``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy
+import scipy  # noqa: F401  unused here: perfbench stamps sys.modules["scipy"]
 
 from .errors import DomainError, ParameterError
 from .model import ModelParams, _real, moment_thresholds
@@ -104,9 +108,11 @@ class Certificate:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Samples of the auxiliary problem from adaptive integration.
+    """Samples of the auxiliary problem from :func:`aux_ode_oracle`.
 
-    ``diverged`` flags integration that could not continue to t_end
+    ``t`` holds the sample times reached, a prefix of ORACLE_SAMPLES evenly
+    spaced times on [0, t_end], and ``G`` the Dormand-Prince 5(4) values
+    there.  ``diverged`` flags integration that could not continue to t_end
     (blow-up of G within the horizon), which is itself evidence.
     """
 
@@ -172,9 +178,9 @@ def g_closed_form(t: float, eps: float, G0: float, params: ModelParams) -> float
     exactly.
 
     Raises:
-        DomainError: for t < 0 or t at/beyond the blow-up time.
+        DomainError: for t < 0, NaN, or t at/beyond the blow-up time.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"G(t) is defined for t >= 0, got t={t}")
     c, L = params.c, params.L
     k = (eps / (4.0 * c**3)) * ((t + L / c) ** -2 - (L / c) ** -2)
@@ -203,49 +209,87 @@ def t_star(eps: float, G0: float, params: ModelParams) -> Optional[float]:
     return inv**-0.5 - L / c
 
 
+def _dopri5(f, y, ts, rtol: float, atol: float, escape: float):
+    """Samples of y' = f(t, y), y(ts[0]) = y, at the increasing times ts.
+
+    The embedded Dormand-Prince 5(4) pair with FSAL (Dormand & Prince,
+    J. Comput. Appl. Math. 6, 1980), local extrapolation, and the step-size
+    controller of Hairer, Norsett & Wanner, Solving ODEs I, section II.4: a
+    step is accepted when the max-norm of its error estimate over
+    atol + rtol max(|y|, |y_new|) is at most 1.  A step within 10% of the
+    next sample time is stretched or cut to land on it exactly.  ``y`` is a
+    float, kept as Python floats, or a 1-D float array; atol must be > 0.
+    Returns (samples, diverged); ``diverged`` is set when max|y| exceeds
+    ``escape`` or the step size falls below 10 ulps of t (a non-finite trial
+    is rejected until it does), and the samples reached by then are returned.
+    """
+    scalar = isinstance(y, float)
+    t, samples, h, grow = ts[0], [y], math.inf, 5.0
+    k1 = f(t, y)
+    for t_next in ts[1:]:
+        while t < t_next:
+            if h < 10.0 * math.ulp(t):
+                return samples, True
+            step, t_new = (t_next - t, t_next) if 1.1 * h >= t_next - t else (h, t + h)
+            k2 = f(t + step / 5, y + step * (k1 / 5))
+            k3 = f(t + step * 0.3, y + step * (3 / 40 * k1 + 9 / 40 * k2))
+            k4 = f(t + step * 0.8, y + step * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+            k5 = f(t + step * 8 / 9, y + step * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                                                 + 64448 / 6561 * k3 - 212 / 729 * k4))
+            k6 = f(t_new, y + step * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                                      + 49 / 176 * k4 - 5103 / 18656 * k5))
+            y_new = y + step * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                                - 2187 / 6784 * k5 + 11 / 84 * k6)
+            k7 = f(t_new, y_new)
+            e = step * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                        - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)
+            if scalar:
+                err = abs(e) / (atol + rtol * max(abs(y), abs(y_new)))
+            else:
+                err = float(np.max(np.abs(e) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))))
+            if not err <= 1.0:  # a NaN error rejects too
+                h, grow = step * max(0.2, 0.9 * err ** -0.2), 1.0
+                continue
+            h, grow = step * min(grow, 0.9 * max(err, 1e-10) ** -0.2), 5.0
+            t, y, k1 = t_new, y_new, k7
+            if not (abs(y) if scalar else float(np.max(np.abs(y)))) <= escape:
+                return samples, True
+        samples.append(y)
+    return samples, False
+
+
 def aux_ode_oracle(
     eps: float,
     G0: float,
     params: ModelParams,
     t_end: float,
 ) -> OracleResult:
-    """Adaptive high-order integration of G' = eps (c t + L)^(-3) G^(3/2).
+    """Adaptive integration of G' = eps (c t + L)^(-3) G^(3/2) in-package.
 
-    Independent cross-check for :func:`g_closed_form`, run with relative
-    tolerance 1e-10 and sampled at ORACLE_SAMPLES evenly spaced times.  If G
-    escapes (or the integrator stalls) before t_end, the partial samples are
-    returned with ``diverged`` set.
+    Independent cross-check for :func:`g_closed_form` by the embedded
+    Dormand-Prince 5(4) pair of :func:`_dopri5`, with rtol 1e-10 and atol
+    1e-12 G0, landing on ORACLE_SAMPLES evenly spaced times on [0, t_end].
+    If G escapes 1e15 max(G0, 1) or the step size collapses before t_end,
+    the samples reached are returned with ``diverged`` set.
+
+    Raises:
+        ParameterError: unless eps is finite and >= 0, G0 finite and > 0,
+            and t_end finite and >= 0, each a number by ``model._real``.
     """
-    if not (t_end >= 0.0):
-        raise ParameterError(f"t_end must be nonnegative, got {t_end}")
+    eps, G0 = _real(eps, "eps", ParameterError), _real(G0, "G0", ParameterError)
+    t_end = _real(t_end, "t_end", ParameterError)
+    if not 0.0 <= eps < math.inf:
+        raise ParameterError(f"eps must be finite and >= 0, got {eps}")
+    if not 0.0 < G0 < math.inf:
+        raise ParameterError(f"G0 must be finite and > 0, got {G0}")
+    if not 0.0 <= t_end < math.inf:
+        raise ParameterError(f"t_end must be finite and >= 0, got {t_end}")
     c, L = params.c, params.L
-
-    def rhs(t, y):
-        return eps * (c * t + L) ** -3.0 * y ** 1.5
-
-    escape = 1e15 * max(G0, 1.0)
-
-    def escaped(t, y):
-        return y[0] - escape
-
-    escaped.terminal = True
-    escaped.direction = 1.0
-
-    t_eval = np.linspace(0.0, t_end, ORACLE_SAMPLES)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = scipy.integrate.solve_ivp(
-            rhs,
-            (0.0, t_end),
-            [G0],
-            method="DOP853",
-            rtol=1e-10,
-            atol=1e-12 * G0,
-            t_eval=t_eval,
-            events=escaped,
-            dense_output=False,
-        )
-    diverged = (sol.status != 0) or (sol.t.size < ORACLE_SAMPLES)
-    return OracleResult(t=sol.t, G=sol.y[0], diverged=diverged)
+    times = np.linspace(0.0, t_end, ORACLE_SAMPLES)
+    # g |g|^(1/2) stays real on a trial stage below zero; atol stays > 0 for subnormal G0.
+    samples, diverged = _dopri5(lambda t, g: eps * (c * t + L) ** -3.0 * g * abs(g) ** 0.5, G0,
+                                times.tolist(), 1e-10, max(1e-12 * G0, 5e-324), 1e15 * max(G0, 1.0))
+    return OracleResult(t=times[: len(samples)], G=np.array(samples), diverged=diverged)
 
 
 def comparison_check(

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ from hyperburg import (
     moment_thresholds,
 )
 from hyperburg.certificate import (
+    ORACLE_SAMPLES,
+    _dopri5,
     aux_ode_oracle,
     comparison_check,
     epsilon_conditions_hold,
@@ -143,6 +146,10 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             g_closed_form(ts * 1.0001, 1.0, 64.0, UNIT)
 
+    def test_nan_time_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="t=nan"):
+            g_closed_form(math.nan, 1.0, 64.0, UNIT)
+
     def test_strictly_increasing_and_diverging(self):
         ts = t_star(1.0, 64.0, UNIT)
         samples = [g_closed_form(f * ts, 1.0, 64.0, UNIT) for f in np.linspace(0, 0.99, 40)]
@@ -205,16 +212,18 @@ class TestAuxOdeOracle:
         assert res.t[-1] <= ts
 
     def test_cold_start_defers_scipy_integrate(self):
-        """A fresh import loads bare scipy only; the first oracle call loads
-        scipy.integrate.  Its horizon 0.3 lies below T* = sqrt(2) - 1."""
+        """A fresh import loads bare scipy only, and so does an oracle call:
+        the package integrates in-package and never loads a scipy
+        subpackage.  Its horizon 0.3 lies below T* = sqrt(2) - 1."""
         probe = """
 import json, sys
 import hyperburg, hyperburg.cli
 from hyperburg.certificate import aux_ode_oracle
-heavy = ("scipy.integrate", "scipy.special", "scipy.linalg")
+heavy = ("scipy.integrate", "scipy.special", "scipy.linalg", "scipy.sparse", "scipy.optimize")
 at_import = {"scipy": "scipy" in sys.modules, "heavy": [m for m in heavy if m in sys.modules]}
 res = aux_ode_oracle(1.0, 64.0, hyperburg.ModelParams(1, 1, 1), 0.3)
-print(json.dumps({**at_import, "integrate_after": "scipy.integrate" in sys.modules,
+print(json.dumps({**at_import, "scipy_after": "scipy" in sys.modules,
+                  "heavy_after": [m for m in heavy if m in sys.modules],
                   "diverged": bool(res.diverged)}))
 """
         env = {**os.environ, "PYTHONPATH": str(Path(hyperburg.__file__).resolve().parents[1])}
@@ -223,8 +232,110 @@ print(json.dumps({**at_import, "integrate_after": "scipy.integrate" in sys.modul
         seen = json.loads(done.stdout.strip().splitlines()[-1])
         assert seen["scipy"]
         assert seen["heavy"] == []
-        assert seen["integrate_after"]
+        assert seen["scipy_after"]
+        assert seen["heavy_after"] == []
         assert seen["diverged"] is False
+
+    @pytest.mark.parametrize("eps, G0, t_end, match", [
+        (1.0, 0.0, 0.3, "G0 must be finite and > 0, got 0.0"),
+        (1.0, -1.0, 0.3, "G0 must be finite and > 0, got -1.0"),
+        (1.0, math.nan, 0.3, "G0 must be finite and > 0, got nan"),
+        (1.0, math.inf, 0.3, "G0 must be finite and > 0, got inf"),
+        (math.nan, 64.0, 0.3, "eps must be finite and >= 0, got nan"),
+        (-1.0, 64.0, 0.3, "eps must be finite and >= 0, got -1.0"),
+        (math.inf, 64.0, 0.3, "eps must be finite and >= 0, got inf"),
+        (True, 64.0, 0.3, "eps must be a number, got True"),
+        ("1", 64.0, 0.3, "eps must be a number, got '1'"),
+        (1.0, "64", 0.3, "G0 must be a number, got '64'"),
+        (1.0, 64.0, math.inf, "t_end must be finite and >= 0, got inf"),
+        (1.0, 64.0, -0.1, "t_end must be finite and >= 0, got -0.1"),
+        (1.0, 64.0, None, "t_end must be a number, got None"),
+    ])
+    def test_bad_input_raises_parameter_error(self, eps, G0, t_end, match):
+        with pytest.raises(ParameterError, match=re.escape(match)):
+            aux_ode_oracle(eps, G0, UNIT, t_end)
+
+    def test_zero_horizon_repeats_g0(self):
+        res = aux_ode_oracle(1.0, 64.0, UNIT, 0.0)
+        assert not res.diverged
+        assert res.t.size == res.G.size == ORACLE_SAMPLES
+        assert np.all(res.t == 0.0) and np.all(res.G == 64.0)
+
+    def test_subnormal_g0_stays_put(self):
+        res = aux_ode_oracle(1.0, 1e-320, UNIT, 0.3)
+        assert not res.diverged and res.G.size == ORACLE_SAMPLES
+        assert np.all(res.G == 1e-320)
+
+
+AUX_CASES = [  # (eps, G0, mu, nu, L): c = sqrt(nu / mu)
+    (1.0, 64.0, 1.0, 1.0, 1.0),
+    (0.4, 250.0, 0.5, 2.0, 1.5),
+    (2.5, 9.0, 2.0, 0.5, 0.7),
+    (0.05, 3.0e4, 1.0, 3.0, 2.0),
+    (1.2, 1.0e-3, 0.3, 0.3, 0.4),
+]
+
+
+class TestDopri5:
+    """The in-package integrator against independent references."""
+
+    TOL = dict(rtol=1e-10, atol=1e-12, escape=1e15)
+
+    @pytest.mark.parametrize("eps, G0, mu, nu, L", AUX_CASES)
+    def test_aux_ode_matches_closed_form_and_dop853(self, eps, G0, mu, nu, L):
+        from scipy.integrate import solve_ivp
+
+        params = ModelParams(mu, nu, L)
+        c = params.c
+        ts = t_star(eps, G0, params)
+        res = aux_ode_oracle(eps, G0, params, 0.9 * ts if ts is not None else 5.0)
+        assert not res.diverged and res.t.size == ORACLE_SAMPLES
+        closed = np.array([g_closed_form(t, eps, G0, params) for t in res.t])
+        assert np.max(np.abs(res.G - closed) / closed) <= 1e-8
+        ref = solve_ivp(lambda t, y: eps * (c * t + L) ** -3.0 * y ** 1.5, (0.0, res.t[-1]), [G0],
+                        method="DOP853", rtol=1e-10, atol=1e-12 * G0, t_eval=res.t)
+        assert ref.status == 0
+        assert np.max(np.abs(res.G - ref.y[0]) / ref.y[0]) <= 1e-8
+
+    def test_exponential(self):
+        samples, diverged = _dopri5(lambda t, y: y, 1.0, [0.0, 0.5, 1.0], **self.TOL)
+        assert not diverged and type(samples[-1]) is float
+        assert samples[-1] == pytest.approx(math.e, rel=1e-9)
+
+    def test_rotation_as_an_array_state(self):
+        ts = np.linspace(0.0, 2.0 * math.pi, 17).tolist()
+        samples, diverged = _dopri5(lambda t, y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]),
+                                    ts, **self.TOL)
+        assert not diverged
+        got = np.array(samples)
+        want = np.stack([np.cos(ts), -np.sin(ts)], axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+    def test_blowup_diverges_before_it(self):
+        ts = np.linspace(0.0, 2.0, 41).tolist()
+        samples, diverged = _dopri5(lambda t, y: y * y, 1.0, ts, **self.TOL)
+        assert diverged
+        assert 1 < len(samples) < len(ts) and ts[len(samples) - 1] <= 1.0
+
+    def test_non_finite_slope_collapses_the_step_and_diverges(self):
+        ts = [0.0, 0.25, 0.5, 0.75, 1.0]
+        samples, diverged = _dopri5(lambda t, y: math.nan if t > 0.6 else 1.0, 0.0, ts, **self.TOL)
+        assert diverged and samples == pytest.approx([0.0, 0.25, 0.5], rel=1e-12)
+
+    def test_zero_slope_returns_the_initial_value_exactly(self):
+        ts = [0.0, 0.25, 1.0, 3.0]
+        samples, diverged = _dopri5(lambda t, y: 0.0 * y, 0.7, ts, **self.TOL)
+        assert not diverged and samples == [0.7] * 4
+        samples, diverged = _dopri5(lambda t, y: np.zeros(3), np.array([1.0, -2.0, 3.5]), ts,
+                                    **self.TOL)
+        assert not diverged and all(np.array_equal(s, [1.0, -2.0, 3.5]) for s in samples)
+
+    def test_two_calls_are_bitwise_equal(self):
+        ts = t_star(1.0, 64.0, UNIT)
+        first, second = (aux_ode_oracle(1.0, 64.0, UNIT, 1.2 * ts) for _ in range(2))
+        assert first.diverged and second.diverged
+        assert first.t.tobytes() == second.t.tobytes()
+        assert first.G.tobytes() == second.G.tobytes()
 
 
 class TestBuildCertificateAndComparison:

@@ -30,6 +30,11 @@ def size():
     return load("size")
 
 
+@pytest.fixture(scope="module")
+def endtoend():
+    return load("endtoend")
+
+
 @pytest.fixture
 def interleave(monkeypatch):
     # Loading the script sets thread variables and sys.dont_write_bytecode;
@@ -166,3 +171,13 @@ def test_ratio_line_prints_median_quartiles_and_wins(interleave):
     assert (interleave.ratio_line("ratio", [0.98, 1.02])
             == "ratio 1.000 (IQR 0.990-1.010, 1/2 faster)")
     assert interleave.ratio_line("ratio", [1.02]) == "ratio 1.020 (IQR 1.020-1.020, 0/1 faster)"
+
+
+def test_endtoend_measures_wall_and_peak_memory_of_one_process(endtoend, monkeypatch):
+    wall, peak_mb = endtoend.run_once(["-c", "pass"])
+    assert wall > 0.0 and peak_mb > 0.0
+    monkeypatch.setattr(endtoend, "REPEATS", 2)
+    name, seconds, peak = endtoend.entry("noop", ["-c", "pass"]).split(" ")
+    assert name == "noop" and float(seconds) > 0.0 and float(peak) > 0.0
+    with pytest.raises(SystemExit, match="exited 3, not 0"):
+        endtoend.run_once(["-c", "raise SystemExit(3)"])
