@@ -28,8 +28,8 @@ from hyperburg.suite import (
     PRESET_NAMES,
     PresetRun,
     SCAN_INSTANCES,
-    SCAN_SEED,
     SuiteCheck,
+    _oracle_instances,
     check_preset,
     epsilon_scan_oracle,
     preset_configs,
@@ -60,12 +60,11 @@ def test_criterion_01_threshold_arithmetic():
 
 
 def test_criterion_02_certificate_vs_brute_force():
-    rng = np.random.default_rng(SCAN_SEED)
+    instances = _oracle_instances()
+    assert len(instances) == SCAN_INSTANCES
     mismatches = 0
     nonempty = 0
-    for _ in range(SCAN_INSTANCES):
-        g0 = float(rng.uniform(1.0, 400.0))
-        f1 = float(rng.uniform(1.0, 1000.0))
+    for g0, f1 in instances:
         interval = cert_mod.epsilon_interval(UNIT, g0, f1)
         scanned = epsilon_scan_oracle(UNIT, g0, f1)
         if interval is None:

@@ -236,6 +236,29 @@ print(json.dumps({**at_import, "scipy_after": "scipy" in sys.modules,
         assert seen["heavy_after"] == []
         assert seen["diverged"] is False
 
+    def test_no_run_or_preset_loads_numpy_random(self):
+        """The oracle preset draws its instances with ``random``, and a run
+        samples its initial data without a generator: in a fresh process,
+        the certificate-oracle preset and the coarsest blowup member leave
+        ``numpy.random`` unloaded."""
+        probe = """
+import json, sys
+import hyperburg.cli
+from hyperburg.runner import execute_config
+from hyperburg.suite import preset_configs, run_suite
+checks = run_suite("certificate-oracle")
+coarsest = min(preset_configs("blowup"), key=lambda c: c.grid.n)
+execute_config(coarsest)
+print(json.dumps({"passed": all(c.passed for c in checks), "n": coarsest.grid.n,
+                  "numpy_random": "numpy.random" in sys.modules}))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(hyperburg.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        seen = json.loads(done.stdout.strip().splitlines()[-1])
+        assert seen["passed"] and seen["n"] == 1025
+        assert seen["numpy_random"] is False
+
     @pytest.mark.parametrize("eps, G0, t_end, match", [
         (1.0, 0.0, 0.3, "G0 must be finite and > 0, got 0.0"),
         (1.0, -1.0, 0.3, "G0 must be finite and > 0, got -1.0"),

@@ -181,3 +181,19 @@ def test_endtoend_measures_wall_and_peak_memory_of_one_process(endtoend, monkeyp
     assert name == "noop" and float(seconds) > 0.0 and float(peak) > 0.0
     with pytest.raises(SystemExit, match="exited 3, not 0"):
         endtoend.run_once(["-c", "raise SystemExit(3)"])
+
+
+def test_endtoend_entries_cover_the_roadmap_list(endtoend, tmp_path):
+    from hyperburg.suite import PRESET_NAMES
+    items = endtoend.entries(tmp_path)
+    names = [name for name, _, _ in items]
+    assert names == ["import", "run-blowup", "run-smalldata",
+                     *(f"suite-{p}" for p in PRESET_NAMES), "tier1"]
+    args = {name: (a, status) for name, a, status in items}
+    assert args["tier1"] == (["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              str(endtoend.ROOT / "tests")], 0)
+    assert (endtoend.ROOT / "tests" / "test_tools.py").is_file()
+    assert args["run-blowup"][1] == 2 and args["run-smalldata"][1] == 0
+    for name in ("run-blowup", "run-smalldata"):
+        config = json.loads((tmp_path / f"{name}.json").read_text())
+        assert config["output"]["directory"].startswith(str(tmp_path))

@@ -2,7 +2,9 @@
 
 Each entry is a fresh process per repeat: ``import hyperburg.cli``;
 ``hyperburg run`` on the ``blowup`` preset's finest member config and on the
-``smalldata`` config; ``hyperburg suite P`` for each suite preset P.
+``smalldata`` config; ``hyperburg suite P`` for each suite preset P; and
+``tier1``, the whole test suite as ``python -m pytest -q -p no:cacheprovider
+tests``.
 ``seconds`` is the median wall time over REPEATS processes and ``peak_mb``
 the median of each process's own peak resident set, its ``ru_maxrss`` from
 ``os.wait4`` in units of 2**20 bytes (as perfbench's ``peak_rss_mb``).
@@ -20,7 +22,8 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from hyperburg.suite import PRESET_NAMES, preset_configs  # noqa: E402
@@ -53,19 +56,26 @@ def entry(name: str, args: list[str], status: int = 0) -> str:
     return f"{name} {statistics.median(walls):.3f} {statistics.median(peaks):.1f}"
 
 
-def main() -> None:
+def entries(root: Path) -> list[tuple[str, list[str], int]]:
+    """``(name, args, status)`` of every entry, in print order; the run
+    configs are written to ``root``, and the runs write their outputs there."""
     cli = ["-m", "hyperburg.cli"]
+    items = [("import", ["-c", "import hyperburg.cli"], 0)]
+    # `hyperburg run` exits 2 on a detected blow-up and 0 on completion.
+    for name, config, status in (("run-blowup", preset_configs("blowup", root)[-1], 2),
+                                 ("run-smalldata", preset_configs("smalldata", root)[0], 0)):
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(config.to_dict()))
+        items.append((name, [*cli, "run", "--config", str(path)], status))
+    items += [(f"suite-{p}", [*cli, "suite", p], 0) for p in PRESET_NAMES]
+    items.append(("tier1", ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                            str(ROOT / "tests")], 0))
+    return items
+
+
+def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        items = [("import", ["-c", "import hyperburg.cli"], 0)]
-        # `hyperburg run` exits 2 on a detected blow-up and 0 on completion.
-        for name, config, status in (("run-blowup", preset_configs("blowup", root)[-1], 2),
-                                     ("run-smalldata", preset_configs("smalldata", root)[0], 0)):
-            path = root / f"{name}.json"
-            path.write_text(json.dumps(config.to_dict()))
-            items.append((name, [*cli, "run", "--config", str(path)], status))
-        items += [(f"suite-{p}", [*cli, "suite", p], 0) for p in PRESET_NAMES]
-        for name, args, status in items:
+        for name, args, status in entries(Path(tmp)):
             print(entry(name, args, status), flush=True)
 
 
