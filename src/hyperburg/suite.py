@@ -9,7 +9,8 @@ returning one result per assertion.  Tolerances are pinned here, once, for
 the whole package:
 
 * Cauchy-Schwarz slack: schwartz_gap >= -1e-10 (1 + F^2) at every record;
-* exponential energy bound: margin >= -1e-8 E1(0) on non-blow-up runs;
+* exponential energy bound: margin >= -1e-8 E1(0) on the presets whose
+  status gate expects their runs to complete;
 * moment-identity residual: checked at every level of its ladder, halving
   (dx, dt) shrinks it by >= 3x, and at the finest level it stays below 1e-4
   max(1/2 int v^2);
@@ -25,7 +26,10 @@ the whole package:
   subpackage; tests may);
 * minorant closed form vs adaptive integration: 1e-8 relative.
 
-A gate with a margin or T* missing fails: it does not pass unchecked.
+One rule, ``_gate``, compares a checked value with its bound in every gate
+but the status gates and the identity ladder's own.  A value that is missing
+(a margin no record gave, a T* with no feasible eps, a cone no state
+reached) fails its gate: a gate that saw no sample does not pass unchecked.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 from . import certificate as cert_mod
 from . import diagnostics
 from .config import ICConfig, OutputConfig, RunConfig, refinement_ladder
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .initial_data import amplitude_for_sup_norm
 from .model import ModelParams
 from .runner import RunReport, execute_config
@@ -87,14 +91,15 @@ class SuiteCheck:
 class PresetRun:
     """One execution of a preset: its member configs and their reports.
 
-    ``cone`` is the :class:`~hyperburg.diagnostics.ConeMax` that observed
-    the ``cone`` preset's run at ``CONE_APEX``; None for every other preset.
+    ``observer`` is what the preset entry's ``observer`` made to observe the
+    runs (the ``cone`` preset's :class:`~hyperburg.diagnostics.ConeMax` at
+    ``CONE_APEX``); None for a preset without one.
     """
 
     name: str
     configs: list[RunConfig]
     reports: list[RunReport]
-    cone: Optional[diagnostics.ConeMax] = None
+    observer: Optional[Callable[..., None]] = None
 
 
 def _member(
@@ -159,17 +164,24 @@ def _status_gate(run: PresetRun, status: RunStatus, label: str, member: str) -> 
         r.status == status.value for r in run.reports), detail or "no member ran")
 
 
+def _gate(name: str, value: Optional[float], bound: float, detail: Callable[[float], str],
+          missing: str, upper: bool = False) -> SuiteCheck:
+    """The gate ``value >= bound`` or, with ``upper``, ``value <= bound``;
+    ``detail`` formats the value.  A None value was never checked: the gate
+    fails with the detail ``missing``, rather than passing unchecked."""
+    if value is None:
+        return SuiteCheck(name, False, missing)
+    return SuiteCheck(name, value <= bound if upper else value >= bound, detail(value))
+
+
 def _worst_gate(reports: list[RunReport], key: str, bound: float, name: str,
                 detail: Callable[[float], str], upper: bool = False) -> SuiteCheck:
-    """The gate min over ``reports`` of ``worst[key]`` >= ``bound`` or, with
-    ``upper``, their max <= ``bound``; ``detail`` formats that extreme.  Fails,
-    rather than passes unchecked, when any report has no value for ``key``,
+    """The :func:`_gate` on the min over ``reports`` of ``worst[key]`` or, with
+    ``upper``, their max; missing when any report has no value for ``key``,
     naming those levels."""
     unchecked = [r.config["grid"]["n"] for r in reports if r.worst[key] is None]
-    if unchecked:
-        return SuiteCheck(name, False, f"no {key} checked at n={unchecked}")
-    worst = (max if upper else min)(r.worst[key] for r in reports)
-    return SuiteCheck(name, worst <= bound if upper else worst >= bound, detail(worst))
+    worst = None if unchecked else (max if upper else min)(r.worst[key] for r in reports)
+    return _gate(name, worst, bound, detail, f"no {key} checked at n={unchecked}", upper)
 
 
 def _check_propagation(run: PresetRun) -> list[SuiteCheck]:
@@ -180,17 +192,15 @@ def _check_propagation(run: PresetRun) -> list[SuiteCheck]:
 
 
 def _check_cone(run: PresetRun) -> list[SuiteCheck]:
-    report = run.reports[0]
-    cm = run.cone.value
-    gsup = max(rec.sup_norm for rec in report.outcome.records)
+    try:
+        cm = run.observer.value if run.observer else None
+    except DomainError:  # the observer saw no state at t <= t_c
+        cm = None
+    gsup = max(rec.sup_norm for rec in run.reports[0].outcome.records)
     bound = CONE_REL_TOL * (1.0 + gsup)
-    return [
-        SuiteCheck(
-            "cone: max |v| on a data-free cone <= 1e-10 (1+sup)",
-            cm <= bound,
-            f"cone_max {cm:.3e} vs bound {bound:.3e}",
-        ),
-    ]
+    return [_gate("cone: max |v| on a data-free cone <= 1e-10 (1+sup)", cm, bound,
+                  lambda cm: f"cone_max {cm:.3e} vs bound {bound:.3e}",
+                  "no state observed on the cone", upper=True)]
 
 
 def _check_identity(run: PresetRun) -> list[SuiteCheck]:
@@ -242,12 +252,10 @@ def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
             ref.converged,
             detail,
         ),
-        SuiteCheck(
-            f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})",
-            t_star is not None and estimate <= 1.1 * t_star,
-            f"t_detect {estimate:.5f} vs 1.1 T* = {1.1 * t_star:.5f}" if t_star is not None
-            else f"no T* at eps={BLOWUP_TSTAR_EPS}",
-        ),
+        _gate(f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})",
+              None if t_star is None else 1.1 * t_star, estimate,
+              lambda bound: f"t_detect {estimate:.5f} vs 1.1 T* = {bound:.5f}",
+              f"no T* at eps={BLOWUP_TSTAR_EPS}"),
         _worst_gate(reports, "comparison_margin_rel", COMPARISON_REL_TOL,
                     "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
                     "worst relative margin {:.3e}".format),
@@ -255,16 +263,11 @@ def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
 
 
 def _check_smalldata(run: PresetRun) -> list[SuiteCheck]:
-    report = run.reports[0]
-    recs = report.outcome.records
-    sup0, supT = recs[0].sup_norm, recs[-1].sup_norm
-    return [
-        SuiteCheck(
-            "smalldata: final sup norm <= initial sup norm",
-            supT <= sup0,
-            f"sup(50) = {supT:.3e} vs sup(0) = {sup0:.3e}",
-        ),
-    ]
+    recs = run.reports[0].outcome.records
+    sup0 = recs[0].sup_norm
+    return [_gate("smalldata: final sup norm <= initial sup norm", recs[-1].sup_norm, sup0,
+                  lambda supT: f"sup(50) = {supT:.3e} vs sup(0) = {sup0:.3e}",
+                  "no record", upper=True)]
 
 
 @functools.cache
@@ -334,7 +337,7 @@ def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
         SuiteCheck(
             f"certificate-oracle: interval matches dense scan on "
             f"{SCAN_INSTANCES} instances (endpoints within 1e-4)",
-            not mismatches,
+            nonempty > 0 and not mismatches,
             f"{nonempty} feasible instances, {len(mismatches)} mismatches"
             + (f"; first: {mismatches[0]}" if mismatches else ""),
         ),
@@ -344,12 +347,10 @@ def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
             doc_interval is None and doc_thresholds,
             f"interval={doc_interval}, thresholds_met={doc_thresholds}",
         ),
-        SuiteCheck(
-            "certificate-oracle: closed form vs adaptive integration "
-            "(1e-8 relative on [0, 0.9 T*])",
-            (not oracle.diverged) and rel <= 1e-8,
-            f"max relative deviation {rel:.3e}",
-        ),
+        _gate("certificate-oracle: closed form vs adaptive integration "
+              "(1e-8 relative on [0, 0.9 T*])", None if oracle.diverged else rel, 1e-8,
+              "max relative deviation {:.3e}".format,
+              f"diverged at t={oracle.t[-1]:.6f} of 0.9 T*={0.9 * t_star:.6f}", upper=True),
         SuiteCheck(
             "certificate-oracle: integration past T* reports divergence",
             past.diverged,
@@ -362,14 +363,14 @@ def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
 class _Preset:
     """A ``_PRESETS`` entry.  ``members(member)`` builds the runs, ``member`` being
     ``_member`` with the output root and the preset's name (the tag) bound; ``gate``
-    is the :func:`_status_gate` arguments after ``run``; ``observer(params)`` makes
-    the observer of its runs; ``energy_gate`` adds the exponential energy bound."""
+    is the :func:`_status_gate` arguments after ``run`` (None for a preset without
+    runs); ``observer(params)`` makes the observer of its runs, kept as
+    ``PresetRun.observer``."""
 
     members: Callable[[Callable[..., RunConfig]], list[RunConfig]]
     check: Callable[[PresetRun], list[SuiteCheck]]
     gate: Optional[tuple[RunStatus, str, str]] = None
-    observer: Optional[Callable[[ModelParams], diagnostics.ConeMax]] = None
-    energy_gate: bool = True
+    observer: Optional[Callable[[ModelParams], Callable[..., None]]] = None
 
 
 _COMPLETES = (RunStatus.COMPLETED, "run completes", "status {r.status}")
@@ -388,7 +389,7 @@ _PRESETS = {
         lambda member: refinement_ladder(member(8.0, 1025, 6.5, 8, ICConfig(
             family="odd_bump", F0_target=40.0, F1_target=200.0)), 3),
         _check_blowup, (RunStatus.BLOWUP_DETECTED, "detected at every resolution",
-                        "n={c.grid.n}: {r.status}@{r.t_final:.4f}"), energy_gate=False),
+                        "n={c.grid.n}: {r.status}@{r.t_final:.4f}")),
     "smalldata": _Preset(lambda member: [member(52.0, 2048, 50.0, 16, _small(0.05))],
                          _check_smalldata, (RunStatus.COMPLETED, "run completes to t=50",
                                             "status {r.status} at t={r.t_final:.3f}")),
@@ -401,24 +402,27 @@ PRESET_NAMES = tuple(_PRESETS)
 def check_preset(run: PresetRun) -> list[SuiteCheck]:
     """Evaluate a preset's acceptance assertions from an executed run.
 
-    Reads ``run``'s configs, reports and cone observer only; steps nothing.
-    A simulating preset's checks open with its status gate (alone on a run without
-    members) and end with the Cauchy-Schwarz check over all records, then the energy
-    bound if its entry sets ``energy_gate``.  Raises ConfigError for an unknown name.
+    Reads ``run``'s configs, reports and observer only; steps nothing.  A
+    simulating preset's checks open with its status gate (alone on a run without
+    members) and end with the Cauchy-Schwarz check over all records, then the
+    energy bound if its status gate expects ``RunStatus.COMPLETED``.  A check
+    that saw no sample fails, it does not raise.  Raises ConfigError for an
+    unknown name.
     """
     preset = _preset(run.name)
-    checks = [_status_gate(run, *preset.gate)] if preset.gate else []
-    if preset.gate and not run.reports:
+    if not preset.gate:
+        return preset.check(run)
+    checks = [_status_gate(run, *preset.gate)]
+    if not run.reports:
         return checks
-    checks += preset.check(run)
-    if run.reports:
-        checks.append(_worst_gate(run.reports, "schwartz_gap_rel", SCHWARTZ_REL_TOL,
-                                  f"{run.name}: schwartz_gap >= -1e-10 (1+F^2) at every record",
-                                  "worst relative gap {:.3e}".format))
-        if preset.energy_gate:
-            checks.append(_worst_gate(run.reports, "gronwall_margin_rel", GRONWALL_REL_TOL,
-                                      f"{run.name}: exp energy bound margin >= -1e-8 E1(0)",
-                                      "worst margin / E1(0) = {:.3e}".format))
+    checks += preset.check(run) + [_worst_gate(
+        run.reports, "schwartz_gap_rel", SCHWARTZ_REL_TOL,
+        f"{run.name}: schwartz_gap >= -1e-10 (1+F^2) at every record",
+        "worst relative gap {:.3e}".format)]
+    if preset.gate[0] is RunStatus.COMPLETED:
+        checks.append(_worst_gate(run.reports, "gronwall_margin_rel", GRONWALL_REL_TOL,
+                                  f"{run.name}: exp energy bound margin >= -1e-8 E1(0)",
+                                  "worst margin / E1(0) = {:.3e}".format))
     return checks
 
 

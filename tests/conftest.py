@@ -28,7 +28,7 @@ def propagation_report(preset_run):
 def cone_bundle(preset_run):
     """(config, report, cone maximum observed during the run) of the cone preset."""
     run = preset_run("cone")
-    return run.configs[0], run.reports[0], run.cone
+    return run.configs[0], run.reports[0], run.observer
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,9 @@ from hyperburg import ModelParams, moment_thresholds
 from hyperburg.certificate import aux_ode_oracle, g_closed_form, t_star
 from hyperburg import certificate as cert_mod
 from hyperburg import solver
+from hyperburg import suite
 from hyperburg.config import ICConfig, config_from_dict
-from hyperburg.diagnostics import gronwall_check_E1
+from hyperburg.diagnostics import ConeMax, gronwall_check_E1
 from hyperburg.errors import ConfigError
 from hyperburg.runner import execute_config, write_csv
 from hyperburg.solver import Refinement, RunStatus
@@ -441,3 +442,77 @@ def test_cone_preset_simulates_once(monkeypatch):
     monkeypatch.setattr(solver, "step_rk4", counting_step)
     run_suite("cone")
     assert len(calls) == 640
+
+
+@pytest.mark.parametrize("preset, names", [
+    ("propagation", ["propagation: run completes",
+                     "propagation: support inside [-(L+ct)-5dx, (L+ct)+5dx]",
+                     "propagation: schwartz_gap >= -1e-10 (1+F^2) at every record",
+                     "propagation: exp energy bound margin >= -1e-8 E1(0)"]),
+    ("cone", ["cone: run completes",
+              "cone: max |v| on a data-free cone <= 1e-10 (1+sup)",
+              "cone: schwartz_gap >= -1e-10 (1+F^2) at every record",
+              "cone: exp energy bound margin >= -1e-8 E1(0)"]),
+    ("identity", ["identity: all levels complete",
+                  "identity: residual shrinks >= 3x (n 513 -> 1025)",
+                  "identity: residual shrinks >= 3x (n 1025 -> 2049)",
+                  "identity: finest residual < 1e-4 max(1/2 int v^2)",
+                  "identity: schwartz_gap >= -1e-10 (1+F^2) at every record",
+                  "identity: exp energy bound margin >= -1e-8 E1(0)"]),
+    ("blowup", ["blowup: detected at every resolution",
+                "blowup: refinement-converged detection time (<5% gap)",
+                "blowup: t_detect <= 1.1 T* (T* at eps=0.65)",
+                "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
+                "blowup: schwartz_gap >= -1e-10 (1+F^2) at every record"]),
+    ("smalldata", ["smalldata: run completes to t=50",
+                   "smalldata: final sup norm <= initial sup norm",
+                   "smalldata: schwartz_gap >= -1e-10 (1+F^2) at every record",
+                   "smalldata: exp energy bound margin >= -1e-8 E1(0)"]),
+    ("certificate-oracle", [
+        "certificate-oracle: interval matches dense scan on 100 instances "
+        "(endpoints within 1e-4)",
+        "certificate-oracle: documented case (G0=100, F1=200) is threshold-passing yet infeasible",
+        "certificate-oracle: closed form vs adaptive integration (1e-8 relative on [0, 0.9 T*])",
+        "certificate-oracle: integration past T* reports divergence"]),
+])
+def test_preset_checks_by_name_and_in_order(preset, names, preset_run):
+    # The energy bound gates exactly the presets whose runs must complete:
+    # blowup ends with the Cauchy-Schwarz gate, the other simulating presets
+    # with the energy gate.
+    assert [c.name for c in check_preset(preset_run(preset))] == names
+
+
+def test_oracle_interval_gate_fails_with_no_feasible_instance(monkeypatch):
+    # G0 = F1 = 1 is far below the thresholds: no instance is feasible, so the
+    # scan comparison checked no interval and must not pass.
+    monkeypatch.setattr(suite, "_oracle_instances", lambda: [(1.0, 1.0)] * 3)
+    gate = run_suite("certificate-oracle")[0]
+    assert not gate.passed
+    assert gate.detail == "0 feasible instances, 0 mismatches"
+
+
+def test_oracle_deviation_gate_fails_when_the_integration_diverges(monkeypatch):
+    # Integrated to twice its horizon, the oracle diverges before it returns:
+    # no deviation was measured on [0, 0.9 T*], so the gate fails and reads
+    # the divergence time.
+    real = cert_mod.aux_ode_oracle
+    monkeypatch.setattr(cert_mod, "aux_ode_oracle",
+                        lambda G0, F1, params, t_end: real(G0, F1, params, 2.0 * t_end))
+    checks = {c.name: c for c in run_suite("certificate-oracle")}
+    gate = checks["certificate-oracle: closed form vs adaptive integration "
+                  "(1e-8 relative on [0, 0.9 T*])"]
+    assert not gate.passed and gate.detail.startswith("diverged at t=")
+    assert [name for name, c in checks.items() if not c.passed] == [gate.name]
+
+
+@pytest.mark.parametrize("observer", [None, "unseen"], ids=["no_observer", "no_state_seen"])
+def test_cone_check_fails_when_no_state_was_observed(observer, preset_run):
+    # A run without a cone observer, or one whose observer saw no state at
+    # t <= t_c, checked nothing on the cone: that gate fails and no check raises.
+    run = preset_run("cone")
+    if observer == "unseen":
+        observer = ConeMax(*CONE_APEX, run.configs[0].params)
+    checks = check_preset(PresetRun("cone", run.configs, run.reports, observer))
+    gate = "cone: max |v| on a data-free cone <= 1e-10 (1+sup)"
+    assert [c.name for c in checks if not c.passed] == [gate]
+    assert {c.name: c.detail for c in checks}[gate] == "no state observed on the cone"

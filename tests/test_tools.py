@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -197,3 +198,31 @@ def test_endtoend_entries_cover_the_roadmap_list(endtoend, tmp_path):
     for name in ("run-blowup", "run-smalldata"):
         config = json.loads((tmp_path / f"{name}.json").read_text())
         assert config["output"]["directory"].startswith(str(tmp_path))
+
+
+def test_against_prints_changed_lines_and_drift(fingerprint, monkeypatch, capsys):
+    # The two --dump subprocesses are stubbed: each writes its dump and
+    # prints its fingerprint lines; OLD's tool is the one not under TOOLS.
+    sides = {
+        "old": (["a 1", "b 2", "step 3"], {"r": [record(fingerprint)]}),
+        "new": (["a 1", "b 9", "step 3"], {"r": [record(fingerprint, F=1.5)]}),
+    }
+    calls = []
+
+    def fake_run(args, **kwargs):
+        side = "new" if Path(args[1]) == TOOLS / "fingerprint.py" else "old"
+        calls.append((side, args[2]))
+        lines, dump = sides[side]
+        Path(args[3]).write_text(json.dumps(dump))
+        return subprocess.CompletedProcess(args, 0, stdout="\n".join(lines) + "\n")
+
+    monkeypatch.setattr(fingerprint.subprocess, "run", fake_run)
+    assert fingerprint.against("OLD") == 1
+    assert calls == [("old", "--dump"), ("new", "--dump")]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["# 2 fingerprint lines differ", "- b 2", "+ b 9"]
+    assert "r 5.000e-01 1 1" in out and out[-1] == "# 1 of 1 runs drift"
+    sides["new"] = sides["old"]
+    assert fingerprint.against("OLD") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "# 0 fingerprint lines differ" and out[-1] == "# 0 of 1 runs drift"

@@ -42,6 +42,14 @@ one dump holds.  The command exits 1 when any drift is nonzero, else 0::
     python tools/fingerprint.py --dump new.json      # in the new one
     python tools/fingerprint.py --compare old.json new.json
 
+``--against OLD`` does all three in one command, OLD being the root of
+another checkout: it runs ``OLD/tools/fingerprint.py`` and this script,
+each with ``--dump``, in subprocesses, prints each fingerprint line that
+differs (``- `` for OLD's, ``+ `` for this one's), then the ``--compare``
+drift of the two dumps, and exits 1 on any difference, else 0::
+
+    python tools/fingerprint.py --against ../old-checkout
+
 Imports ``hyperburg`` from this checkout's ``src/``, not an installed copy.
 """
 
@@ -50,11 +58,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import difflib
 import hashlib
 import io
 import json
 import math
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -199,8 +209,8 @@ def fingerprint_runs(dump: dict | None) -> None:
             run = execute_preset(name, root)
             for config, report in zip(run.configs, run.reports):
                 emit(config, report)
-            if run.cone is not None:
-                print(f"{name} cone_max {run.cone.value.hex()}")
+            if run.observer is not None:
+                print(f"{name} cone_max {run.observer.value.hex()}")
             print(name, "suite", suite_fingerprint(run), flush=True)
         for config in preset_configs("blowup", root / "stride1"):
             emit(config, execute_config(dataclasses.replace(config, record_stride=1)))
@@ -262,14 +272,38 @@ def compare(old_path: str, new_path: str) -> int:
     return 1 if drifted else 0
 
 
+def against(old: str) -> int:
+    """Fingerprint and dump ``OLD/tools/fingerprint.py`` and this script in
+    subprocesses; print the fingerprint lines that differ, then the drift of
+    the dumps.  1 on any difference, else 0."""
+    outputs, dumps = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, script in (("old", Path(old, "tools", "fingerprint.py")),
+                             ("new", Path(__file__).resolve())):
+            dumps.append(str(Path(tmp, f"{side}.json")))
+            out = subprocess.run([sys.executable, str(script), "--dump", dumps[-1]],
+                                 capture_output=True, text=True, check=True)
+            outputs.append(out.stdout.splitlines())
+        changed = [line for line in difflib.ndiff(*outputs) if line[:2] in ("- ", "+ ")]
+        print(f"# {len(changed)} fingerprint lines differ")
+        for line in changed:
+            print(line)
+        drift = compare(*dumps)
+    return 1 if changed or drift else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--dump", metavar="FILE", help="also write every run's records to FILE")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="print the record drift between two dumps, run nothing")
+    parser.add_argument("--against", metavar="OLD",
+                        help="fingerprint and dump OLD's checkout and this one, print the difference")
     args = parser.parse_args()
     if args.compare:
         return compare(*args.compare)
+    if args.against:
+        return against(args.against)
     dump = None if args.dump is None else {}
     fingerprint_runs(dump)
     if dump is not None:
