@@ -69,15 +69,16 @@ ORACLE_SAMPLES = 200
 class Certificate:
     """Threshold verdicts and the minorant construction for one run.
 
-    ``eps_interval`` is the feasible interval (lower, upper] for eps, or
-    None when the three conditions admit no eps.  Strict conditions are
-    evaluated in exact floating point; when the strict initial-slope
-    condition supplies the upper endpoint, that endpoint itself is
-    infeasible by zero margin, so consumers should sample strictly inside
-    (``eps_chosen`` is the midpoint).  ``T_star`` is the blow-up time of
-    the minorant at ``eps_chosen``, and ``T_star_tightest`` the one at the
-    interval's upper end, the least T* the construction reaches; both
-    exist iff the interval is nonempty.  ``dict(vars(certificate))`` is the
+    ``eps_interval`` is the feasible interval (lower, upper] for eps, and
+    ``eps_chosen`` its midpoint, an eps that the three conditions
+    (:func:`epsilon_conditions_hold`) accept.  ``T_star`` is the blow-up
+    time of the minorant at ``eps_chosen``, and ``T_star_tightest`` the one
+    at the interval's upper end, the least T* the construction reaches.
+    The four are set together or are all None: the certificate is feasible
+    iff its midpoint passes the conditions and has a T*.  So an interval
+    only a few ulps wide, whose midpoint rounds onto an end that a strict
+    condition rejects, certifies nothing, and ``hyperburg certificate``
+    prints it with a null interval.  ``dict(vars(certificate))`` is the
     certificate block of ``report.json`` and of ``hyperburg certificate``.
     """
 
@@ -98,7 +99,7 @@ class Certificate:
         """G(t) at ``eps_chosen``, or None where G does not exist: for an
         infeasible certificate, and outside [0, T*), to rounding (the closed
         form may already be past its blow-up a few ulps before ``T_star``)."""
-        if not self.feasible or (self.T_star is not None and t >= self.T_star):
+        if not self.feasible or t >= self.T_star:
             return None
         try:
             return g_closed_form(t, self.eps_chosen, self.G0, params)
@@ -195,18 +196,19 @@ def g_closed_form(t: float, eps: float, G0: float, params: ModelParams) -> float
 def t_star(eps: float, G0: float, params: ModelParams) -> Optional[float]:
     """Blow-up time of the minorant, or None when it stays bounded.
 
-    Exists iff G0 > 16 c^2 L^4 / eps^2 strictly; then
-    T* = [ (c/L)^2 - (4 c^3 / eps) G0^(-1/2) ]^(-1/2) - L/c.
+    T* = [ (c/L)^2 - (4 c^3 / eps) G0^(-1/2) ]^(-1/2) - L/c exists iff the
+    bracket, as evaluated here, is positive (in exact arithmetic, iff
+    G0 > 16 c^2 L^4 / eps^2).  The sign of the bracket that is inverted
+    decides, so an eps within an ulp of the edge gives None or a finite
+    T* > 0, never a complex number or a division by zero.
     """
     if not (eps > 0.0):
         raise ParameterError(f"eps must be positive, got {eps}")
     if not (G0 > 0.0):
         raise ParameterError(f"G0 must be positive, got {G0}")
     c, L = params.c, params.L
-    if not (G0 > 16.0 * c * c * L**4 / (eps * eps)):
-        return None
     inv = (c / L) ** 2 - (4.0 * c**3 / eps) / math.sqrt(G0)
-    return inv**-0.5 - L / c
+    return inv**-0.5 - L / c if inv > 0.0 else None
 
 
 def _dopri5(f, y, ts, rtol: float, atol: float, escape: float):
@@ -328,21 +330,28 @@ def build_certificate(params: ModelParams, F0: float, F1: float) -> Certificate:
     The threshold verdict (both moments strictly above
     :func:`~hyperburg.model.moment_thresholds`) is always computed; the eps
     interval only when both moments are positive (the construction needs
-    G0 > 0 and F'(0) > 0).  G(0) = F0 by construction, so the t = 0
+    G0 > 0 and F'(0) > 0).  The certificate is issued at the interval's
+    midpoint only when :func:`epsilon_conditions_hold` accepts it and
+    :func:`t_star` gives it a T*; otherwise ``eps_interval``,
+    ``eps_chosen``, ``T_star`` and ``T_star_tightest`` are all None, as for
+    an interval a few ulps wide.  G(0) = F0 by construction, so the t = 0
     comparison margin is exactly zero.  F0 and F1 pass the real-number rule
     and are stored as floats; a non-number raises ParameterError.
     """
     F0, F1 = _real(F0, "F0", ParameterError), _real(F1, "F1", ParameterError)
     f0_min, f1_min = moment_thresholds(params)
     interval = epsilon_interval(params, F0, F1) if F0 > 0.0 and F1 > 0.0 else None
-    eps_chosen = None if interval is None else interval[0] + 0.5 * (interval[1] - interval[0])
+    eps = None if interval is None else interval[0] + 0.5 * (interval[1] - interval[0])
+    held = eps is not None and epsilon_conditions_hold(eps, params, F0, F1)
+    T = t_star(eps, F0, params) if held else None
     return Certificate(
         F0=F0,
         F1=F1,
         thresholds_met=F0 > f0_min and F1 > f1_min,
-        eps_interval=interval,
-        eps_chosen=eps_chosen,
         G0=F0,
-        T_star=None if eps_chosen is None else t_star(eps_chosen, F0, params),
-        T_star_tightest=None if interval is None else t_star(interval[1], F0, params),
+        # issued together, or not at all
+        eps_interval=None if T is None else interval,
+        eps_chosen=None if T is None else eps,
+        T_star=T,
+        T_star_tightest=None if T is None else t_star(interval[1], F0, params),
     )

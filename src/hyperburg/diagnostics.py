@@ -179,22 +179,25 @@ def gronwall_check_E1(
 def sobolev_norms(records: Sequence[DiagnosticsRecord], params: ModelParams) -> tuple[float, float]:
     """Space-time Sobolev-type norms (H2, H3) over [t_0, t_last] of the records.
 
-    Each is the square root of a right-endpoint rectangle rule over the
-    record times of a weighted space integral: for H2,
+    Each is the square root of the trapezoid rule over the record times of
+    a weighted space integral: for H2,
     mu^4 int (v_tt^2 + c^2 v_xt^2 + c^4 v_xx^2) + mu^2 int (v_t^2 + c^2 v_x^2)
     + int v^2, and for H3 that plus mu^6 int (v_ttt^2 + c^2 v_xtt^2
-    + c^4 v_xxt^2 + c^6 v_xxx^2).  The first record only opens the interval.
+    + c^4 v_xxt^2 + c^6 v_xxx^2).  Both records of each interval weigh 1/2,
+    so the sums converge at second order in the record spacing.
     """
     mu2, c2 = params.mu * params.mu, params.c * params.c
     h2 = h3 = 0.0
-    for prev, rec in zip(records, records[1:]):
+    for i, rec in enumerate(records):
         # int (v_tt^2 + c^2 v_xt^2 + c^4 v_xx^2) = 2 E2 + c^2 int v_xt^2, etc.
         second = 2.0 * rec.E2 + c2 * rec.int_vxt2
         third = 2.0 * rec.E3 + c2 * rec.int_vxtt2 + c2 * c2 * rec.int_vxxt2
         s2 = mu2 * mu2 * second + mu2 * (2.0 * rec.E1) + 2.0 * rec.half_int_v2
         s3 = s2 + mu2 * mu2 * mu2 * third
-        h2 += (rec.t - prev.t) * s2
-        h3 += (rec.t - prev.t) * s3
+        if i:
+            h2 += 0.5 * (rec.t - t_prev) * (s2_prev + s2)
+            h3 += 0.5 * (rec.t - t_prev) * (s3_prev + s3)
+        t_prev, s2_prev, s3_prev = rec.t, s2, s3
     return math.sqrt(max(h2, 0.0)), math.sqrt(max(h3, 0.0))
 
 

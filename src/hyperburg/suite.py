@@ -27,14 +27,16 @@ the whole package:
 * minorant closed form vs adaptive integration: 1e-8 relative.
 
 One rule, ``_gate``, compares a checked value with its bound in every gate
-but the status gates and the identity ladder's own.  A value that is missing
-(a margin no record gave, a T* with no feasible eps, a cone no state
-reached) fails its gate: a gate that saw no sample does not pass unchecked.
+but the status gates.  A value that is missing (a margin no record gave, a
+T* with no feasible eps, a cone no state reached, an identity residual no
+level gave) fails its gate: a gate that saw no sample does not pass
+unchecked.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -207,31 +209,24 @@ def _check_identity(run: PresetRun) -> list[SuiteCheck]:
     configs, reports = run.configs, run.reports
     residuals = [r.worst["identity_residual_max"] for r in reports]
     unchecked = [c.grid.n for c, res in zip(configs, residuals) if res is None]
-    if unchecked:
-        return [SuiteCheck("identity: residual checked at every level", False,
-                           f"no uniformly spaced record triple at n={unchecked}")]
+    if unchecked:  # no level pair to shrink and no finest residual to gate
+        return [_gate("identity: residual checked at every level", None, 0.0, str,
+                      f"no uniformly spaced record triple at n={unchecked}")]
     checks = []
     for i, (coarse, fine) in enumerate(zip(residuals, residuals[1:]), 1):
         # A residual that falls to zero shrinks without bound; zero to zero
         # shows no shrink at all, and a NaN ratio fails the gate.
         ratio = coarse / fine if fine else np.inf if coarse else np.nan
-        checks.append(
-            SuiteCheck(
-                f"identity: residual shrinks >= {IDENTITY_SHRINK_FACTOR:g}x "
-                f"(n {configs[i - 1].grid.n} -> {configs[i].grid.n})",
-                ratio >= IDENTITY_SHRINK_FACTOR,
-                f"{coarse:.3e} -> {fine:.3e}, "
-                + (f"ratio {ratio:.2f}" if coarse or fine else "no shrink to measure"),
-            )
-        )
-    rhs_scale = max(rec.half_int_v2 for rec in reports[-1].outcome.records)
-    return checks + [
-        SuiteCheck(
-            "identity: finest residual < 1e-4 max(1/2 int v^2)",
-            residuals[-1] < 1e-4 * rhs_scale,
-            f"residual {residuals[-1]:.3e} vs bound {1e-4 * rhs_scale:.3e}",
-        )
-    ]
+        checks.append(_gate(
+            f"identity: residual shrinks >= {IDENTITY_SHRINK_FACTOR:g}x "
+            f"(n {configs[i - 1].grid.n} -> {configs[i].grid.n})", ratio, IDENTITY_SHRINK_FACTOR,
+            lambda ratio: f"{coarse:.3e} -> {fine:.3e}, "
+            + (f"ratio {ratio:.2f}" if coarse or fine else "no shrink to measure"), ""))
+    bound = 1e-4 * max(rec.half_int_v2 for rec in reports[-1].outcome.records)
+    # strict: value < bound is value <= the next double below bound
+    return checks + [_gate("identity: finest residual < 1e-4 max(1/2 int v^2)", residuals[-1],
+                           math.nextafter(bound, -math.inf),
+                           lambda res: f"residual {res:.3e} vs bound {bound:.3e}", "", upper=True)]
 
 
 def _check_blowup(run: PresetRun) -> list[SuiteCheck]:

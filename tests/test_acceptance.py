@@ -429,6 +429,20 @@ def test_identity_shrink_to_zero_residual_passes(preset_run):
     assert shrink.passed and shrink.detail.endswith(", ratio inf")
 
 
+def test_identity_finest_gate_is_strict(preset_run):
+    # A finest residual equal to its bound fails; the next double below passes.
+    run = preset_run("identity")
+    finest = run.reports[-1]
+    bound = 1e-4 * max(rec.half_int_v2 for rec in finest.outcome.records)
+    name = "identity: finest residual < 1e-4 max(1/2 int v^2)"
+    for residual, passed in ((bound, False), (math.nextafter(bound, 0.0), True)):
+        reports = run.reports[:-1] + [dataclasses.replace(
+            finest, worst=finest.worst | {"identity_residual_max": residual})]
+        checks = {c.name: c for c in check_preset(dataclasses.replace(run, reports=reports))}
+        assert checks[name].passed is passed
+        assert checks[name].detail == f"residual {residual:.3e} vs bound {bound:.3e}"
+
+
 def test_cone_preset_simulates_once(monkeypatch):
     # The cone maximum is observed during the preset's one run: 640 steps
     # to t=2 at n=2048, cfl 0.4, not a second pass over the same trajectory.

@@ -180,6 +180,21 @@ class TestTStar:
         assert all(v is not None for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_edge_of_the_bracket_never_raises(self):
+        # eps at 4 c L^2 / sqrt(G0) and the next two doubles up: the bracket
+        # that T* inverts is within an ulp of zero, on either side of it.
+        rng = np.random.default_rng(35)
+        params = [UNIT, ModelParams(0.25, 1.0, 1.0), ModelParams(0.7, 1.3, 2.0),
+                  ModelParams(2.0, 0.5, 0.5)]
+        for _ in range(500):
+            p = params[rng.integers(len(params))]
+            g0 = float(rng.uniform(1.0, 1e4))
+            eps = 4.0 * p.c * p.L * p.L / math.sqrt(g0)
+            for _ in range(3):
+                T = t_star(eps, g0, p)
+                assert T is None or (type(T) is float and math.isfinite(T) and T > 0.0)
+                eps = math.nextafter(eps, math.inf)
+
     def test_input_validation(self):
         with pytest.raises(ParameterError):
             t_star(0.0, 40.0, UNIT)
@@ -368,6 +383,29 @@ class TestBuildCertificateAndComparison:
         assert feasible.G0 == feasible.F0 == 40.0
         lo, hi = feasible.eps_interval
         assert lo < feasible.eps_chosen < hi
+
+    def test_interval_a_few_ulps_wide(self):
+        # F1 puts the slope cap 0 to 5 ulps above the blow-up lower bound:
+        # the certificate is all set, at an eps the conditions accept, or
+        # all None, and building it never raises.
+        rng = np.random.default_rng(3535)
+        params = [UNIT, ModelParams(0.25, 1.0, 1.0), ModelParams(0.7, 1.3, 2.0)]
+        feasible = 0
+        for _ in range(500):
+            p = params[rng.integers(len(params))]
+            g0 = float(rng.uniform(50.0, 5000.0))
+            upper = 4.0 * p.c * p.L * p.L * (1.0 / math.sqrt(g0))
+            for _ in range(6):
+                f1 = upper * g0**1.5 / p.L**3
+                cert = build_certificate(p, g0, f1)
+                fields = (cert.eps_interval, cert.eps_chosen, cert.T_star, cert.T_star_tightest)
+                assert all(f is None for f in fields) or all(f is not None for f in fields)
+                if cert.feasible:
+                    feasible += 1
+                    assert epsilon_conditions_hold(cert.eps_chosen, p, g0, f1)
+                    assert 0.0 < cert.T_star_tightest <= cert.T_star < math.inf
+                upper = math.nextafter(upper, math.inf)
+        assert feasible > 0
 
     def test_infeasible_certificate_fields(self):
         cert = build_certificate(UNIT, 100.0, 200.0)

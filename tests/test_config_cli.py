@@ -646,6 +646,21 @@ class TestCLI:
         assert doc["eps_interval"][0] == pytest.approx(0.632455532, rel=1e-9)
         assert doc["T_star"] is not None
 
+    def test_certificate_on_an_interval_one_ulp_wide(self, capsys):
+        # epsilon_interval is nonempty here, but its midpoint rounds onto an
+        # end that a strict condition rejects: no eps certifies, and the
+        # command prints the whole certificate with a null interval.
+        assert main(["certificate", "--mu", "1", "--nu", "1", "--L", "1",
+                     "--F0", "4190.59602884037", "--F1", "16762.38411536148"]) == 0
+
+        def reject(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["thresholds_met"] is True
+        assert [doc[k] for k in ("eps_interval", "eps_chosen", "T_star", "T_star_tightest")] \
+            == [None] * 4
+
     def test_suite_unknown_preset(self, capsys):
         assert main(["suite", "nonsense"]) == 1
         err = capsys.readouterr().err

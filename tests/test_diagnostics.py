@@ -368,9 +368,8 @@ class TestSobolevNorms:
         assert sobolev_norms(recs[:1], PARAMS) == (0.0, 0.0)
 
     def test_single_record_closed_form(self):
-        # two records a gap dt apart: each squared norm is dt * S with S
-        # assembled by hand from the second record's own fields; the first
-        # record's fields do not enter
+        # two records a gap dt apart: each squared norm is dt * (S0 + S1) / 2
+        # with each S assembled by hand from its own record's fields
         mu, c = 2.0, 3.0
         params = ModelParams(mu, mu * c * c, 1.0)
         grid = Grid(-2.0, 2.0, 512)
@@ -380,12 +379,25 @@ class TestSobolevNorms:
         rec = compute_record(state_on(grid, 0.9 * v, -0.3 * v, t=0.5 + dt), params)
         assert min(rec.E1, rec.E2, rec.E3, rec.int_vxt2, rec.int_vxtt2,
                    rec.int_vxxt2, rec.half_int_v2) > 0.0
-        s2 = (mu**4 * (2 * rec.E2 + c * c * rec.int_vxt2)
-              + mu**2 * (2 * rec.E1) + 2 * rec.half_int_v2)
-        s3 = s2 + mu**6 * (2 * rec.E3 + c * c * rec.int_vxtt2 + c**4 * rec.int_vxxt2)
+
+        def integrands(r):
+            s2 = (mu**4 * (2 * r.E2 + c * c * r.int_vxt2)
+                  + mu**2 * (2 * r.E1) + 2 * r.half_int_v2)
+            return s2, s2 + mu**6 * (2 * r.E3 + c * c * r.int_vxtt2 + c**4 * r.int_vxxt2)
+
+        (s2_0, s3_0), (s2_1, s3_1) = integrands(first), integrands(rec)
         h2, h3 = sobolev_norms([first, rec], params)
-        assert h2 * h2 == pytest.approx(dt * s2, rel=1e-12)
-        assert h3 * h3 == pytest.approx(dt * s3, rel=1e-12)
+        assert h2 * h2 == pytest.approx(dt * (s2_0 + s2_1) / 2, rel=1e-12)
+        assert h3 * h3 == pytest.approx(dt * (s3_0 + s3_1) / 2, rel=1e-12)
+
+    def test_second_order_on_the_identity_ladder(self, identity_reports):
+        # n = 513, 1025, 2049 halve dx and dt and record at the same times;
+        # the trapezoid rule in time gives H2 and H3 an observed order of
+        # about 2 (a right-endpoint rule read 1.39 and 1.80)
+        norms = [(r.sobolev["H2"], r.sobolev["H3"]) for r in identity_reports]
+        for key, (coarse, mid, fine) in zip(("H2", "H3"), zip(*norms)):
+            order = math.log2(abs(coarse - mid) / abs(mid - fine))
+            assert order >= 1.9, (key, order)
 
     def test_accumulators_monotone_and_bounded_growth(self, smalldata_report):
         # the squared norms of every prefix of the record series
