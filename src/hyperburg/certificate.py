@@ -122,21 +122,24 @@ class OracleResult:
     diverged: bool
 
 
-def epsilon_conditions_hold(
-    eps: float | np.ndarray,
-    params: ModelParams,
-    G0: float,
-    F1: float,
-) -> bool | np.ndarray:
-    """The three conditions at eps: elementwise for an array, a bool for a scalar."""
-    eps = np.asarray(eps, dtype=float)
-    c, L, mu = params.c, params.L, params.mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        minorant_blows_up = G0 > 16.0 * c * c * L**4 / (eps * eps)
-    quadratic_ok = eps / math.sqrt(G0) + 1.5 * (mu / L**3) * eps * eps <= 0.75
-    slope_ok = eps * G0**1.5 / L**3 < F1
-    held = (eps > 0.0) & minorant_blows_up & quadratic_ok & slope_ok
-    return bool(held) if held.ndim == 0 else held
+def _minorant_blows_up(eps: float, params: ModelParams, G0: float) -> bool:
+    """eps > 0 and the strict minorant blow-up condition: the part of the three
+    conditions that, once it holds, holds at every larger double."""
+    e2 = eps * eps  # 0.0 below about 1.5e-162: no blow-up, and no division by zero
+    return eps > 0.0 and e2 > 0.0 and G0 > 16.0 * params.c * params.c * params.L**4 / e2
+
+
+def _quadratic_and_slope_hold(eps: float, params: ModelParams, G0: float, F1: float) -> bool:
+    """The feasibility quadratic and the strict initial slope: the part that,
+    once it fails at a positive double, fails at every larger one."""
+    L = params.L
+    return (eps / math.sqrt(G0) + 1.5 * (params.mu / L**3) * eps * eps <= 0.75
+            and eps * G0**1.5 / L**3 < F1)
+
+
+def epsilon_conditions_hold(eps: float, params: ModelParams, G0: float, F1: float) -> bool:
+    """Whether the three conditions accept eps, a float; False for eps <= 0 or NaN."""
+    return _minorant_blows_up(eps, params, G0) and _quadratic_and_slope_hold(eps, params, G0, F1)
 
 
 def epsilon_interval(
@@ -148,7 +151,10 @@ def epsilon_interval(
 
     lower = 4 c L^2 / sqrt(G0) (strict, from the minorant blow-up
     condition); upper = min(positive root of the feasibility quadratic,
-    F1 L^3 / G0^(3/2)); empty when lower >= upper.
+    F1 L^3 / G0^(3/2)).  None when lower >= upper, or when
+    :func:`epsilon_conditions_hold` rejects the midpoint
+    lower + (upper - lower) / 2, the eps a certificate is issued at: an
+    interval a few ulps wide may hold no double the conditions accept.
 
     Raises:
         ParameterError: for non-positive G0 or F1.
@@ -166,7 +172,7 @@ def epsilon_interval(
     quad_root = 3.0 / (2.0 * (s + math.sqrt(s * s + 3.0 * q)))
     slope_cap = F1 * L**3 / G0**1.5
     upper = min(quad_root, slope_cap)
-    if lower >= upper:
+    if lower >= upper or not epsilon_conditions_hold(lower + 0.5 * (upper - lower), params, G0, F1):
         return None
     return (lower, upper)
 
@@ -331,8 +337,9 @@ def build_certificate(params: ModelParams, F0: float, F1: float) -> Certificate:
     :func:`~hyperburg.model.moment_thresholds`) is always computed; the eps
     interval only when both moments are positive (the construction needs
     G0 > 0 and F'(0) > 0).  The certificate is issued at the interval's
-    midpoint only when :func:`epsilon_conditions_hold` accepts it and
-    :func:`t_star` gives it a T*; otherwise ``eps_interval``,
+    midpoint, an eps the three conditions accept (:func:`epsilon_interval`
+    returns no interval otherwise), when :func:`t_star` gives it a T*;
+    otherwise ``eps_interval``,
     ``eps_chosen``, ``T_star`` and ``T_star_tightest`` are all None, as for
     an interval a few ulps wide.  G(0) = F0 by construction, so the t = 0
     comparison margin is exactly zero.  F0 and F1 pass the real-number rule
@@ -342,8 +349,7 @@ def build_certificate(params: ModelParams, F0: float, F1: float) -> Certificate:
     f0_min, f1_min = moment_thresholds(params)
     interval = epsilon_interval(params, F0, F1) if F0 > 0.0 and F1 > 0.0 else None
     eps = None if interval is None else interval[0] + 0.5 * (interval[1] - interval[0])
-    held = eps is not None and epsilon_conditions_hold(eps, params, F0, F1)
-    T = t_star(eps, F0, params) if held else None
+    T = None if eps is None else t_star(eps, F0, params)
     return Certificate(
         F0=F0,
         F1=F1,

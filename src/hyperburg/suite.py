@@ -18,10 +18,11 @@ the whole package:
 * cone vanishing: max |v| on the cone <= 1e-10 (1 + sup);
 * moment comparison F >= G: relative margin >= -1e-6 before detection;
 * blow-up: detection at every level of its ladder, <5% refinement gap,
-  detection time <= 1.1 T*(eps=0.65) for the certified preset (the observed
-  order and the Richardson estimate are reported, not gated);
-* certificate vs brute force: interval endpoints within 1e-4 of a dense
-  eps scan on 100 seeded random instances, drawn with
+  each level's detection time <= its own certificate's ``T_star_tightest``
+  (the observed order and the Richardson estimate are reported, not gated);
+* certificate vs brute force: interval endpoints within 2 ulps of the least
+  and the greatest double the three eps conditions accept, found by
+  bisection, on 100 seeded random instances, drawn with
   ``random.Random(SCAN_SEED)`` (the package never loads NumPy's random
   subpackage; tests may);
 * minorant closed form vs adaptive integration: 1e-8 relative.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -69,11 +71,7 @@ GRONWALL_REL_TOL = -1e-8
 COMPARISON_REL_TOL = -1e-6
 IDENTITY_SHRINK_FACTOR = 3.0
 CONE_REL_TOL = 1e-10
-BLOWUP_TSTAR_EPS = 0.65
-SCAN_STEP = 1e-4
-# 64 KiB of doubles: each scan temporary stays below malloc's default mmap
-# threshold, so it reuses heap memory instead of faulting in fresh pages.
-SCAN_CHUNK = 8192
+ORACLE_ULPS = 2
 SCAN_INSTANCES = 100
 SCAN_SEED = 20240817
 
@@ -230,27 +228,29 @@ def _check_identity(run: PresetRun) -> list[SuiteCheck]:
 
 
 def _check_blowup(run: PresetRun) -> list[SuiteCheck]:
+    """Refinement, blow-up time and comparison gates of a ladder detected at every
+    level.  Each level's t_detect is gated by its report's ``T_star_tightest``, the
+    T* at the eps interval's upper end, that is the infimum of T* over the feasible
+    eps (T* falls as eps rises); a level without a certificate fails that gate."""
     configs, reports = run.configs, run.reports
     if any(r.status != RunStatus.BLOWUP_DETECTED.value for r in reports):  # the gate fails
         return []
     ref = Refinement(tuple(c.grid.n for c in configs), tuple(r.t_detect for r in reports))
-    estimate = ref.t_detect[-1]
-    detail = f"estimate {estimate:.5f}" + (
+    detail = f"estimate {ref.t_detect[-1]:.5f}" + (
         f", previous {ref.t_detect[-2]:.5f}" if len(configs) > 1 else "")
     if ref.t_inf is not None:
         detail += (f", order p {ref.order:.3f}, "
                    f"t_inf {ref.t_inf:.5f} +- {ref.t_inf_error:.5f}")
-    t_star = cert_mod.t_star(BLOWUP_TSTAR_EPS, configs[0].ic.F0_target, configs[0].params)
     return [
         SuiteCheck(
             "blowup: refinement-converged detection time (<5% gap)",
             ref.converged,
             detail,
         ),
-        _gate(f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})",
-              None if t_star is None else 1.1 * t_star, estimate,
-              lambda bound: f"t_detect {estimate:.5f} vs 1.1 T* = {bound:.5f}",
-              f"no T* at eps={BLOWUP_TSTAR_EPS}"),
+        *(_gate(f"blowup: t_detect <= T_star_tightest (n={c.grid.n})",
+                r.certificate["T_star_tightest"], r.t_detect,
+                lambda bound, t=r.t_detect: f"t_detect {t:.5f} vs T_star_tightest {bound:.5f}",
+                "no feasible certificate") for c, r in zip(configs, reports)),
         _worst_gate(reports, "comparison_margin_rel", COMPARISON_REL_TOL,
                     "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
                     "worst relative margin {:.3e}".format),
@@ -265,29 +265,42 @@ def _check_smalldata(run: PresetRun) -> list[SuiteCheck]:
                   "no record", upper=True)]
 
 
-@functools.cache
-def _scan_grid() -> np.ndarray:
-    """The eps grid (0, 10] at SCAN_STEP, built once per process, read-only."""
-    eps = np.arange(1, int(10.0 / SCAN_STEP) + 1) * SCAN_STEP
-    eps.flags.writeable = False
-    return eps
+_MAX_BITS = 0x7FEFFFFFFFFFFFFF  # bit pattern of the greatest finite double
+
+
+def _bits(x: float) -> int:
+    """The bit pattern of a double as an int; for positive doubles it rises with x."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _first_bits(holds: Callable[[float], bool]) -> int:
+    """The least bit pattern in [1, _MAX_BITS] of a positive double at which
+    ``holds`` is true, by bisection, ``holds`` being false below some double
+    and true from it on; _MAX_BITS + 1 (that of inf) when it holds at none."""
+    lo, hi = 1, _MAX_BITS + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(_double(mid)) else (mid + 1, hi)
+    return lo
 
 
 def epsilon_scan_oracle(params, G0: float, F1: float) -> Optional[tuple[float, float]]:
-    """Brute-force feasibility: dense eps scan of the three conditions.
+    """Brute-force feasibility: the least and the greatest positive double
+    that :func:`~hyperburg.certificate.epsilon_conditions_hold` accepts, or None.
 
-    Evaluates eps in (0, 10] on a 1e-4 grid directly against the
-    conditions (:func:`~hyperburg.certificate.epsilon_conditions_hold`, no
-    interval algebra) and returns the (min, max) feasible grid values, or
-    None.
+    The evaluator's two parts are monotone over the positive doubles, one
+    rising and one falling, so the accepted doubles run from the first to the
+    last; each end is found to the ulp by bisecting one part over the bit
+    patterns, with no interval algebra.
     """
-    grid = _scan_grid()
-    chunks = (grid[i:i + SCAN_CHUNK] for i in range(0, grid.size, SCAN_CHUNK))
-    feasible = np.concatenate(
-        [eps[cert_mod.epsilon_conditions_hold(eps, params, G0, F1)] for eps in chunks])
-    if feasible.size == 0:
-        return None
-    return float(feasible[0]), float(feasible[-1])
+    least = _first_bits(lambda eps: cert_mod._minorant_blows_up(eps, params, G0))
+    greatest = _first_bits(
+        lambda eps: not cert_mod._quadratic_and_slope_hold(eps, params, G0, F1)) - 1
+    return (_double(least), _double(greatest)) if least <= greatest else None
 
 
 def _oracle_instances() -> list[tuple[float, float]]:
@@ -308,20 +321,20 @@ def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
     nonempty = 0
     for g0, f1 in _oracle_instances():
         interval = cert_mod.epsilon_interval(params, g0, f1)
-        scanned = epsilon_scan_oracle(params, g0, f1)
+        accepted = epsilon_scan_oracle(params, g0, f1)
         if interval is None:
-            if scanned is not None:
-                mismatches.append((g0, f1, "empty interval but scan feasible"))
+            if accepted is not None:
+                mismatches.append((g0, f1, "empty interval but oracle feasible"))
             continue
         nonempty += 1
-        if scanned is None:
-            mismatches.append((g0, f1, "nonempty interval but scan empty"))
+        if accepted is None:
+            mismatches.append((g0, f1, "nonempty interval but oracle empty"))
             continue
-        lo_err = abs(scanned[0] - interval[0])
-        hi_err = abs(scanned[1] - interval[1])
-        if lo_err > SCAN_STEP + 1e-9 or hi_err > SCAN_STEP + 1e-9:
-            mismatches.append((g0, f1, f"endpoint errors {lo_err:.2e}/{hi_err:.2e}"))
-    doc_interval = cert_mod.epsilon_interval(params, 100.0, 200.0)
+        lo_ulps, hi_ulps = (abs(_bits(a) - _bits(b)) for a, b in zip(accepted, interval))
+        if max(lo_ulps, hi_ulps) > ORACLE_ULPS:
+            mismatches.append((g0, f1, f"endpoints {lo_ulps}/{hi_ulps} ulps off"))
+    doc_intervals = [cert_mod.epsilon_interval(params, g0, f1)
+                     for g0, f1 in ((100.0, 200.0), (4190.59602884037, 16762.38411536148))]
     doc_thresholds = cert_mod.build_certificate(params, 100.0, 200.0).thresholds_met
     t_star = cert_mod.t_star(1.0, 64.0, params)
     oracle = cert_mod.aux_ode_oracle(1.0, 64.0, params, 0.9 * t_star)
@@ -330,17 +343,17 @@ def _check_certificate_oracle(run: PresetRun) -> list[SuiteCheck]:
     past = cert_mod.aux_ode_oracle(1.0, 64.0, params, 1.2 * t_star)
     return [
         SuiteCheck(
-            f"certificate-oracle: interval matches dense scan on "
-            f"{SCAN_INSTANCES} instances (endpoints within 1e-4)",
+            f"certificate-oracle: interval matches the accepted doubles on "
+            f"{SCAN_INSTANCES} instances (endpoints within {ORACLE_ULPS} ulps)",
             nonempty > 0 and not mismatches,
             f"{nonempty} feasible instances, {len(mismatches)} mismatches"
             + (f"; first: {mismatches[0]}" if mismatches else ""),
         ),
         SuiteCheck(
-            "certificate-oracle: documented case (G0=100, F1=200) is "
-            "threshold-passing yet infeasible",
-            doc_interval is None and doc_thresholds,
-            f"interval={doc_interval}, thresholds_met={doc_thresholds}",
+            "certificate-oracle: documented (G0, F1) infeasible: (100, 200) threshold-passing; "
+            "(4190.59602884037, 16762.38411536148) one ulp wide",
+            doc_intervals == [None, None] and doc_thresholds,
+            f"intervals={doc_intervals}, thresholds_met(100, 200)={doc_thresholds}",
         ),
         _gate("certificate-oracle: closed form vs adaptive integration "
               "(1e-8 relative on [0, 0.9 T*])", None if oracle.diverged else rel, 1e-8,

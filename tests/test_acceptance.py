@@ -24,12 +24,12 @@ from hyperburg.errors import ConfigError
 from hyperburg.runner import execute_config, write_csv
 from hyperburg.solver import Refinement, RunStatus
 from hyperburg.suite import (
-    BLOWUP_TSTAR_EPS,
     CONE_APEX,
     PRESET_NAMES,
     PresetRun,
     SCAN_INSTANCES,
     SuiteCheck,
+    _bits,
     _oracle_instances,
     check_preset,
     epsilon_scan_oracle,
@@ -67,24 +67,27 @@ def test_criterion_02_certificate_vs_brute_force():
     nonempty = 0
     for g0, f1 in instances:
         interval = cert_mod.epsilon_interval(UNIT, g0, f1)
-        scanned = epsilon_scan_oracle(UNIT, g0, f1)
+        accepted = epsilon_scan_oracle(UNIT, g0, f1)
         if interval is None:
-            mismatches += scanned is not None
+            mismatches += accepted is not None
             continue
         nonempty += 1
-        if scanned is None:
+        if accepted is None:
             mismatches += 1
             continue
-        if (abs(scanned[0] - interval[0]) > 1e-4 + 1e-9
-                or abs(scanned[1] - interval[1]) > 1e-4 + 1e-9):
+        if (abs(_bits(accepted[0]) - _bits(interval[0])) > 2
+                or abs(_bits(accepted[1]) - _bits(interval[1])) > 2):
             mismatches += 1
     documented_empty = cert_mod.epsilon_interval(UNIT, 100.0, 200.0) is None
     documented_thresholds = cert_mod.build_certificate(UNIT, 100.0, 200.0).thresholds_met
-    ok = mismatches == 0 and documented_empty and documented_thresholds
-    check(2, "eps interval matches dense scan on 100 instances; documented "
-             "threshold-passing case is infeasible", ok,
+    one_ulp_empty = cert_mod.epsilon_interval(UNIT, 4190.59602884037, 16762.38411536148) is None
+    ok = (nonempty > 0 and mismatches == 0 and documented_empty and documented_thresholds
+          and one_ulp_empty)
+    check(2, "eps interval ends within 2 ulps of the least and greatest accepted "
+             "double on 100 instances; documented threshold-passing case and "
+             "one-ulp case are infeasible", ok,
           f"{nonempty} feasible, {mismatches} mismatches, "
-          f"G0=100/F1=200 empty={documented_empty}")
+          f"G0=100/F1=200 empty={documented_empty}, one-ulp empty={one_ulp_empty}")
 
 
 def test_criterion_03_closed_form_vs_ode_oracle():
@@ -151,8 +154,8 @@ def test_criterion_07_blowup_reproduction(blowup_reports):
         tuple(r.t_detect for r in blowup_reports),
     )
     estimate, converged = refinement.t_detect[-1], refinement.converged
-    ts_ref = t_star(BLOWUP_TSTAR_EPS, 40.0, UNIT)
-    time_ok = estimate <= 1.1 * ts_ref
+    bounds = [r.certificate["T_star_tightest"] for r in blowup_reports]
+    time_ok = all(b is not None and r.t_detect <= b for r, b in zip(blowup_reports, bounds))
     interval = blowup_reports[-1].certificate["eps_interval"]
     interval_ok = (
         abs(interval[0] - 0.6325) <= 5e-4 and abs(interval[1] - 0.6564) <= 5e-4
@@ -173,9 +176,9 @@ def test_criterion_07_blowup_reproduction(blowup_reports):
             if margin < -1e-6 * (1.0 + g):
                 comparison_ok = False
     ok = detected and converged and time_ok and interval_ok and comparison_ok
-    check(7, "certified preset blows up: converged t_detect <= 1.1 T* "
+    check(7, "certified preset blows up: converged t_detect <= each level's T_star_tightest "
              "and F >= G - 1e-6 (1+G) before detection", ok,
-          f"t_detect={estimate:.5f}, 1.1 T*={1.1 * ts_ref:.5f}, "
+          f"t_detect={estimate:.5f}, T_star_tightest={bounds}, "
           f"eps interval ~ ({interval[0]:.4f}, {interval[1]:.4f}], "
           f"worst comparison margin {worst_margin:.3e}")
 
@@ -316,7 +319,9 @@ def test_blowup_checks_fail_without_a_certificate():
     assert checks["blowup: detected at every resolution"].passed
     comparison = checks["blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection"]
     assert not comparison.passed and "n=[1025, 2049]" in comparison.detail
-    assert not checks[f"blowup: t_detect <= 1.1 T* (T* at eps={BLOWUP_TSTAR_EPS})"].passed
+    for n in (1025, 2049):
+        gate = checks[f"blowup: t_detect <= T_star_tightest (n={n})"]
+        assert not gate.passed and gate.detail == "no feasible certificate"
 
 
 @pytest.mark.parametrize("excess_dx", [None, 2.0], ids=["unchecked", "outside"])
@@ -475,7 +480,9 @@ def test_cone_preset_simulates_once(monkeypatch):
                   "identity: exp energy bound margin >= -1e-8 E1(0)"]),
     ("blowup", ["blowup: detected at every resolution",
                 "blowup: refinement-converged detection time (<5% gap)",
-                "blowup: t_detect <= 1.1 T* (T* at eps=0.65)",
+                "blowup: t_detect <= T_star_tightest (n=1025)",
+                "blowup: t_detect <= T_star_tightest (n=2049)",
+                "blowup: t_detect <= T_star_tightest (n=4097)",
                 "blowup: comparison margin (F-G)/(1+G) >= -1e-6 before detection",
                 "blowup: schwartz_gap >= -1e-10 (1+F^2) at every record"]),
     ("smalldata", ["smalldata: run completes to t=50",
@@ -483,9 +490,10 @@ def test_cone_preset_simulates_once(monkeypatch):
                    "smalldata: schwartz_gap >= -1e-10 (1+F^2) at every record",
                    "smalldata: exp energy bound margin >= -1e-8 E1(0)"]),
     ("certificate-oracle", [
-        "certificate-oracle: interval matches dense scan on 100 instances "
-        "(endpoints within 1e-4)",
-        "certificate-oracle: documented case (G0=100, F1=200) is threshold-passing yet infeasible",
+        "certificate-oracle: interval matches the accepted doubles on 100 instances "
+        "(endpoints within 2 ulps)",
+        "certificate-oracle: documented (G0, F1) infeasible: (100, 200) threshold-passing; "
+        "(4190.59602884037, 16762.38411536148) one ulp wide",
         "certificate-oracle: closed form vs adaptive integration (1e-8 relative on [0, 0.9 T*])",
         "certificate-oracle: integration past T* reports divergence"]),
 ])
@@ -498,11 +506,27 @@ def test_preset_checks_by_name_and_in_order(preset, names, preset_run):
 
 def test_oracle_interval_gate_fails_with_no_feasible_instance(monkeypatch):
     # G0 = F1 = 1 is far below the thresholds: no instance is feasible, so the
-    # scan comparison checked no interval and must not pass.
+    # oracle comparison checked no interval and must not pass.
     monkeypatch.setattr(suite, "_oracle_instances", lambda: [(1.0, 1.0)] * 3)
     gate = run_suite("certificate-oracle")[0]
     assert not gate.passed
     assert gate.detail == "0 feasible instances, 0 mismatches"
+
+
+def test_oracle_interval_gate_fails_on_a_lower_end_moved_by_1e_12(monkeypatch):
+    # Moved up by 1e-12 relative, thousands of ulps, every feasible instance's
+    # lower end misses the least accepted double, which a 1e-4 bound cannot see.
+    real = cert_mod.epsilon_interval
+
+    def moved(params, G0, F1):
+        interval = real(params, G0, F1)
+        return None if interval is None else (interval[0] * (1.0 + 1e-12), interval[1])
+
+    monkeypatch.setattr(cert_mod, "epsilon_interval", moved)
+    checks = run_suite("certificate-oracle")
+    assert not checks[0].passed
+    assert checks[0].detail.startswith("24 feasible instances, 24 mismatches; first: ")
+    assert [c.passed for c in checks[1:]] == [True, True, True]
 
 
 def test_oracle_deviation_gate_fails_when_the_integration_diverges(monkeypatch):

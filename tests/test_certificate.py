@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from hyperburg.certificate import (
     t_star,
 )
 from hyperburg.runner import json_text
-from hyperburg.suite import _scan_grid, epsilon_scan_oracle
+from hyperburg.suite import ORACLE_ULPS, _bits, epsilon_scan_oracle
 
 UNIT = ModelParams(1, 1, 1)
 
@@ -77,19 +78,28 @@ class TestEpsilonInterval:
         assert epsilon_conditions_hold(hi - pad, UNIT, 40.0, 200.0)
         assert not epsilon_conditions_hold(hi + pad, UNIT, 40.0, 200.0)
 
-    def test_array_form_matches_scalar_calls(self):
-        # Includes eps <= 0, both interval ends and the infeasible region.
+    def test_float_verdicts_match_an_elementwise_reference(self):
+        # The reference holds the three conditions elementwise on NumPy arrays,
+        # in the evaluator's expressions.  Includes eps <= 0, both interval
+        # ends, the infeasible region, the least subnormal and 1e-300, whose
+        # square is 0.0: there the float path returns False and does not divide.
         lo, hi = epsilon_interval(UNIT, 40.0, 200.0)
-        eps = np.concatenate([[-1.0, -0.0, 0.0, 1e-300, lo, hi],
+        eps = np.concatenate([[-1.0, -0.0, 0.0, 5e-324, 1e-300, lo, hi],
                               np.linspace(-0.5, 2.0, 251)])
+        c, L, mu = UNIT.c, UNIT.L, UNIT.mu
         for g0, f1 in ((40.0, 200.0), (100.0, 200.0), (7.0, 900.0)):
-            held = epsilon_conditions_hold(eps, UNIT, g0, f1)
-            assert held.dtype == bool and held.shape == eps.shape
-            scalar = [epsilon_conditions_hold(float(e), UNIT, g0, f1) for e in eps]
-            assert all(type(s) is bool for s in scalar)
-            assert held.tolist() == scalar
-            assert not held[eps <= 0.0].any()
-        assert epsilon_conditions_hold(eps, UNIT, 40.0, 200.0).any()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                minorant_blows_up = g0 > 16.0 * c * c * L**4 / (eps * eps)
+            quadratic_ok = eps / math.sqrt(g0) + 1.5 * (mu / L**3) * eps * eps <= 0.75
+            slope_ok = eps * g0**1.5 / L**3 < f1
+            reference = (eps > 0.0) & minorant_blows_up & quadratic_ok & slope_ok
+            verdicts = [epsilon_conditions_hold(float(e), UNIT, g0, f1) for e in eps]
+            assert all(type(v) is bool for v in verdicts)
+            assert verdicts == reference.tolist()
+            assert not reference[eps <= 0.0].any()
+        assert 1e-300 * 1e-300 == 0.0
+        assert not epsilon_conditions_hold(1e-300, UNIT, 40.0, 200.0)
+        assert any(epsilon_conditions_hold(float(e), UNIT, 40.0, 200.0) for e in eps)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1.0, 400.0), st.floats(1.0, 1000.0))
@@ -99,32 +109,62 @@ class TestEpsilonInterval:
             mid = 0.5 * (interval[0] + interval[1])
             assert epsilon_conditions_hold(mid, UNIT, g0, f1)
 
-    def test_matches_dense_scan_on_seeded_instances(self):
+    def test_matches_oracle_on_seeded_instances(self):
         rng = np.random.default_rng(99)
         for _ in range(25):
             g0 = float(rng.uniform(1.0, 400.0))
             f1 = float(rng.uniform(1.0, 1000.0))
             interval = epsilon_interval(UNIT, g0, f1)
-            scanned = epsilon_scan_oracle(UNIT, g0, f1)
+            accepted = epsilon_scan_oracle(UNIT, g0, f1)
             if interval is None:
-                assert scanned is None
+                assert accepted is None
             else:
-                assert scanned is not None
-                assert abs(scanned[0] - interval[0]) <= 1e-4 + 1e-9
-                assert abs(scanned[1] - interval[1]) <= 1e-4 + 1e-9
+                assert accepted is not None
+                assert abs(_bits(accepted[0]) - _bits(interval[0])) <= ORACLE_ULPS
+                assert abs(_bits(accepted[1]) - _bits(interval[1])) <= ORACLE_ULPS
 
-    def test_scan_grid_cached_and_chunked_scan_exact(self):
-        grid = _scan_grid()
-        assert grid is _scan_grid()
-        assert not grid.flags.writeable
-        assert np.array_equal(grid, np.arange(1, 100001) * 1e-4)
+    def test_oracle_ends_are_ulp_exact(self):
+        # Both ends and seven doubles between them are accepted, and each end's
+        # outer neighbour is rejected; an empty answer is checked against a
+        # 1e-3 grid on (0, 10], a brute-force reference.
+        grid = (np.arange(1, 10001) * 1e-3).tolist()
         rng = np.random.default_rng(5)
         for _ in range(25):
             g0 = float(rng.uniform(1.0, 400.0))
             f1 = float(rng.uniform(1.0, 1000.0))
-            whole = grid[epsilon_conditions_hold(grid, UNIT, g0, f1)]
-            expected = (float(whole[0]), float(whole[-1])) if whole.size else None
-            assert epsilon_scan_oracle(UNIT, g0, f1) == expected
+            accepted = epsilon_scan_oracle(UNIT, g0, f1)
+            if accepted is None:
+                assert not any(epsilon_conditions_hold(e, UNIT, g0, f1) for e in grid)
+                continue
+            lo, hi = accepted
+            inside = [lo + k / 8 * (hi - lo) for k in range(9)]
+            assert all(epsilon_conditions_hold(e, UNIT, g0, f1) for e in inside)
+            assert not epsilon_conditions_hold(math.nextafter(lo, 0.0), UNIT, g0, f1)
+            assert not epsilon_conditions_hold(math.nextafter(hi, math.inf), UNIT, g0, f1)
+
+    def test_near_edge_intervals_hold_an_accepted_double(self):
+        # F1 puts the slope cap 0 to 5 ulps above the blow-up lower bound
+        # 4 / sqrt(G0).  Every interval returned holds its midpoint, and its
+        # ends lie within ORACLE_ULPS of the least and greatest accepted double.
+        rng = random.Random(7)
+        returned = 0
+        for _ in range(300):
+            g0 = rng.uniform(50.0, 5000.0)
+            cap = 4.0 * (1.0 / math.sqrt(g0))
+            for _ in range(6):
+                f1 = cap * g0**1.5
+                interval = epsilon_interval(UNIT, g0, f1)
+                cap = math.nextafter(cap, math.inf)
+                if interval is None:
+                    continue
+                returned += 1
+                lo, hi = interval
+                assert epsilon_conditions_hold(lo + 0.5 * (hi - lo), UNIT, g0, f1)
+                accepted = epsilon_scan_oracle(UNIT, g0, f1)
+                assert accepted is not None
+                assert abs(_bits(accepted[0]) - _bits(lo)) <= ORACLE_ULPS
+                assert abs(_bits(accepted[1]) - _bits(hi)) <= ORACLE_ULPS
+        assert returned > 0
 
 
 class TestClosedForm:

@@ -39,12 +39,12 @@ The two trees share one process, and so one allocator and one resident
 set: a ratio here cannot show what a change does to allocation or to
 memory.  Nor is placement neutral: a buffer's 64-byte line offset alone can
 move a step by 9-17% (``StepWorkspace.buffer``, see CHANGES.md), and the
-two trees' buffers need not land at the same offset.  The
-``certificate-oracle`` preset's unchunked eps scan (one 100,000-element
-pass in place of ``suite.SCAN_CHUNK`` pieces) reads faster
-here, yet raised ``sweep-suite`` ``wall_s`` and ``peak_rss_mb`` in fresh
-benchmark processes (see CHANGES.md).  A change to allocation sizes needs
-pairs of ``perfbench/run.py`` runs.
+two trees' buffers need not land at the same offset.  One measured case
+(see CHANGES.md): temporaries of 800 KB in place of 64 KB pieces read
+faster here, yet raised ``sweep-suite`` ``wall_s`` and ``peak_rss_mb`` in
+fresh benchmark processes, where allocations that large are mapped and
+faulted in anew.  A change to allocation sizes needs pairs of
+``perfbench/run.py`` runs.
 """
 
 from __future__ import annotations
