@@ -70,14 +70,14 @@ class Certificate:
     """Threshold verdicts and the minorant construction for one run.
 
     ``eps_interval`` is the feasible interval (lower, upper] for eps, and
-    ``eps_chosen`` its midpoint, an eps that the three conditions
-    (:func:`epsilon_conditions_hold`) accept.  ``T_star`` is the blow-up
-    time of the minorant at ``eps_chosen``, and ``T_star_tightest`` the one
-    at the interval's upper end, the least T* the construction reaches.
-    The four are set together or are all None: the certificate is feasible
-    iff its midpoint passes the conditions and has a T*.  So an interval
-    only a few ulps wide, whose midpoint rounds onto an end that a strict
-    condition rejects, certifies nothing, and ``hyperburg certificate``
+    ``eps_chosen`` its midpoint, an eps above ``lower`` that the three
+    conditions (:func:`epsilon_conditions_hold`) accept.  ``T_star`` is the
+    blow-up time of the minorant at ``eps_chosen``, and ``T_star_tightest``
+    the one at the interval's upper end, the least T* the construction
+    reaches.  The four are set together or are all None: the certificate is
+    feasible iff its midpoint lies above ``lower``, passes the conditions
+    and has a T*.  So an interval only a few ulps wide, whose midpoint
+    rounds onto an end, certifies nothing, and ``hyperburg certificate``
     prints it with a null interval.  ``dict(vars(certificate))`` is the
     certificate block of ``report.json`` and of ``hyperburg certificate``.
     """
@@ -97,14 +97,12 @@ class Certificate:
 
     def minorant(self, t: float, params: ModelParams) -> Optional[float]:
         """G(t) at ``eps_chosen``, or None where G does not exist: for an
-        infeasible certificate, and outside [0, T*), to rounding (the closed
-        form may already be past its blow-up a few ulps before ``T_star``)."""
+        infeasible certificate, and at or past T*, to rounding (the closed
+        form may already be past its blow-up a few ulps before ``T_star``).
+        A t < 0 or NaN raises as in :func:`g_closed_form`."""
         if not self.feasible or t >= self.T_star:
             return None
-        try:
-            return g_closed_form(t, self.eps_chosen, self.G0, params)
-        except DomainError:
-            return None
+        return g_closed_form(t, self.eps_chosen, self.G0, params)
 
 
 @dataclass(frozen=True)
@@ -151,10 +149,11 @@ def epsilon_interval(
 
     lower = 4 c L^2 / sqrt(G0) (strict, from the minorant blow-up
     condition); upper = min(positive root of the feasibility quadratic,
-    F1 L^3 / G0^(3/2)).  None when lower >= upper, or when
-    :func:`epsilon_conditions_hold` rejects the midpoint
-    lower + (upper - lower) / 2, the eps a certificate is issued at: an
-    interval a few ulps wide may hold no double the conditions accept.
+    F1 L^3 / G0^(3/2)).  None unless the midpoint
+    lower + (upper - lower) / 2, the eps a certificate is issued at, lies
+    above lower and :func:`epsilon_conditions_hold` accepts it: an interval
+    a few ulps wide may hold no double the conditions accept, or have its
+    midpoint round onto the open end.
 
     Raises:
         ParameterError: for non-positive G0 or F1.
@@ -172,31 +171,27 @@ def epsilon_interval(
     quad_root = 3.0 / (2.0 * (s + math.sqrt(s * s + 3.0 * q)))
     slope_cap = F1 * L**3 / G0**1.5
     upper = min(quad_root, slope_cap)
-    if lower >= upper or not epsilon_conditions_hold(lower + 0.5 * (upper - lower), params, G0, F1):
-        return None
-    return (lower, upper)
+    mid = lower + 0.5 * (upper - lower)
+    return (lower, upper) if lower < mid and epsilon_conditions_hold(mid, params, G0, F1) else None
 
 
-def g_closed_form(t: float, eps: float, G0: float, params: ModelParams) -> float:
+def g_closed_form(t: float, eps: float, G0: float, params: ModelParams) -> Optional[float]:
     """Closed-form minorant G(t), strictly increasing toward its blow-up.
 
     Evaluated in the factored form G0 * (1 + sqrt(G0) * k)^(-2) with
     k = (eps / 4 c^3) [ (t + L/c)^(-2) - (L/c)^(-2) ], so G(0) == G0
-    exactly.
+    exactly.  None at or past the blow-up, where 1 + sqrt(G0) k <= 0, as
+    :func:`t_star` returns None where there is no blow-up.
 
     Raises:
-        DomainError: for t < 0, NaN, or t at/beyond the blow-up time.
+        DomainError: for t < 0 or NaN.
     """
     if not t >= 0.0:
         raise DomainError(f"G(t) is defined for t >= 0, got t={t}")
     c, L = params.c, params.L
     k = (eps / (4.0 * c**3)) * ((t + L / c) ** -2 - (L / c) ** -2)
     bracket = 1.0 + math.sqrt(G0) * k
-    if bracket <= 0.0:
-        raise DomainError(
-            f"G(t) undefined at t={t}: past the minorant blow-up time"
-        )
-    return G0 / (bracket * bracket)
+    return G0 / (bracket * bracket) if bracket > 0.0 else None
 
 
 def t_star(eps: float, G0: float, params: ModelParams) -> Optional[float]:
@@ -310,24 +305,11 @@ def comparison_check(
     For every record with t < T*, the margin (F(t) - G(t)) / (1 + G(t))
     is evaluated at the certificate's chosen eps; the minimum is
     returned, so the bound "F >= G - tol (1 + G)" holds along the whole
-    series iff the result is >= -tol.  None when the certificate has no
-    feasible eps: nothing checked.
-
-    Raises:
-        ParameterError: with no records, or none before T*.
+    series iff the result is >= -tol.  None when no record has a G (no
+    records, none before T*, or no feasible eps): nothing was checked.
     """
-    if not certificate.feasible:
-        return None
-    if not records:
-        raise ParameterError("need at least one record")
-    worst = math.inf
-    for rec in records:
-        g = certificate.minorant(rec.t, params)
-        if g is not None:
-            worst = min(worst, (rec.F - g) / (1.0 + g))
-    if math.isinf(worst):
-        raise ParameterError("no records before the minorant blow-up time")
-    return worst
+    return min(((rec.F - g) / (1.0 + g) for rec in records
+                if (g := certificate.minorant(rec.t, params)) is not None), default=None)
 
 
 def build_certificate(params: ModelParams, F0: float, F1: float) -> Certificate:
@@ -337,9 +319,9 @@ def build_certificate(params: ModelParams, F0: float, F1: float) -> Certificate:
     :func:`~hyperburg.model.moment_thresholds`) is always computed; the eps
     interval only when both moments are positive (the construction needs
     G0 > 0 and F'(0) > 0).  The certificate is issued at the interval's
-    midpoint, an eps the three conditions accept (:func:`epsilon_interval`
-    returns no interval otherwise), when :func:`t_star` gives it a T*;
-    otherwise ``eps_interval``,
+    midpoint, an eps above the open lower end that the three conditions
+    accept (:func:`epsilon_interval` returns no interval otherwise), when
+    :func:`t_star` gives it a T*; otherwise ``eps_interval``,
     ``eps_chosen``, ``T_star`` and ``T_star_tightest`` are all None, as for
     an interval a few ulps wide.  G(0) = F0 by construction, so the t = 0
     comparison margin is exactly zero.  F0 and F1 pass the real-number rule

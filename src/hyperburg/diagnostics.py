@@ -155,16 +155,17 @@ def identity_residual(
 def gronwall_check_E1(
     records: Sequence[DiagnosticsRecord],
     params: ModelParams,
-) -> float:
+) -> Optional[float]:
     """Worst margin of the exponential energy bound.
 
     For each record, margin = exp(M t / (mu c)) * E1(0) - E1(t) with M the
     running max of the sup norm up to that record.  The bound proved by
     the energy/Gronwall argument makes every margin nonnegative up to
-    discretization error; the minimum over records is returned.
+    discretization error; the minimum over records is returned, or None
+    with no records.
     """
     if not records:
-        raise ParameterError("need at least one record")
+        return None
     e1_0 = records[0].E1
     scale = 1.0 / (params.mu * params.c)
     running_max = 0.0
@@ -206,7 +207,8 @@ class ConeMax:
 
     Pass an instance as the ``observe`` callback of
     :func:`~hyperburg.solver.integrate`; it keeps the running maximum, not
-    the states.  Only states with t <= t_c contribute.
+    the states.  Only states with t <= t_c contribute: ``value`` is their
+    maximum, and None until one has been folded in (nothing was checked).
 
     The offsets x - x_c of the last grid seen are kept.  They are sorted, as
     the nodes are, so the cone's nodes {|x - x_c| <= r} are the one index
@@ -222,7 +224,7 @@ class ConeMax:
         if not (t_c > 0.0):
             raise ParameterError(f"cone apex time must be positive, got {t_c}")
         self.x_c, self.t_c, self.c = x_c, t_c, params.c
-        self._worst: Optional[float] = None
+        self.value: Optional[float] = None
         self._grid, self._offsets = None, None
 
     def __call__(self, state: GridState) -> None:
@@ -245,18 +247,7 @@ class ConeMax:
         lo = int(self._offsets.searchsorted(-radius, "left"))
         hi = int(self._offsets.searchsorted(radius, "right"))
         peak = float(np.max(np.abs(state.v[lo:hi]))) if lo < hi else 0.0
-        self._worst = peak if self._worst is None else max(self._worst, peak)
-
-    @property
-    def value(self) -> float:
-        """The maximum over every state seen at t <= t_c.
-
-        Raises:
-            DomainError: when no such state was seen (nothing was checked).
-        """
-        if self._worst is None:
-            raise DomainError("no trajectory states at times <= the cone apex time")
-        return self._worst
+        self.value = peak if self.value is None else max(self.value, peak)
 
 
 class RecordWorkspace:

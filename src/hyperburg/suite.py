@@ -49,7 +49,7 @@ import numpy as np
 from . import certificate as cert_mod
 from . import diagnostics
 from .config import ICConfig, OutputConfig, RunConfig, refinement_ladder
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .initial_data import amplitude_for_sup_norm
 from .model import ModelParams
 from .runner import RunReport, execute_config
@@ -192,10 +192,7 @@ def _check_propagation(run: PresetRun) -> list[SuiteCheck]:
 
 
 def _check_cone(run: PresetRun) -> list[SuiteCheck]:
-    try:
-        cm = run.observer.value if run.observer else None
-    except DomainError:  # the observer saw no state at t <= t_c
-        cm = None
+    cm = run.observer.value if run.observer else None
     gsup = max(rec.sup_norm for rec in run.reports[0].outcome.records)
     bound = CONE_REL_TOL * (1.0 + gsup)
     return [_gate("cone: max |v| on a data-free cone <= 1e-10 (1+sup)", cm, bound,

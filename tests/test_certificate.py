@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -166,6 +167,26 @@ class TestEpsilonInterval:
                 assert abs(_bits(accepted[1]) - _bits(hi)) <= ORACLE_ULPS
         assert returned > 0
 
+    def test_no_certificate_at_the_open_end_of_its_interval(self):
+        # F1 = 4 G0 (1 + j 2^-52) puts the slope cap j ulps or so above the
+        # open lower end 4 / sqrt(G0).  A midpoint that rounds onto that end
+        # is accepted by the evaluator, but lies outside (lower, upper].
+        rng = random.Random(7)
+        issued = 0
+        for _ in range(3000):
+            g0 = rng.uniform(40.0, 1e4)
+            for j in range(6):
+                f1 = 4.0 * g0 * (1.0 + j * 2.0**-52)
+                interval = epsilon_interval(UNIT, g0, f1)
+                if interval is not None:
+                    lo, hi = interval
+                    assert lo < lo + 0.5 * (hi - lo)
+                cert = build_certificate(UNIT, g0, f1)
+                if cert.feasible:
+                    issued += 1
+                    assert cert.eps_interval[0] < cert.eps_chosen <= cert.eps_interval[1]
+        assert issued > 0
+
 
 class TestClosedForm:
     def test_identity_at_t0(self):
@@ -182,9 +203,9 @@ class TestClosedForm:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             g_closed_form(-0.1, 1.0, 64.0, UNIT)
+        # past the blow-up G does not exist: None, as t_star reads no T*
         ts = t_star(1.0, 64.0, UNIT)
-        with pytest.raises(DomainError):
-            g_closed_form(ts * 1.0001, 1.0, 64.0, UNIT)
+        assert g_closed_form(ts * 1.0001, 1.0, 64.0, UNIT) is None
 
     def test_nan_time_is_a_domain_error(self):
         with pytest.raises(DomainError, match="t=nan"):
@@ -469,6 +490,9 @@ class TestBuildCertificateAndComparison:
         # the closed form blows up a few ulps before T*; G does not exist there
         assert cert.minorant(math.nextafter(cert.T_star, 0.0), UNIT) is None
         assert build_certificate(UNIT, 100.0, 200.0).minorant(0.0, UNIT) is None
+        # a time G is not defined at is malformed, not absent
+        with pytest.raises(DomainError):
+            cert.minorant(-0.1, UNIT)
 
     @pytest.mark.parametrize("F0", [True, "40", np.float32(40.0)], ids=["bool", "str", "float32"])
     def test_moments_pass_the_real_number_rule(self, F0):
@@ -485,6 +509,15 @@ class TestBuildCertificateAndComparison:
         records = blowup_reports[0].outcome.records
         empty = build_certificate(UNIT, 100.0, 200.0)
         assert comparison_check(records, empty, UNIT) is None
+
+    def test_comparison_with_nothing_to_check_is_none(self, blowup_reports):
+        report = blowup_reports[0]
+        cert = build_certificate(UNIT, report.certificate["F0"], report.certificate["F1"])
+        assert comparison_check([], cert, UNIT) is None
+        records = report.outcome.records
+        late = [dataclasses.replace(rec, t=cert.T_star + rec.t) for rec in records]
+        assert comparison_check(late, cert, UNIT) is None
+        assert comparison_check(records[:1] + late, cert, UNIT) == 0.0
 
     def test_comparison_margin_zero_at_t0(self, blowup_reports):
         # G(0) = F(0) by construction, later records only gain margin.

@@ -719,3 +719,18 @@ class TestCLI:
         cfg.write_text(json.dumps(blowup_doc(str(tmp_path / "c1"))))
         assert main(["convergence", "--config", str(cfg), "--levels", "1"]) == 1
         capsys.readouterr()
+
+    def test_convergence_without_blowup_exits_1(self, tmp_path, capsys):
+        doc = base_doc(str(tmp_path / "c"))
+        doc["grid"]["n"], doc["ic"]["a"], doc["t_end"] = 257, 0.1, 0.5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["convergence", "--config", str(cfg), "--levels", "2"]) == 1
+        out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert "error" in out and "t_m_estimate" not in out
+        assert [lvl["t_detect"] for lvl in out["levels"]] == [None, None]
+        assert all(lvl["status"] == "completed" for lvl in out["levels"])
+
+    def test_missing_config_file_is_an_io_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")

@@ -348,6 +348,9 @@ class TestGronwall:
         bad = DiagnosticsRecord(**{**base.__dict__, "t": 1.0, "E1": 0.5})
         assert gronwall_check_E1([base, bad], PARAMS) < 0.0
 
+    def test_no_records_is_none(self):
+        assert gronwall_check_E1([], PARAMS) is None
+
     def test_small_amplitude_margin(self, propagation_report, smalldata_report):
         for report in (propagation_report, smalldata_report):
             e1_0 = report.outcome.records[0].E1
@@ -441,15 +444,13 @@ class TestConeMax:
             ConeMax(x_c, t_c, ModelParams(1, 1, 1))
 
     def test_nothing_checked_is_an_error(self):
-        # A cone maximum over no state at t <= t_c checked nothing; it must
-        # not read as a vanishing cone.
+        # A cone maximum over no state at t <= t_c checked nothing; it reads
+        # None, not a vanishing cone.
         params = ModelParams(1, 1, 1)
         cone = ConeMax(0.0, 1.0, params)
-        with pytest.raises(DomainError, match="cone apex time"):
-            cone.value
+        assert cone.value is None
         cone(state_on(Grid(-8.0, 8.0, 256), np.zeros(256), t=1.5))
-        with pytest.raises(DomainError, match="cone apex time"):
-            cone.value
+        assert cone.value is None
 
     def test_vanishes_on_data_free_cone(self, cone_bundle):
         _, report, cone = cone_bundle
